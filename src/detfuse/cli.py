@@ -1,15 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on any domain error (bad file contents,
-dangling references, failed stages), 2 on usage errors such as unknown
-options or malformed option values.
+dangling references, out-of-range settings, failed stages), 2 on usage
+errors such as unknown options or option values of the wrong type.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import json
 import logging
 import os
 
@@ -39,6 +37,7 @@ from .integrate import (
 )
 from .io import (
     SplitSpec,
+    _dump_json,
     parse_detections,
     parse_ground_truth,
     split_ids,
@@ -87,9 +86,9 @@ def main(verbose: bool) -> None:
 @_domain_errors
 def ensemble(primary, secondary, output, tau, primary_source, secondary_source, allow_union):
     """Fuse two detection files with the score-threshold rule."""
+    cfg = EnsembleConfig(tau=tau, primary_source=primary_source, secondary_source=secondary_source)
     a = parse_detections(primary, primary_source)
     b = parse_detections(secondary, secondary_source)
-    cfg = EnsembleConfig(tau=tau, primary_source=primary_source, secondary_source=secondary_source)
     fused = threshold_ensemble(a, b, cfg, allow_union=allow_union)
     write_detections(fused, output)
     click.echo(f"fused {len(a)} + {len(b)} -> {len(fused)} detections ({output})")
@@ -111,11 +110,11 @@ def ensemble(primary, secondary, output, tau, primary_source, secondary_source, 
 @_domain_errors
 def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, diagnosis_source):
     """Attach tooth positions to disease detections by closest center."""
-    enums = parse_detections(enumeration, "enumeration-model")
-    diags = parse_detections(diagnosis, diagnosis_source)
     cfg = IntegrationConfig(
         enum_score_gate=gate, max_match_distance=max_distance, unmatched_policy=policy
     )
+    enums = parse_detections(enumeration, "enumeration-model")
+    diags = parse_detections(diagnosis, diagnosis_source)
     merged = integrate(enums, diags, cfg)
     write_integrated(merged, output)
     matched = sum(1 for m in merged if m.matched_enum_id is not None)
@@ -151,13 +150,12 @@ def crops(enumeration, gt_path, output, gate, pad):
 @_domain_errors
 def complement(crops_path, classifications, integrated_path, output, min_confidence, overlap_iou):
     """Merge crop-classifier verdicts into an integrated detection file."""
+    cfg = MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
     manifest = read_crop_manifest(crops_path)
     verdicts = parse_crop_classifications(classifications)
     integrated = read_integrated(integrated_path)
     comp = classifications_to_detections(manifest, verdicts, min_confidence)
-    merged = merge_complementary(
-        integrated, comp, MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
-    )
+    merged = merge_complementary(integrated, comp, cfg)
     write_integrated(merged, output)
     click.echo(
         f"added {len(merged) - len(integrated)} complementary detections -> {output}"
@@ -202,9 +200,7 @@ def balance(ground_truth, boost, audit_only, output):
             "multipliers": plan.multipliers,
             "planned": planned,
         }
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _dump_json(payload, output)
         click.echo(f"wrote plan -> {output}")
 
 
@@ -222,26 +218,25 @@ def balance(ground_truth, boost, audit_only, output):
 @click.option("--source", default="fused", show_default=True, help="Source tag of the detections.")
 @click.option("--max-dets", default=100, show_default=True)
 @click.option("--tooth-only", is_flag=True, help="Score enumeration as 8 tooth classes.")
-@click.option("--threads", default=1, show_default=True)
 @click.option("--report-json", default=None, type=click.Path(dir_okay=False))
 @click.option("--pr-csv", default=None, type=click.Path(dir_okay=False))
 @_domain_errors
 def evaluate_cmd(
-    ground_truth, detections, axes, source, max_dets, tooth_only, threads, report_json, pr_csv
+    ground_truth, detections, axes, source, max_dets, tooth_only, report_json, pr_csv
 ):
     """Report AP/AR for a detection file along one or more axes."""
     if pr_csv and len(axes) != 1:
         raise click.UsageError("--pr-csv requires exactly one --axis")
-    ds = parse_ground_truth(ground_truth)
-    dets = parse_detections(detections, source, frozenset(ds.image_ids()))
     cfg = EvalConfig(
         max_dets=max_dets,
         enumeration_product=not tooth_only,
         keep_pr_curves=pr_csv is not None,
     )
+    ds = parse_ground_truth(ground_truth)
+    dets = parse_detections(detections, source, frozenset(ds.image_ids()))
     reports = {}
     for axis in axes:
-        report = evaluate(ds, dets, axis, cfg, threads=threads)
+        report = evaluate(ds, dets, axis, cfg)
         reports[axis] = report
         click.echo(
             f"axis={axis} mAP={report.mean_ap:.4f} AP50={report.ap50:.4f} "
@@ -250,10 +245,7 @@ def evaluate_cmd(
         for label, (ap, ar) in report.per_class.items():
             click.echo(f"  {label:20s} AP={ap:.4f} AR={ar:.4f}")
     if report_json:
-        payload = {axis: rep.as_dict() for axis, rep in reports.items()}
-        with open(report_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _dump_json({axis: rep.as_dict() for axis, rep in reports.items()}, report_json)
     if pr_csv:
         write_pr_csv(reports[axes[0]], pr_csv)
 
@@ -338,13 +330,10 @@ def split(ground_truth, train, val, test, seed, out_dir, write_datasets):
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--threads", default=None, type=int, help="Override the configured thread count.")
 @_domain_errors
-def pipeline(config, threads):
+def pipeline(config):
     """Run the full fusion pipeline described by a JSON config."""
     cfg = load_pipeline_config(config)
-    if threads is not None:
-        cfg = dataclasses.replace(cfg, threads=threads)
     try:
         result = run_pipeline(cfg)
     except PipelineStageError as exc:

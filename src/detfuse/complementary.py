@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DanglingCrop, MalformedFile, MissingImage
+from .errors import (
+    ConfigError,
+    DanglingCrop,
+    MalformedFile,
+    MissingImage,
+    fraction_problem,
+    raise_problems,
+)
 from .geometry import (
     CROP_LABELS,
     DISEASES,
@@ -28,6 +35,7 @@ from .io import (
     AnnotatedImage,
     DetectionSet,
     PathLike,
+    _clip_to_image,
     _dump_json,
     _load_json,
     _parse_bbox,
@@ -96,10 +104,10 @@ class MergeConfig:
     min_confidence: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.overlap_iou <= 1.0:
-            raise ValueError(f"overlap_iou must be in [0, 1], got {self.overlap_iou!r}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError(f"min_confidence must be in [0, 1], got {self.min_confidence!r}")
+        raise_problems(
+            fraction_problem("overlap_iou", self.overlap_iou)
+            + fraction_problem("min_confidence", self.min_confidence)
+        )
 
 
 def assign_crops(
@@ -120,7 +128,7 @@ def assign_crops(
             present in ``images``.
     """
     if pad_fraction < 0:
-        raise ValueError(f"pad_fraction must be >= 0, got {pad_fraction!r}")
+        raise ConfigError(f"pad_fraction must be >= 0, got {pad_fraction!r}")
     by_id = None if images is None else {im.image_id: im for im in images}
 
     crops = []
@@ -138,11 +146,7 @@ def assign_crops(
             image = by_id.get(det.image_id)
             if image is None:
                 raise MissingImage(f"enumeration detection references unknown image {det.image_id!r}")
-            x0 = min(max(crop.x, 0.0), image.width)
-            y0 = min(max(crop.y, 0.0), image.height)
-            x1 = min(max(crop.x + crop.w, 0.0), image.width)
-            y1 = min(max(crop.y + crop.h, 0.0), image.height)
-            crop = BoundingBox(x0, y0, x1 - x0, y1 - y0)
+            crop = _clip_to_image(crop, image)
         crops.append(
             CropAssignment(det.image_id, crop, (cat.quadrant, cat.enumeration), det.score, box)
         )

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UniverseMismatch
+from .errors import UniverseMismatch, fraction_problem, raise_problems
 from .io import DetectionSet
 
 logger = logging.getLogger(__name__)
@@ -32,8 +32,7 @@ class EnsembleConfig:
     secondary_source: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau!r}")
+        raise_problems(fraction_problem("tau", self.tau))
 
 
 def threshold_ensemble(

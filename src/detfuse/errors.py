@@ -1,10 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, plus the setting checks that raise :class:`ConfigError`.
 
 Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 (and the CLI) can distinguish data problems from programming errors.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class DetfuseError(Exception):
@@ -47,5 +49,23 @@ class AxisUnavailable(DetfuseError):
     """The requested category axis is not populated in the data."""
 
 
-class ConfigError(DetfuseError):
-    """A pipeline configuration value is missing or out of range."""
+class ConfigError(DetfuseError, ValueError):
+    """A configuration value is missing, of the wrong type or out of range."""
+
+
+def is_number(value) -> bool:
+    """True for a real number; a bool is not a setting's number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def fraction_problem(name: str, value) -> list[str]:
+    """The problem with a setting that must be a number in [0, 1], if any."""
+    if is_number(value) and 0.0 <= value <= 1.0:
+        return []
+    return [f"{name} must be a number in [0, 1], got {value!r}"]
+
+
+def raise_problems(problems: list[str]) -> None:
+    """Raise one :class:`ConfigError` that lists every problem found."""
+    if problems:
+        raise ConfigError("; ".join(problems))

@@ -121,21 +121,3 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 def center(b: BoundingBox) -> Point:
     """Geometric center of a box."""
     return Point(b.x + b.w / 2.0, b.y + b.h / 2.0)
-
-
-def center_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between the two box centers, in pixels."""
-    ca, cb = center(a), center(b)
-    return math.hypot(ca.x - cb.x, ca.y - cb.y)
-
-
-def center_distance_sq(a: BoundingBox, b: BoundingBox) -> float:
-    """Squared center distance.
-
-    Monotone in :func:`center_distance` but exact for integer-valued
-    coordinates, which makes tie detection in matching reproducible.
-    """
-    ca, cb = center(a), center(b)
-    dx = ca.x - cb.x
-    dy = ca.y - cb.y
-    return dx * dx + dy * dy

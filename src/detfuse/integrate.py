@@ -25,7 +25,7 @@ from .io import (
     _load_json,
     _parse_bbox,
 )
-from .errors import MalformedFile
+from .errors import MalformedFile, fraction_problem, is_number, raise_problems
 
 KEEP_WITHOUT_ENUMERATION = "keep-without-enumeration"
 DROP = "drop"
@@ -39,12 +39,17 @@ class IntegrationConfig:
     unmatched_policy: str = KEEP_WITHOUT_ENUMERATION
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.enum_score_gate <= 1.0:
-            raise ValueError(f"enum_score_gate must be in [0, 1], got {self.enum_score_gate!r}")
-        if self.max_match_distance is not None and self.max_match_distance <= 0:
-            raise ValueError("max_match_distance must be positive when bounded")
+        problems = fraction_problem("enum_score_gate", self.enum_score_gate)
+        distance = self.max_match_distance
+        if distance is not None and not (is_number(distance) and distance > 0):
+            problems.append(
+                f"max_match_distance must be a positive number when set, got {distance!r}"
+            )
         if self.unmatched_policy not in UNMATCHED_POLICIES:
-            raise ValueError(f"unknown unmatched policy {self.unmatched_policy!r}")
+            problems.append(
+                f"unmatched_policy must be one of {UNMATCHED_POLICIES}, got {self.unmatched_policy!r}"
+            )
+        raise_problems(problems)
 
 
 @dataclass(frozen=True, slots=True)

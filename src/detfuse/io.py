@@ -22,9 +22,11 @@ of keys so that parse -> write round-trips are stable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -169,9 +171,17 @@ def _load_json(path: PathLike):
 
 
 def _dump_json(obj, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    """Write ``obj`` as indented JSON; ``path`` changes only once the write is complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _require_int(rec: dict, key: str, where: str) -> int:
@@ -246,6 +256,15 @@ def _decode_category(rec: dict, where: str, *, bare_id_mode: Optional[str]) -> C
     raise MalformedFile(f"{where}: record has no category fields")
 
 
+def _clip_to_image(box: BoundingBox, image: AnnotatedImage) -> BoundingBox:
+    """The part of ``box`` inside ``image``; ValueError when nothing is inside."""
+    x0 = min(max(box.x, 0.0), image.width)
+    y0 = min(max(box.y, 0.0), image.height)
+    x1 = min(max(box.x + box.w, 0.0), image.width)
+    y1 = min(max(box.y + box.h, 0.0), image.height)
+    return BoundingBox(x0, y0, x1 - x0, y1 - y0)
+
+
 def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingBox:
     inside = (
         box.x >= 0 and box.y >= 0
@@ -253,13 +272,12 @@ def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingB
     )
     if inside:
         return box
-    x0 = min(max(box.x, 0.0), image.width)
-    y0 = min(max(box.y, 0.0), image.height)
-    x1 = min(max(box.x + box.w, 0.0), image.width)
-    y1 = min(max(box.y + box.h, 0.0), image.height)
-    if x1 - x0 <= 0 or y1 - y0 <= 0:
-        raise MalformedFile(f"{where}: box {box.as_xywh()} lies entirely outside the image")
-    clamped = BoundingBox(x0, y0, x1 - x0, y1 - y0)
+    try:
+        clamped = _clip_to_image(box, image)
+    except ValueError as exc:
+        raise MalformedFile(
+            f"{where}: box {box.as_xywh()} lies entirely outside the image"
+        ) from exc
     logger.warning(
         "%s: box %s exceeds %sx%s image bounds, clamped to %s",
         where, box.as_xywh(), image.width, image.height, clamped.as_xywh(),

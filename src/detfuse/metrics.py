@@ -24,14 +24,14 @@ quadrant x tooth product by default, or 8 tooth classes), ``disease``
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AxisUnavailable, DanglingReference
-from .geometry import CategoryTriple, Detection
+from .errors import AxisUnavailable, DanglingReference, is_number, raise_problems
+from .geometry import CategoryTriple
 from .io import AnnotatedDataset, DetectionSet, PathLike
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
@@ -54,28 +54,16 @@ class EvalConfig:
     def __post_init__(self) -> None:
         ts = tuple(self.iou_thresholds)
         object.__setattr__(self, "iou_thresholds", ts)
-        if not ts or any(not 0.0 < t <= 1.0 for t in ts):
-            raise ValueError("iou thresholds must lie in (0, 1]")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("iou thresholds must be strictly increasing")
-        if self.max_dets < 1:
-            raise ValueError("max_dets must be >= 1")
-        if self.recall_points < 2:
-            raise ValueError("recall_points must be >= 2")
-
-
-@dataclass(frozen=True, slots=True)
-class MatchRecord:
-    """Outcome of matching one detection at one IoU threshold."""
-
-    detection_index: int
-    gt_index: Optional[int]
-    iou_threshold: float
-    is_true_positive: bool
-
-    def __post_init__(self) -> None:
-        if self.is_true_positive and self.gt_index is None:
-            raise ValueError("a true positive must reference a ground-truth box")
+        problems = []
+        if not ts or not all(is_number(t) and 0.0 < t <= 1.0 for t in ts):
+            problems.append(f"iou_thresholds must be numbers in (0, 1], got {ts!r}")
+        elif any(b <= a for a, b in zip(ts, ts[1:])):
+            problems.append(f"iou_thresholds must be strictly increasing, got {ts!r}")
+        for name, least in (("max_dets", 1), ("recall_points", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                problems.append(f"{name} must be an integer >= {least}, got {value!r}")
+        raise_problems(problems)
 
 
 @dataclass
@@ -133,25 +121,6 @@ def class_label(key, axis: str) -> str:
     if axis == "enumeration" and isinstance(key, tuple):
         return f"{key[0]}{key[1]}"  # FDI two-digit number
     return str(key)
-
-
-def greedy_match(
-    gt_boxes: Sequence,
-    dets: Sequence[Detection],
-    iou_t: float,
-) -> list[MatchRecord]:
-    """Match one image's detections against its ground truth at ``iou_t``.
-
-    ``dets`` must already be sorted by descending score (ties by input
-    order); ``gt_boxes`` may be annotations, detections or bare boxes (any
-    object with a ``box`` attribute, else treated as a box).
-    """
-    boxes = [getattr(g, "box", g) for g in gt_boxes]
-    matrix = _iou_matrix([d.box for d in dets], boxes)
-    assignments = _greedy_assign(matrix, iou_t)
-    return [
-        MatchRecord(i, j, iou_t, j is not None) for i, j in enumerate(assignments)
-    ]
 
 
 def _iou_matrix(det_boxes: Sequence, gt_boxes: Sequence) -> np.ndarray:
@@ -245,8 +214,6 @@ def evaluate(
     dets: DetectionSet,
     axis: str = "disease",
     cfg: EvalConfig = EvalConfig(),
-    *,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Evaluate detections against ground truth along one category axis.
 
@@ -291,19 +258,7 @@ def evaluate(
     thresholds = sorted(set(cfg.iou_thresholds) | {0.5, 0.75})
     recall_thresholds = np.arange(cfg.recall_points) / (cfg.recall_points - 1)
 
-    group_keys = list(groups)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            prepared = dict(
-                zip(
-                    group_keys,
-                    pool.map(
-                        lambda k: _prepare_group(groups[k], thresholds, cfg.max_dets), group_keys
-                    ),
-                )
-            )
-    else:
-        prepared = {k: _prepare_group(groups[k], thresholds, cfg.max_dets) for k in group_keys}
+    prepared = {k: _prepare_group(g, thresholds, cfg.max_dets) for k, g in groups.items()}
 
     classes = sorted(gt_count)
     ap: dict = {}
@@ -352,34 +307,6 @@ def evaluate(
                 pr_points.append((t, float(r), float(precision)))
 
     return EvaluationReport(axis, mean_ap, ap50, ap75, ar_all, per_class, pr_points)
-
-
-def average_precision(
-    ds: AnnotatedDataset,
-    dets: DetectionSet,
-    iou_t: float,
-    cfg: EvalConfig = EvalConfig(),
-    axis: str = "agnostic",
-) -> float:
-    """Class-averaged AP at a single IoU threshold."""
-    sub = EvalConfig(
-        iou_thresholds=(iou_t,),
-        max_dets=cfg.max_dets,
-        recall_points=cfg.recall_points,
-        enumeration_product=cfg.enumeration_product,
-    )
-    report = evaluate(ds, dets, axis, sub)
-    return report.mean_ap
-
-
-def average_recall(
-    ds: AnnotatedDataset,
-    dets: DetectionSet,
-    cfg: EvalConfig = EvalConfig(),
-    axis: str = "agnostic",
-) -> float:
-    """Class-averaged AR at ``cfg.max_dets`` over ``cfg.iou_thresholds``."""
-    return evaluate(ds, dets, axis, cfg).ar
 
 
 def write_pr_csv(report: EvaluationReport, path: PathLike) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .complementary import (
@@ -31,10 +31,9 @@ from .complementary import (
     write_crop_manifest,
 )
 from .ensemble import EnsembleConfig, threshold_ensemble
-from .errors import ConfigError, DetfuseError
+from .errors import ConfigError, DetfuseError, is_number, raise_problems
 from .integrate import (
     KEEP_WITHOUT_ENUMERATION,
-    UNMATCHED_POLICIES,
     IntegrationConfig,
     as_detection_set,
     filter_enumeration,
@@ -45,6 +44,7 @@ from .io import (
     AnnotatedDataset,
     DetectionSet,
     PathLike,
+    _dump_json,
     parse_detections,
     parse_ground_truth,
     write_detections,
@@ -67,6 +67,14 @@ class PipelineStageError(DetfuseError):
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
+    """Input paths plus the settings of every stage.
+
+    Each stage config is built once, here, from the flat settings that
+    share its field names, and checks them itself. Every problem, theirs
+    and the checks below, is reported in one :class:`ConfigError` before
+    any stage runs.
+    """
+
     ground_truth: str
     enumeration: str
     diagnosis_a: str
@@ -82,29 +90,28 @@ class PipelineConfig:
     overlap_iou: float = 0.5
     max_dets: int = 100
     axes: tuple[str, ...] = ("disease",)
-    threads: int = 1
+    ensemble: EnsembleConfig = field(init=False, repr=False, compare=False)
+    integration: IntegrationConfig = field(init=False, repr=False, compare=False)
+    merge: MergeConfig = field(init=False, repr=False, compare=False)
+    evaluation: EvalConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
         problems = []
-        if not 0.0 <= self.tau <= 1.0:
-            problems.append(f"tau must lie in [0, 1], got {self.tau!r}")
-        if not 0.0 <= self.enum_score_gate <= 1.0:
-            problems.append(f"enum_score_gate must lie in [0, 1], got {self.enum_score_gate!r}")
-        if self.max_match_distance is not None and self.max_match_distance < 0:
-            problems.append("max_match_distance must be >= 0 when set")
-        if self.unmatched_policy not in UNMATCHED_POLICIES:
-            problems.append(f"unmatched_policy must be one of {UNMATCHED_POLICIES}")
-        if self.pad_fraction < 0:
-            problems.append("pad_fraction must be >= 0")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            problems.append("min_confidence must lie in [0, 1]")
-        if not 0.0 <= self.overlap_iou <= 1.0:
-            problems.append("overlap_iou must lie in [0, 1]")
-        if self.max_dets < 1:
-            problems.append("max_dets must be >= 1")
-        if self.threads < 1:
-            problems.append("threads must be >= 1")
+        flat = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        for name, make in (
+            ("ensemble", EnsembleConfig),
+            ("integration", IntegrationConfig),
+            ("merge", MergeConfig),
+            ("evaluation", EvalConfig),
+        ):
+            settings = {f.name: flat[f.name] for f in fields(make) if f.name in flat}
+            try:
+                object.__setattr__(self, name, make(**settings))
+            except ConfigError as exc:
+                problems.append(str(exc))
+        if not (is_number(self.pad_fraction) and self.pad_fraction >= 0):
+            problems.append(f"pad_fraction must be a number >= 0, got {self.pad_fraction!r}")
         if not self.axes:
             problems.append("axes must not be empty")
         for axis in self.axes:
@@ -123,29 +130,14 @@ class PipelineConfig:
                 problems.append(f"{label} path is required")
             elif path and not os.path.isfile(path):
                 problems.append(f"{label} file not found: {path}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        raise_problems(problems)
 
 
-_CONFIG_KEYS = {
-    "schema_version",
-    "ground_truth",
-    "enumeration",
-    "diagnosis_a",
-    "diagnosis_b",
-    "crop_classifications",
-    "out_dir",
-    "tau",
-    "enum_score_gate",
-    "max_match_distance",
-    "unmatched_policy",
-    "pad_fraction",
-    "min_confidence",
-    "overlap_iou",
-    "max_dets",
-    "axes",
-    "threads",
-}
+_INIT_FIELDS = [f for f in fields(PipelineConfig) if f.init]
+_CONFIG_KEYS = {"schema_version"} | {f.name for f in _INIT_FIELDS}
+_REQUIRED_KEYS = [
+    f.name for f in _INIT_FIELDS if f.default is MISSING and f.default_factory is MISSING
+]
 
 _PATH_KEYS = (
     "ground_truth",
@@ -160,20 +152,28 @@ _PATH_KEYS = (
 def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
     if not isinstance(payload, dict):
         raise ConfigError("pipeline config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
+    unknown = set(payload) - _CONFIG_KEYS - {"threads"}
     if unknown:
         raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
-    kwargs = {k: v for k, v in payload.items() if k != "schema_version"}
-    for key in _PATH_KEYS:
-        if kwargs.get(key):
-            kwargs[key] = os.path.normpath(os.path.join(base_dir, kwargs[key]))
-    missing = [k for k in ("ground_truth", "enumeration", "diagnosis_a", "out_dir") if k not in kwargs]
+    if "threads" in payload:
+        # Older schema-v1 files still set it; evaluation runs in one thread.
+        logger.warning("pipeline config key 'threads' is deprecated and ignored")
+    kwargs = {k: v for k, v in payload.items() if k not in ("schema_version", "threads")}
+    missing = [k for k in _REQUIRED_KEYS if k not in kwargs]
     if missing:
         raise ConfigError(f"pipeline config is missing required keys: {missing}")
-    if isinstance(kwargs.get("axes"), list):
+    for key in _PATH_KEYS:
+        value = kwargs.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
+        if value:
+            kwargs[key] = os.path.normpath(os.path.join(base_dir, value))
+    if "axes" in kwargs:
+        if not isinstance(kwargs["axes"], list):
+            raise ConfigError(f"axes must be a list of axis names, got {kwargs['axes']!r}")
         kwargs["axes"] = tuple(kwargs["axes"])
     return PipelineConfig(**kwargs)
 
@@ -240,19 +240,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             logger.warning("no diagnosis-B stream configured; passing diagnosis-A through")
             fused = DetectionSet(list(diag_a), "fused", diag_a.image_universe)
         else:
-            fused = threshold_ensemble(diag_a, diag_b, EnsembleConfig(tau=cfg.tau))
+            fused = threshold_ensemble(diag_a, diag_b, cfg.ensemble)
         write_detections(fused, _out("01_fused.json"))
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 
     stage = "integrate"
     try:
-        integration_cfg = IntegrationConfig(
-            enum_score_gate=cfg.enum_score_gate,
-            max_match_distance=cfg.max_match_distance,
-            unmatched_policy=cfg.unmatched_policy,
-        )
-        integrated = integrate(enums, fused, integration_cfg)
+        integrated = integrate(enums, fused, cfg.integration)
         write_integrated(integrated, _out("02_integrated.json"))
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
@@ -265,12 +260,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             crops = assign_crops(gated, dataset.images, cfg.pad_fraction)
             write_crop_manifest(crops, _out("crops_manifest.json"))
             classifications = parse_crop_classifications(cfg.crop_classifications)
-            comp = classifications_to_detections(crops, classifications, cfg.min_confidence)
-            merged = merge_complementary(
-                integrated,
-                comp,
-                MergeConfig(overlap_iou=cfg.overlap_iou, min_confidence=cfg.min_confidence),
-            )
+            comp = classifications_to_detections(crops, classifications, cfg.merge.min_confidence)
+            merged = merge_complementary(integrated, comp, cfg.merge)
             write_integrated(merged, _out("03_complementary.json"))
         except Exception as exc:
             raise PipelineStageError(stage, exc) from exc
@@ -287,14 +278,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     stage = "evaluate"
     reports: dict[str, EvaluationReport] = {}
     try:
-        eval_cfg = EvalConfig(max_dets=cfg.max_dets)
         for axis in cfg.axes:
-            report = evaluate(dataset, final, axis, eval_cfg, threads=cfg.threads)
+            report = evaluate(dataset, final, axis, cfg.evaluation)
             reports[axis] = report
-            path = _out(f"metrics_{axis}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report.as_dict(), fh, indent=2)
-                fh.write("\n")
+            _dump_json(report.as_dict(), _out(f"metrics_{axis}.json"))
     except Exception as exc:
         raise PipelineStageError(stage, exc) from exc
 

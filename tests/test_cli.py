@@ -78,6 +78,33 @@ class TestBasics:
         assert result.exit_code == 1
         assert "Error" in result.output
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["ensemble", "diagnosis-A.json", "diagnosis-B.json", "-o", "OUT", "--tau", 3], "tau"),
+            (
+                ["integrate", "enumeration-model.json", "diagnosis-A.json", "-o", "OUT",
+                 "--max-distance", 0],
+                "max_match_distance",
+            ),
+            (
+                ["evaluate", "gt.json", "diagnosis-A.json", "--source", "diagnosis-A",
+                 "--report-json", "OUT", "--max-dets", 0],
+                "max_dets",
+            ),
+        ],
+    )
+    def test_out_of_range_option_is_one_error_line(self, corpus, tmp_path, args, key):
+        out = tmp_path / "out.json"
+        argv = [out if a == "OUT" else corpus / a if str(a).endswith(".json") else a for a in args]
+        result = invoke(*argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert key in lines[0]
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_expected_files(self, corpus):
@@ -328,7 +355,7 @@ class TestPipelineCommand:
         }
         cfg_path = tmp_path / "pipeline.json"
         cfg_path.write_text(json.dumps(config))
-        result = ok("pipeline", cfg_path, "--threads", 2)
+        result = ok("pipeline", cfg_path)
         assert "fused:" in result.output
         assert "axis=disease mAP=" in result.output
         assert f"artifacts in {out_dir}" in result.output

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,8 +14,6 @@ from detfuse import (
     Detection,
     Point,
     center,
-    center_distance,
-    center_distance_sq,
     iou,
 )
 
@@ -83,21 +80,6 @@ class TestIou:
 class TestCenters:
     def test_center_point(self):
         assert center(BoundingBox(10, 20, 4, 8)) == Point(12.0, 24.0)
-
-    def test_distance_small_example(self):
-        a = BoundingBox(0, 0, 2, 2)  # center (1, 1)
-        b = BoundingBox(3, 4, 2, 2)  # center (4, 5)
-        assert center_distance(a, b) == 5.0
-        assert center_distance_sq(a, b) == 25.0
-
-    @given(int_boxes, int_boxes)
-    def test_sq_consistency(self, a, b):
-        d = center_distance(a, b)
-        assert math.isclose(d * d, center_distance_sq(a, b), rel_tol=1e-12, abs_tol=1e-12)
-
-    @given(int_boxes, int_boxes, int_boxes)
-    def test_triangle_inequality(self, a, b, c):
-        assert center_distance(a, c) <= center_distance(a, b) + center_distance(b, c) + 1e-9
 
 
 class TestValidation:

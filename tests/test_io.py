@@ -30,7 +30,7 @@ from detfuse import (
     write_ground_truth,
     write_id_list,
 )
-from detfuse.io import ENUMERATION_ONLY, FULL_TRIPLE
+from detfuse.io import ENUMERATION_ONLY, FULL_TRIPLE, _dump_json
 
 from conftest import perfect_detections
 
@@ -363,3 +363,22 @@ class TestSplitting:
         path.write_text('{"ids": []}')
         with pytest.raises(MalformedFile):
             read_id_list(path)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_scene):
+        path = tmp_path / "dets.json"
+        write_detections(perfect_detections(tiny_scene), path)
+        before = path.read_bytes()
+        # the third record cannot be serialized, so the dump fails partway
+        with pytest.raises(TypeError):
+            _dump_json([{"image_id": 1}, {"image_id": 2}, {"image_id": object()}], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dets.json"]
+
+    def test_replaces_with_the_same_bytes_as_a_direct_dump(self, tmp_path):
+        payload = {"b": [1, 2.5, None], "a": "x"}
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        _dump_json(payload, path)
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"

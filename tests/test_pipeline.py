@@ -8,9 +8,11 @@ import os
 
 import pytest
 
+import detfuse.pipeline as pipeline_module
 from detfuse import (
     ConfigError,
     CropClassification,
+    DetfuseError,
     PipelineConfig,
     PipelineStageError,
     ScenePlan,
@@ -142,13 +144,26 @@ class TestRunPipeline:
         assert any("without a disease label" in r.message for r in caplog.records)
         assert all(d.category.disease is not None for d in result.fused)
 
-    def test_threads_do_not_change_reports(self, tmp_path):
-        _, paths = make_inputs(tmp_path)
-        serial = run_pipeline(PipelineConfig(**paths, threads=1))
-        parallel = run_pipeline(
-            PipelineConfig(**{**paths, "out_dir": str(tmp_path / "out2")}, threads=3)
-        )
-        assert serial.reports == parallel.reports
+    def test_stage_configs_are_built_once_and_reused(self, tmp_path, monkeypatch):
+        ds, paths = make_inputs(tmp_path)
+        verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
+        cfg = PipelineConfig(**paths, crop_classifications=verdicts)
+        seen = {}
+
+        def spy(name, fn):
+            def wrapper(*args):
+                seen[name] = args[-1]
+                return fn(*args)
+
+            monkeypatch.setattr(pipeline_module, name, wrapper)
+
+        for name in ("threshold_ensemble", "integrate", "merge_complementary", "evaluate"):
+            spy(name, getattr(pipeline_module, name))
+        run_pipeline(cfg)
+        assert seen["threshold_ensemble"] is cfg.ensemble
+        assert seen["integrate"] is cfg.integration
+        assert seen["merge_complementary"] is cfg.merge
+        assert seen["evaluate"] is cfg.evaluation
 
     def test_malformed_enumeration_fails_in_load_stage(self, tmp_path):
         _, paths = make_inputs(tmp_path)
@@ -175,12 +190,75 @@ class TestPipelineConfig:
                 diagnosis_a=str(tmp_path / "missing3.json"),
                 out_dir=str(tmp_path),
                 tau=1.5,
-                threads=0,
+                overlap_iou=2.0,
+                max_dets=0,
                 axes=("color",),
             )
         message = str(exc_info.value)
-        for fragment in ("tau", "threads", "color", "missing.json"):
+        for fragment in ("tau", "overlap_iou", "max_dets", "color", "missing.json"):
             assert fragment in message
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("max_match_distance", 0),
+            ("max_dets", 1.5),
+            ("max_dets", True),
+            ("tau", "x"),
+            ("enum_score_gate", None),
+            ("min_confidence", float("nan")),
+            ("pad_fraction", "0.1"),
+            ("unmatched_policy", "keep"),
+        ],
+    )
+    def test_bad_setting_fails_before_anything_is_written(self, tmp_path, key, value):
+        _, paths = make_inputs(tmp_path)
+        payload = {"schema_version": 1, **paths, key: value}
+        with pytest.raises(ConfigError, match=key):
+            pipeline_config_from_dict(payload)
+        assert not os.path.exists(paths["out_dir"])
+
+    def test_stage_configs_carry_the_flat_settings(self, tmp_path):
+        _, paths = make_inputs(tmp_path)
+        cfg = PipelineConfig(
+            **paths,
+            tau=0.2,
+            enum_score_gate=0.4,
+            max_match_distance=30.0,
+            unmatched_policy="drop",
+            min_confidence=0.6,
+            overlap_iou=0.3,
+            max_dets=7,
+        )
+        assert cfg.ensemble.tau == 0.2
+        assert (
+            cfg.integration.enum_score_gate,
+            cfg.integration.max_match_distance,
+            cfg.integration.unmatched_policy,
+        ) == (0.4, 30.0, "drop")
+        assert (cfg.merge.overlap_iou, cfg.merge.min_confidence) == (0.3, 0.6)
+        assert cfg.evaluation.max_dets == 7
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
+        assert issubclass(ConfigError, DetfuseError)
+
+    def test_from_dict_requires_axes_list(self, tmp_path):
+        _, paths = make_inputs(tmp_path)
+        payload = {"schema_version": 1, **paths, "axes": "disease"}
+        with pytest.raises(ConfigError, match="axes must be a list") as exc_info:
+            pipeline_config_from_dict(payload)
+        assert "unknown axis" not in str(exc_info.value)
+
+    def test_v1_threads_key_is_ignored_with_one_warning(self, tmp_path, caplog):
+        _, paths = make_inputs(tmp_path)
+        payload = {"schema_version": 1, **paths, "threads": 4}
+        with caplog.at_level(logging.WARNING, logger="detfuse.pipeline"):
+            cfg = pipeline_config_from_dict(payload)
+        warnings = [r for r in caplog.records if "threads" in r.message]
+        assert len(warnings) == 1
+        assert "deprecated" in warnings[0].message
+        assert run_pipeline(cfg).reports["disease"].mean_ap > 0
 
     def test_from_dict_rejects_unknown_keys(self, tmp_path):
         _, paths = make_inputs(tmp_path)
