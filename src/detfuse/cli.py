@@ -130,9 +130,10 @@ def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, di
 @_domain_errors
 def crops(enumeration, gt_path, output, gate, pad):
     """Emit the crop manifest for the external patch classifier."""
+    cfg = IntegrationConfig(enum_score_gate=gate)
     ds = parse_ground_truth(gt_path)
     enums = parse_detections(enumeration, "enumeration-model", frozenset(ds.image_ids()))
-    gated = filter_enumeration(enums, gate)
+    gated = filter_enumeration(enums, cfg.enum_score_gate)
     manifest = assign_crops(gated, ds.images, pad)
     write_crop_manifest(manifest, output)
     click.echo(f"wrote {len(manifest)} crops -> {output}")

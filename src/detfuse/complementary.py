@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    AxisUnavailable,
     ConfigError,
     DanglingCrop,
     MalformedFile,
@@ -135,7 +136,7 @@ def assign_crops(
     for det in enums:
         cat = det.category
         if cat.quadrant is None or cat.enumeration is None:
-            raise ValueError(
+            raise AxisUnavailable(
                 f"enumeration detection on image {det.image_id!r} lacks quadrant/tooth axes"
             )
         box = det.box

@@ -45,7 +45,7 @@ class DanglingCrop(DetfuseError):
     """A crop classification references a crop id that was never assigned."""
 
 
-class AxisUnavailable(DetfuseError):
+class AxisUnavailable(DetfuseError, ValueError):
     """The requested category axis is not populated in the data."""
 
 

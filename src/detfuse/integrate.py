@@ -25,7 +25,7 @@ from .io import (
     _load_json,
     _parse_bbox,
 )
-from .errors import MalformedFile, fraction_problem, is_number, raise_problems
+from .errors import AxisUnavailable, MalformedFile, fraction_problem, is_number, raise_problems
 
 KEEP_WITHOUT_ENUMERATION = "keep-without-enumeration"
 DROP = "drop"
@@ -147,7 +147,7 @@ def integrate(
 
     for d in diags:
         if d.category.disease is None:
-            raise ValueError(
+            raise AxisUnavailable(
                 f"diagnosis detection on image {d.image_id!r} has no disease label"
             )
 

@@ -1,17 +1,19 @@
 """COCO-style AP/AR evaluation over a chosen category axis.
 
-The protocol is pinned so that results are reproducible and independently
-checkable (see :mod:`detfuse.reference` for the naive re-implementation):
+The protocol is COCO's, pinned so that results are reproducible and
+independently checkable (see :mod:`detfuse.reference` for the naive
+re-implementation); only ``max_dets`` and the enumeration classes are set:
 
-* IoU thresholds 0.50:0.95 in steps of 0.05 by default; AP50/AP75 are
-  always reported at the literal 0.50 and 0.75 thresholds.
+* IoU thresholds 0.50:0.95 in steps of 0.05; AP50/AP75 are AP at the
+  0.50 and 0.75 thresholds of that list.
 * 101 recall sample points ``i / 100``; precision is the running-maximum
   envelope sampled at the first rank whose recall reaches each point.
 * Detections are stable-sorted by descending score (ties keep input
   order) and capped at ``max_dets`` per image and class before matching.
-* Matching is greedy in score order: each detection takes the unmatched
-  ground-truth box with the highest IoU at or above the threshold; IoU
-  ties go to the earlier ground-truth entry.
+* Matching is greedy in score order, per image and class: each detection
+  takes the unmatched ground-truth box with the highest IoU at or above
+  the threshold; IoU ties go to the earlier ground-truth entry. Every
+  threshold is matched in the same pass over the detections.
 * Classes absent from the ground truth are skipped, not zero-counted.
 * AR is the matched fraction at ``max_dets``, averaged over the IoU
   thresholds and then over classes.
@@ -26,44 +28,40 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import AxisUnavailable, DanglingReference, is_number, raise_problems
+from .errors import AxisUnavailable, ConfigError, DanglingReference
 from .geometry import CategoryTriple
 from .io import AnnotatedDataset, DetectionSet, PathLike
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
 
+#: The COCO protocol's IoU thresholds, 0.50:0.05:0.95.
+IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
+#: The COCO protocol's recall sample points, ``i / 100`` for i in 0..100.
+RECALL_POINTS = 101
 
-def _default_iou_thresholds() -> tuple[float, ...]:
-    return tuple((50 + 5 * i) / 100.0 for i in range(10))
+_RECALL_GRID = np.arange(RECALL_POINTS) / (RECALL_POINTS - 1)
+_AP50 = IOU_THRESHOLDS.index(0.5)
+_AP75 = IOU_THRESHOLDS.index(0.75)
 
 
 @dataclass(frozen=True, slots=True)
 class EvalConfig:
-    """Evaluation protocol knobs (defaults follow the COCO convention)."""
+    """Evaluation settings; the IoU thresholds and recall points are fixed."""
 
-    iou_thresholds: tuple[float, ...] = field(default_factory=_default_iou_thresholds)
+    iou_thresholds: ClassVar[tuple[float, ...]] = IOU_THRESHOLDS
+    recall_points: ClassVar[int] = RECALL_POINTS
     max_dets: int = 100
-    recall_points: int = 101
     enumeration_product: bool = True
     keep_pr_curves: bool = False
 
     def __post_init__(self) -> None:
-        ts = tuple(self.iou_thresholds)
-        object.__setattr__(self, "iou_thresholds", ts)
-        problems = []
-        if not ts or not all(is_number(t) and 0.0 < t <= 1.0 for t in ts):
-            problems.append(f"iou_thresholds must be numbers in (0, 1], got {ts!r}")
-        elif any(b <= a for a, b in zip(ts, ts[1:])):
-            problems.append(f"iou_thresholds must be strictly increasing, got {ts!r}")
-        for name, least in (("max_dets", 1), ("recall_points", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                problems.append(f"{name} must be an integer >= {least}, got {value!r}")
-        raise_problems(problems)
+        value = self.max_dets
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"max_dets must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -140,73 +138,45 @@ def _iou_matrix(det_boxes: Sequence, gt_boxes: Sequence) -> np.ndarray:
     return np.where(inter > 0, inter / union, 0.0)
 
 
-def _greedy_assign(matrix: np.ndarray, iou_t: float) -> list[Optional[int]]:
-    """Greedy row-order assignment; returns the matched column per row."""
-    n_det, n_gt = matrix.shape
-    out: list[Optional[int]] = [None] * n_det
-    if n_gt == 0:
+def _match(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Greedy matching of score-ordered detections at every threshold at once.
+
+    Row ``i`` of ``ious`` is the ``i``-th detection in score order. Returns
+    a ``(thresholds, detections)`` array holding the matched ground-truth
+    column, or -1 where the detection matched nothing at that threshold.
+    """
+    t = np.asarray(thresholds)
+    out = np.full((len(t), ious.shape[0]), -1)
+    if ious.shape[1] == 0:
         return out
-    unmatched = np.ones(n_gt, dtype=bool)
-    for i in range(n_det):
-        row = np.where(unmatched, matrix[i], -1.0)
-        j = int(np.argmax(row))
-        if unmatched[j] and row[j] >= iou_t:
-            out[i] = j
-            unmatched[j] = False
+    free = np.ones((len(t), ious.shape[1]), dtype=bool)
+    rows = np.arange(len(t))
+    # A detection below the lowest threshold against every box matches nothing.
+    for i in np.flatnonzero(ious.max(axis=1) >= t.min()):
+        masked = np.where(free, ious[i], -1.0)
+        j = masked.argmax(axis=1)  # ties go to the earlier ground-truth box
+        hit = masked[rows, j] >= t
+        out[hit, i] = j[hit]
+        free[rows[hit], j[hit]] = False
     return out
 
 
-# ---------------------------------------------------------------------------
-# evaluation core
+def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
+    """Enveloped precision at each recall point, one row per threshold.
 
-
-class _Group:
-    """All detections and ground truth of one (image, class) pair."""
-
-    __slots__ = ("gt_boxes", "dets")
-
-    def __init__(self) -> None:
-        self.gt_boxes: list = []
-        self.dets: list = []  # (input position, score, box)
-
-
-def _prepare_group(
-    group: _Group, thresholds: Sequence[float], max_dets: int
-) -> tuple[list, np.ndarray]:
-    """Cap, sort and match one group at every threshold.
-
-    Returns the kept detections as ``(position, score)`` pairs in score
-    order plus a ``(n_thresholds, n_kept)`` true-positive flag matrix.
+    ``flags`` holds the true-positive flags of the pooled, score-ordered
+    detections of one class, one row per threshold.
     """
-    order = sorted(range(len(group.dets)), key=lambda k: (-group.dets[k][1], group.dets[k][0]))
-    kept = order[:max_dets]
-    det_boxes = [group.dets[k][2] for k in kept]
-    matrix = _iou_matrix(det_boxes, group.gt_boxes)
-    flags = np.zeros((len(thresholds), len(kept)), dtype=np.int64)
-    for ti, t in enumerate(thresholds):
-        for i, j in enumerate(_greedy_assign(matrix, t)):
-            if j is not None:
-                flags[ti, i] = 1
-    pairs = [(group.dets[k][0], group.dets[k][1]) for k in kept]
-    return pairs, flags
-
-
-def _ap_from_flags(
-    flags: np.ndarray, npig: int, recall_thresholds: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """101-point interpolated AP from pooled, score-ordered TP flags."""
-    n = len(flags)
-    q = np.zeros(len(recall_thresholds))
-    if n == 0:
-        return 0.0, q
-    tp = np.cumsum(flags)
+    n = flags.shape[1]
+    tp = np.cumsum(flags, axis=1)
     rc = tp / npig
-    pr = tp / np.arange(1, n + 1)
-    env = np.maximum.accumulate(pr[::-1])[::-1]
-    idx = np.searchsorted(rc, recall_thresholds, side="left")
-    valid = idx < n
-    q[valid] = env[idx[valid]]
-    return float(q.sum() / len(q)), q
+    env = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+    q = np.zeros((len(flags), RECALL_POINTS))
+    for ti in range(len(flags)):
+        idx = np.searchsorted(rc[ti], _RECALL_GRID, side="left")
+        valid = idx < n
+        q[ti, valid] = env[ti, idx[valid]]
+    return q
 
 
 def evaluate(
@@ -230,15 +200,13 @@ def evaluate(
         if d.image_id not in known:
             raise DanglingReference(f"detection references unknown image {d.image_id!r}")
 
-    groups: dict[tuple, _Group] = {}
-    gt_count: dict = {}
+    # class -> image -> (gt boxes, detections as (input position, score, box))
+    groups: dict = {}
     for ann in ds.annotations:
         key = class_key(ann.category, axis, cfg.enumeration_product)
-        if key is None:
-            continue
-        groups.setdefault((ann.image_id, key), _Group()).gt_boxes.append(ann.box)
-        gt_count[key] = gt_count.get(key, 0) + 1
-    if not gt_count:
+        if key is not None:
+            groups.setdefault(key, {}).setdefault(ann.image_id, ([], []))[0].append(ann.box)
+    if not groups:
         raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
 
     participating = 0
@@ -247,64 +215,52 @@ def evaluate(
         if key is None:
             continue
         participating += 1
-        if key not in gt_count:
-            continue  # class never appears in gt: skipped, not zero-counted
-        groups.setdefault((d.image_id, key), _Group()).dets.append((pos, d.score, d.box))
+        by_image = groups.get(key)
+        if by_image is not None:  # a class absent from gt is skipped, not zero-counted
+            by_image.setdefault(d.image_id, ([], []))[1].append((pos, d.score, d.box))
     if len(dets) > 0 and participating == 0:
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
 
-    # AP is additionally reported at the literal 0.50/0.75 thresholds even
-    # when a custom threshold list omits them.
-    thresholds = sorted(set(cfg.iou_thresholds) | {0.5, 0.75})
-    recall_thresholds = np.arange(cfg.recall_points) / (cfg.recall_points - 1)
-
-    prepared = {k: _prepare_group(g, thresholds, cfg.max_dets) for k, g in groups.items()}
-
-    classes = sorted(gt_count)
-    ap: dict = {}
-    ar: dict = {}
-    curves: dict = {}
+    # Per class, in class order: AP per threshold, AR and the PR samples.
+    # The means below stay Python sums in threshold, then class order: a
+    # numpy reduction would change the last bit of mAP and AR.
+    n_t = len(IOU_THRESHOLDS)
+    classes = sorted(groups)
+    ap: list = []
+    ar: list = []
+    curves: list = []
     for cls in classes:
-        npig = gt_count[cls]
-        pooled: list[tuple[float, int, np.ndarray]] = []  # (score, position, per-threshold flags)
-        for (image_id, key), (pairs, flags) in prepared.items():
-            if key != cls:
-                continue
-            for col, (pos, score) in enumerate(pairs):
-                pooled.append((score, pos, flags[:, col]))
-        pooled.sort(key=lambda r: (-r[0], r[1]))
-        flag_matrix = (
-            np.stack([r[2] for r in pooled], axis=1)
-            if pooled
-            else np.zeros((len(thresholds), 0), dtype=np.int64)
-        )
-        ap[cls] = {}
-        recalls = []
-        for ti, t in enumerate(thresholds):
-            ap_t, q = _ap_from_flags(flag_matrix[ti], npig, recall_thresholds)
-            ap[cls][t] = ap_t
-            if cfg.keep_pr_curves and t in cfg.iou_thresholds:
-                curves.setdefault(t, []).append(q)
-            if t in cfg.iou_thresholds:
-                recalls.append(int(flag_matrix[ti].sum()) / npig)
-        ar[cls] = sum(recalls) / len(recalls)
+        npig = 0
+        scores: list = []
+        positions: list = []
+        flags: list = []
+        for gt_boxes, group in groups[cls].values():
+            npig += len(gt_boxes)
+            kept = sorted(group, key=lambda e: -e[1])[: cfg.max_dets]  # stable: ties keep input order
+            flags.append(_match(_iou_matrix([e[2] for e in kept], gt_boxes), IOU_THRESHOLDS) >= 0)
+            positions.extend(e[0] for e in kept)
+            scores.extend(e[1] for e in kept)
+        pooled = np.concatenate(flags, axis=1)[:, np.lexsort((positions, np.negative(scores)))]
+        q = _interpolated_precision(pooled, npig)
+        ap.append([float(q[ti].sum() / RECALL_POINTS) for ti in range(n_t)])
+        ar.append(sum(int(m) / npig for m in pooled.sum(axis=1)) / n_t)
+        curves.append(q)
 
     n = len(classes)
-    ap_mean = {cls: sum(ap[cls][t] for t in cfg.iou_thresholds) / len(cfg.iou_thresholds) for cls in classes}
-    mean_ap = sum(ap_mean[cls] for cls in classes) / n
-    ap50 = sum(ap[cls][0.5] for cls in classes) / n
-    ap75 = sum(ap[cls][0.75] for cls in classes) / n
-    ar_all = sum(ar[cls] for cls in classes) / n
-    per_class = {class_label(cls, axis): (ap_mean[cls], ar[cls]) for cls in classes}
+    ap_mean = [sum(row) / n_t for row in ap]
+    per_class = {class_label(cls, axis): (m, r) for cls, m, r in zip(classes, ap_mean, ar)}
+    mean_ap = sum(ap_mean) / n
+    ap50 = sum(row[_AP50] for row in ap) / n
+    ap75 = sum(row[_AP75] for row in ap) / n
+    ar_all = sum(ar) / n
 
     pr_points = None
     if cfg.keep_pr_curves:
-        pr_points = []
-        for t in cfg.iou_thresholds:
-            stacked = curves[t]
-            for ri, r in enumerate(recall_thresholds):
-                precision = sum(q[ri] for q in stacked) / n
-                pr_points.append((t, float(r), float(precision)))
+        pr_points = [
+            (t, float(r), float(sum(q[ti, ri] for q in curves) / n))
+            for ti, t in enumerate(IOU_THRESHOLDS)
+            for ri, r in enumerate(_RECALL_GRID)
+        ]
 
     return EvaluationReport(axis, mean_ap, ap50, ap75, ar_all, per_class, pr_points)
 

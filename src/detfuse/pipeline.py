@@ -96,7 +96,6 @@ class PipelineConfig:
     evaluation: EvalConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
         problems = []
         flat = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         for name, make in (
@@ -112,11 +111,15 @@ class PipelineConfig:
                 problems.append(str(exc))
         if not (is_number(self.pad_fraction) and self.pad_fraction >= 0):
             problems.append(f"pad_fraction must be a number >= 0, got {self.pad_fraction!r}")
-        if not self.axes:
+        if not isinstance(self.axes, (list, tuple)):
+            problems.append(f"axes must be a list of axis names, got {self.axes!r}")
+        elif not self.axes:
             problems.append("axes must not be empty")
-        for axis in self.axes:
-            if axis not in AXES:
-                problems.append(f"unknown axis {axis!r}; expected one of {AXES}")
+        else:
+            object.__setattr__(self, "axes", tuple(self.axes))
+            for axis in self.axes:
+                if axis not in AXES:
+                    problems.append(f"unknown axis {axis!r}; expected one of {AXES}")
         for label, path, required in (
             ("ground_truth", self.ground_truth, True),
             ("enumeration", self.enumeration, True),
@@ -171,10 +174,6 @@ def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineCon
             raise ConfigError(f"{key} must be a path string, got {value!r}")
         if value:
             kwargs[key] = os.path.normpath(os.path.join(base_dir, value))
-    if "axes" in kwargs:
-        if not isinstance(kwargs["axes"], list):
-            raise ConfigError(f"axes must be a list of axis names, got {kwargs['axes']!r}")
-        kwargs["axes"] = tuple(kwargs["axes"])
     return PipelineConfig(**kwargs)
 
 

@@ -1,0 +1,32 @@
+"""The benchmark's hooks into the program, checked without running a workload.
+
+``benchmarks/tracing.py`` swaps the stage functions that ``detfuse.pipeline``
+imports for timed wrappers, and ``benchmarks/workloads.py`` builds its
+inputs through the public API at import. A change to ``src/`` that renames
+or removes one of them breaks the benchmark; these tests catch it first.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+
+import detfuse.pipeline
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
+
+
+def bench_module(name: str, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    return importlib.import_module(name)
+
+
+def test_traced_attributes_exist_on_pipeline(monkeypatch):
+    tracing = bench_module("tracing", monkeypatch)
+    for attr in (*tracing.PIPELINE_SPANS, "evaluate"):
+        assert callable(getattr(detfuse.pipeline, attr, None)), attr
+
+
+def test_workloads_module_imports(monkeypatch):
+    workloads = bench_module("workloads", monkeypatch)
+    assert set(workloads.DEFAULT_IMAGES) == set(workloads.WORKLOADS)

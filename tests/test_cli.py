@@ -92,6 +92,10 @@ class TestBasics:
                  "--report-json", "OUT", "--max-dets", 0],
                 "max_dets",
             ),
+            (
+                ["crops", "enumeration-model.json", "--gt", "gt.json", "-o", "OUT", "--gate", 5],
+                "enum_score_gate",
+            ),
         ],
     )
     def test_out_of_range_option_is_one_error_line(self, corpus, tmp_path, args, key):
@@ -103,6 +107,30 @@ class TestBasics:
         lines = result.output.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: ")
         assert key in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                ["integrate", "enumeration-model.json", "enumeration-model.json", "-o", "OUT"],
+                "no disease label",
+            ),
+            (
+                ["crops", "diagnosis-A.json", "--gt", "gt.json", "-o", "OUT", "--gate", 0],
+                "lacks quadrant/tooth",
+            ),
+        ],
+    )
+    def test_missing_label_axis_is_one_error_line(self, corpus, tmp_path, args, message):
+        out = tmp_path / "out.json"
+        argv = [out if a == "OUT" else corpus / a if str(a).endswith(".json") else a for a in args]
+        result = invoke(*argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert message in lines[0]
         assert not out.exists()
 
 

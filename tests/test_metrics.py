@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detfuse import (
     AnnotatedDataset,
@@ -23,7 +25,8 @@ from detfuse import (
     naive_oracle_evaluate,
     write_pr_csv,
 )
-from detfuse.metrics import _greedy_assign, _iou_matrix
+from detfuse.metrics import IOU_THRESHOLDS, RECALL_POINTS, _iou_matrix, _match
+from detfuse.reference import _match_flags
 
 from conftest import perfect_detections, random_eval_instance
 
@@ -159,29 +162,50 @@ class TestWorkedExamples:
         assert list(agnostic.per_class) == ["all"]
 
 
-def greedy_match(gt_boxes, det_boxes, iou_t):
-    """The evaluator's per-group matching: greedy assignment over the IoU matrix."""
-    return _greedy_assign(_iou_matrix(det_boxes, gt_boxes), iou_t)
+def match_columns(gt_boxes, det_boxes, iou_t):
+    """The evaluator's per-group matching at one threshold; ``None`` for no match."""
+    row = _match(_iou_matrix(det_boxes, gt_boxes), [iou_t])[0]
+    return [None if j < 0 else int(j) for j in row]
+
+
+#: Boxes on a coarse integer grid, so that equal IoUs and duplicate boxes are common.
+grid_boxes = st.lists(
+    st.builds(
+        BoundingBox,
+        st.integers(0, 6).map(lambda v: 5 * v),
+        st.integers(0, 6).map(lambda v: 5 * v),
+        st.integers(1, 5).map(lambda v: 5 * v),
+        st.integers(1, 5).map(lambda v: 5 * v),
+    ),
+    max_size=8,
+)
 
 
 class TestGreedyMatch:
     def test_best_iou_wins(self):
         gts = [B(0, 0, 10, 10), B(2, 0, 10, 10)]
         # iou 1.0 against gt1, 2/3 against gt0
-        assert greedy_match(gts, [B(2, 0, 10, 10)], 0.5) == [1]
+        assert match_columns(gts, [B(2, 0, 10, 10)], 0.5) == [1]
 
     def test_exact_tie_prefers_earlier_gt(self):
         gts = [B(0, 0, 10, 10), B(2, 0, 10, 10)]
         # the detection overlaps each gt by 9 columns: both ious are 9/11
-        assert greedy_match(gts, [B(1, 0, 10, 10)], 0.5) == [0]
+        assert match_columns(gts, [B(1, 0, 10, 10)], 0.5) == [0]
 
     def test_consumed_gt_not_rematched(self):
         gts = [B(0, 0, 10, 10)]
-        assert greedy_match(gts, [B(0, 0, 10, 10), B(0, 0, 10, 10)], 0.5) == [0, None]
+        assert match_columns(gts, [B(0, 0, 10, 10), B(0, 0, 10, 10)], 0.5) == [0, None]
 
     def test_below_threshold_no_match(self):
         gts = [B(0, 0, 10, 10)]
-        assert greedy_match(gts, [B(5, 0, 10, 10)], 0.5) == [None]  # iou = 1/3
+        assert match_columns(gts, [B(5, 0, 10, 10)], 0.5) == [None]  # iou = 1/3
+
+    @given(dets=grid_boxes, gts=grid_boxes)
+    def test_all_thresholds_agree_with_the_oracle(self, dets, gts):
+        matched = _match(_iou_matrix(dets, gts), IOU_THRESHOLDS) >= 0
+        assert matched.shape == (len(IOU_THRESHOLDS), len(dets))
+        for row, t in zip(matched, IOU_THRESHOLDS):
+            assert row.astype(int).tolist() == _match_flags(dets, gts, t)
 
 
 class TestErrors:
@@ -216,13 +240,17 @@ class TestErrors:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=())
-        with pytest.raises(ValueError):
-            EvalConfig(iou_thresholds=(0.9, 0.5))
-        with pytest.raises(ValueError):
             EvalConfig(max_dets=0)
-        with pytest.raises(ValueError):
-            EvalConfig(recall_points=1)
+
+    def test_protocol_is_pinned(self):
+        assert EvalConfig().iou_thresholds == IOU_THRESHOLDS == (
+            0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95
+        )
+        assert EvalConfig().recall_points == RECALL_POINTS == 101
+        with pytest.raises(TypeError):
+            EvalConfig(iou_thresholds=(0.3,))
+        with pytest.raises(TypeError):
+            EvalConfig(recall_points=11)
 
     @pytest.mark.parametrize("max_dets", [1.5, True, "100", 0])
     def test_max_dets_must_be_a_positive_integer(self, max_dets):

@@ -250,6 +250,12 @@ class TestPipelineConfig:
             pipeline_config_from_dict(payload)
         assert "unknown axis" not in str(exc_info.value)
 
+    def test_direct_construction_rejects_string_axes_once(self, tmp_path):
+        _, paths = make_inputs(tmp_path)
+        with pytest.raises(ConfigError, match="axes must be a list") as exc_info:
+            PipelineConfig(**paths, axes="disease")
+        assert "unknown axis" not in str(exc_info.value)
+
     def test_v1_threads_key_is_ignored_with_one_warning(self, tmp_path, caplog):
         _, paths = make_inputs(tmp_path)
         payload = {"schema_version": 1, **paths, "threads": 4}
