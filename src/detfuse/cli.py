@@ -32,7 +32,6 @@ from .integrate import (
     IntegrationConfig,
     filter_enumeration,
     integrate,
-    read_integrated,
     write_integrated,
 )
 from .io import (
@@ -47,7 +46,7 @@ from .io import (
     write_id_list,
 )
 from .metrics import AXES, EvalConfig, evaluate, write_pr_csv
-from .pipeline import PipelineStageError, load_pipeline_config, run_pipeline
+from .pipeline import load_pipeline_config, run_pipeline
 from .synth import SIMULATOR_SOURCES, ScenePlan, generate_scene, load_profile, simulate_detector
 
 
@@ -86,7 +85,7 @@ def main(verbose: bool) -> None:
 @_domain_errors
 def ensemble(primary, secondary, output, tau, primary_source, secondary_source, allow_union):
     """Fuse two detection files with the score-threshold rule."""
-    cfg = EnsembleConfig(tau=tau, primary_source=primary_source, secondary_source=secondary_source)
+    cfg = EnsembleConfig(tau=tau)
     a = parse_detections(primary, primary_source)
     b = parse_detections(secondary, secondary_source)
     fused = threshold_ensemble(a, b, cfg, allow_union=allow_union)
@@ -154,7 +153,7 @@ def complement(crops_path, classifications, integrated_path, output, min_confide
     cfg = MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
     manifest = read_crop_manifest(crops_path)
     verdicts = parse_crop_classifications(classifications)
-    integrated = read_integrated(integrated_path)
+    integrated = parse_detections(integrated_path, "fused").detections
     comp = classifications_to_detections(manifest, verdicts, min_confidence)
     merged = merge_complementary(integrated, comp, cfg)
     write_integrated(merged, output)
@@ -335,10 +334,7 @@ def split(ground_truth, train, val, test, seed, out_dir, write_datasets):
 def pipeline(config):
     """Run the full fusion pipeline described by a JSON config."""
     cfg = load_pipeline_config(config)
-    try:
-        result = run_pipeline(cfg)
-    except PipelineStageError as exc:
-        raise click.ClickException(str(exc)) from exc
+    result = run_pipeline(cfg)
     click.echo(f"fused:      {len(result.fused)} detections")
     click.echo(f"integrated: {len(result.integrated)} detections")
     click.echo(f"final:      {len(result.final)} detections")

@@ -41,7 +41,6 @@ from .io import (
     _load_json,
     _parse_bbox,
 )
-from .integrate import IntegratedDetection
 
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
@@ -231,19 +230,27 @@ def classifications_to_detections(
 
 
 def merge_complementary(
-    integrated: Sequence[IntegratedDetection],
+    integrated: Sequence[Detection],
     comp: DetectionSet,
     cfg: MergeConfig = MergeConfig(),
-) -> list[IntegratedDetection]:
+) -> list[Detection]:
     """Append complementary detections the integrated stream missed.
 
     A complementary detection is suppressed only when some same-image
     integrated detection overlaps it with IoU >= ``cfg.overlap_iou`` AND
     carries the same disease label; spatial overlap with a different
-    disease keeps both.  Integrated entries pass through untouched.
+    disease keeps both.  Integrated entries pass through untouched, and
+    kept complementary detections are appended as they are.
+
+    Raises:
+        AxisUnavailable: an integrated detection has no disease label.
     """
-    by_image: dict[ImageId, list[IntegratedDetection]] = {}
+    by_image: dict[ImageId, list[Detection]] = {}
     for it in integrated:
+        if it.category.disease is None:
+            raise AxisUnavailable(
+                f"integrated detection on image {it.image_id!r} has no disease label"
+            )
         by_image.setdefault(it.image_id, []).append(it)
 
     merged = list(integrated)
@@ -253,9 +260,7 @@ def merge_complementary(
             for it in by_image.get(det.image_id, ())
         )
         if not duplicate:
-            merged.append(
-                IntegratedDetection(det.image_id, det.box, det.score, det.category, None)
-            )
+            merged.append(det)
     return merged
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import UniverseMismatch, fraction_problem, raise_problems
 from .io import DetectionSet
@@ -21,15 +20,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class EnsembleConfig:
-    """Threshold and expected provenance for the two streams.
-
-    ``primary_source``/``secondary_source``, when set, assert which tag
-    each input set must carry; ``None`` skips the check.
-    """
+    """The score threshold splitting the two streams."""
 
     tau: float = 0.05
-    primary_source: Optional[str] = None
-    secondary_source: Optional[str] = None
 
     def __post_init__(self) -> None:
         raise_problems(fraction_problem("tau", self.tau))
@@ -52,15 +45,6 @@ def threshold_ensemble(
         UniverseMismatch: the streams cover different image id sets and
             ``allow_union`` is not set.
     """
-    if cfg.primary_source is not None and primary.source != cfg.primary_source:
-        raise ValueError(
-            f"primary stream is tagged {primary.source!r}, expected {cfg.primary_source!r}"
-        )
-    if cfg.secondary_source is not None and secondary.source != cfg.secondary_source:
-        raise ValueError(
-            f"secondary stream is tagged {secondary.source!r}, expected {cfg.secondary_source!r}"
-        )
-
     if primary.image_universe != secondary.image_universe:
         if not allow_union:
             raise UniverseMismatch(

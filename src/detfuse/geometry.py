@@ -92,13 +92,18 @@ class CategoryTriple:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """A single detector output: box, confidence and category, with provenance."""
+    """A single detector output: box, confidence and category, with provenance.
+
+    ``matched_enum_id`` is set only on integrated detections: the index of
+    the matched tooth in the original enumeration stream.
+    """
 
     image_id: ImageId
     box: BoundingBox
     score: float
     category: CategoryTriple
     source: str
+    matched_enum_id: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.score <= 1.0):

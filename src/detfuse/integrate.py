@@ -15,17 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, CategoryTriple, Detection, ImageId
-from .io import (
-    DetectionSet,
-    PathLike,
-    _decode_category,
-    _dump_json,
-    _encode_category,
-    _load_json,
-    _parse_bbox,
-)
-from .errors import AxisUnavailable, MalformedFile, fraction_problem, is_number, raise_problems
+from .geometry import CategoryTriple, Detection, ImageId
+from .io import DetectionSet, PathLike, _dump_json, detections_to_records
+from .errors import AxisUnavailable, fraction_problem, is_number, raise_problems
 
 KEEP_WITHOUT_ENUMERATION = "keep-without-enumeration"
 DROP = "drop"
@@ -50,29 +42,6 @@ class IntegrationConfig:
                 f"unmatched_policy must be one of {UNMATCHED_POLICIES}, got {self.unmatched_policy!r}"
             )
         raise_problems(problems)
-
-
-@dataclass(frozen=True, slots=True)
-class IntegratedDetection:
-    """A diagnosis box enriched with the matched tooth's position labels.
-
-    ``matched_enum_id`` is the index of the matched detection in the
-    original enumeration stream, or ``None`` for unmatched-kept entries.
-    The disease axis is always present; the score is the product of the
-    two stream scores when matched, the bare diagnosis score otherwise.
-    """
-
-    image_id: ImageId
-    box: BoundingBox
-    score: float
-    category: CategoryTriple
-    matched_enum_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score!r}")
-        if self.category.disease is None:
-            raise ValueError("integrated detection must carry a disease label")
 
 
 def filter_enumeration(enums: DetectionSet, gate: float) -> DetectionSet:
@@ -134,13 +103,14 @@ def integrate(
     enums: DetectionSet,
     diags: DetectionSet,
     cfg: IntegrationConfig = IntegrationConfig(),
-) -> list[IntegratedDetection]:
+) -> list[Detection]:
     """Gate the enumeration stream, match, and fuse labels and scores.
 
-    Every diagnosis detection must carry a disease label.  Matched outputs
-    take the diagnosis box, the enumeration detection's quadrant and tooth
-    number, and the product of both scores; unmatched ones follow
-    ``cfg.unmatched_policy``.
+    Every diagnosis detection must carry a disease label.  Outputs are
+    tagged ``fused``.  Matched outputs take the diagnosis box, the
+    enumeration detection's quadrant and tooth number, the product of both
+    scores, and the tooth's index in ``enums`` as ``matched_enum_id``;
+    unmatched ones follow ``cfg.unmatched_policy``.
     """
     gated_pairs = [(j, d) for j, d in enumerate(enums.detections) if d.score > cfg.enum_score_gate]
     gated = DetectionSet(tuple(d for _, d in gated_pairs), enums.source, enums.image_universe)
@@ -151,25 +121,25 @@ def integrate(
                 f"diagnosis detection on image {d.image_id!r} has no disease label"
             )
 
-    out: list[IntegratedDetection] = []
+    out: list[Detection] = []
     for diag_idx, enum_idx in match_closest_center(gated, diags, cfg):
         diag = diags.detections[diag_idx]
         if enum_idx is None:
             if cfg.unmatched_policy == DROP:
                 continue
             out.append(
-                IntegratedDetection(
+                Detection(
                     diag.image_id,
                     diag.box,
                     diag.score,
                     CategoryTriple(disease=diag.category.disease),
-                    None,
+                    "fused",
                 )
             )
             continue
         orig_idx, enum_det = gated_pairs[enum_idx]
         out.append(
-            IntegratedDetection(
+            Detection(
                 diag.image_id,
                 diag.box,
                 enum_det.score * diag.score,
@@ -178,6 +148,7 @@ def integrate(
                     enumeration=enum_det.category.enumeration,
                     disease=diag.category.disease,
                 ),
+                "fused",
                 orig_idx,
             )
         )
@@ -185,42 +156,19 @@ def integrate(
 
 
 def as_detection_set(
-    integrated: Sequence[IntegratedDetection],
+    integrated: Sequence[Detection],
     source: str = "fused",
     image_universe=None,
 ) -> DetectionSet:
-    """View integrated detections as a plain :class:`DetectionSet`."""
+    """Re-tag integrated detections as one :class:`DetectionSet`, without their links."""
     dets = tuple(Detection(it.image_id, it.box, it.score, it.category, source) for it in integrated)
     return DetectionSet(dets, source, frozenset(image_universe or ()))
 
 
-def write_integrated(items: Sequence[IntegratedDetection], path: PathLike) -> None:
-    """Write integrated detections as extended COCO results records."""
-    records = []
-    for it in items:
-        rec: dict = {"image_id": it.image_id, "bbox": it.box.as_xywh(), "score": it.score}
-        rec.update(_encode_category(it.category))
+def write_integrated(items: Sequence[Detection], path: PathLike) -> None:
+    """Write detections as COCO results records, keeping ``matched_enum_id`` where set."""
+    records = detections_to_records(items)
+    for rec, it in zip(records, items):
         if it.matched_enum_id is not None:
             rec["matched_enum_id"] = it.matched_enum_id
-        records.append(rec)
     _dump_json(records, path)
-
-
-def read_integrated(path: PathLike) -> list[IntegratedDetection]:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: integrated detections must be a JSON array")
-    items = []
-    for i, rec in enumerate(data):
-        where = f"{path} [{i}]"
-        if not isinstance(rec, dict) or "image_id" not in rec:
-            raise MalformedFile(f"{where}: record must be an object with image_id")
-        box = _parse_bbox(rec, where)
-        score = rec.get("score")
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
-            raise MalformedFile(f"{where}: score must be a number in [0, 1], got {score!r}")
-        category = _decode_category(rec, where, bare_id_mode=None)
-        items.append(
-            IntegratedDetection(rec["image_id"], box, float(score), category, rec.get("matched_enum_id"))
-        )
-    return items

@@ -14,7 +14,8 @@ Two file families are understood, both UTF-8 JSON:
   records with the same category fields.  A bare ``category_id`` is
   decoded according to the stream's source tag: the enumeration model
   uses the 32-class product, diagnosis streams use the 4 disease
-  classes.
+  classes.  Integrated files are detection files whose records may also
+  carry ``matched_enum_id``.
 
 Unknown extra keys are ignored on read; writers emit a canonical subset
 of keys so that parse -> write round-trips are stable.
@@ -46,9 +47,6 @@ logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
 
-FULL_TRIPLE = "full-triple"
-ENUMERATION_ONLY = "enumeration-only"
-
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedImage:
@@ -72,16 +70,10 @@ class GroundTruthAnnotation:
 
 @dataclass
 class AnnotatedDataset:
-    """Images plus their ground-truth annotations.
-
-    ``label_schema`` records which category axes the labeling uses:
-    :data:`FULL_TRIPLE` when any annotation carries a disease,
-    :data:`ENUMERATION_ONLY` otherwise. It is derived when omitted.
-    """
+    """Images plus their ground-truth annotations."""
 
     images: tuple[AnnotatedImage, ...]
     annotations: tuple[GroundTruthAnnotation, ...]
-    label_schema: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.images = tuple(self.images)
@@ -93,11 +85,6 @@ class AnnotatedDataset:
         for ann in self.annotations:
             if ann.image_id not in known:
                 raise DanglingReference(f"annotation references unknown image {ann.image_id!r}")
-        if self.label_schema is None:
-            diseased = any(ann.category.disease is not None for ann in self.annotations)
-            self.label_schema = FULL_TRIPLE if diseased else ENUMERATION_ONLY
-        if self.label_schema not in (FULL_TRIPLE, ENUMERATION_ONLY):
-            raise ValueError(f"unknown label schema {self.label_schema!r}")
 
     def image_ids(self) -> list[ImageId]:
         return [im.image_id for im in self.images]
@@ -324,7 +311,6 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
         raise MalformedFile(f"{path}: duplicate image ids")
 
     annotations = []
-    saw_disease = False
     for i, rec in enumerate(data["annotations"]):
         where = f"{path} annotations[{i}]"
         if not isinstance(rec, dict):
@@ -334,13 +320,11 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
             raise DanglingReference(f"{where}: unknown image_id {image_id!r}")
         box = _clamp_box(_parse_bbox(rec, where), by_id[image_id], where)
         category = _decode_category(rec, where, bare_id_mode="product")
-        saw_disease = saw_disease or category.disease is not None
         annotations.append(
             GroundTruthAnnotation(image_id, box, category, rec.get("segmentation"))
         )
 
-    schema = FULL_TRIPLE if saw_disease else ENUMERATION_ONLY
-    return AnnotatedDataset(tuple(images), tuple(annotations), schema)
+    return AnnotatedDataset(tuple(images), tuple(annotations))
 
 
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
@@ -369,6 +353,9 @@ def parse_detections(
     image_universe: Optional[Iterable[ImageId]] = None,
 ) -> DetectionSet:
     """Parse a COCO results array into a :class:`DetectionSet`.
+
+    An optional ``matched_enum_id`` (a non-negative integer) is kept on
+    the detection, so integrated files are read here too.
 
     ``image_universe`` widens the covered id set beyond the images that
     actually carry records (e.g. to the full test split); records outside
@@ -400,7 +387,12 @@ def parse_detections(
         if not (math.isfinite(score) and 0.0 <= score <= 1.0):
             raise InvalidScore(f"{where}: score {score!r} outside [0, 1]")
         category = _decode_category(rec, where, bare_id_mode=bare_mode)
-        detections.append(Detection(rec["image_id"], box, float(score), category, source))
+        link = rec.get("matched_enum_id")
+        if link is not None and (not isinstance(link, int) or isinstance(link, bool) or link < 0):
+            raise MalformedFile(
+                f"{where}: matched_enum_id must be a non-negative integer, got {link!r}"
+            )
+        detections.append(Detection(rec["image_id"], box, float(score), category, source, link))
 
     universe = frozenset(image_universe) if image_universe is not None else frozenset()
     return DetectionSet(tuple(detections), source, universe)
@@ -455,7 +447,7 @@ def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDat
     images = tuple(by_id[i] for i in ids)
     wanted = set(ids)
     annotations = tuple(a for a in ds.annotations if a.image_id in wanted)
-    return AnnotatedDataset(images, annotations, ds.label_schema)
+    return AnnotatedDataset(images, annotations)
 
 
 def split_dataset(

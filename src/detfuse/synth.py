@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -242,21 +242,11 @@ def simulate_detector(
 # profile loading
 
 BUILTIN_PROFILES = ("diffusiondet-like", "dino-like", "perfect")
+_PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 
 
 def _profile_from_dict(payload: dict) -> DetectorProfile:
-    allowed = {
-        "name",
-        "recall",
-        "fp_per_image",
-        "localization_noise",
-        "tp_score_mean",
-        "tp_score_std",
-        "fp_score_mean",
-        "fp_score_std",
-        "det_cap",
-    }
-    unknown = set(payload) - allowed
+    unknown = set(payload) - _PROFILE_KEYS
     if unknown:
         raise ConfigError(f"unknown profile fields: {sorted(unknown)}")
     if "name" not in payload:

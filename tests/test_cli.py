@@ -120,11 +120,19 @@ class TestBasics:
                 ["crops", "diagnosis-A.json", "--gt", "gt.json", "-o", "OUT", "--gate", 0],
                 "lacks quadrant/tooth",
             ),
+            (
+                ["complement", "--crops", "EMPTY", "--classifications", "EMPTY",
+                 "--integrated", "enumeration-model.json", "-o", "OUT"],
+                "no disease label",
+            ),
         ],
     )
     def test_missing_label_axis_is_one_error_line(self, corpus, tmp_path, args, message):
         out = tmp_path / "out.json"
-        argv = [out if a == "OUT" else corpus / a if str(a).endswith(".json") else a for a in args]
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        named = {"OUT": out, "EMPTY": empty}
+        argv = [named.get(a) or (corpus / a if str(a).endswith(".json") else a) for a in args]
         result = invoke(*argv)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback

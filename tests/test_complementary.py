@@ -16,7 +16,6 @@ from detfuse import (
     DanglingCrop,
     Detection,
     DetectionSet,
-    IntegratedDetection,
     MergeConfig,
     MissingImage,
     assign_crops,
@@ -184,8 +183,8 @@ class TestClassificationsToDetections:
 
 class TestMerge:
     def integrated(self, x, disease="caries", image_id=1):
-        return IntegratedDetection(
-            image_id, BoundingBox(x, 0, 10, 10), 0.5, CategoryTriple(1, 1, disease), 0
+        return Detection(
+            image_id, BoundingBox(x, 0, 10, 10), 0.5, CategoryTriple(1, 1, disease), "fused", 0
         )
 
     def comp_set(self, x, disease="caries", image_id=1):
@@ -224,9 +223,11 @@ class TestMerge:
 
     def test_integrated_passes_through_untouched(self):
         base = [self.integrated(0), self.integrated(50, "impacted")]
-        merged = merge_complementary(base, self.comp_set(100))
+        comp = self.comp_set(100)
+        merged = merge_complementary(base, comp)
         assert merged[:2] == base
         assert len(merged) == 3
+        assert merged[2] == comp.detections[0]  # appended as it is
         assert merged[2].matched_enum_id is None
 
 

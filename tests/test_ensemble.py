@@ -69,13 +69,6 @@ class TestPartition:
             (0.999, "diagnosis-B"),
         ]
 
-    def test_source_assertions(self):
-        cfg = EnsembleConfig(primary_source="diagnosis-A", secondary_source="diagnosis-B")
-        with pytest.raises(ValueError):
-            threshold_ensemble(stream([0.5], "diagnosis-B"), stream([0.1], "diagnosis-B"), cfg)
-        with pytest.raises(ValueError):
-            threshold_ensemble(stream([0.5], "diagnosis-A"), stream([0.1], "diagnosis-A"), cfg)
-
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             EnsembleConfig(tau=1.5)

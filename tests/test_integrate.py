@@ -14,13 +14,12 @@ from detfuse import (
     CategoryTriple,
     Detection,
     DetectionSet,
-    IntegratedDetection,
     IntegrationConfig,
     as_detection_set,
     filter_enumeration,
     integrate,
     match_closest_center,
-    read_integrated,
+    parse_detections,
     write_integrated,
 )
 
@@ -220,14 +219,6 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             IntegrationConfig(unmatched_policy="invent")
 
-    def test_integrated_detection_invariants(self):
-        with pytest.raises(ValueError):
-            IntegratedDetection(1, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(quadrant=1))
-        with pytest.raises(ValueError):
-            IntegratedDetection(
-                1, BoundingBox(0, 0, 5, 5), 1.5, CategoryTriple(disease="caries")
-            )
-
 
 class TestIntegratedIO:
     def test_roundtrip(self, tmp_path):
@@ -236,13 +227,13 @@ class TestIntegratedIO:
         out = integrate(enums, diags)
         path = tmp_path / "integrated.json"
         write_integrated(out, path)
-        back = read_integrated(path)
-        assert back == out
+        back = parse_detections(path, "fused")
+        assert list(back) == out
 
     def test_as_detection_set(self):
         items = [
-            IntegratedDetection(
-                1, BoundingBox(0, 0, 5, 5), 0.25, CategoryTriple(1, 2, "caries"), 0
+            Detection(
+                1, BoundingBox(0, 0, 5, 5), 0.25, CategoryTriple(1, 2, "caries"), "fused", 0
             )
         ]
         dets = as_detection_set(items, "fused", {1, 2})
@@ -250,3 +241,4 @@ class TestIntegratedIO:
         assert dets.image_universe == frozenset({1, 2})
         assert dets.detections[0].score == 0.25
         assert dets.detections[0].category == CategoryTriple(1, 2, "caries")
+        assert dets.detections[0].matched_enum_id is None

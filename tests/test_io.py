@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detfuse import (
+    DISEASES,
     AnnotatedDataset,
     AnnotatedImage,
     BoundingBox,
@@ -29,8 +32,9 @@ from detfuse import (
     write_detections,
     write_ground_truth,
     write_id_list,
+    write_integrated,
 )
-from detfuse.io import ENUMERATION_ONLY, FULL_TRIPLE, _dump_json
+from detfuse.io import _dump_json
 
 from conftest import perfect_detections
 
@@ -78,13 +82,6 @@ class TestGroundTruthParsing:
         assert first.box == BoundingBox(100, 100, 80, 120)
         assert ds.annotations[1].category == CategoryTriple(4, 2, None)
         assert ds.annotations[1].mask_payload == [[1, 2, 3, 4]]
-        assert ds.label_schema == FULL_TRIPLE
-
-    def test_enumeration_only_schema(self, tmp_path):
-        payload = gt_payload()
-        del payload["annotations"][0]["category_id_3"]
-        ds = parse_ground_truth(write_payload(tmp_path, payload))
-        assert ds.label_schema == ENUMERATION_ONLY
 
     def test_bare_product_category(self, tmp_path):
         payload = gt_payload()
@@ -181,7 +178,6 @@ class TestGroundTruthParsing:
             assert a.image_id == b.image_id
             assert a.box == b.box
             assert a.category == b.category
-        assert back.label_schema == tiny_scene.label_schema
 
     def test_mask_payload_roundtrip(self, tmp_path):
         ds = parse_ground_truth(write_payload(tmp_path, gt_payload()))
@@ -270,6 +266,57 @@ class TestDetectionParsing:
         path = write_payload(tmp_path, [], "d.json")
         with pytest.raises(ValueError):
             parse_detections(path, "mystery-model")
+
+    @pytest.mark.parametrize("link", ["x", -1, True, 1.5])
+    def test_bad_matched_enum_id(self, tmp_path, link):
+        payload = self.detections_payload()
+        payload[1]["matched_enum_id"] = link
+        path = write_payload(tmp_path, payload, "d.json")
+        with pytest.raises(MalformedFile, match=r"d\.json \[1\]: matched_enum_id"):
+            parse_detections(path, "diagnosis-A")
+
+
+#: Detections on a coarse box grid, each category axis optional, with and
+#: without a link into an enumeration stream.
+grid_detections = st.lists(
+    st.builds(
+        Detection,
+        st.sampled_from([0, 1, "img-2"]),
+        st.builds(
+            BoundingBox,
+            st.integers(0, 6).map(lambda v: 5 * v),
+            st.integers(0, 6).map(lambda v: 5 * v),
+            st.integers(1, 5).map(lambda v: 5 * v),
+            st.integers(1, 5).map(lambda v: 5 * v),
+        ),
+        st.floats(0.0, 1.0),
+        st.tuples(
+            st.none() | st.integers(1, 4),
+            st.none() | st.integers(1, 8),
+            st.none() | st.sampled_from(DISEASES),
+        )
+        .filter(lambda axes: axes != (None, None, None))
+        .map(lambda axes: CategoryTriple(*axes)),
+        st.just("fused"),
+        st.none() | st.integers(0, 40),
+    ),
+    max_size=8,
+)
+
+
+class TestRoundTrips:
+    @given(dets=grid_detections)
+    def test_integrated_file_keeps_the_link(self, tmp_path_factory, dets):
+        path = tmp_path_factory.getbasetemp() / "integrated.json"
+        write_integrated(dets, path)
+        assert list(parse_detections(path, "fused")) == dets
+
+    @given(dets=grid_detections)
+    def test_detection_file_drops_the_link(self, tmp_path_factory, dets):
+        path = tmp_path_factory.getbasetemp() / "detections.json"
+        write_detections(dets, path)
+        unlinked = [Detection(d.image_id, d.box, d.score, d.category, d.source) for d in dets]
+        assert list(parse_detections(path, "fused")) == unlinked
 
 
 class TestDatasetContainers:
