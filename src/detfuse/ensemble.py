@@ -49,7 +49,8 @@ def threshold_ensemble(
         if not allow_union:
             raise UniverseMismatch(
                 "primary and secondary streams cover different image sets "
-                f"({len(primary.image_universe)} vs {len(secondary.image_universe)} ids)"
+                f"({len(primary.image_universe)} vs {len(secondary.image_universe)} ids); "
+                "allow the union (--allow-union) to fuse them anyway"
             )
         logger.warning(
             "image universes differ (%d vs %d ids); proceeding with their union",

@@ -162,7 +162,7 @@ def as_detection_set(
 ) -> DetectionSet:
     """Re-tag integrated detections as one :class:`DetectionSet`, without their links."""
     dets = tuple(Detection(it.image_id, it.box, it.score, it.category, source) for it in integrated)
-    return DetectionSet(dets, source, frozenset(image_universe or ()))
+    return DetectionSet(dets, source, image_universe)
 
 
 def write_integrated(items: Sequence[Detection], path: PathLike) -> None:

@@ -28,9 +28,9 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -98,17 +98,21 @@ class AnnotatedDataset:
 
 @dataclass
 class DetectionSet:
-    """A tagged collection of detections covering a set of images."""
+    """A tagged collection of detections covering a set of images.
+
+    With no ``image_universe`` (``None``) the set is the images the
+    detections are on; a given one, even an empty one, must hold them all.
+    """
 
     detections: tuple[Detection, ...]
     source: str
-    image_universe: frozenset = field(default_factory=frozenset)
+    image_universe: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
         self.detections = tuple(self.detections)
         if self.source not in SOURCES:
             raise ValueError(f"unknown source tag {self.source!r}")
-        if not self.image_universe:
+        if self.image_universe is None:
             self.image_universe = frozenset(d.image_id for d in self.detections)
         else:
             self.image_universe = frozenset(self.image_universe)
@@ -157,18 +161,47 @@ def _load_json(path: PathLike):
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _dump_json(obj, path: PathLike) -> None:
-    """Write ``obj`` as indented JSON; ``path`` changes only once the write is complete."""
+@contextlib.contextmanager
+def _atomic_open(path: PathLike, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces ``path`` only once the ``with`` block completes.
+
+    The file is written next to ``path`` and ``os.replace``d into place, so
+    a failure partway leaves the previous ``path`` untouched and no temp file.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+# The C encoder, which ``json.dump`` gives up as soon as ``indent`` is set.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dump_json(obj, path: PathLike) -> None:
+    """Write ``obj`` as JSON ending in a newline; ``path`` changes only once the write is complete.
+
+    A list (every record artifact) is written as ``[``, then one compact
+    record per line, then ``]``; ``[]`` when empty.  Records are encoded
+    one at a time, so the whole array is never held as text.  Any other
+    value (metrics reports, ground truth, balance plans) is indented by 2.
+    """
+    with _atomic_open(path) as fh:
+        if isinstance(obj, list):
+            sep = "[\n"
+            for rec in obj:
+                fh.write(sep)
+                fh.write(_encode_compact(rec))
+                sep = ",\n"
+            fh.write("\n]\n" if obj else "[]\n")
+        else:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
 
 
 def _require_int(rec: dict, key: str, where: str) -> int:
@@ -253,6 +286,7 @@ def _clip_to_image(box: BoundingBox, image: AnnotatedImage) -> BoundingBox:
 
 
 def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingBox:
+    """``box`` itself when it lies inside ``image``, else its clipped part."""
     inside = (
         box.x >= 0 and box.y >= 0
         and box.x + box.w <= image.width and box.y + box.h <= image.height
@@ -265,10 +299,6 @@ def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingB
         raise MalformedFile(
             f"{where}: box {box.as_xywh()} lies entirely outside the image"
         ) from exc
-    logger.warning(
-        "%s: box %s exceeds %sx%s image bounds, clamped to %s",
-        where, box.as_xywh(), image.width, image.height, clamped.as_xywh(),
-    )
     return clamped
 
 
@@ -278,6 +308,9 @@ def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingB
 
 def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     """Parse a COCO/DENTEX-style ground-truth file.
+
+    Boxes that exceed their image are clamped to it; one warning per file
+    gives their count and the first of them.
 
     Raises:
         MalformedFile: bad JSON, missing keys, or degenerate boxes.
@@ -311,6 +344,8 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
         raise MalformedFile(f"{path}: duplicate image ids")
 
     annotations = []
+    clamped = 0
+    first_clamp = ""
     for i, rec in enumerate(data["annotations"]):
         where = f"{path} annotations[{i}]"
         if not isinstance(rec, dict):
@@ -318,10 +353,24 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
         image_id = rec.get("image_id")
         if image_id not in by_id:
             raise DanglingReference(f"{where}: unknown image_id {image_id!r}")
-        box = _clamp_box(_parse_bbox(rec, where), by_id[image_id], where)
+        raw = _parse_bbox(rec, where)
+        image = by_id[image_id]
+        box = _clamp_box(raw, image, where)
+        if box is not raw:
+            if not clamped:
+                first_clamp = (
+                    f"annotations[{i}] box {raw.as_xywh()} exceeds the "
+                    f"{image.width}x{image.height} image, clamped to {box.as_xywh()}"
+                )
+            clamped += 1
         category = _decode_category(rec, where, bare_id_mode="product")
         annotations.append(
             GroundTruthAnnotation(image_id, box, category, rec.get("segmentation"))
+        )
+    if clamped:
+        logger.warning(
+            "%s: %d boxes exceed their image bounds and were clamped; first: %s",
+            path, clamped, first_clamp,
         )
 
     return AnnotatedDataset(tuple(images), tuple(annotations))
@@ -394,8 +443,7 @@ def parse_detections(
             )
         detections.append(Detection(rec["image_id"], box, float(score), category, source, link))
 
-    universe = frozenset(image_universe) if image_universe is not None else frozenset()
-    return DetectionSet(tuple(detections), source, universe)
+    return DetectionSet(tuple(detections), source, image_universe)
 
 
 def _encode_category(cat: CategoryTriple) -> dict:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AxisUnavailable, ConfigError, DanglingReference
 from .geometry import CategoryTriple
-from .io import AnnotatedDataset, DetectionSet, PathLike
+from .io import AnnotatedDataset, DetectionSet, PathLike, _atomic_open
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
 
@@ -269,7 +269,7 @@ def write_pr_csv(report: EvaluationReport, path: PathLike) -> None:
     """Export PR curve samples as ``recall,precision,iou_threshold`` rows."""
     if report.pr_points is None:
         raise ValueError("report carries no PR points; evaluate with keep_pr_curves=True")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["recall", "precision", "iou_threshold"])
         for t, r, p in report.pr_points:

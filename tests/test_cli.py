@@ -266,6 +266,7 @@ class TestFlow:
             "-o", tmp_path / "fused.json",
         )
         assert result.exit_code == 1
+        assert "--allow-union" in result.output
         ok(
             "ensemble",
             corpus / "diagnosis-A.json",

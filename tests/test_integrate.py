@@ -43,11 +43,11 @@ def diag_det(x, y, score, image_id=1, disease="caries") -> Detection:
 
 
 def enum_set(dets, universe=None) -> DetectionSet:
-    return DetectionSet(dets, "enumeration-model", frozenset(universe or ()))
+    return DetectionSet(dets, "enumeration-model", universe)
 
 
 def diag_set(dets, universe=None) -> DetectionSet:
-    return DetectionSet(dets, "fused", frozenset(universe or ()))
+    return DetectionSet(dets, "fused", universe)
 
 
 def brute_force_match(enums, diags, max_match_distance=None):

@@ -15,6 +15,7 @@ from detfuse import (
     BoundingBox,
     CategoryTriple,
     CountMismatch,
+    CropAssignment,
     DanglingReference,
     Detection,
     DetectionSet,
@@ -25,10 +26,12 @@ from detfuse import (
     SplitSpec,
     parse_detections,
     parse_ground_truth,
+    read_crop_manifest,
     read_id_list,
     split_dataset,
     split_ids,
     subset_dataset,
+    write_crop_manifest,
     write_detections,
     write_ground_truth,
     write_id_list,
@@ -162,6 +165,20 @@ class TestGroundTruthParsing:
         assert ds.annotations[0].box == BoundingBox(950, 450, 50, 50)
         assert any("clamped" in r.message for r in caplog.records)
 
+    def test_clamped_boxes_give_one_warning(self, tmp_path, caplog):
+        payload = gt_payload()
+        payload["annotations"][0]["bbox"] = [950, 450, 100, 100]
+        payload["annotations"][1]["bbox"] = [-10, 0, 50, 50]
+        payload["annotations"].append(
+            {"image_id": 2, "bbox": [0, 480, 20, 40], "category_id_3": 1}
+        )
+        with caplog.at_level("WARNING"):
+            parse_ground_truth(write_payload(tmp_path, payload))
+        warnings = [r for r in caplog.records if r.name == "detfuse.io"]
+        assert len(warnings) == 1
+        assert "3 boxes" in warnings[0].message
+        assert "annotations[0]" in warnings[0].message
+
     def test_fully_outside_box_rejected(self, tmp_path):
         payload = gt_payload()
         payload["annotations"][0]["bbox"] = [2000, 0, 10, 10]
@@ -243,6 +260,8 @@ class TestDetectionParsing:
         path = write_payload(tmp_path, self.detections_payload(), "d.json")
         with pytest.raises(DanglingReference):
             parse_detections(path, "diagnosis-A", image_universe={1})
+        with pytest.raises(DanglingReference):
+            parse_detections(path, "diagnosis-A", image_universe=set())
         dets = parse_detections(path, "diagnosis-A", image_universe={1, 2, 3})
         assert dets.image_universe == frozenset({1, 2, 3})
 
@@ -276,29 +295,79 @@ class TestDetectionParsing:
             parse_detections(path, "diagnosis-A")
 
 
+#: Boxes on a coarse grid inside 55x55, so repeats and exact ties are common.
+grid_boxes = st.builds(
+    BoundingBox,
+    st.integers(0, 6).map(lambda v: 5 * v),
+    st.integers(0, 6).map(lambda v: 5 * v),
+    st.integers(1, 5).map(lambda v: 5 * v),
+    st.integers(1, 5).map(lambda v: 5 * v),
+)
+
+labelled_triples = (
+    st.tuples(
+        st.none() | st.integers(1, 4),
+        st.none() | st.integers(1, 8),
+        st.none() | st.sampled_from(DISEASES),
+    )
+    .filter(lambda axes: axes != (None, None, None))
+    .map(lambda axes: CategoryTriple(*axes))
+)
+
 #: Detections on a coarse box grid, each category axis optional, with and
 #: without a link into an enumeration stream.
 grid_detections = st.lists(
     st.builds(
         Detection,
         st.sampled_from([0, 1, "img-2"]),
-        st.builds(
-            BoundingBox,
-            st.integers(0, 6).map(lambda v: 5 * v),
-            st.integers(0, 6).map(lambda v: 5 * v),
-            st.integers(1, 5).map(lambda v: 5 * v),
-            st.integers(1, 5).map(lambda v: 5 * v),
-        ),
+        grid_boxes,
         st.floats(0.0, 1.0),
-        st.tuples(
-            st.none() | st.integers(1, 4),
-            st.none() | st.integers(1, 8),
-            st.none() | st.sampled_from(DISEASES),
-        )
-        .filter(lambda axes: axes != (None, None, None))
-        .map(lambda axes: CategoryTriple(*axes)),
+        labelled_triples,
         st.just("fused"),
         st.none() | st.integers(0, 40),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def grid_datasets(draw) -> AnnotatedDataset:
+    """Images of at least 60x60 (so no grid box is clamped) and their annotations."""
+    ids = draw(st.lists(st.integers(0, 50) | st.text(max_size=4), unique=True, max_size=4))
+    images = [
+        AnnotatedImage(
+            image_id,
+            draw(st.sampled_from([60, 64.5, 1000])),
+            draw(st.sampled_from([60, 500.25])),
+            draw(st.text(max_size=6)),
+        )
+        for image_id in ids
+    ]
+    annotations = draw(
+        st.lists(
+            st.builds(
+                GroundTruthAnnotation,
+                st.sampled_from(ids),
+                grid_boxes,
+                labelled_triples,
+                st.none() | st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=2),
+            ),
+            max_size=6,
+        )
+        if ids
+        else st.just([])
+    )
+    return AnnotatedDataset(images, annotations)
+
+
+grid_crops = st.lists(
+    st.builds(
+        CropAssignment,
+        st.sampled_from([0, 1, "img-2"]),
+        grid_boxes,
+        st.tuples(st.integers(1, 4), st.integers(1, 8)),
+        st.floats(0.0, 1.0),
+        grid_boxes,
     ),
     max_size=8,
 )
@@ -317,6 +386,21 @@ class TestRoundTrips:
         write_detections(dets, path)
         unlinked = [Detection(d.image_id, d.box, d.score, d.category, d.source) for d in dets]
         assert list(parse_detections(path, "fused")) == unlinked
+
+    @given(ds=grid_datasets())
+    def test_ground_truth_file_keeps_everything(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "gt.json"
+        write_ground_truth(ds, path)
+        assert parse_ground_truth(path) == ds
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @given(crops=grid_crops)
+    def test_crop_manifest_keeps_every_crop(self, tmp_path_factory, crops):
+        path = tmp_path_factory.getbasetemp() / "crops.json"
+        write_crop_manifest(crops, path)
+        assert read_crop_manifest(path) == crops
+        assert len(path.read_text().splitlines()) == (len(crops) + 2 if crops else 1)
 
 
 class TestDatasetContainers:
@@ -422,6 +506,38 @@ class TestAtomicWrites:
             _dump_json([{"image_id": 1}, {"image_id": 2}, {"image_id": object()}], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["dets.json"]
+
+    def test_array_is_one_compact_record_per_line(self, tmp_path):
+        records = [{"image_id": 1, "bbox": [1.5, 2, 3, 4], "score": 0.25}, {"a": None}, {}]
+        path = tmp_path / "out.json"
+        _dump_json(records, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(records) + 2
+        assert lines == [
+            "[",
+            '{"image_id":1,"bbox":[1.5,2,3,4],"score":0.25},',
+            '{"a":null},',
+            "{}",
+            "]",
+        ]
+        assert json.loads(path.read_text()) == records
+
+    def test_empty_array(self, tmp_path):
+        path = tmp_path / "out.json"
+        _dump_json([], path)
+        assert path.read_text() == "[]\n"
+
+    def test_string_image_ids_round_trip(self, tmp_path):
+        box = BoundingBox(0, 0, 5, 5)
+        ids = ['say "hi"', "back\\slash", "zähne-🦷", "two\nlines"]
+        dets = [Detection(i, box, 0.5, CategoryTriple(disease="caries"), "fused") for i in ids]
+        path = tmp_path / "dets.json"
+        write_detections(dets, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.isascii()
+        assert len(text.splitlines()) == len(ids) + 2
+        assert [r["image_id"] for r in json.loads(text)] == ids
+        assert list(parse_detections(path, "fused")) == dets
 
     def test_replaces_with_the_same_bytes_as_a_direct_dump(self, tmp_path):
         payload = {"b": [1, 2.5, None], "a": "x"}

@@ -358,6 +358,20 @@ class TestHelpers:
         assert float(first[1]) == 1.0
         assert float(first[2]) == 0.5
 
+    def test_pr_csv_failed_write_keeps_previous_file(self, tmp_path, tiny_scene):
+        report = evaluate(
+            tiny_scene, perfect_detections(tiny_scene), "disease", EvalConfig(keep_pr_curves=True)
+        )
+        path = tmp_path / "pr.csv"
+        write_pr_csv(report, path)
+        before = path.read_bytes()
+        # a recall that cannot be formatted makes the write fail after five rows
+        report.pr_points = report.pr_points[:5] + [(0.5, "x", 1.0)]
+        with pytest.raises(ValueError):
+            write_pr_csv(report, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pr.csv"]
+
     def test_pr_csv_requires_curves(self, tiny_scene):
         report = evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")
         with pytest.raises(ValueError):
