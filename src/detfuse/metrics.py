@@ -28,12 +28,14 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .errors import AxisUnavailable, ConfigError, DanglingReference
-from .geometry import CategoryTriple
+from .geometry import BoundingBox, CategoryTriple
 from .io import AnnotatedDataset, DetectionSet, PathLike, _atomic_open
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
@@ -98,21 +100,21 @@ class EvaluationReport:
         return out
 
 
-def class_key(category: CategoryTriple, axis: str, enumeration_product: bool = True):
-    """Project a category onto one axis; ``None`` when the axis is absent."""
+def _tooth(category: CategoryTriple):
+    if category.quadrant is None or category.enumeration is None:
+        return None
+    return (category.quadrant, category.enumeration)
+
+
+def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
+    """The projection of a category onto one axis; it gives ``None`` when the axis is absent."""
     if axis == "agnostic":
-        return "all"
-    if axis == "quadrant":
-        return category.quadrant
-    if axis == "disease":
-        return category.disease
+        return lambda category: "all"
+    if axis in ("quadrant", "disease"):
+        return attrgetter(axis)
     if axis == "enumeration":
-        if enumeration_product:
-            if category.quadrant is None or category.enumeration is None:
-                return None
-            return (category.quadrant, category.enumeration)
-        return category.enumeration
-    raise ValueError(f"unknown axis {axis!r}")
+        return _tooth if enumeration_product else attrgetter("enumeration")
+    raise ConfigError(f"unknown axis {axis!r}; expected one of {AXES}")
 
 
 def class_label(key, axis: str) -> str:
@@ -121,44 +123,89 @@ def class_label(key, axis: str) -> str:
     return str(key)
 
 
-def _iou_matrix(det_boxes: Sequence, gt_boxes: Sequence) -> np.ndarray:
-    """Pairwise IoU, rows = detections, columns = ground truth."""
-    if not det_boxes or not gt_boxes:
-        return np.zeros((len(det_boxes), len(gt_boxes)))
-    a = np.array([[b.x, b.y, b.w, b.h] for b in det_boxes])
-    g = np.array([[b.x, b.y, b.w, b.h] for b in gt_boxes])
-    iw = np.minimum((a[:, 0] + a[:, 2])[:, None], (g[:, 0] + g[:, 2])[None, :]) - np.maximum(
-        a[:, 0][:, None], g[:, 0][None, :]
-    )
-    ih = np.minimum((a[:, 1] + a[:, 3])[:, None], (g[:, 1] + g[:, 3])[None, :]) - np.maximum(
-        a[:, 1][:, None], g[:, 1][None, :]
-    )
+#: Cells of one padded ``(groups, detections, ground truth)`` IoU block. Groups
+#: are matched in blocks of at most this many cells (a single group may
+#: exceed it), so padded memory does not grow with the image count. A cell
+#: costs about 48 bytes of IoU temporaries, which keeps a block under 1 MiB.
+_BLOCK_CELLS = 1 << 14
+
+_XYWH = attrgetter("x", "y", "w", "h")
+
+
+def _xywh(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """The ``(boxes, 4)`` array of COCO ``xywh`` boxes."""
+    return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float, 4 * len(boxes)).reshape(-1, 4)
+
+
+def _ranks(sorted_keys: np.ndarray) -> np.ndarray:
+    """Each entry's index within its run of equal entries of a sorted array."""
+    _, first, count = np.unique(sorted_keys, return_index=True, return_counts=True)
+    return np.arange(len(sorted_keys)) - np.repeat(first, count)
+
+
+def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
+    """IoU of every detection against every ground-truth box of the same group.
+
+    ``det_xywh`` is ``(..., detections, 4)`` and ``gt_xywh`` is
+    ``(..., ground truth, 4)``; the result is ``(..., detections, ground truth)``.
+    Each value is computed elementwise, so it does not depend on the block
+    it was computed in. A zero box at the origin has IoU 0 with every box,
+    which makes it the padding of a block.
+    """
+    a = det_xywh[..., :, None, :]
+    g = gt_xywh[..., None, :, :]
+    iw = np.minimum(a[..., 0] + a[..., 2], g[..., 0] + g[..., 2]) - np.maximum(a[..., 0], g[..., 0])
+    ih = np.minimum(a[..., 1] + a[..., 3], g[..., 1] + g[..., 3]) - np.maximum(a[..., 1], g[..., 1])
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = (a[:, 2] * a[:, 3])[:, None] + (g[:, 2] * g[:, 3])[None, :] - inter
-    return np.where(inter > 0, inter / union, 0.0)
+    union = a[..., 2] * a[..., 3] + g[..., 2] * g[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+
+
+def _iou_matrix(det_boxes: Sequence[BoundingBox], gt_boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """Pairwise IoU, rows = detections, columns = ground truth."""
+    return _iou_block(_xywh(det_boxes), _xywh(gt_boxes))
+
+
+def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """Greedy matching of many groups at every threshold at once.
+
+    ``ious`` is ``(groups, detections, ground truth)``; row ``i`` of a group
+    is its ``i``-th detection in score order. Padding rows and columns must
+    hold an IoU below every threshold, so that they never match. Returns a
+    ``(groups, thresholds, detections)`` array holding the matched
+    ground-truth column, or -1 where the detection matched nothing at that
+    threshold. The loop steps over detection rank, vectorized over groups
+    and thresholds.
+    """
+    t = np.asarray(thresholds)
+    n_groups, n_dets, n_gts = ious.shape
+    out = np.full((n_groups, len(t), n_dets), -1, dtype=np.int32)
+    if n_gts == 0:
+        return out
+    # A detection below the lowest threshold against every box matches and
+    # takes nothing, so only the others are stepped over, packed to the
+    # front of their group in rank order.
+    g, d = np.nonzero(ious.max(axis=2) >= t.min())
+    step = _ranks(g)
+    packed = np.full((n_groups, step.max(initial=-1) + 1, n_gts), -1.0)
+    packed[g, step] = ious[g, d]
+    cols = np.full((n_groups, len(t), packed.shape[1]), -1, dtype=np.int32)
+    free = np.ones((n_groups, len(t), n_gts), dtype=bool)
+    for i in range(packed.shape[1]):
+        masked = np.where(free, packed[:, i, None, :], -1.0)
+        j = masked.argmax(axis=2)  # ties go to the earlier ground-truth box
+        hit = masked.max(axis=2) >= t
+        cols[:, :, i] = np.where(hit, j, -1)
+        hit_g, hit_t = np.nonzero(hit)
+        free[hit_g, hit_t, j[hit]] = False
+    out[g, :, d] = cols[g, :, step]
+    return out
 
 
 def _match(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
-    """Greedy matching of score-ordered detections at every threshold at once.
-
-    Row ``i`` of ``ious`` is the ``i``-th detection in score order. Returns
-    a ``(thresholds, detections)`` array holding the matched ground-truth
-    column, or -1 where the detection matched nothing at that threshold.
-    """
-    t = np.asarray(thresholds)
-    out = np.full((len(t), ious.shape[0]), -1)
-    if ious.shape[1] == 0:
-        return out
-    free = np.ones((len(t), ious.shape[1]), dtype=bool)
-    rows = np.arange(len(t))
-    # A detection below the lowest threshold against every box matches nothing.
-    for i in np.flatnonzero(ious.max(axis=1) >= t.min()):
-        masked = np.where(free, ious[i], -1.0)
-        j = masked.argmax(axis=1)  # ties go to the earlier ground-truth box
-        hit = masked[rows, j] >= t
-        out[hit, i] = j[hit]
-        free[rows[hit], j[hit]] = False
-    return out
+    """:func:`_match_block` of one group: ``(detections, ground truth)`` IoUs in,
+    ``(thresholds, detections)`` matched columns out."""
+    return _match_block(ious[None], thresholds)[0]
 
 
 def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
@@ -179,6 +226,46 @@ def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
     return q
 
 
+def _true_positives(
+    det_group: np.ndarray,
+    det_rank: np.ndarray,
+    det_xywh: np.ndarray,
+    gt_group: np.ndarray,
+    gt_xywh: np.ndarray,
+) -> np.ndarray:
+    """True-positive flags, ``(thresholds, detections)``, of capped detections.
+
+    Detections are sorted by group, then by score rank; ground truth is
+    sorted by group, in annotation order within a group. The groups that
+    have ground truth are the rows of zero-padded blocks of at most
+    :data:`_BLOCK_CELLS` cells, matched a block at a time. A detection
+    whose group has no ground truth matches nothing.
+    """
+    flags = np.zeros((len(IOU_THRESHOLDS), len(det_group)), dtype=bool)
+    groups, gt_count = np.unique(gt_group, return_counts=True)
+    gt_row = np.repeat(np.arange(len(groups)), gt_count)
+    gt_rank = _ranks(gt_group)
+    slot = np.minimum(np.searchsorted(groups, det_group), len(groups) - 1)
+    matched = np.flatnonzero(groups[slot] == det_group)
+    det_row = slot[matched]
+    cells = (det_rank.max(initial=0) + 1) * gt_count.max()
+    per_block = max(1, _BLOCK_CELLS // int(cells))
+    for r0 in range(0, len(groups), per_block):
+        r1 = min(r0 + per_block, len(groups))
+        lo, hi = np.searchsorted(det_row, (r0, r1))
+        if lo == hi:
+            continue
+        d, d_row, d_rank = matched[lo:hi], det_row[lo:hi] - r0, det_rank[matched[lo:hi]]
+        g = slice(*np.searchsorted(gt_row, (r0, r1)))
+        dets = np.zeros((r1 - r0, d_rank.max() + 1, 4))
+        dets[d_row, d_rank] = det_xywh[d]
+        gts = np.zeros((r1 - r0, gt_count[r0:r1].max(), 4))
+        gts[gt_row[g] - r0, gt_rank[g]] = gt_xywh[g]
+        cols = _match_block(_iou_block(dets, gts), IOU_THRESHOLDS)
+        flags[:, d] = (cols >= 0)[d_row, :, d_rank].T
+    return flags
+
+
 def evaluate(
     ds: AnnotatedDataset,
     dets: DetectionSet,
@@ -188,62 +275,71 @@ def evaluate(
     """Evaluate detections against ground truth along one category axis.
 
     Raises:
-        AxisUnavailable: the ground truth (or a non-empty detection set)
-            carries no label along ``axis``.
+        ConfigError: ``axis`` is not one of :data:`AXES`.
         DanglingReference: a detection references an image id absent from
             the dataset.
+        AxisUnavailable: the ground truth (or a non-empty detection set)
+            carries no label along ``axis``.
     """
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}; expected one of {AXES}")
-    known = set(ds.image_ids())
-    for d in dets:
-        if d.image_id not in known:
-            raise DanglingReference(f"detection references unknown image {d.image_id!r}")
-
-    # class -> image -> (gt boxes, detections as (input position, score, box))
-    groups: dict = {}
-    for ann in ds.annotations:
-        key = class_key(ann.category, axis, cfg.enumeration_product)
-        if key is not None:
-            groups.setdefault(key, {}).setdefault(ann.image_id, ([], []))[0].append(ann.box)
-    if not groups:
+    project = axis_projection(axis, cfg.enumeration_product)
+    image_index = {image_id: i for i, image_id in enumerate(ds.image_ids())}
+    n_dets = len(dets)
+    image_ids = map(attrgetter("image_id"), dets)
+    det_image = np.fromiter(map(image_index.get, image_ids, repeat(-1)), np.intp, n_dets)
+    if (det_image < 0).any():
+        unknown = dets.detections[int(np.argmax(det_image < 0))].image_id
+        raise DanglingReference(f"detection references unknown image {unknown!r}")
+    gt_keys = list(map(project, map(attrgetter("category"), ds.annotations)))
+    classes = sorted(set(gt_keys) - {None})
+    if not classes:
         raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
-
-    participating = 0
-    for pos, d in enumerate(dets):
-        key = class_key(d.category, axis, cfg.enumeration_product)
-        if key is None:
-            continue
-        participating += 1
-        by_image = groups.get(key)
-        if by_image is not None:  # a class absent from gt is skipped, not zero-counted
-            by_image.setdefault(d.image_id, ([], []))[1].append((pos, d.score, d.box))
-    if len(dets) > 0 and participating == 0:
+    # The class index of each detection: -1 for a class absent from the
+    # ground truth, -2 for no label on this axis.
+    n_cls = len(classes)
+    class_index = {key: c for c, key in enumerate(classes)}
+    det_keys = map(project, map(attrgetter("category"), dets))
+    codes = {None: -2, **class_index}
+    det_class = np.fromiter(map(codes.get, det_keys, repeat(-1)), np.intp, n_dets)
+    if n_dets > 0 and (det_class == -2).all():
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
+
+    # The (class, image) group of a box is numbered image * n_cls + class.
+    labelled = [
+        (ann, class_index[key]) for ann, key in zip(ds.annotations, gt_keys) if key is not None
+    ]
+    gt_group = np.array([image_index[ann.image_id] * n_cls + c for ann, c in labelled])
+    gt_order = np.argsort(gt_group, kind="stable")  # annotation order within a group
+    gt_group = gt_group[gt_order]
+    gt_xywh = _xywh([labelled[i][0].box for i in gt_order.tolist()])
+    npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
+
+    det_group = det_image * n_cls + det_class
+    det_score = np.fromiter(map(attrgetter("score"), dets), float, n_dets)
+    # Sort by group, then score (ties keep input order), and cap each group.
+    # A class absent from the ground truth is skipped, not zero-counted.
+    pos = np.flatnonzero(det_class >= 0)
+    pos = pos[np.lexsort((pos, -det_score[pos], det_group[pos]))]
+    rank = _ranks(det_group[pos])
+    pos, rank = pos[rank < cfg.max_dets], rank[rank < cfg.max_dets]
+    det_xywh = _xywh([dets.detections[i].box for i in pos.tolist()])
+    flags = _true_positives(det_group[pos], rank, det_xywh, gt_group, gt_xywh)
+
+    # Pool each class's detections in score order, ties in input order.
+    pool = np.lexsort((pos, -det_score[pos], det_class[pos]))
+    bounds = np.searchsorted(det_class[pos[pool]], np.arange(n_cls + 1)).tolist()
 
     # Per class, in class order: AP per threshold, AR and the PR samples.
     # The means below stay Python sums in threshold, then class order: a
     # numpy reduction would change the last bit of mAP and AR.
     n_t = len(IOU_THRESHOLDS)
-    classes = sorted(groups)
     ap: list = []
     ar: list = []
     curves: list = []
-    for cls in classes:
-        npig = 0
-        scores: list = []
-        positions: list = []
-        flags: list = []
-        for gt_boxes, group in groups[cls].values():
-            npig += len(gt_boxes)
-            kept = sorted(group, key=lambda e: -e[1])[: cfg.max_dets]  # stable: ties keep input order
-            flags.append(_match(_iou_matrix([e[2] for e in kept], gt_boxes), IOU_THRESHOLDS) >= 0)
-            positions.extend(e[0] for e in kept)
-            scores.extend(e[1] for e in kept)
-        pooled = np.concatenate(flags, axis=1)[:, np.lexsort((positions, np.negative(scores)))]
-        q = _interpolated_precision(pooled, npig)
+    for c in range(n_cls):
+        pooled = flags[:, pool[bounds[c] : bounds[c + 1]]]
+        q = _interpolated_precision(pooled, npig[c])
         ap.append([float(q[ti].sum() / RECALL_POINTS) for ti in range(n_t)])
-        ar.append(sum(int(m) / npig for m in pooled.sum(axis=1)) / n_t)
+        ar.append(sum(int(m) / npig[c] for m in pooled.sum(axis=1)) / n_t)
         curves.append(q)
 
     n = len(classes)

@@ -30,3 +30,12 @@ def test_traced_attributes_exist_on_pipeline(monkeypatch):
 def test_workloads_module_imports(monkeypatch):
     workloads = bench_module("workloads", monkeypatch)
     assert set(workloads.DEFAULT_IMAGES) == set(workloads.WORKLOADS)
+
+
+def test_benchmark_check_passes_on_one_dense_image(monkeypatch):
+    """The benchmark's own oracle check on the dense, capped ``eval-dense`` shape."""
+    workloads = bench_module("workloads", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    inputs = workloads.make_inputs("eval-dense", 1, tracing.Tracer(), images=1)
+    result = workloads.run_operation("eval-dense", None, inputs)
+    assert workloads.Checker("eval-dense", inputs, None).check(result) == []

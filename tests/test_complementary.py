@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detfuse import (
     DEFAULT_BOOST,
@@ -181,6 +183,19 @@ class TestClassificationsToDetections:
             CropClassification(0, "caries", 1.1)
 
 
+def diagnoses(source: str):
+    """Lists of diagnoses on grid boxes over two images."""
+    coord = st.integers(0, 4).map(lambda v: 5 * v)
+    extent = st.integers(1, 4).map(lambda v: 5 * v)
+    diagnosis = st.builds(
+        lambda image_id, x, y, w, h, disease: Detection(
+            image_id, BoundingBox(x, y, w, h), 0.5, CategoryTriple(1, 1, disease), source
+        ),
+        st.integers(1, 2), coord, coord, extent, extent, st.sampled_from(DISEASES),
+    )
+    return st.lists(diagnosis, max_size=8)
+
+
 class TestMerge:
     def integrated(self, x, disease="caries", image_id=1):
         return Detection(
@@ -229,6 +244,18 @@ class TestMerge:
         assert len(merged) == 3
         assert merged[2] == comp.detections[0]  # appended as it is
         assert merged[2].matched_enum_id is None
+
+    @given(
+        integrated=diagnoses("fused"),
+        comp=diagnoses("complementary"),
+        overlap_iou=st.sampled_from([0.0, 1 / 3, 0.5, 1.0]),
+    )
+    def test_merging_twice_adds_nothing(self, integrated, comp, overlap_iou):
+        """Each kept candidate has IoU 1 with itself, so a second merge suppresses it."""
+        cfg = MergeConfig(overlap_iou=overlap_iou)
+        comp_set = DetectionSet(comp, "complementary")
+        merged = merge_complementary(integrated, comp_set, cfg)
+        assert merge_complementary(merged, comp_set, cfg) == merged
 
 
 class TestCropIO:

@@ -25,7 +25,16 @@ from detfuse import (
     naive_oracle_evaluate,
     write_pr_csv,
 )
-from detfuse.metrics import IOU_THRESHOLDS, RECALL_POINTS, _iou_matrix, _match
+import detfuse.metrics
+from detfuse.metrics import (
+    AXES,
+    IOU_THRESHOLDS,
+    RECALL_POINTS,
+    _iou_block,
+    _iou_matrix,
+    _match,
+    _match_block,
+)
 from detfuse.reference import _match_flags
 
 from conftest import perfect_detections, random_eval_instance
@@ -207,10 +216,30 @@ class TestGreedyMatch:
         for row, t in zip(matched, IOU_THRESHOLDS):
             assert row.astype(int).tolist() == _match_flags(dets, gts, t)
 
+    @given(groups=st.lists(st.tuples(grid_boxes, grid_boxes), min_size=1, max_size=4))
+    def test_padded_groups_agree_with_the_oracle(self, groups):
+        """Groups of unequal sizes matched in one zero-padded block."""
+
+        def padded(box_lists):
+            block = np.zeros((len(box_lists), max(map(len, box_lists)), 4))
+            for k, boxes in enumerate(box_lists):
+                block[k, : len(boxes)] = np.reshape([b.as_xywh() for b in boxes], (-1, 4))
+            return block
+
+        dets, gts = ([group[side] for group in groups] for side in (0, 1))
+        cols = _match_block(_iou_block(padded(dets), padded(gts)), IOU_THRESHOLDS)
+        for k, (d, g) in enumerate(groups):
+            assert (cols[k, :, len(d) :] == -1).all()  # padded rows never match
+            assert (cols[k] < len(g)).all()  # nor do padded columns
+            for row, t in zip(cols[k, :, : len(d)], IOU_THRESHOLDS):
+                assert (row >= 0).astype(int).tolist() == _match_flags(d, g, t)
+
 
 class TestErrors:
     def test_unknown_axis(self, tiny_scene):
         with pytest.raises(ValueError):
+            evaluate(tiny_scene, perfect_detections(tiny_scene), "color")
+        with pytest.raises(ConfigError, match="color"):
             evaluate(tiny_scene, perfect_detections(tiny_scene), "color")
 
     def test_dangling_detection_image(self, tiny_scene):
@@ -282,14 +311,56 @@ class TestOracleAgreement:
                 assert abs(fast.per_class[cls][1] - slow.per_class[cls][1]) < 1e-12
 
     def test_oracle_matches_with_small_max_dets(self):
+        """Every axis under the cap, compared class by class."""
+        configs = [(axis, EvalConfig(max_dets=m)) for axis in AXES for m in (1, 3)]
+        configs += [
+            ("enumeration", EvalConfig(max_dets=m, enumeration_product=False)) for m in (1, 3)
+        ]
         rng = np.random.default_rng(99)
-        cfg = EvalConfig(max_dets=3)
         for _ in range(20):
             ds, dets = random_eval_instance(rng, max_images=3, max_boxes=12)
-            fast = evaluate(ds, dets, "disease", cfg)
-            slow = naive_oracle_evaluate(ds, dets, "disease", cfg)
-            assert abs(fast.mean_ap - slow.mean_ap) < 1e-12
-            assert abs(fast.ar - slow.ar) < 1e-12
+            for axis, cfg in configs:
+                assert_agrees_with_oracle(ds, dets, axis, cfg)
+
+    def test_oracle_matches_with_string_ids_and_unlabelled_images(self):
+        """Image ids are strings; some groups have detections but no ground truth."""
+        images = [AnnotatedImage(name, 200, 200) for name in ("b", "a", "c")]
+        anns = [
+            GroundTruthAnnotation("a", B(0, 0, 20, 20), CategoryTriple(1, 1, "caries")),
+            GroundTruthAnnotation("a", B(50, 0, 20, 20), CategoryTriple(1, 2, "impacted")),
+            GroundTruthAnnotation("b", B(0, 0, 20, 20), CategoryTriple(2, 1, "caries")),
+        ]
+        ds = AnnotatedDataset(images, anns)
+        entries = [
+            ("a", B(0, 0, 20, 20), 0.6, CategoryTriple(1, 1, "caries")),
+            ("a", B(50, 0, 20, 22), 0.9, CategoryTriple(1, 2, "impacted")),
+            ("b", B(50, 0, 20, 20), 0.95, CategoryTriple(2, 2, "impacted")),  # no gt class on b
+            ("b", B(1, 0, 20, 20), 0.7, CategoryTriple(2, 1, "caries")),
+            ("c", B(0, 0, 20, 20), 0.8, CategoryTriple(3, 1, "caries")),  # no gt on c
+        ]
+        dets = DetectionSet(
+            [Detection(i, box, score, cat, "fused") for i, box, score, cat in entries], "fused"
+        )
+        for axis in AXES:
+            for m in (1, 3):
+                assert_agrees_with_oracle(ds, dets, axis, EvalConfig(max_dets=m))
+        # The unmatched impacted detection on "b" outranks the true positive on
+        # "a" (IoU 10/11, so it misses the 0.95 threshold only): AP 0.5 at nine
+        # thresholds, 0 at the last.
+        report = evaluate(ds, dets, "disease")
+        assert report.per_class["impacted"] == pytest.approx((0.45, 0.9))
+
+
+def assert_agrees_with_oracle(ds, dets, axis, cfg):
+    fast = evaluate(ds, dets, axis, cfg)
+    slow = naive_oracle_evaluate(ds, dets, axis, cfg)
+    where = f"{axis}, {cfg}"
+    for name in ("mean_ap", "ap50", "ap75", "ar"):
+        assert abs(getattr(fast, name) - getattr(slow, name)) < 1e-12, (where, name)
+    assert fast.per_class.keys() == slow.per_class.keys(), where
+    for cls, (ap, ar) in fast.per_class.items():
+        assert abs(ap - slow.per_class[cls][0]) < 1e-12, (where, cls)
+        assert abs(ar - slow.per_class[cls][1]) < 1e-12, (where, cls)
 
 
 class TestInvariants:
@@ -327,6 +398,15 @@ class TestInvariants:
             assert report.ap75 <= report.ap50 + 1e-9
             assert 0.0 <= report.mean_ap <= 1.0
             assert 0.0 <= report.ar <= 1.0
+
+    @pytest.mark.parametrize("cells", [1, 40])
+    def test_block_size_changes_nothing(self, monkeypatch, cells):
+        """Splitting the groups into more, smaller padded blocks gives the same reports."""
+        rng = np.random.default_rng(53)
+        cases = [random_eval_instance(rng, max_images=4, max_boxes=14) for _ in range(10)]
+        whole = [evaluate(ds, dets, axis) for ds, dets in cases for axis in AXES]
+        monkeypatch.setattr(detfuse.metrics, "_BLOCK_CELLS", cells)
+        assert [evaluate(ds, dets, axis) for ds, dets in cases for axis in AXES] == whole
 
     def test_appending_weakest_fps_changes_nothing(self):
         rng = np.random.default_rng(41)
