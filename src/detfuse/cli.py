@@ -37,16 +37,15 @@ from .integrate import (
 from .io import (
     SplitSpec,
     _dump_json,
-    parse_detections,
     parse_ground_truth,
     split_ids,
     subset_dataset,
-    write_detections,
     write_ground_truth,
     write_id_list,
 )
 from .metrics import AXES, EvalConfig, evaluate, write_pr_csv
 from .pipeline import load_pipeline_config, run_pipeline
+from .results import parse_detections, write_detections
 from .synth import SIMULATOR_SOURCES, ScenePlan, generate_scene, load_profile, simulate_detector
 
 
@@ -116,7 +115,7 @@ def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, di
     diags = parse_detections(diagnosis, diagnosis_source)
     merged = integrate(enums, diags, cfg)
     write_integrated(merged, output)
-    matched = sum(1 for m in merged if m.matched_enum_id is not None)
+    matched = int((merged.columns.link >= 0).sum())
     click.echo(f"integrated {len(merged)} detections ({matched} matched) -> {output}")
 
 
@@ -153,7 +152,7 @@ def complement(crops_path, classifications, integrated_path, output, min_confide
     cfg = MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
     manifest = read_crop_manifest(crops_path)
     verdicts = parse_crop_classifications(classifications)
-    integrated = parse_detections(integrated_path, "fused").detections
+    integrated = parse_detections(integrated_path, "fused")
     comp = classifications_to_detections(manifest, verdicts, min_confidence)
     merged = merge_complementary(integrated, comp, cfg)
     write_integrated(merged, output)

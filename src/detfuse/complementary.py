@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from .detections import Columns, DetectionSet, as_set, same_image_blocks, source_code
 from .errors import (
     AxisUnavailable,
     ConfigError,
@@ -22,25 +25,9 @@ from .errors import (
     fraction_problem,
     raise_problems,
 )
-from .geometry import (
-    CROP_LABELS,
-    DISEASES,
-    BoundingBox,
-    CategoryTriple,
-    Detection,
-    ImageId,
-    iou,
-)
-from .io import (
-    AnnotatedDataset,
-    AnnotatedImage,
-    DetectionSet,
-    PathLike,
-    _clip_to_image,
-    _dump_json,
-    _load_json,
-    _parse_bbox,
-)
+from .geometry import CROP_LABELS, DISEASES, BoundingBox, Detection, ImageId
+from .io import AnnotatedDataset, AnnotatedImage, PathLike, _dump_json, _load_json, _parse_bbox
+from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
@@ -129,28 +116,55 @@ def assign_crops(
     """
     if pad_fraction < 0:
         raise ConfigError(f"pad_fraction must be >= 0, got {pad_fraction!r}")
-    by_id = None if images is None else {im.image_id: im for im in images}
+    cols = enums.columns
+    lacking = (cols.quadrant < 0) | (cols.tooth < 0)
+    unknown = np.zeros_like(lacking)
+    x, y, w, h = cols.xywh.T
+    dx = pad_fraction * w
+    dy = pad_fraction * h
+    crop = np.stack([x - dx, y - dy, w + 2 * dx, h + 2 * dy], axis=1)
+    if images is not None:
+        by_id = {im.image_id: (im.width, im.height) for im in images}
+        sizes = [by_id.get(image_id, (np.nan, np.nan)) for image_id in cols.ids]
+        size = np.array(sizes, float).reshape(-1, 2)[cols.image]
+        unknown = np.isnan(size[:, 0])
+        crop = _clip(crop, size)
+    bad = np.flatnonzero(lacking | unknown)
+    end = bad[0] if len(bad) else len(lacking)
 
-    crops = []
-    for det in enums:
-        cat = det.category
-        if cat.quadrant is None or cat.enumeration is None:
-            raise AxisUnavailable(
-                f"enumeration detection on image {det.image_id!r} lacks quadrant/tooth axes"
-            )
-        box = det.box
-        dx = pad_fraction * box.w
-        dy = pad_fraction * box.h
-        crop = BoundingBox(box.x - dx, box.y - dy, box.w + 2 * dx, box.h + 2 * dy)
-        if by_id is not None:
-            image = by_id.get(det.image_id)
-            if image is None:
-                raise MissingImage(f"enumeration detection references unknown image {det.image_id!r}")
-            crop = _clip_to_image(crop, image)
-        crops.append(
-            CropAssignment(det.image_id, crop, (cat.quadrant, cat.enumeration), det.score, box)
+    ids = cols.ids
+    crops = [
+        CropAssignment(ids[image], BoundingBox(*c), (q + 1, t + 1), score, BoundingBox(*box))
+        for image, c, q, t, score, box in zip(
+            cols.image[:end].tolist(),
+            crop[:end].tolist(),
+            cols.quadrant[:end].tolist(),
+            cols.tooth[:end].tolist(),
+            cols.score[:end].tolist(),
+            cols.xywh[:end].tolist(),
         )
+    ]
+    if end < len(lacking):
+        image_id = ids[cols.image[end]]
+        if lacking[end]:
+            raise AxisUnavailable(
+                f"enumeration detection on image {image_id!r} lacks quadrant/tooth axes"
+            )
+        raise MissingImage(f"enumeration detection references unknown image {image_id!r}")
     return crops
+
+
+def _clip(xywh: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The part of each box inside its ``(width, height)`` image, as :func:`io._clip_to_image` computes it."""
+    x, y, w, h = xywh.T
+    lo = np.stack([x, y], axis=1)
+    hi = np.stack([x + w, y + h], axis=1)
+    # min(max(v, 0.0), extent), with Python's choice between equal values.
+    lo = np.where(lo < 0.0, 0.0, lo)
+    lo = np.where(size < lo, size, lo)
+    hi = np.where(hi < 0.0, 0.0, hi)
+    hi = np.where(size < hi, size, hi)
+    return np.concatenate([lo, hi - lo], axis=1)
 
 
 def audit_balance(
@@ -198,14 +212,16 @@ def classifications_to_detections(
     Each emitted detection reuses the crop's original enumeration box and
     tooth axes, labels it with the classifier's disease, and scores it as
     ``enum_score * confidence``.  At most one detection is emitted per
-    crop.
+    crop.  The set covers the images of every crop.
 
     Raises:
         DanglingCrop: a classification references a crop id outside the
             manifest, or the same crop twice.
     """
     seen: set[int] = set()
-    dets = []
+    kept: list[CropAssignment] = []
+    confidence: list[float] = []
+    disease: list[int] = []
     for cls in classifications:
         if not 0 <= cls.crop_id < len(crops):
             raise DanglingCrop(f"classification references unknown crop {cls.crop_id}")
@@ -214,54 +230,58 @@ def classifications_to_detections(
         seen.add(cls.crop_id)
         if cls.label == "normal" or cls.confidence < min_confidence:
             continue
-        crop = crops[cls.crop_id]
-        q, t = crop.tooth
-        dets.append(
-            Detection(
-                crop.image_id,
-                crop.source_box,
-                crop.enum_score * cls.confidence,
-                CategoryTriple(quadrant=q, enumeration=t, disease=cls.label),
-                "complementary",
-            )
-        )
-    universe = frozenset(c.image_id for c in crops)
-    return DetectionSet(tuple(dets), "complementary", universe)
+        kept.append(crops[cls.crop_id])
+        confidence.append(cls.confidence)
+        disease.append(DISEASES.index(cls.label))
+
+    n = len(kept)
+    ids = tuple(dict.fromkeys(c.image_id for c in crops))
+    position = {image_id: k for k, image_id in enumerate(ids)}
+    teeth = np.array([c.tooth for c in kept], np.int8).reshape(n, 2) - 1
+    columns = Columns(
+        ids,
+        np.fromiter((position[c.image_id] for c in kept), np.int32, n),
+        np.array([c.source_box.as_xywh() for c in kept], float).reshape(n, 4),
+        np.fromiter((c.enum_score for c in kept), float, n) * np.array(confidence, float),
+        teeth[:, 0],
+        teeth[:, 1],
+        np.array(disease, np.int8),
+        np.full(n, source_code("complementary"), np.int8),
+        np.full(n, -1, np.int64),
+    )
+    return DetectionSet.from_columns(columns, "complementary")
 
 
 def merge_complementary(
-    integrated: Sequence[Detection],
+    integrated: DetectionSet | Iterable[Detection],
     comp: DetectionSet,
     cfg: MergeConfig = MergeConfig(),
-) -> list[Detection]:
+) -> DetectionSet:
     """Append complementary detections the integrated stream missed.
 
     A complementary detection is suppressed only when some same-image
     integrated detection overlaps it with IoU >= ``cfg.overlap_iou`` AND
     carries the same disease label; spatial overlap with a different
     disease keeps both.  Integrated entries pass through untouched, and
-    kept complementary detections are appended as they are.
+    kept complementary detections are appended as they are.  The result
+    is tagged ``fused`` and covers both universes.
 
     Raises:
         AxisUnavailable: an integrated detection has no disease label.
     """
-    by_image: dict[ImageId, list[Detection]] = {}
-    for it in integrated:
-        if it.category.disease is None:
-            raise AxisUnavailable(
-                f"integrated detection on image {it.image_id!r} has no disease label"
-            )
-        by_image.setdefault(it.image_id, []).append(it)
+    base = as_set(integrated)
+    found, extra = base.columns, comp.columns
+    diseaseless = np.flatnonzero(found.disease < 0)
+    if len(diseaseless):
+        image_id = found.ids[found.image[diseaseless[0]]]
+        raise AxisUnavailable(f"integrated detection on image {image_id!r} has no disease label")
 
-    merged = list(integrated)
-    for det in comp:
-        duplicate = any(
-            it.category.disease == det.category.disease and iou(det.box, it.box) >= cfg.overlap_iou
-            for it in by_image.get(det.image_id, ())
-        )
-        if not duplicate:
-            merged.append(det)
-    return merged
+    duplicate = np.zeros(len(extra.score), bool)
+    for c, f in same_image_blocks(extra.image_index(found.ids), found.image):
+        overlap = _iou_block(extra.xywh[c], found.xywh[f]) >= cfg.overlap_iou
+        same = extra.disease[c, None] == found.disease[f]
+        duplicate[c] = (overlap & same).any(axis=1)
+    return DetectionSet.concat([base, comp.take(~duplicate)], "fused")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,305 @@
+"""The detection set: detections held as columns, with ``Detection`` views on demand.
+
+Every stage reads and writes a :class:`DetectionSet` through its
+:class:`Columns`: one array per field, one row per detection. A
+:class:`~detfuse.geometry.Detection` is built from a row only when the
+public per-record API asks for one, so the pipeline's hot path builds
+none.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
+
+from .errors import DanglingReference
+from .geometry import DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId
+
+_IMAGE_ID = attrgetter("image_id")
+_BOX = attrgetter("box")
+_XYWH = attrgetter("x", "y", "w", "h")
+_SCORE = attrgetter("score")
+_CATEGORY = attrgetter("category")
+_SOURCE = attrgetter("source")
+_LINK = attrgetter("matched_enum_id")
+
+#: The per-row arrays of :class:`Columns`, in order.
+_ROW_FIELDS = ("image", "xywh", "score", "quadrant", "tooth", "disease", "origin", "link")
+
+_SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
+
+
+def source_code(source: str) -> int:
+    """The index of a source tag in :data:`SOURCES`; ValueError for an unknown tag."""
+    code = _SOURCE_CODE.get(source)
+    if code is None:
+        raise ValueError(f"unknown source tag {source!r}")
+    return code
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Columns:
+    """Detections as arrays, one row per detection.
+
+    ``image`` (``int32``) indexes ``ids``, the image ids of the set's
+    universe. ``xywh`` is ``float64 [N, 4]``. The ``int8`` category codes
+    are the 0-based ids of the file format (quadrant 0..3, tooth 0..7,
+    disease 0..3), -1 where the axis is absent. ``origin`` (``int8``)
+    indexes :data:`SOURCES`, and ``link`` (``int64``) is ``matched_enum_id``,
+    -1 where unset.
+    """
+
+    ids: tuple
+    image: np.ndarray
+    xywh: np.ndarray
+    score: np.ndarray
+    quadrant: np.ndarray
+    tooth: np.ndarray
+    disease: np.ndarray
+    origin: np.ndarray
+    link: np.ndarray
+
+    def take(self, rows) -> "Columns":
+        """The rows ``rows`` (a mask, indices or a slice), over the same ids."""
+        return Columns(self.ids, *(getattr(self, name)[rows] for name in _ROW_FIELDS))
+
+    def category_key(self) -> np.ndarray:
+        """One small int per row for its category codes; :func:`category_of` reads it."""
+        return (self.quadrant.astype(np.intp) + 1) * 45 + (self.tooth + 1) * 5 + self.disease + 1
+
+    def image_index(self, ids: tuple) -> np.ndarray:
+        """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""
+        if ids == self.ids:
+            return self.image
+        position = {image_id: k for k, image_id in enumerate(ids)}
+        remap = np.fromiter(map(position.get, self.ids, repeat(-1)), np.int32, len(self.ids))
+        return remap[self.image]
+
+
+#: The number of :meth:`Columns.category_key` values.
+CATEGORY_KEYS = 5 * 9 * 5
+
+
+def category_codes(key: int) -> tuple[int, int, int]:
+    """The quadrant, tooth and disease codes of a :meth:`Columns.category_key` value."""
+    return key // 45 - 1, key // 5 % 9 - 1, key % 5 - 1
+
+
+def category_of(key: int) -> CategoryTriple:
+    """The category of a :meth:`Columns.category_key` value."""
+    q, t, d = category_codes(key)
+    return CategoryTriple(
+        None if q < 0 else q + 1, None if t < 0 else t + 1, None if d < 0 else DISEASES[d]
+    )
+
+
+def _concat(parts: Sequence[Columns], ids: tuple) -> Columns:
+    arrays = [np.concatenate([getattr(c, name) for c in parts]) for name in _ROW_FIELDS[1:]]
+    return Columns(ids, np.concatenate([c.image_index(ids) for c in parts]), *arrays)
+
+
+def _columns_of(dets: Sequence[Detection], ids: tuple) -> Columns:
+    """The columns of ``Detection`` objects, whose image ids are all in ``ids``."""
+    n = len(dets)
+    position = {image_id: k for k, image_id in enumerate(ids)}
+    image = np.fromiter(map(position.__getitem__, map(_IMAGE_ID, dets)), np.int32, n)
+    xywh = np.fromiter(chain.from_iterable(map(_XYWH, map(_BOX, dets))), float, 4 * n)
+    score = np.fromiter(map(_SCORE, dets), float, n)
+    codes = {cat: _category_codes(cat) for cat in set(map(_CATEGORY, dets))}
+    qtd = np.fromiter(chain.from_iterable(map(codes.__getitem__, map(_CATEGORY, dets))), np.int8, 3 * n)
+    origin = np.fromiter(map(_SOURCE_CODE.__getitem__, map(_SOURCE, dets)), np.int8, n)
+    links = (-1 if link is None else link for link in map(_LINK, dets))
+    link = np.fromiter(links, np.int64, n)
+    return Columns(ids, image, xywh.reshape(n, 4), score, *qtd.reshape(n, 3).T, origin, link)
+
+
+def _category_codes(cat: CategoryTriple) -> tuple[int, int, int]:
+    return (
+        -1 if cat.quadrant is None else cat.quadrant - 1,
+        -1 if cat.enumeration is None else cat.enumeration - 1,
+        -1 if cat.disease is None else DISEASES.index(cat.disease),
+    )
+
+
+def _views(cols: Columns) -> tuple[Detection, ...]:
+    """One :class:`Detection` per row; rows with equal categories share one triple."""
+    keys = cols.category_key().tolist()
+    triples = {key: category_of(key) for key in set(keys)}
+    ids = cols.ids
+    return tuple(
+        Detection(
+            ids[image],
+            BoundingBox(*box),
+            score,
+            triples[key],
+            SOURCES[origin],
+            None if link < 0 else link,
+        )
+        for image, box, score, key, origin, link in zip(
+            cols.image.tolist(),
+            cols.xywh.tolist(),
+            cols.score.tolist(),
+            keys,
+            cols.origin.tolist(),
+            cols.link.tolist(),
+        )
+    )
+
+
+def same_image_blocks(
+    a_image: np.ndarray, b_image: np.ndarray, a_key: Optional[np.ndarray] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of each image that has rows in both ``a_image`` and ``b_image``.
+
+    Both arrays index the same image ids; a negative entry is on no image.
+    Each block is a pair of row-index arrays. ``b`` rows keep their order;
+    ``a`` rows are ordered by ``a_key`` when it is given, ties keeping their
+    order.
+    """
+    if a_key is None:
+        a_order = np.argsort(a_image, kind="stable")
+    else:
+        a_order = np.lexsort((a_key, a_image))
+    b_order = np.argsort(b_image, kind="stable")
+    size = max(a_image.max(initial=-1), b_image.max(initial=-1)) + 1
+    # Each image's rows end at the cumulative count, after the negative entries.
+    bounds = []
+    for image in (a_image, b_image):
+        count = np.bincount(image[image >= 0], minlength=size)
+        end = np.cumsum(count) + np.count_nonzero(image < 0)
+        bounds.append((count, end))
+    (a_count, a_end), (b_count, b_end) = bounds
+    for k in np.flatnonzero((a_count > 0) & (b_count > 0)).tolist():
+        yield (
+            a_order[a_end[k] - a_count[k] : a_end[k]],
+            b_order[b_end[k] - b_count[k] : b_end[k]],
+        )
+
+
+class DetectionSet:
+    """A tagged collection of detections covering a set of images.
+
+    The set is held as :class:`Columns`. A :class:`Detection` is a view,
+    built only when ``detections`` is read, the set is iterated or a row
+    is indexed; slicing gives a set. A set constructed from ``Detection``
+    objects keeps them, and its columns are built once, by the first stage
+    or writer that reads them. ``detections`` is a tuple; row selections
+    and concatenations carry along the objects their parts already hold.
+
+    With no ``image_universe`` (``None``) the set is the images the
+    detections are on; a given one, even an empty one, must hold them all.
+    """
+
+    __hash__ = None
+
+    def __init__(
+        self,
+        detections: Iterable[Detection],
+        source: str,
+        image_universe: Optional[Iterable[ImageId]] = None,
+    ) -> None:
+        objects = tuple(detections)
+        if image_universe is None:
+            ids = tuple(dict.fromkeys(map(_IMAGE_ID, objects)))
+        else:
+            ids = tuple(frozenset(image_universe))
+            known = frozenset(ids)
+            for d in objects:
+                if d.image_id not in known:
+                    raise DanglingReference(
+                        f"detection references image {d.image_id!r} outside the universe"
+                    )
+        self._start(source, ids)
+        self._objects = objects
+
+    @classmethod
+    def from_columns(cls, columns: Columns, source: str) -> "DetectionSet":
+        """The set of ``columns``; its universe is ``columns.ids``."""
+        out = cls._empty(source, columns.ids)
+        out._columns = columns
+        return out
+
+    @classmethod
+    def _empty(cls, source: str, ids: tuple) -> "DetectionSet":
+        """A set with neither columns nor objects yet; the caller gives it one or both."""
+        out = cls.__new__(cls)
+        out._start(source, ids)
+        return out
+
+    def _start(self, source: str, ids: tuple) -> None:
+        source_code(source)
+        self.source = source
+        self.image_universe = frozenset(ids)
+        self._ids = ids
+        self._columns: Optional[Columns] = None
+        self._objects: Optional[tuple[Detection, ...]] = None
+
+    @property
+    def columns(self) -> Columns:
+        if self._columns is None:
+            self._columns = _columns_of(self._objects, self._ids)
+        return self._columns
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        if self._objects is None:
+            self._objects = _views(self._columns)
+        return self._objects
+
+    def take(self, rows) -> "DetectionSet":
+        """The rows ``rows`` (a mask, indices or a slice), with the same tag and universe."""
+        index = np.arange(len(self))[rows]
+        out = DetectionSet._empty(self.source, self._ids)
+        if self._columns is not None:
+            out._columns = self._columns.take(index)
+        if self._objects is not None:
+            out._objects = tuple(map(self._objects.__getitem__, index.tolist()))
+        return out
+
+    @staticmethod
+    def concat(parts: Sequence["DetectionSet"], source: str) -> "DetectionSet":
+        """The rows of ``parts`` in order, over the union of their universes."""
+        ids = tuple(dict.fromkeys(chain.from_iterable(p._ids for p in parts)))
+        out = DetectionSet._empty(source, ids)
+        if all(p._objects is not None for p in parts):
+            out._objects = tuple(chain.from_iterable(p._objects for p in parts))
+        if out._objects is None or all(p._columns is not None for p in parts):
+            out._columns = _concat([p.columns for p in parts], ids)
+        return out
+
+    def __len__(self) -> int:
+        if self._objects is not None:
+            return len(self._objects)
+        return len(self._columns.score)
+
+    def __iter__(self) -> Iterator[Detection]:
+        return iter(self.detections)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        if self._objects is not None:
+            return self._objects[key]
+        return _views(self._columns.take([np.arange(len(self))[key]]))[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DetectionSet):
+            return NotImplemented
+        return (self.source, self.image_universe, self.detections) == (
+            other.source, other.image_universe, other.detections
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"DetectionSet({len(self)} detections, source={self.source!r}, "
+            f"{len(self.image_universe)} images)"
+        )
+
+
+def as_set(dets: Union[DetectionSet, Iterable[Detection]]) -> DetectionSet:
+    """``dets`` itself when it is a set, else its detections as a ``fused`` set."""
+    return dets if isinstance(dets, DetectionSet) else DetectionSet(dets, "fused")

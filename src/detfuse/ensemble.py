@@ -12,8 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .detections import DetectionSet
 from .errors import UniverseMismatch, fraction_problem, raise_problems
-from .io import DetectionSet
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +38,9 @@ def threshold_ensemble(
     """Combine two streams by score threshold.
 
     Output detections are exactly ``{d in primary : score >= tau}`` followed
-    by ``{d in secondary : score < tau}``, unchanged; the resulting set is
-    tagged ``fused``.
+    by ``{d in secondary : score < tau}``, unchanged, over the union of the
+    two universes; the resulting set is tagged ``fused`` and each row keeps
+    its stream as its source.
 
     Raises:
         UniverseMismatch: the streams cover different image id sets and
@@ -57,8 +58,6 @@ def threshold_ensemble(
             len(primary.image_universe),
             len(secondary.image_universe),
         )
-    universe = primary.image_universe | secondary.image_universe
-
-    kept = [d for d in primary if d.score >= cfg.tau]
-    kept.extend(d for d in secondary if d.score < cfg.tau)
-    return DetectionSet(tuple(kept), "fused", universe)
+    kept = primary.take(primary.columns.score >= cfg.tau)
+    contributed = secondary.take(secondary.columns.score < cfg.tau)
+    return DetectionSet.concat([kept, contributed], "fused")

@@ -9,15 +9,17 @@ disease finding is ever lost for lack of a tooth.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import CategoryTriple, Detection, ImageId
-from .io import DetectionSet, PathLike, _dump_json, detections_to_records
-from .errors import AxisUnavailable, fraction_problem, is_number, raise_problems
+from .detections import Columns, DetectionSet, as_set, same_image_blocks, source_code
+from .errors import AxisUnavailable, DanglingReference, fraction_problem, is_number, raise_problems
+from .geometry import Detection
+from .io import PathLike, _dump_json
+from .results import detection_records
 
 KEEP_WITHOUT_ENUMERATION = "keep-without-enumeration"
 DROP = "drop"
@@ -44,10 +46,40 @@ class IntegrationConfig:
         raise_problems(problems)
 
 
+def _gate(enums: DetectionSet, gate: float) -> np.ndarray:
+    """The mask of enumeration detections scoring strictly above ``gate``."""
+    return enums.columns.score > gate
+
+
 def filter_enumeration(enums: DetectionSet, gate: float) -> DetectionSet:
     """Keep enumeration detections scoring strictly above ``gate``, order-stable."""
-    kept = tuple(d for d in enums if d.score > gate)
-    return DetectionSet(kept, enums.source, enums.image_universe)
+    return enums.take(_gate(enums, gate))
+
+
+def _closest(enums: Columns, diags: Columns, max_distance: Optional[float]) -> np.ndarray:
+    """Per diagnosis row, the enumeration row with the nearest center on its image, or -1.
+
+    Each image's enumeration rows are ordered by descending score, then by
+    row, so that the first minimum of the squared center distance is the
+    tie rule's pick. Squared distances are exact for integer-valued
+    coordinates.
+    """
+    match = np.full(len(diags.score), -1, np.intp)
+    ex = enums.xywh[:, 0] + enums.xywh[:, 2] / 2.0
+    ey = enums.xywh[:, 1] + enums.xywh[:, 3] / 2.0
+    dx = diags.xywh[:, 0] + diags.xywh[:, 2] / 2.0
+    dy = diags.xywh[:, 1] + diags.xywh[:, 3] / 2.0
+    blocks = same_image_blocks(enums.image_index(diags.ids), diags.image, -enums.score)
+    for e, d in blocks:
+        ddx = dx[d, None] - ex[e]
+        ddy = dy[d, None] - ey[e]
+        d2 = ddx * ddx + ddy * ddy
+        best = d2.argmin(axis=1)
+        pick = e[best]
+        if max_distance is not None:
+            pick[np.sqrt(d2[np.arange(len(d)), best]) > max_distance] = -1
+        match[d] = pick
+    return match
 
 
 def match_closest_center(
@@ -64,111 +96,87 @@ def match_closest_center(
     enumeration detection, then to the lower index.  Many-to-one matches
     are allowed.
     """
-    enums_by_image: dict[ImageId, list[int]] = {}
-    for j, det in enumerate(enums.detections):
-        enums_by_image.setdefault(det.image_id, []).append(j)
-
-    # Precompute per-image center arrays once; distance comparisons are done
-    # on squared distances, which are exact for integer-valued coordinates.
-    centers: dict[ImageId, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    for image_id, idxs in enums_by_image.items():
-        ex = np.array([enums.detections[j].box.x + enums.detections[j].box.w / 2.0 for j in idxs])
-        ey = np.array([enums.detections[j].box.y + enums.detections[j].box.h / 2.0 for j in idxs])
-        centers[image_id] = (ex, ey, idxs)
-
-    out: list[tuple[int, Optional[int]]] = []
-    for i, diag in enumerate(diags.detections):
-        entry = centers.get(diag.image_id)
-        if entry is None:
-            out.append((i, None))
-            continue
-        ex, ey, idxs = entry
-        dx = (diag.box.x + diag.box.w / 2.0) - ex
-        dy = (diag.box.y + diag.box.h / 2.0) - ey
-        d2 = dx * dx + dy * dy
-        best = float(d2.min())
-        if cfg.max_match_distance is not None and math.sqrt(best) > cfg.max_match_distance:
-            out.append((i, None))
-            continue
-        tied = np.nonzero(d2 == best)[0]
-        if len(tied) == 1:
-            local = int(tied[0])
-        else:
-            local = min(tied, key=lambda k: (-enums.detections[idxs[k]].score, idxs[k]))
-        out.append((i, idxs[int(local)]))
-    return out
+    match = _closest(enums.columns, diags.columns, cfg.max_match_distance)
+    return [(i, None if j < 0 else j) for i, j in enumerate(match.tolist())]
 
 
 def integrate(
     enums: DetectionSet,
     diags: DetectionSet,
     cfg: IntegrationConfig = IntegrationConfig(),
-) -> list[Detection]:
+) -> DetectionSet:
     """Gate the enumeration stream, match, and fuse labels and scores.
 
     Every diagnosis detection must carry a disease label.  Outputs are
-    tagged ``fused``.  Matched outputs take the diagnosis box, the
-    enumeration detection's quadrant and tooth number, the product of both
-    scores, and the tooth's index in ``enums`` as ``matched_enum_id``;
-    unmatched ones follow ``cfg.unmatched_policy``.
+    tagged ``fused`` and follow the diagnosis order over its universe.
+    Matched outputs take the diagnosis box, the enumeration detection's
+    quadrant and tooth number, the product of both scores, and the
+    tooth's index in ``enums`` as ``matched_enum_id``; unmatched ones
+    keep the diagnosis score and disease only, and follow
+    ``cfg.unmatched_policy``.
     """
-    gated_pairs = [(j, d) for j, d in enumerate(enums.detections) if d.score > cfg.enum_score_gate]
-    gated = DetectionSet(tuple(d for _, d in gated_pairs), enums.source, enums.image_universe)
+    gated = np.flatnonzero(_gate(enums, cfg.enum_score_gate))
+    teeth, found = enums.columns, diags.columns
+    diseaseless = np.flatnonzero(found.disease < 0)
+    if len(diseaseless):
+        image_id = found.ids[found.image[diseaseless[0]]]
+        raise AxisUnavailable(f"diagnosis detection on image {image_id!r} has no disease label")
 
-    for d in diags:
-        if d.category.disease is None:
-            raise AxisUnavailable(
-                f"diagnosis detection on image {d.image_id!r} has no disease label"
-            )
-
-    out: list[Detection] = []
-    for diag_idx, enum_idx in match_closest_center(gated, diags, cfg):
-        diag = diags.detections[diag_idx]
-        if enum_idx is None:
-            if cfg.unmatched_policy == DROP:
-                continue
-            out.append(
-                Detection(
-                    diag.image_id,
-                    diag.box,
-                    diag.score,
-                    CategoryTriple(disease=diag.category.disease),
-                    "fused",
-                )
-            )
-            continue
-        orig_idx, enum_det = gated_pairs[enum_idx]
-        out.append(
-            Detection(
-                diag.image_id,
-                diag.box,
-                enum_det.score * diag.score,
-                CategoryTriple(
-                    quadrant=enum_det.category.quadrant,
-                    enumeration=enum_det.category.enumeration,
-                    disease=diag.category.disease,
-                ),
-                "fused",
-                orig_idx,
-            )
-        )
-    return out
+    match = _closest(teeth.take(gated), found, cfg.max_match_distance)
+    matched = match >= 0
+    tooth_row = gated[match[matched]]
+    score = found.score.copy()
+    score[matched] = teeth.score[tooth_row] * found.score[matched]
+    quadrant = np.full_like(found.quadrant, -1)
+    quadrant[matched] = teeth.quadrant[tooth_row]
+    tooth = np.full_like(found.tooth, -1)
+    tooth[matched] = teeth.tooth[tooth_row]
+    link = np.full_like(found.link, -1)
+    link[matched] = tooth_row
+    fused = dataclasses.replace(
+        found,
+        score=score,
+        quadrant=quadrant,
+        tooth=tooth,
+        origin=np.full_like(found.origin, source_code("fused")),
+        link=link,
+    )
+    if cfg.unmatched_policy == DROP:
+        fused = fused.take(matched)
+    return DetectionSet.from_columns(fused, "fused")
 
 
 def as_detection_set(
-    integrated: Sequence[Detection],
+    integrated: DetectionSet | Iterable[Detection],
     source: str = "fused",
     image_universe=None,
 ) -> DetectionSet:
-    """Re-tag integrated detections as one :class:`DetectionSet`, without their links."""
-    dets = tuple(Detection(it.image_id, it.box, it.score, it.category, source) for it in integrated)
-    return DetectionSet(dets, source, image_universe)
+    """Re-tag integrated detections as one :class:`DetectionSet`, without their links.
+
+    With no ``image_universe`` the set covers the images its detections
+    are on; a given one must hold them all.
+    """
+    cols = as_set(integrated).columns
+    if image_universe is None:
+        present = np.bincount(cols.image, minlength=len(cols.ids))
+        ids = tuple(cols.ids[k] for k in np.flatnonzero(present).tolist())
+    else:
+        ids = tuple(frozenset(image_universe))
+    image = cols.image_index(ids)
+    outside = np.flatnonzero(image < 0)
+    if len(outside):
+        image_id = cols.ids[cols.image[outside[0]]]
+        raise DanglingReference(f"detection references image {image_id!r} outside the universe")
+    retagged = dataclasses.replace(
+        cols,
+        ids=ids,
+        image=image,
+        origin=np.full_like(cols.origin, source_code(source)),
+        link=np.full_like(cols.link, -1),
+    )
+    return DetectionSet.from_columns(retagged, source)
 
 
-def write_integrated(items: Sequence[Detection], path: PathLike) -> None:
+def write_integrated(items: DetectionSet | Iterable[Detection], path: PathLike) -> None:
     """Write detections as COCO results records, keeping ``matched_enum_id`` where set."""
-    records = detections_to_records(items)
-    for rec, it in zip(records, items):
-        if it.matched_enum_id is not None:
-            rec["matched_enum_id"] = it.matched_enum_id
-    _dump_json(records, path)
+    _dump_json(detection_records(items, links=True), path)

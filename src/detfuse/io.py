@@ -15,7 +15,11 @@ Two file families are understood, both UTF-8 JSON:
   decoded according to the stream's source tag: the enumeration model
   uses the 32-class product, diagnosis streams use the 4 disease
   classes.  Integrated files are detection files whose records may also
-  carry ``matched_enum_id``.
+  carry ``matched_enum_id``.  They are read and written by
+  :mod:`detfuse.results`; this module holds the JSON helpers both use.
+
+An image id is an integer (not a bool) or a string; anything else is a
+:class:`MalformedFile` naming its record.
 
 Unknown extra keys are ignored on read; writers emit a canonical subset
 of keys so that parse -> write round-trips are stable.
@@ -30,18 +34,18 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
+from .detections import DetectionSet  # noqa: F401  (the oracle reads it from here)
 from .errors import (
     CountMismatch,
     DanglingReference,
     InvalidCategory,
-    InvalidScore,
     MalformedFile,
 )
-from .geometry import DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId
+from .geometry import DISEASES, BoundingBox, CategoryTriple, ImageId
 
 logger = logging.getLogger(__name__)
 
@@ -94,39 +98,6 @@ class AnnotatedDataset:
 
     def __len__(self) -> int:
         return len(self.images)
-
-
-@dataclass
-class DetectionSet:
-    """A tagged collection of detections covering a set of images.
-
-    With no ``image_universe`` (``None``) the set is the images the
-    detections are on; a given one, even an empty one, must hold them all.
-    """
-
-    detections: tuple[Detection, ...]
-    source: str
-    image_universe: Optional[frozenset] = None
-
-    def __post_init__(self) -> None:
-        self.detections = tuple(self.detections)
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source tag {self.source!r}")
-        if self.image_universe is None:
-            self.image_universe = frozenset(d.image_id for d in self.detections)
-        else:
-            self.image_universe = frozenset(self.image_universe)
-            for d in self.detections:
-                if d.image_id not in self.image_universe:
-                    raise DanglingReference(
-                        f"detection references image {d.image_id!r} outside the universe"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.detections)
-
-    def __iter__(self) -> Iterator[Detection]:
-        return iter(self.detections)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +173,11 @@ def _dump_json(obj, path: PathLike) -> None:
         else:
             json.dump(obj, fh, indent=2)
             fh.write("\n")
+
+
+def _is_image_id(value) -> bool:
+    """True for an image id: an integer (not a bool) or a string."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def _require_int(rec: dict, key: str, where: str) -> int:
@@ -331,6 +307,8 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
             raise MalformedFile(f"{where}: image record must be an object")
         if "id" not in rec:
             raise MalformedFile(f"{where}: image record lacks an id")
+        if not _is_image_id(rec["id"]):
+            raise MalformedFile(f"{where}: id must be an integer or a string, got {rec['id']!r}")
         width = rec.get("width")
         height = rec.get("height")
         for name, v in (("width", width), ("height", height)):
@@ -351,6 +329,10 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
         if not isinstance(rec, dict):
             raise MalformedFile(f"{where}: annotation record must be an object")
         image_id = rec.get("image_id")
+        if "image_id" in rec and not _is_image_id(image_id):
+            raise MalformedFile(
+                f"{where}: image_id must be an integer or a string, got {image_id!r}"
+            )
         if image_id not in by_id:
             raise DanglingReference(f"{where}: unknown image_id {image_id!r}")
         raw = _parse_bbox(rec, where)
@@ -376,6 +358,17 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     return AnnotatedDataset(tuple(images), tuple(annotations))
 
 
+def _encode_category(cat: CategoryTriple) -> dict:
+    rec: dict = {}
+    if cat.quadrant is not None:
+        rec["category_id_1"] = cat.quadrant - 1
+    if cat.enumeration is not None:
+        rec["category_id_2"] = cat.enumeration - 1
+    if cat.disease is not None:
+        rec["category_id_3"] = DISEASES.index(cat.disease)
+    return rec
+
+
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
     """Serialize a dataset back to the canonical COCO-style layout."""
     images = [
@@ -390,85 +383,6 @@ def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
             rec["segmentation"] = ann.mask_payload
         annotations.append(rec)
     _dump_json({"images": images, "annotations": annotations}, path)
-
-
-# ---------------------------------------------------------------------------
-# detections
-
-
-def parse_detections(
-    path: PathLike,
-    source: str,
-    image_universe: Optional[Iterable[ImageId]] = None,
-) -> DetectionSet:
-    """Parse a COCO results array into a :class:`DetectionSet`.
-
-    An optional ``matched_enum_id`` (a non-negative integer) is kept on
-    the detection, so integrated files are read here too.
-
-    ``image_universe`` widens the covered id set beyond the images that
-    actually carry records (e.g. to the full test split); records outside
-    a supplied universe are an error.
-    """
-    if source not in SOURCES:
-        raise ValueError(f"unknown source tag {source!r}")
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: detections must be a JSON array")
-
-    bare_mode = None
-    if source == "enumeration-model":
-        bare_mode = "product"
-    elif source in ("diagnosis-A", "diagnosis-B"):
-        bare_mode = "disease"
-
-    detections = []
-    for i, rec in enumerate(data):
-        where = f"{path} [{i}]"
-        if not isinstance(rec, dict):
-            raise MalformedFile(f"{where}: detection record must be an object")
-        if "image_id" not in rec:
-            raise MalformedFile(f"{where}: record lacks image_id")
-        box = _parse_bbox(rec, where)
-        score = rec.get("score")
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise MalformedFile(f"{where}: score must be a number, got {score!r}")
-        if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-            raise InvalidScore(f"{where}: score {score!r} outside [0, 1]")
-        category = _decode_category(rec, where, bare_id_mode=bare_mode)
-        link = rec.get("matched_enum_id")
-        if link is not None and (not isinstance(link, int) or isinstance(link, bool) or link < 0):
-            raise MalformedFile(
-                f"{where}: matched_enum_id must be a non-negative integer, got {link!r}"
-            )
-        detections.append(Detection(rec["image_id"], box, float(score), category, source, link))
-
-    return DetectionSet(tuple(detections), source, image_universe)
-
-
-def _encode_category(cat: CategoryTriple) -> dict:
-    rec: dict = {}
-    if cat.quadrant is not None:
-        rec["category_id_1"] = cat.quadrant - 1
-    if cat.enumeration is not None:
-        rec["category_id_2"] = cat.enumeration - 1
-    if cat.disease is not None:
-        rec["category_id_3"] = DISEASES.index(cat.disease)
-    return rec
-
-
-def detections_to_records(dets: Iterable[Detection]) -> list[dict]:
-    records = []
-    for d in dets:
-        rec: dict = {"image_id": d.image_id, "bbox": d.box.as_xywh(), "score": d.score}
-        rec.update(_encode_category(d.category))
-        records.append(rec)
-    return records
-
-
-def write_detections(dets: Union[DetectionSet, Sequence[Detection]], path: PathLike) -> None:
-    """Write detections as a COCO results array with explicit triple fields."""
-    _dump_json(detections_to_records(dets), path)
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,16 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
+from .detections import CATEGORY_KEYS, Columns, DetectionSet, category_of
 from .errors import AxisUnavailable, ConfigError, DanglingReference
 from .geometry import BoundingBox, CategoryTriple
-from .io import AnnotatedDataset, DetectionSet, PathLike, _atomic_open
+from .io import AnnotatedDataset, PathLike, _atomic_open
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
 
@@ -218,11 +219,17 @@ def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
     tp = np.cumsum(flags, axis=1)
     rc = tp / npig
     env = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
+    # One search over every threshold: row ``t`` of the recalls, which lie
+    # in [0, 1], and of the recall points is shifted by ``2 * t``. A recall
+    # ``tp / npig`` and a point ``i / 100`` are equal or differ by at least
+    # ``1 / (100 * npig)``, far more than the shift can round away, so every
+    # comparison is the unshifted one.
+    row = np.arange(len(flags))[:, None]
+    idx = np.searchsorted((rc + 2.0 * row).ravel(), (_RECALL_GRID + 2.0 * row).ravel())
+    idx = idx.reshape(len(flags), RECALL_POINTS) - n * row
+    valid = idx < n
     q = np.zeros((len(flags), RECALL_POINTS))
-    for ti in range(len(flags)):
-        idx = np.searchsorted(rc[ti], _RECALL_GRID, side="left")
-        valid = idx < n
-        q[ti, valid] = env[ti, idx[valid]]
+    q[valid] = env[np.nonzero(valid)[0], idx[valid]]
     return q
 
 
@@ -266,6 +273,17 @@ def _true_positives(
     return flags
 
 
+def _class_codes(cols: Columns, project: Callable, class_index: dict) -> np.ndarray:
+    """Each row's class index on the axis ``project`` reads; -1 for a class
+    absent from ``class_index``, -2 for no label on the axis."""
+    key = cols.category_key()
+    table = np.full(CATEGORY_KEYS, -2, np.intp)
+    for k in np.flatnonzero(np.bincount(key, minlength=CATEGORY_KEYS)).tolist():
+        value = project(category_of(k))
+        table[k] = -2 if value is None else class_index.get(value, -1)
+    return table[key]
+
+
 def evaluate(
     ds: AnnotatedDataset,
     dets: DetectionSet,
@@ -283,11 +301,10 @@ def evaluate(
     """
     project = axis_projection(axis, cfg.enumeration_product)
     image_index = {image_id: i for i, image_id in enumerate(ds.image_ids())}
-    n_dets = len(dets)
-    image_ids = map(attrgetter("image_id"), dets)
-    det_image = np.fromiter(map(image_index.get, image_ids, repeat(-1)), np.intp, n_dets)
+    cols = dets.columns
+    det_image = cols.image_index(tuple(image_index))
     if (det_image < 0).any():
-        unknown = dets.detections[int(np.argmax(det_image < 0))].image_id
+        unknown = cols.ids[cols.image[int(np.argmax(det_image < 0))]]
         raise DanglingReference(f"detection references unknown image {unknown!r}")
     gt_keys = list(map(project, map(attrgetter("category"), ds.annotations)))
     classes = sorted(set(gt_keys) - {None})
@@ -297,10 +314,8 @@ def evaluate(
     # ground truth, -2 for no label on this axis.
     n_cls = len(classes)
     class_index = {key: c for c, key in enumerate(classes)}
-    det_keys = map(project, map(attrgetter("category"), dets))
-    codes = {None: -2, **class_index}
-    det_class = np.fromiter(map(codes.get, det_keys, repeat(-1)), np.intp, n_dets)
-    if n_dets > 0 and (det_class == -2).all():
+    det_class = _class_codes(cols, project, class_index)
+    if len(det_class) > 0 and (det_class == -2).all():
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
 
     # The (class, image) group of a box is numbered image * n_cls + class.
@@ -314,15 +329,14 @@ def evaluate(
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
 
     det_group = det_image * n_cls + det_class
-    det_score = np.fromiter(map(attrgetter("score"), dets), float, n_dets)
+    det_score = cols.score
     # Sort by group, then score (ties keep input order), and cap each group.
     # A class absent from the ground truth is skipped, not zero-counted.
     pos = np.flatnonzero(det_class >= 0)
     pos = pos[np.lexsort((pos, -det_score[pos], det_group[pos]))]
     rank = _ranks(det_group[pos])
     pos, rank = pos[rank < cfg.max_dets], rank[rank < cfg.max_dets]
-    det_xywh = _xywh([dets.detections[i].box for i in pos.tolist()])
-    flags = _true_positives(det_group[pos], rank, det_xywh, gt_group, gt_xywh)
+    flags = _true_positives(det_group[pos], rank, cols.xywh[pos], gt_group, gt_xywh)
 
     # Pool each class's detections in score order, ties in input order.
     pool = np.lexsort((pos, -det_score[pos], det_class[pos]))
@@ -338,7 +352,7 @@ def evaluate(
     for c in range(n_cls):
         pooled = flags[:, pool[bounds[c] : bounds[c + 1]]]
         q = _interpolated_precision(pooled, npig[c])
-        ap.append([float(q[ti].sum() / RECALL_POINTS) for ti in range(n_t)])
+        ap.append((q.sum(axis=1) / RECALL_POINTS).tolist())
         ar.append(sum(int(m) / npig[c] for m in pooled.sum(axis=1)) / n_t)
         curves.append(q)
 

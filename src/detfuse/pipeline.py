@@ -30,6 +30,7 @@ from .complementary import (
     parse_crop_classifications,
     write_crop_manifest,
 )
+from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
 from .errors import ConfigError, DetfuseError, is_number, raise_problems
 from .integrate import (
@@ -42,14 +43,12 @@ from .integrate import (
 )
 from .io import (
     AnnotatedDataset,
-    DetectionSet,
     PathLike,
     _dump_json,
-    parse_detections,
     parse_ground_truth,
-    write_detections,
 )
 from .metrics import AXES, EvalConfig, EvaluationReport, evaluate
+from .results import parse_detections, write_detections
 
 logger = logging.getLogger(__name__)
 
@@ -191,18 +190,18 @@ def load_pipeline_config(path: PathLike) -> PipelineConfig:
 class PipelineResult:
     config: PipelineConfig
     fused: DetectionSet
-    integrated: list
+    integrated: DetectionSet
     final: DetectionSet
     reports: dict[str, EvaluationReport] = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
 
 
 def _drop_diseaseless(dets: DetectionSet, label: str) -> DetectionSet:
-    kept = [d for d in dets if d.category.disease is not None]
-    dropped = len(dets) - len(kept)
+    labelled = dets.columns.disease >= 0
+    dropped = len(dets) - int(labelled.sum())
     if dropped:
         logger.warning("%s: dropped %d detections without a disease label", label, dropped)
-        return DetectionSet(kept, dets.source, dets.image_universe)
+        return dets.take(labelled)
     return dets
 
 
@@ -237,7 +236,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     try:
         if diag_b is None:
             logger.warning("no diagnosis-B stream configured; passing diagnosis-A through")
-            fused = DetectionSet(list(diag_a), "fused", diag_a.image_universe)
+            fused = DetectionSet.from_columns(diag_a.columns, "fused")
         else:
             fused = threshold_ensemble(diag_a, diag_b, cfg.ensemble)
         write_detections(fused, _out("01_fused.json"))

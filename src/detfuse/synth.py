@@ -18,9 +18,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .detections import DetectionSet
 from .errors import ConfigError
 from .geometry import DISEASES, BoundingBox, CategoryTriple, Detection
-from .io import AnnotatedDataset, AnnotatedImage, DetectionSet, GroundTruthAnnotation, PathLike
+from .io import AnnotatedDataset, AnnotatedImage, GroundTruthAnnotation, PathLike
 
 SIMULATOR_SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B")
 

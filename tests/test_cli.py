@@ -142,6 +142,21 @@ class TestBasics:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("image_id", [[1], True, 1.5])
+    def test_bad_image_id_is_one_error_line(self, tmp_path, image_id):
+        records = [{"image_id": image_id, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}]
+        dets = tmp_path / "d.json"
+        dets.write_text(json.dumps(records))
+        out = tmp_path / "o.json"
+        result = invoke("ensemble", dets, dets, "-o", out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert "[0]: image_id must be an integer or a string" in lines[0]
+        assert not out.exists()
+
+
 class TestSynth:
     def test_writes_expected_files(self, corpus):
         for name in ("gt.json", "enumeration-model.json", "diagnosis-A.json", "diagnosis-B.json"):

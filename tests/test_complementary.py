@@ -240,7 +240,7 @@ class TestMerge:
         base = [self.integrated(0), self.integrated(50, "impacted")]
         comp = self.comp_set(100)
         merged = merge_complementary(base, comp)
-        assert merged[:2] == base
+        assert list(merged[:2]) == base
         assert len(merged) == 3
         assert merged[2] == comp.detections[0]  # appended as it is
         assert merged[2].matched_enum_id is None

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detfuse import (
     DISEASES,
@@ -187,7 +189,7 @@ class TestIntegrate:
     def test_unmatched_policy_drop(self):
         enums = enum_set([], universe={1})
         diags = diag_set([diag_det(0, 0, 0.5)], universe={1})
-        assert integrate(enums, diags, IntegrationConfig(unmatched_policy=DROP)) == []
+        assert len(integrate(enums, diags, IntegrationConfig(unmatched_policy=DROP))) == 0
 
     def test_unmatched_policy_keep(self):
         enums = enum_set([], universe={1})
@@ -228,7 +230,7 @@ class TestIntegratedIO:
         path = tmp_path / "integrated.json"
         write_integrated(out, path)
         back = parse_detections(path, "fused")
-        assert list(back) == out
+        assert list(back) == list(out)
 
     def test_as_detection_set(self):
         items = [
@@ -242,3 +244,79 @@ class TestIntegratedIO:
         assert dets.detections[0].score == 0.25
         assert dets.detections[0].category == CategoryTriple(1, 2, "caries")
         assert dets.detections[0].matched_enum_id is None
+
+
+#: Grid coordinates and extents: exact center-distance ties are common.
+grid_coord = st.integers(0, 4).map(lambda v: 5 * v)
+grid_extent = st.integers(1, 3).map(lambda v: 5 * v)
+
+grid_teeth = st.lists(
+    st.builds(
+        lambda image_id, x, y, w, h, score, q, t: Detection(
+            image_id, BoundingBox(x, y, w, h), score, CategoryTriple(q, t), "enumeration-model"
+        ),
+        st.integers(1, 2),
+        grid_coord,
+        grid_coord,
+        grid_extent,
+        grid_extent,
+        st.sampled_from([0.5, 0.7, 0.8, 0.9, 1.0]),
+        st.integers(1, 4),
+        st.integers(1, 8),
+    ),
+    max_size=10,
+)
+
+grid_findings = st.lists(
+    st.builds(
+        lambda image_id, x, y, w, h, score, disease: Detection(
+            image_id, BoundingBox(x, y, w, h), score, CategoryTriple(disease=disease), "fused"
+        ),
+        st.integers(1, 2),
+        grid_coord,
+        grid_coord,
+        grid_extent,
+        grid_extent,
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.sampled_from(DISEASES),
+    ),
+    max_size=10,
+)
+
+
+class TestIntegrationProperties:
+    @given(
+        teeth=grid_teeth,
+        findings=grid_findings,
+        gate=st.sampled_from([0.0, 0.7, 0.85]),
+        max_distance=st.none() | st.sampled_from([5.0, 7.5, 20.0]),
+    )
+    def test_every_diagnosis_gives_one_output_at_the_nearest_gated_tooth(
+        self, teeth, findings, gate, max_distance
+    ):
+        """Many-to-one and total: checked against an exhaustive search per diagnosis."""
+        cfg = IntegrationConfig(enum_score_gate=gate, max_match_distance=max_distance)
+        out = integrate(enum_set(teeth, {1, 2}), diag_set(findings, {1, 2}), cfg)
+        assert len(out) == len(findings)
+        for item, diag in zip(out, findings):
+            dcx, dcy = diag.box.x + diag.box.w / 2.0, diag.box.y + diag.box.h / 2.0
+            candidates = [
+                ((dcx - (e.box.x + e.box.w / 2.0)) ** 2 + (dcy - (e.box.y + e.box.h / 2.0)) ** 2,
+                 -e.score, j)
+                for j, e in enumerate(teeth)
+                if e.image_id == diag.image_id and e.score > gate
+            ]
+            best = min(candidates, default=None)  # distance, then higher score, then lower index
+            assert (item.image_id, item.box, item.source) == (diag.image_id, diag.box, "fused")
+            if best is None or (max_distance is not None and math.sqrt(best[0]) > max_distance):
+                assert item.matched_enum_id is None
+                assert item.category == CategoryTriple(disease=diag.category.disease)
+                assert item.score == diag.score
+                continue
+            tooth = teeth[item.matched_enum_id]
+            assert item.matched_enum_id == best[2]
+            assert tooth.image_id == diag.image_id and tooth.score > gate
+            assert item.category == CategoryTriple(
+                tooth.category.quadrant, tooth.category.enumeration, diag.category.disease
+            )
+            assert item.score == tooth.score * diag.score

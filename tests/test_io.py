@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -293,6 +294,172 @@ class TestDetectionParsing:
         path = write_payload(tmp_path, payload, "d.json")
         with pytest.raises(MalformedFile, match=r"d\.json \[1\]: matched_enum_id"):
             parse_detections(path, "diagnosis-A")
+
+
+class TestImageIds:
+    """An image id is an integer or a string; anything else names its record."""
+
+    BAD_IDS = [[1], True, 1.5, None, {"id": 1}]
+
+    @pytest.mark.parametrize("image_id", BAD_IDS)
+    def test_detection_image_id(self, tmp_path, image_id):
+        record = {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}
+        path = write_payload(tmp_path, [record, {**record, "image_id": image_id}], "d.json")
+        with pytest.raises(MalformedFile, match=r"d\.json \[1\]: image_id must be an integer"):
+            parse_detections(path, "diagnosis-A")
+
+    def test_true_does_not_alias_image_one(self, tmp_path):
+        record = {"image_id": True, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}
+        path = write_payload(tmp_path, [record], "d.json")
+        with pytest.raises(MalformedFile, match=r"\[0\]: image_id"):
+            parse_detections(path, "diagnosis-A", image_universe={1})
+
+    @pytest.mark.parametrize("image_id", BAD_IDS)
+    def test_ground_truth_image_id(self, tmp_path, image_id):
+        payload = gt_payload()
+        payload["images"][1]["id"] = image_id
+        with pytest.raises(MalformedFile, match=r"images\[1\]: id must be an integer"):
+            parse_ground_truth(write_payload(tmp_path, payload))
+
+    @pytest.mark.parametrize("image_id", [[1], True, 1.5])
+    def test_annotation_image_id(self, tmp_path, image_id):
+        payload = gt_payload()
+        payload["annotations"][1]["image_id"] = image_id
+        with pytest.raises(MalformedFile, match=r"annotations\[1\]: image_id must be"):
+            parse_ground_truth(write_payload(tmp_path, payload))
+
+
+def decode_record(rec, source: str):
+    """One record as the file format defines it: its ``Detection``, or the error class it raises."""
+    if not isinstance(rec, dict) or "image_id" not in rec:
+        return MalformedFile
+    image_id = rec["image_id"]
+    if type(image_id) not in (int, str):
+        return MalformedFile
+    box = rec.get("bbox")
+    if type(box) is not list or len(box) != 4:
+        return MalformedFile
+    if any(type(v) not in (int, float) or not math.isfinite(v) for v in box):
+        return MalformedFile
+    if box[2] <= 0 or box[3] <= 0:
+        return MalformedFile
+    score = rec.get("score")
+    if type(score) not in (int, float):
+        return MalformedFile
+    if not 0 <= score <= 1:
+        return InvalidScore
+    axes = []
+    if any(key in rec for key in ("category_id_1", "category_id_2", "category_id_3")):
+        for key, upper in (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4)):
+            v = rec.get(key)
+            if key in rec and (type(v) is not int or not 0 <= v < upper):
+                return InvalidCategory
+            axes.append(v if key in rec else None)
+    elif "category_id" in rec:
+        cid = rec["category_id"]
+        if type(cid) is not int or source == "fused":
+            return MalformedFile
+        if source == "enumeration-model" and 0 <= cid < 32:
+            axes = [cid // 8, cid % 8, None]
+        elif source == "diagnosis-A" and 0 <= cid < 4:
+            axes = [None, None, cid]
+        else:
+            return InvalidCategory
+    else:
+        return MalformedFile
+    link = rec.get("matched_enum_id")
+    if link is not None and (type(link) is not int or link < 0):
+        return MalformedFile
+    q, t, d = axes
+    category = CategoryTriple(
+        None if q is None else q + 1, None if t is None else t + 1, None if d is None else DISEASES[d]
+    )
+    return Detection(image_id, BoundingBox(*map(float, box)), float(score), category, source, link)
+
+
+#: Valid values of each record field, and invalid ones.
+VALID_FIELDS = {
+    "image_id": st.sampled_from([0, 1, "img-2"]),
+    "bbox": st.lists(st.integers(1, 30) | st.floats(0.5, 30.0), min_size=4, max_size=4),
+    "score": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+    "category_id_1": st.integers(0, 3),
+    "category_id_2": st.integers(0, 7),
+    "category_id_3": st.integers(0, 3),
+    "category_id": st.integers(0, 31),
+    "matched_enum_id": st.none() | st.integers(0, 40),
+}
+INVALID_FIELDS = {
+    "image_id": [True, 1.5, None, [1]],
+    "bbox": [
+        [0, 0, 0, 5], [0, 0, 5, -1], [0, 0, True, 5], [0, float("nan"), 5, 5],
+        [0, 0, float("inf"), 5], [1, 2, 3], "box", None, [0, 0, "5", 5],
+    ],
+    "score": [True, -0.1, 1.5, float("nan"), float("inf"), "high", None],
+    "category_id_1": [4, -1, True, "0", None, 1.0],
+    "category_id_2": [8, -1, False, 2.0],
+    "category_id_3": [4, -1, True, None],
+    "category_id": [32, -1, True, "3", 4.0],
+    "matched_enum_id": [-1, True, 1.5, "x"],
+}
+REQUIRED_FIELDS = ("image_id", "bbox", "score", "category_id_3")
+MISSING = object()
+#: One way to break a record: a field set to an invalid value or left out.
+#: Without ``category_id_3`` a record may fall back on a bare ``category_id``.
+BREAKS = [(key, value) for key, values in INVALID_FIELDS.items() for value in values]
+BREAKS += [(key, MISSING) for key in REQUIRED_FIELDS]
+
+
+valid_records = st.fixed_dictionaries(
+    {key: VALID_FIELDS[key] for key in REQUIRED_FIELDS},
+    optional={key: v for key, v in VALID_FIELDS.items() if key not in REQUIRED_FIELDS},
+)
+
+
+def broken(record: dict, key: str, value) -> dict:
+    """``record`` with ``key`` set to ``value``, or left out for ``MISSING``."""
+    out = {k: v for k, v in record.items() if k != key}
+    if value is not MISSING:
+        out[key] = value
+    return out
+
+
+#: Valid records, records with one broken field, and values that are no record.
+detection_records = st.one_of(
+    valid_records,
+    st.builds(lambda rec, brk: broken(rec, *brk), valid_records, st.sampled_from(BREAKS)),
+    st.sampled_from([[], 7, "record", None]),
+)
+
+
+class TestParsingProperties:
+    SOURCES = st.sampled_from(["enumeration-model", "diagnosis-A", "fused"])
+
+    @staticmethod
+    def check(path, records, source):
+        """The detections a per-record decode gives, or its error for the first bad record."""
+        path.write_text(json.dumps(records))
+        decoded = [decode_record(rec, source) for rec in records]
+        bad = [i for i, d in enumerate(decoded) if isinstance(d, type)]
+        if bad:
+            with pytest.raises(decoded[bad[0]], match=rf"records\.json \[{bad[0]}\]: "):
+                parse_detections(path, source)
+        else:
+            assert list(parse_detections(path, source)) == decoded
+
+    @pytest.mark.parametrize("key,value", BREAKS)
+    def test_each_broken_field(self, tmp_path, key, value):
+        bases = [
+            {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_1": 0,
+             "category_id_2": 1, "category_id_3": 2, "matched_enum_id": 3},
+            {"image_id": "a", "bbox": [1.5, 2, 3, 4.25], "score": 1, "category_id": 3},
+        ]
+        for base in bases:
+            for source in ("enumeration-model", "diagnosis-A", "fused"):
+                self.check(tmp_path / "records.json", [base, broken(base, key, value)], source)
+
+    @given(records=st.lists(detection_records, max_size=6), source=SOURCES)
+    def test_records_parse_like_a_per_record_decode(self, tmp_path_factory, records, source):
+        self.check(tmp_path_factory.getbasetemp() / "records.json", records, source)
 
 
 #: Boxes on a coarse grid inside 55x55, so repeats and exact ties are common.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -10,8 +11,10 @@ import pytest
 
 import detfuse.pipeline as pipeline_module
 from detfuse import (
+    AXES,
     ConfigError,
     CropClassification,
+    Detection,
     DetfuseError,
     PipelineConfig,
     PipelineStageError,
@@ -179,6 +182,68 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError) as exc_info:
             run_pipeline(PipelineConfig(**paths, axes=("disease",)))
         assert exc_info.value.stage == "evaluate"
+
+
+def artifact_hashes(tmp_path, *, crops: bool) -> dict[str, str]:
+    """The sha256 of every ``out_dir`` file of one four-axis run on the seeded scene."""
+    ds, paths = make_inputs(tmp_path)
+    if crops:
+        paths["crop_classifications"] = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
+    run_pipeline(PipelineConfig(**paths, axes=AXES))
+    out = paths["out_dir"]
+    return {
+        name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+        for name in sorted(os.listdir(out))
+    }
+
+
+#: Artifact hashes recorded when each stage still built one ``Detection``
+#: object per record; the columnar stages must write the same bytes.
+PINNED_HASHES = {
+    False: {
+        "01_fused.json": "896c6be8338947069640a7fd73db65cdb7f8279906a072bb207a1fce8a1f6374",
+        "02_integrated.json": "d4e3e3181aa2db939f7eeb81099916cbaab7db024b7ab798782bbb484e625a57",
+        "04_final.json": "5f676cf3c94f1385ef0740efe156bf486624a8f7f62de1fa1188669c8990f34a",
+        "metrics_agnostic.json": "9ded128ad1d28beb447fedf5008675607f912bd11f06d4af3e5ba4075e5eb8a8",
+        "metrics_disease.json": "8f01ddff833dda57adbb05de6cd9b695e8885c946e2e198801704c6876fdb38e",
+        "metrics_enumeration.json": "66a1ae795eac768d09878a0c89e60510496028b8264f71b332f9aee8a673d060",
+        "metrics_quadrant.json": "9f7d24376b5eb6d0f2f8b479790d4b2bd2be6beb89053b27634878c092d32882",
+    },
+    True: {
+        "01_fused.json": "896c6be8338947069640a7fd73db65cdb7f8279906a072bb207a1fce8a1f6374",
+        "02_integrated.json": "d4e3e3181aa2db939f7eeb81099916cbaab7db024b7ab798782bbb484e625a57",
+        "03_complementary.json": "7dc9fad5207603f84b73724a7525a9e8da452d0e09b9a6d56e385053b1b89c29",
+        "04_final.json": "5e57ab28bb0b3c34dc0a4e8ac5c87a2596cef505718e2659e7f3a7f25aa276ff",
+        "crops_manifest.json": "b031d2cfe7baedbc82481bbd2826f03ba766f72e39c6ea81d712342a319dc144",
+        "metrics_agnostic.json": "3e5be54b60e9705bde40fb60fdfa5443af7ac16eb885b3b2e1cf44b38b861c94",
+        "metrics_disease.json": "c7b2ada4d00c0feb4586431c3c2a3a7984460564cfa278a2e2ae97a3eded83e3",
+        "metrics_enumeration.json": "c688b2a7744f8bd78ff2961498b7703c052be7961598cd68485b6c1e3ec80f87",
+        "metrics_quadrant.json": "aa7f10b56b50dc5f9ff07327575f8730842f6f69a88ce721d708690117883be7",
+    },
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("crops", [False, True], ids=["without-crops", "with-crops"])
+    def test_every_artifact_keeps_its_bytes(self, tmp_path, crops):
+        assert artifact_hashes(tmp_path, crops=crops) == PINNED_HASHES[crops]
+
+    def test_pipeline_builds_no_detection_objects(self, tmp_path, monkeypatch):
+        """The stages work on columns: a run with the crop stage builds no ``Detection``."""
+        ds, paths = make_inputs(tmp_path)
+        verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
+        cfg = PipelineConfig(**paths, crop_classifications=verdicts, axes=AXES)
+        built = []
+        check = Detection.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Detection, "__post_init__", counting)
+        result = run_pipeline(cfg)
+        assert len(built) == 0
+        assert result.final[0] in built  # the count sees views built on demand
 
 
 class TestPipelineConfig:
