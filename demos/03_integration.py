@@ -15,14 +15,12 @@ from detfuse import (
     Detection,
     DetectionSet,
     IntegrationConfig,
-    center,
     integrate,
 )
 
 
 def fmt_center(box: BoundingBox) -> str:
-    c = center(box)
-    return f"({c.x:.0f}, {c.y:.0f})"
+    return f"({box.x + box.w / 2:.0f}, {box.y + box.h / 2:.0f})"
 
 
 universe = frozenset({1})

@@ -46,9 +46,6 @@ from .geometry import (
     BoundingBox,
     CategoryTriple,
     Detection,
-    Point,
-    center,
-    iou,
 )
 from .integrate import (
     DROP,
@@ -142,20 +139,17 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "PipelineStageError",
-    "Point",
     "ScenePlan",
     "SplitSpec",
     "UniverseMismatch",
     "as_detection_set",
     "assign_crops",
     "audit_balance",
-    "center",
     "classifications_to_detections",
     "evaluate",
     "filter_enumeration",
     "generate_scene",
     "integrate",
-    "iou",
     "load_pipeline_config",
     "load_profile",
     "match_closest_center",

@@ -26,7 +26,20 @@ from .errors import (
     raise_problems,
 )
 from .geometry import CROP_LABELS, DISEASES, BoundingBox, Detection, ImageId
-from .io import AnnotatedDataset, AnnotatedImage, PathLike, _dump_json, _load_json, _parse_bbox
+from .io import (
+    AnnotatedDataset,
+    AnnotatedImage,
+    PathLike,
+    _boxes,
+    _clip,
+    _code_column,
+    _dump_json,
+    _field,
+    _FirstBreak,
+    _image_ids,
+    _load_json,
+    _records,
+)
 from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
@@ -152,19 +165,6 @@ def assign_crops(
             )
         raise MissingImage(f"enumeration detection references unknown image {image_id!r}")
     return crops
-
-
-def _clip(xywh: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The part of each box inside its ``(width, height)`` image, as :func:`io._clip_to_image` computes it."""
-    x, y, w, h = xywh.T
-    lo = np.stack([x, y], axis=1)
-    hi = np.stack([x + w, y + h], axis=1)
-    # min(max(v, 0.0), extent), with Python's choice between equal values.
-    lo = np.where(lo < 0.0, 0.0, lo)
-    lo = np.where(size < lo, size, lo)
-    hi = np.where(hi < 0.0, 0.0, hi)
-    hi = np.where(size < hi, size, hi)
-    return np.concatenate([lo, hi - lo], axis=1)
 
 
 def audit_balance(
@@ -307,29 +307,44 @@ def write_crop_manifest(crops: Sequence[CropAssignment], path: PathLike) -> None
 
 
 def read_crop_manifest(path: PathLike) -> list[CropAssignment]:
+    """Read a crop manifest, checked a field at a time by the rules of detection files.
+
+    The error raised is that of the first bad record, for the first rule it
+    breaks in this order: a record object, ``crop_id`` equal to its index,
+    ``image_id``, ``crop_bbox``, ``source_bbox``, the tooth codes
+    ``category_id_1`` and ``category_id_2`` (``InvalidCategory``), and
+    ``enum_score`` in [0, 1].
+    """
     data = _load_json(path)
     if not isinstance(data, list):
         raise MalformedFile(f"{path}: crop manifest must be a JSON array")
-    crops = []
-    for i, rec in enumerate(data):
-        where = f"{path} [{i}]"
-        if not isinstance(rec, dict):
-            raise MalformedFile(f"{where}: crop record must be an object")
-        if rec.get("crop_id") != i:
-            raise MalformedFile(f"{where}: crop ids must be dense and ordered")
-        crop_box = _parse_bbox({"bbox": rec.get("crop_bbox")}, where)
-        source_box = _parse_bbox({"bbox": rec.get("source_bbox")}, where)
-        q = rec.get("category_id_1")
-        t = rec.get("category_id_2")
-        if q not in (0, 1, 2, 3) or t not in range(8):
-            raise MalformedFile(f"{where}: invalid tooth axes {q!r}/{t!r}")
-        score = rec.get("enum_score")
-        if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0 <= score <= 1:
-            raise MalformedFile(f"{where}: enum_score must be in [0, 1], got {score!r}")
-        crops.append(
-            CropAssignment(rec.get("image_id"), crop_box, (q + 1, t + 1), float(score), source_box)
+    rules = _FirstBreak(f"{path} ")
+    records = _records(data, "crop", rules)
+    crop_ids = _field(records, "crop_id", None)
+    rules.note(
+        np.array([type(v) is not int or v != i for i, v in enumerate(crop_ids)], bool),
+        MalformedFile,
+        lambda i: "crop ids must be dense and ordered",
+    )
+    ids = _image_ids(records, "image_id", rules)
+    crop = _boxes(records, "crop_bbox", rules)
+    source = _boxes(records, "source_bbox", rules)
+    required = np.ones(len(records), bool)
+    quadrant = _code_column(records, "category_id_1", 4, required, rules)
+    tooth = _code_column(records, "category_id_2", 8, required, rules)
+    scores = _field(records, "enum_score", None)
+    rules.note(
+        np.array([type(s) not in (int, float) or not 0 <= s <= 1 for s in scores], bool),
+        MalformedFile,
+        lambda i: f"enum_score must be in [0, 1], got {scores[i]!r}",
+    )
+    rules.raise_first()
+    return [
+        CropAssignment(image_id, BoundingBox(*c), (q + 1, t + 1), float(score), BoundingBox(*box))
+        for image_id, c, q, t, score, box in zip(
+            ids, crop.tolist(), quadrant.tolist(), tooth.tolist(), scores, source.tolist()
         )
-    return crops
+    ]
 
 
 def parse_crop_classifications(path: PathLike) -> list[CropClassification]:

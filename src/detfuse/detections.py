@@ -69,7 +69,7 @@ class Columns:
 
     def category_key(self) -> np.ndarray:
         """One small int per row for its category codes; :func:`category_of` reads it."""
-        return (self.quadrant.astype(np.intp) + 1) * 45 + (self.tooth + 1) * 5 + self.disease + 1
+        return _category_key(self.quadrant, self.tooth, self.disease)
 
     def image_index(self, ids: tuple) -> np.ndarray:
         """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""
@@ -78,6 +78,11 @@ class Columns:
         position = {image_id: k for k, image_id in enumerate(ids)}
         remap = np.fromiter(map(position.get, self.ids, repeat(-1)), np.int32, len(self.ids))
         return remap[self.image]
+
+
+def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:
+    """:meth:`Columns.category_key` of the quadrant, tooth and disease code arrays."""
+    return (quadrant.astype(np.intp) + 1) * 45 + (tooth + 1) * 5 + disease + 1
 
 
 #: The number of :meth:`Columns.category_key` values.

@@ -1,9 +1,10 @@
-"""Core value types and box geometry.
+"""Core value types: boxes, category triples and detections.
 
 Boxes follow the COCO ``[x, y, w, h]`` convention everywhere: ``(x, y)`` is
 the top-left corner in image pixel coordinates and ``w``/``h`` must be
-strictly positive.  All types in this module are immutable and all
-operations are pure functions, so they are safe to share across threads.
+strictly positive.  All types in this module are immutable, so they are
+safe to share across threads.  Box IoU is :func:`detfuse.metrics._iou_block`
+and clipping to an image is :func:`detfuse.io._clip`.
 """
 
 from __future__ import annotations
@@ -47,16 +48,6 @@ class BoundingBox:
 
     def as_xywh(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
-
-
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,19 +101,3 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score!r}")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source tag {self.source!r}")
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0.0 when disjoint, symmetric."""
-    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union
-
-
-def center(b: BoundingBox) -> Point:
-    """Geometric center of a box."""
-    return Point(b.x + b.w / 2.0, b.y + b.h / 2.0)

@@ -16,9 +16,11 @@ Two file families are understood, both UTF-8 JSON:
   uses the 32-class product, diagnosis streams use the 4 disease
   classes.  Integrated files are detection files whose records may also
   carry ``matched_enum_id``.  They are read and written by
-  :mod:`detfuse.results`; this module holds the JSON helpers both use.
+  :mod:`detfuse.results`.
 
-An image id is an integer (not a bool) or a string; anything else is a
+This module holds the JSON helpers and the field rules that every record
+file follows: detections, ground truth and crop manifests.  An image id is
+an integer (not a bool) or a string; anything else is a
 :class:`MalformedFile` naming its record.
 
 Unknown extra keys are ignored on read; writers emit a canonical subset
@@ -30,15 +32,16 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import math
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from .detections import DetectionSet  # noqa: F401  (the oracle reads it from here)
+from .detections import _category_key, category_of
 from .errors import (
     CountMismatch,
     DanglingReference,
@@ -175,107 +178,215 @@ def _dump_json(obj, path: PathLike) -> None:
             fh.write("\n")
 
 
-def _is_image_id(value) -> bool:
-    """True for an image id: an integer (not a bool) or a string."""
-    return isinstance(value, (int, str)) and not isinstance(value, bool)
+# ---------------------------------------------------------------------------
+# record rules
+#
+# Every record file is checked a field at a time: each rule below reads one
+# field of every record and notes the first record that breaks it. The
+# records given to a rule hold ``{}`` for each value that is no object, so
+# every rule can run on every row.
+
+#: Stands for a field that a record does not have.
+_ABSENT = object()
+
+#: The 0-based id fields of a category triple and their number of values.
+_TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4))
+
+#: Stands in for a rejected box, so that the later checks can run on every row.
+_UNIT_BOX = [0.0, 0.0, 1.0, 1.0]
 
 
-def _require_int(rec: dict, key: str, where: str) -> int:
-    v = rec.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MalformedFile(f"{where}: field {key!r} must be an integer, got {v!r}")
-    return v
+class _FirstBreak:
+    """The first record that breaks a rule, and the first rule it breaks.
 
-
-def _parse_bbox(rec: dict, where: str) -> BoundingBox:
-    raw = rec.get("bbox")
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise MalformedFile(f"{where}: bbox must be a 4-element [x, y, w, h] list, got {raw!r}")
-    vals = []
-    for v in raw:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise MalformedFile(f"{where}: bbox values must be finite numbers, got {raw!r}")
-        vals.append(float(v))
-    x, y, w, h = vals
-    if w <= 0 or h <= 0:
-        raise MalformedFile(f"{where}: bbox must have positive width and height, got {raw!r}")
-    return BoundingBox(x, y, w, h)
-
-
-def _ranged_id(rec: dict, key: str, upper: int, where: str) -> Optional[int]:
-    """Read an optional 0-based id field, enforcing 0 <= id < upper."""
-    if key not in rec:
-        return None
-    v = rec[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidCategory(f"{where}: {key!r} must be an integer, got {v!r}")
-    if not 0 <= v < upper:
-        raise InvalidCategory(f"{where}: {key!r} out of range 0..{upper - 1}, got {v}")
-    return v
-
-
-def _decode_product_id(cid: int, where: str) -> CategoryTriple:
-    if not 0 <= cid < 32:
-        raise InvalidCategory(f"{where}: category_id out of range 0..31, got {cid}")
-    return CategoryTriple(quadrant=cid // 8 + 1, enumeration=cid % 8 + 1)
-
-
-def _decode_category(rec: dict, where: str, *, bare_id_mode: Optional[str]) -> CategoryTriple:
-    """Normalize on-disk category fields to a :class:`CategoryTriple`.
-
-    ``bare_id_mode`` selects how a single ``category_id`` is decoded:
-    ``"product"`` (32-class quadrant x tooth) or ``"disease"`` (4-class).
-    ``None`` forbids the bare form.
+    Rules are noted in the order a record is checked, so that of the rules
+    one record breaks, the first noted is the one reported. ``where`` is the
+    message prefix that the record's ``[index]`` follows.
     """
-    has_triple = any(k in rec for k in ("category_id_1", "category_id_2", "category_id_3"))
-    if has_triple:
-        q = _ranged_id(rec, "category_id_1", 4, where)
-        t = _ranged_id(rec, "category_id_2", 8, where)
-        d = _ranged_id(rec, "category_id_3", 4, where)
-        return CategoryTriple(
-            quadrant=None if q is None else q + 1,
-            enumeration=None if t is None else t + 1,
-            disease=None if d is None else DISEASES[d],
-        )
-    if "category_id" in rec:
-        cid = _require_int(rec, "category_id", where)
-        if bare_id_mode == "product":
-            return _decode_product_id(cid, where)
-        if bare_id_mode == "disease":
-            if not 0 <= cid < 4:
-                raise InvalidCategory(f"{where}: disease category_id out of range 0..3, got {cid}")
-            return CategoryTriple(disease=DISEASES[cid])
-        raise MalformedFile(
-            f"{where}: bare category_id is ambiguous for this stream; "
-            "use category_id_1/2/3"
-        )
-    raise MalformedFile(f"{where}: record has no category fields")
+
+    def __init__(self, where: str) -> None:
+        self.where = where
+        self.first: Optional[tuple] = None
+
+    def note(self, bad: np.ndarray, error: type, message: Callable[[int], str]) -> None:
+        """Rows ``bad`` break a rule; ``message(i)`` says how row ``i`` does."""
+        if bad.any():
+            i = int(bad.argmax())
+            if self.first is None or i < self.first[0]:
+                self.first = (i, error, message)
+
+    def raise_first(self) -> None:
+        if self.first is not None:
+            i, error, message = self.first
+            raise error(f"{self.where}[{i}]: {message(i)}")
 
 
-def _clip_to_image(box: BoundingBox, image: AnnotatedImage) -> BoundingBox:
-    """The part of ``box`` inside ``image``; ValueError when nothing is inside."""
-    x0 = min(max(box.x, 0.0), image.width)
-    y0 = min(max(box.y, 0.0), image.height)
-    x1 = min(max(box.x + box.w, 0.0), image.width)
-    y1 = min(max(box.y + box.h, 0.0), image.height)
-    return BoundingBox(x0, y0, x1 - x0, y1 - y0)
+def _mistyped(values: list, kinds: set) -> Optional[np.ndarray]:
+    """None when the type of every value is in ``kinds``, else the mask of the values whose is not."""
+    if set(map(type, values)) <= kinds:
+        return None
+    return np.array([type(v) not in kinds for v in values], bool)
 
 
-def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingBox:
-    """``box`` itself when it lies inside ``image``, else its clipped part."""
-    inside = (
-        box.x >= 0 and box.y >= 0
-        and box.x + box.w <= image.width and box.y + box.h <= image.height
+def _field(records: list, key: str, default=_ABSENT) -> list:
+    return list(map(dict.get, records, repeat(key), repeat(default)))
+
+
+def _present(records: list, key: str) -> np.ndarray:
+    return np.fromiter(map(dict.__contains__, records, repeat(key)), bool, len(records))
+
+
+def _records(data: list, noun: str, rules: _FirstBreak) -> list:
+    """``data`` with ``{}`` for each value that is no object; such a value breaks the first rule."""
+    bad = _mistyped(data, {dict})
+    if bad is None:
+        return data
+    rules.note(bad, MalformedFile, lambda i: f"{noun} record must be an object")
+    return [rec if ok else {} for rec, ok in zip(data, ~bad)]
+
+
+def _image_ids(records: list, key: str, rules: _FirstBreak) -> list:
+    """The ``key`` field of each record, an integer (not a bool) or a string; 0 where it is not."""
+    ids = _field(records, key)
+    bad = _mistyped(ids, {int, str})
+    if bad is None:
+        return ids
+    rules.note(bad & ~_present(records, key), MalformedFile, lambda i: f"record lacks {key}")
+    rules.note(
+        bad,
+        MalformedFile,
+        lambda i: f"{key} must be an integer or a string, got {records[i][key]!r}",
     )
-    if inside:
-        return box
-    try:
-        clamped = _clip_to_image(box, image)
-    except ValueError as exc:
-        raise MalformedFile(
-            f"{where}: box {box.as_xywh()} lies entirely outside the image"
-        ) from exc
-    return clamped
+    return [image_id if ok else 0 for image_id, ok in zip(ids, ~bad)]
+
+
+def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
+    """The ``key`` box of each record as ``float64 [N, 4]``: 4 finite numbers, positive width and height."""
+    n = len(records)
+    boxes = _field(records, key)
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
+        bad = np.array([type(box) is not list or len(box) != 4 for box in boxes], bool)
+        rules.note(
+            bad,
+            MalformedFile,
+            lambda i: f"{key} must be a 4-element [x, y, w, h] list, got {records[i].get(key)!r}",
+        )
+        boxes = [_UNIT_BOX if b else box for box, b in zip(boxes, bad)]
+    flat = list(chain.from_iterable(boxes))
+    bad = _mistyped(flat, {int, float})
+    if bad is not None:
+        bad = bad.reshape(n, 4).any(axis=1)
+        flat = list(chain.from_iterable(_UNIT_BOX if b else box for box, b in zip(boxes, bad)))
+    xywh = np.fromiter(flat, float, 4 * n).reshape(n, 4)
+    nonfinite = ~np.isfinite(xywh).all(axis=1)
+    rules.note(
+        nonfinite if bad is None else bad | nonfinite,
+        MalformedFile,
+        lambda i: f"{key} values must be finite numbers, got {records[i][key]!r}",
+    )
+    rules.note(
+        (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0),
+        MalformedFile,
+        lambda i: f"{key} must have positive width and height, got {records[i][key]!r}",
+    )
+    return xywh
+
+
+def _code_column(
+    records: list, key: str, upper: int, present: np.ndarray, rules: _FirstBreak
+) -> np.ndarray:
+    """The ``int8`` codes of the 0-based id field ``key``, -1 where it is absent.
+
+    Rows ``present`` must hold an integer in ``0..upper - 1``; a record
+    without the field is one of them when ``present`` says so.
+    """
+    values = _field(records, key, -1)
+    if set(map(type, values)) <= {int} and set(values) <= set(range(-1, upper)):
+        codes = np.fromiter(values, np.int8, len(values))
+        if not (present & (codes < 0)).any():
+            return codes
+    values = _field(records, key, None)
+    mistyped = present & np.array([type(v) is not int for v in values], bool)
+    rules.note(
+        mistyped,
+        InvalidCategory,
+        lambda i: f"{key!r} must be an integer, got {records[i].get(key)!r}",
+    )
+    in_range = [type(v) is int and 0 <= v < upper for v in values]
+    rules.note(
+        present & ~mistyped & ~np.array(in_range, bool),
+        InvalidCategory,
+        lambda i: f"{key!r} out of range 0..{upper - 1}, got {records[i][key]}",
+    )
+    return np.fromiter((v if ok else -1 for v, ok in zip(values, in_range)), np.int8, len(values))
+
+
+def _decode_bare(
+    records: list, bare: np.ndarray, mode: Optional[str], codes: list, rules: _FirstBreak
+) -> None:
+    """Decode the bare ``category_id`` of the ``bare`` rows into the quadrant, tooth and disease ``codes``."""
+    values = _field(records, "category_id", 0)
+    mistyped = bare & np.array([type(v) is not int for v in values], bool)
+    rules.note(
+        mistyped,
+        MalformedFile,
+        lambda i: f"field 'category_id' must be an integer, got {records[i]['category_id']!r}",
+    )
+    rows = bare & ~mistyped
+    if mode is None:
+        rules.note(
+            rows,
+            MalformedFile,
+            lambda i: "bare category_id is ambiguous for this stream; use category_id_1/2/3",
+        )
+        return
+    upper = 32 if mode == "product" else 4
+    cid = np.fromiter((v if type(v) is int and 0 <= v < upper else -1 for v in values), int, len(values))
+    label = "category_id" if mode == "product" else "disease category_id"
+    rules.note(
+        rows & (cid < 0),
+        InvalidCategory,
+        lambda i: f"{label} out of range 0..{upper - 1}, got {records[i]['category_id']}",
+    )
+    ok = rows & (cid >= 0)
+    if mode == "product":
+        codes[0][ok] = cid[ok] // 8
+        codes[1][ok] = cid[ok] % 8
+    else:
+        codes[2][ok] = cid[ok]
+
+
+def _categories(records: list, bare_mode: Optional[str], rules: _FirstBreak) -> list:
+    """The quadrant, tooth and disease codes of each record's category fields.
+
+    A record holds a triple of 0-based ids or, without one, a bare
+    ``category_id``: ``bare_mode`` ``"product"`` reads it as quadrant * 8 +
+    tooth, ``"disease"`` as a disease, and ``None`` forbids it.
+    """
+    triple = np.zeros(len(records), bool)
+    codes = []
+    for key, upper in _TRIPLE_KEYS:
+        present = _present(records, key)
+        triple |= present
+        codes.append(_code_column(records, key, upper, present, rules))
+    bare = ~triple & _present(records, "category_id")
+    rules.note(~triple & ~bare, MalformedFile, lambda i: "record has no category fields")
+    if bare.any():
+        _decode_bare(records, bare, bare_mode, codes, rules)
+    return codes
+
+
+def _clip(xywh: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The part of each box inside its ``(width, height)`` image; a zero extent where no part is."""
+    x, y, w, h = xywh.T
+    lo = np.stack([x, y], axis=1)
+    hi = np.stack([x + w, y + h], axis=1)
+    # min(max(v, 0.0), extent), with Python's choice between equal values.
+    lo = np.where(lo < 0.0, 0.0, lo)
+    lo = np.where(size < lo, size, lo)
+    hi = np.where(hi < 0.0, 0.0, hi)
+    hi = np.where(size < hi, size, hi)
+    return np.concatenate([lo, hi - lo], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +396,16 @@ def _clamp_box(box: BoundingBox, image: AnnotatedImage, where: str) -> BoundingB
 def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     """Parse a COCO/DENTEX-style ground-truth file.
 
-    Boxes that exceed their image are clamped to it; one warning per file
-    gives their count and the first of them.
+    Images and annotations are checked a field at a time, by the rules
+    detection files follow. The error raised is that of the first bad
+    record, for the first rule it breaks: an image is an object with an
+    ``id`` and a positive ``width`` and ``height``; an annotation is an
+    object with an ``image_id``, a ``bbox`` and category fields, where a
+    bare ``category_id`` is quadrant * 8 + tooth. Only when every
+    annotation passes, one on an unknown image raises, and after that one
+    whose box lies entirely outside its image. Other boxes that exceed
+    their image are clamped to it; one warning per file gives their count
+    and the first of them.
 
     Raises:
         MalformedFile: bad JSON, missing keys, or degenerate boxes.
@@ -299,63 +418,72 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     for key in ("images", "annotations"):
         if key not in data or not isinstance(data[key], list):
             raise MalformedFile(f"{path}: missing or non-list {key!r} section")
+    images = _parse_images(data["images"], path)
 
-    images = []
-    for i, rec in enumerate(data["images"]):
-        where = f"{path} images[{i}]"
-        if not isinstance(rec, dict):
-            raise MalformedFile(f"{where}: image record must be an object")
-        if "id" not in rec:
-            raise MalformedFile(f"{where}: image record lacks an id")
-        if not _is_image_id(rec["id"]):
-            raise MalformedFile(f"{where}: id must be an integer or a string, got {rec['id']!r}")
-        width = rec.get("width")
-        height = rec.get("height")
-        for name, v in (("width", width), ("height", height)):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-                raise MalformedFile(f"{where}: {name} must be a positive number, got {v!r}")
-        images.append(
-            AnnotatedImage(rec["id"], float(width), float(height), rec.get("file_name", ""))
-        )
-    by_id = {im.image_id: im for im in images}
-    if len(by_id) != len(images):
-        raise MalformedFile(f"{path}: duplicate image ids")
+    rules = _FirstBreak(f"{path} annotations")
+    records = _records(data["annotations"], "annotation", rules)
+    ids = _image_ids(records, "image_id", rules)
+    xywh = _boxes(records, "bbox", rules)
+    keys = _category_key(*_categories(records, "product", rules)).tolist()
+    rules.raise_first()
 
-    annotations = []
-    clamped = 0
-    first_clamp = ""
-    for i, rec in enumerate(data["annotations"]):
-        where = f"{path} annotations[{i}]"
-        if not isinstance(rec, dict):
-            raise MalformedFile(f"{where}: annotation record must be an object")
-        image_id = rec.get("image_id")
-        if "image_id" in rec and not _is_image_id(image_id):
+    position = {im.image_id: k for k, im in enumerate(images)}
+    image = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, len(ids))
+    unknown = np.flatnonzero(image < 0).tolist()
+    if unknown:
+        i = unknown[0]
+        raise DanglingReference(f"{path} annotations[{i}]: unknown image_id {ids[i]!r}")
+    size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
+    with np.errstate(over="ignore"):
+        inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
+        exceeds = np.flatnonzero(~inside).tolist()
+        clipped = _clip(xywh[exceeds], size[exceeds]).tolist()
+    boxes = xywh.tolist()
+    for i, box in zip(exceeds, clipped):
+        if box[2] <= 0 or box[3] <= 0:
             raise MalformedFile(
-                f"{where}: image_id must be an integer or a string, got {image_id!r}"
+                f"{path} annotations[{i}]: box {boxes[i]} lies entirely outside the image"
             )
-        if image_id not in by_id:
-            raise DanglingReference(f"{where}: unknown image_id {image_id!r}")
-        raw = _parse_bbox(rec, where)
-        image = by_id[image_id]
-        box = _clamp_box(raw, image, where)
-        if box is not raw:
-            if not clamped:
-                first_clamp = (
-                    f"annotations[{i}] box {raw.as_xywh()} exceeds the "
-                    f"{image.width}x{image.height} image, clamped to {box.as_xywh()}"
-                )
-            clamped += 1
-        category = _decode_category(rec, where, bare_id_mode="product")
-        annotations.append(
-            GroundTruthAnnotation(image_id, box, category, rec.get("segmentation"))
-        )
-    if clamped:
+    if exceeds:
+        i = exceeds[0]
+        im = images[image[i]]
         logger.warning(
             "%s: %d boxes exceed their image bounds and were clamped; first: %s",
-            path, clamped, first_clamp,
+            path, len(exceeds),
+            f"annotations[{i}] box {boxes[i]} exceeds the {im.width}x{im.height} image, "
+            f"clamped to {clipped[0]}",
         )
+        for i, box in zip(exceeds, clipped):
+            boxes[i] = box
 
-    return AnnotatedDataset(tuple(images), tuple(annotations))
+    triples = {key: category_of(key) for key in set(keys)}
+    annotations = tuple(
+        GroundTruthAnnotation(image_id, BoundingBox(*box), triples[key], mask)
+        for image_id, box, key, mask in zip(ids, boxes, keys, _field(records, "segmentation", None))
+    )
+    return AnnotatedDataset(images, annotations)
+
+
+def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
+    rules = _FirstBreak(f"{path} images")
+    records = _records(data, "image", rules)
+    ids = _image_ids(records, "id", rules)
+    extents = []
+    for key in ("width", "height"):
+        values = _field(records, key, None)
+        rules.note(
+            np.array([type(v) not in (int, float) or v <= 0 for v in values], bool),
+            MalformedFile,
+            lambda i, key=key: f"{key} must be a positive number, got {records[i].get(key)!r}",
+        )
+        extents.append(values)
+    rules.raise_first()
+    if len(set(ids)) != len(ids):
+        raise MalformedFile(f"{path}: duplicate image ids")
+    return tuple(
+        AnnotatedImage(image_id, float(width), float(height), name)
+        for image_id, width, height, name in zip(ids, *extents, _field(records, "file_name", ""))
+    )
 
 
 def _encode_category(cat: CategoryTriple) -> dict:

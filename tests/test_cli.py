@@ -156,6 +156,26 @@ class TestBasics:
         assert "[0]: image_id must be an integer or a string" in lines[0]
         assert not out.exists()
 
+    def test_bad_crop_image_id_is_one_error_line(self, tmp_path):
+        crop = {"crop_id": 0, "image_id": [1], "crop_bbox": [1, 2, 3, 4],
+                "source_bbox": [1, 2, 3, 4], "category_id_1": 0, "category_id_2": 1,
+                "enum_score": 0.5}
+        crops = tmp_path / "crops.json"
+        crops.write_text(json.dumps([crop]))
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        out = tmp_path / "o.json"
+        result = invoke(
+            "complement", "--crops", crops, "--classifications", empty,
+            "--integrated", empty, "-o", out,
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert "[0]: image_id must be an integer or a string" in lines[0]
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_expected_files(self, corpus):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from detfuse import (
     DanglingCrop,
     Detection,
     DetectionSet,
+    InvalidCategory,
+    MalformedFile,
     MergeConfig,
     MissingImage,
     assign_crops,
@@ -43,6 +47,9 @@ def enum_det(x, y, w, h, score=0.9, image_id=1, quadrant=2, tooth=3) -> Detectio
 
 
 IMAGES = [AnnotatedImage(1, 100, 100)]
+
+#: Stands for a field left out of a record.
+MISSING = object()
 
 
 class TestAssignCrops:
@@ -275,14 +282,47 @@ class TestCropIO:
             DetectionSet([enum_det(0, 0, 10, 10)], "enumeration-model"), IMAGES, 0.0
         )
         write_crop_manifest(crops, path)
-        import json
-
         records = json.loads(path.read_text())
         records[0]["crop_id"] = 5
         path.write_text(json.dumps(records))
-        from detfuse import MalformedFile
-
         with pytest.raises(MalformedFile):
+            read_crop_manifest(path)
+
+    MANIFEST_RECORD = {
+        "crop_id": 0,
+        "image_id": 1,
+        "crop_bbox": [1, 2, 3, 4],
+        "source_bbox": [1, 2, 3, 4],
+        "category_id_1": 0,
+        "category_id_2": 1,
+        "enum_score": 0.5,
+    }
+
+    @pytest.mark.parametrize(
+        "key,value,error",
+        [
+            ("image_id", [1], MalformedFile),
+            ("image_id", True, MalformedFile),
+            ("image_id", 1.5, MalformedFile),
+            ("image_id", None, MalformedFile),
+            ("image_id", MISSING, MalformedFile),
+            ("crop_id", True, MalformedFile),
+            ("crop_bbox", [0, 0, True, 4], MalformedFile),
+            ("source_bbox", [0, 0, 3], MalformedFile),
+            ("category_id_1", True, InvalidCategory),
+            ("category_id_1", 4, InvalidCategory),
+            ("category_id_2", 2.0, InvalidCategory),
+            ("category_id_2", MISSING, InvalidCategory),
+        ],
+    )
+    def test_manifest_rejects_a_bad_field(self, tmp_path, key, value, error):
+        """The second record, crop 1, breaks one rule; the error names it."""
+        record = {**self.MANIFEST_RECORD, "crop_id": 1, key: value}
+        if value is MISSING:
+            del record[key]
+        path = tmp_path / "crops.json"
+        path.write_text(json.dumps([self.MANIFEST_RECORD, record]))
+        with pytest.raises(error, match=r"crops\.json \[1\]: "):
             read_crop_manifest(path)
 
     def test_classifications_roundtrip(self, tmp_path):
@@ -292,11 +332,7 @@ class TestCropIO:
         assert parse_crop_classifications(path) == items
 
     def test_classification_rejections(self, tmp_path):
-        import json
-
         path = tmp_path / "cls.json"
-        from detfuse import MalformedFile
-
         for bad in (
             {"crop_id": -1, "label": "caries", "confidence": 0.5},
             {"crop_id": 0, "label": "bogus", "confidence": 0.5},

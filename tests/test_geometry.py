@@ -1,4 +1,4 @@
-"""Box primitives, checked against a pixel-counting IoU oracle."""
+"""Box primitives, and the pipeline's IoU checked against a pixel-counting oracle."""
 
 from __future__ import annotations
 
@@ -12,14 +12,17 @@ from detfuse import (
     BoundingBox,
     CategoryTriple,
     Detection,
-    Point,
-    center,
-    iou,
 )
+from detfuse.metrics import _iou_matrix
 
 coord = st.integers(min_value=0, max_value=24)
 extent = st.integers(min_value=1, max_value=12)
 int_boxes = st.builds(BoundingBox, coord, coord, extent, extent)
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """The IoU that evaluation and the crop merge compute, for one pair of boxes."""
+    return float(_iou_matrix([a], [b])[0, 0])
 
 
 def pixel_iou(a: BoundingBox, b: BoundingBox) -> Fraction:
@@ -75,11 +78,6 @@ class TestIou:
         shifted_a = BoundingBox(a.x + dx, a.y + dy, a.w, a.h)
         shifted_b = BoundingBox(b.x + dx, b.y + dy, b.w, b.h)
         assert iou(shifted_a, shifted_b) == iou(a, b)
-
-
-class TestCenters:
-    def test_center_point(self):
-        assert center(BoundingBox(10, 20, 4, 8)) == Point(12.0, 24.0)
 
 
 class TestValidation:

@@ -321,11 +321,17 @@ class TestImageIds:
         with pytest.raises(MalformedFile, match=r"images\[1\]: id must be an integer"):
             parse_ground_truth(write_payload(tmp_path, payload))
 
-    @pytest.mark.parametrize("image_id", [[1], True, 1.5])
+    @pytest.mark.parametrize("image_id", [[1], True, 1.5, None])
     def test_annotation_image_id(self, tmp_path, image_id):
         payload = gt_payload()
         payload["annotations"][1]["image_id"] = image_id
         with pytest.raises(MalformedFile, match=r"annotations\[1\]: image_id must be"):
+            parse_ground_truth(write_payload(tmp_path, payload))
+
+    def test_annotation_without_image_id(self, tmp_path):
+        payload = gt_payload()
+        del payload["annotations"][1]["image_id"]
+        with pytest.raises(MalformedFile, match=r"annotations\[1\]: record lacks image_id"):
             parse_ground_truth(write_payload(tmp_path, payload))
 
 
@@ -460,6 +466,99 @@ class TestParsingProperties:
     @given(records=st.lists(detection_records, max_size=6), source=SOURCES)
     def test_records_parse_like_a_per_record_decode(self, tmp_path_factory, records, source):
         self.check(tmp_path_factory.getbasetemp() / "records.json", records, source)
+
+
+#: The images of the ground-truth property test, by id, as (width, height).
+GT_IMAGES = {1: (100, 80), "a": (64.5, 100.25)}
+
+
+def decode_annotation(rec):
+    """One annotation as the file format defines it.
+
+    Its ``GroundTruthAnnotation``, with the box clamped to its image, or
+    the error class it raises with the stage that raises it: 0 for a rule
+    of the record itself, 1 for an unknown image, 2 for a box entirely
+    outside its image. An annotation follows the detection rules without
+    score and link, with a bare ``category_id`` as quadrant * 8 + tooth.
+    """
+    det = decode_record({**rec, "score": 1} if isinstance(rec, dict) else rec, "enumeration-model")
+    if isinstance(det, type):
+        return det, 0
+    if det.image_id not in GT_IMAGES:
+        return DanglingReference, 1
+    width, height = GT_IMAGES[det.image_id]
+    b = box = det.box
+    if not (b.x >= 0 and b.y >= 0 and b.x + b.w <= width and b.y + b.h <= height):
+        x0, y0 = min(max(b.x, 0.0), width), min(max(b.y, 0.0), height)
+        x1, y1 = min(max(b.x + b.w, 0.0), width), min(max(b.y + b.h, 0.0), height)
+        if x1 - x0 <= 0 or y1 - y0 <= 0:
+            return MalformedFile, 2
+        box = BoundingBox(x0, y0, x1 - x0, y1 - y0)
+    return GroundTruthAnnotation(det.image_id, box, det.category, rec.get("segmentation"))
+
+
+#: Box corners and extents at, near and beyond the edges of ``GT_IMAGES``.
+edge_boxes = st.tuples(
+    st.sampled_from([-20, -0.5, 0, 0.25, 30, 63.5, 64.5, 80, 99.75, 100, 100.25, 130])
+    | st.floats(-150.0, 150.0),
+    st.sampled_from([-20, 0, 50, 80, 100.25, 130]) | st.floats(-150.0, 150.0),
+    st.sampled_from([0.5, 1, 20, 34.5, 64.5, 80, 100.25, 250]) | st.floats(0.01, 250.0),
+    st.sampled_from([0.5, 1, 20, 80, 100.25, 250]) | st.floats(0.01, 250.0),
+).map(list)
+
+#: Well-formed annotations, on known images (1, "a") and unknown ones (7, "b").
+valid_annotations = st.fixed_dictionaries(
+    {"image_id": st.sampled_from([1, "a", 7, "b"]), "bbox": edge_boxes | VALID_FIELDS["bbox"]},
+    optional={
+        **{key: VALID_FIELDS[key] for key in ("category_id_1", "category_id_2", "category_id_3")},
+        "category_id": VALID_FIELDS["category_id"],
+        "segmentation": st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=2),
+    },
+)
+#: Well-formed annotations on the images of ``GT_IMAGES``.
+edge_annotations = st.fixed_dictionaries(
+    {
+        "image_id": st.sampled_from(list(GT_IMAGES)),
+        "bbox": edge_boxes,
+        "category_id_3": VALID_FIELDS["category_id_3"],
+    }
+)
+ANNOTATION_BREAKS = [
+    (key, value)
+    for key, values in INVALID_FIELDS.items()
+    if key not in ("score", "matched_enum_id")
+    for value in values
+] + [(key, MISSING) for key in ("image_id", "bbox")]
+ground_truth_annotations = st.one_of(
+    valid_annotations,
+    st.builds(lambda rec, brk: broken(rec, *brk), valid_annotations, st.sampled_from(ANNOTATION_BREAKS)),
+    st.sampled_from([[], 7, "record", None]),
+)
+
+
+class TestGroundTruthProperties:
+    @staticmethod
+    def check(path, annotations):
+        """The clamped annotations a per-annotation decode gives, or the first bad one's error at its stage."""
+        images = [{"id": k, "width": w, "height": h} for k, (w, h) in GT_IMAGES.items()]
+        path.write_text(json.dumps({"images": images, "annotations": annotations}))
+        decoded = [decode_annotation(rec) for rec in annotations]
+        bad = sorted((d[1], i, d[0]) for i, d in enumerate(decoded) if isinstance(d, tuple))
+        if bad:
+            _, i, error = bad[0]
+            with pytest.raises(error, match=rf"gt\.json annotations\[{i}\]: "):
+                parse_ground_truth(path)
+        else:
+            assert list(parse_ground_truth(path).annotations) == decoded
+
+    @given(annotations=st.lists(ground_truth_annotations, max_size=6))
+    def test_annotations_parse_like_a_per_annotation_decode(self, tmp_path_factory, annotations):
+        self.check(tmp_path_factory.getbasetemp() / "gt.json", annotations)
+
+    @given(annotations=st.lists(edge_annotations, max_size=4))
+    def test_boxes_clamp_like_a_per_annotation_decode(self, tmp_path_factory, annotations):
+        """Well-formed annotations on known images: clamping and the outside check decide."""
+        self.check(tmp_path_factory.getbasetemp() / "gt.json", annotations)
 
 
 #: Boxes on a coarse grid inside 55x55, so repeats and exact ties are common.

@@ -21,7 +21,6 @@ from detfuse import (
     EvaluationReport,
     GroundTruthAnnotation,
     evaluate,
-    iou,
     naive_oracle_evaluate,
     write_pr_csv,
 )
@@ -96,7 +95,7 @@ class TestWorkedExamples:
         ds = one_image_ds([B(0, 0, 10, 10)])
         dets = det_set([(B(0, 0, 10, 15), 0.9, None)])
         # inter = 100, union = 100 + 150 - 100 = 150: passes 0.50..0.65
-        assert iou(B(0, 0, 10, 10), B(0, 0, 10, 15)) == pytest.approx(2 / 3)
+        assert _iou_matrix([B(0, 0, 10, 10)], [B(0, 0, 10, 15)])[0, 0] == pytest.approx(2 / 3)
         report = evaluate(ds, dets, "disease")
         assert report.ar == pytest.approx(4 / 10)
 
@@ -104,7 +103,7 @@ class TestWorkedExamples:
         ds = one_image_ds([B(0, 0, 10, 10)])
         # 6x10 box inside a 10x10 gt: iou exactly 0.6, passes 0.50/0.55/0.60
         dets = det_set([(B(0, 0, 6, 10), 0.9, None)])
-        assert iou(B(0, 0, 10, 10), B(0, 0, 6, 10)) == 0.6
+        assert _iou_matrix([B(0, 0, 10, 10)], [B(0, 0, 6, 10)])[0, 0] == 0.6
         report = evaluate(ds, dets, "disease")
         assert report.ar == pytest.approx(3 / 10)
         assert report.ap50 == 1.0
