@@ -55,7 +55,6 @@ from .integrate import (
     as_detection_set,
     filter_enumeration,
     integrate,
-    match_closest_center,
     write_integrated,
 )
 from .io import (
@@ -152,7 +151,6 @@ __all__ = [
     "integrate",
     "load_pipeline_config",
     "load_profile",
-    "match_closest_center",
     "merge_complementary",
     "naive_oracle_evaluate",
     "oversample_plan",

@@ -9,13 +9,12 @@ the diagnosis pathway missed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, as_set, same_image_blocks, source_code
+from .detections import Columns, DetectionSet, _image_index, same_image_blocks, source_code
 from .errors import (
     AxisUnavailable,
     ConfigError,
@@ -25,7 +24,7 @@ from .errors import (
     fraction_problem,
     raise_problems,
 )
-from .geometry import CROP_LABELS, DISEASES, BoundingBox, Detection, ImageId
+from .geometry import CROP_LABELS, DISEASES, BoundingBox, ImageId
 from .io import (
     AnnotatedDataset,
     AnnotatedImage,
@@ -38,6 +37,7 @@ from .io import (
     _FirstBreak,
     _image_ids,
     _load_json,
+    _numbers,
     _records,
 )
 from .metrics import _iou_block
@@ -236,11 +236,10 @@ def classifications_to_detections(
 
     n = len(kept)
     ids = tuple(dict.fromkeys(c.image_id for c in crops))
-    position = {image_id: k for k, image_id in enumerate(ids)}
     teeth = np.array([c.tooth for c in kept], np.int8).reshape(n, 2) - 1
     columns = Columns(
         ids,
-        np.fromiter((position[c.image_id] for c in kept), np.int32, n),
+        _image_index((c.image_id for c in kept), ids),
         np.array([c.source_box.as_xywh() for c in kept], float).reshape(n, 4),
         np.fromiter((c.enum_score for c in kept), float, n) * np.array(confidence, float),
         teeth[:, 0],
@@ -253,7 +252,7 @@ def classifications_to_detections(
 
 
 def merge_complementary(
-    integrated: DetectionSet | Iterable[Detection],
+    integrated: DetectionSet,
     comp: DetectionSet,
     cfg: MergeConfig = MergeConfig(),
 ) -> DetectionSet:
@@ -269,8 +268,7 @@ def merge_complementary(
     Raises:
         AxisUnavailable: an integrated detection has no disease label.
     """
-    base = as_set(integrated)
-    found, extra = base.columns, comp.columns
+    found, extra = integrated.columns, comp.columns
     diseaseless = np.flatnonzero(found.disease < 0)
     if len(diseaseless):
         image_id = found.ids[found.image[diseaseless[0]]]
@@ -281,7 +279,7 @@ def merge_complementary(
         overlap = _iou_block(extra.xywh[c], found.xywh[f]) >= cfg.overlap_iou
         same = extra.disease[c, None] == found.disease[f]
         duplicate[c] = (overlap & same).any(axis=1)
-    return DetectionSet.concat([base, comp.take(~duplicate)], "fused")
+    return DetectionSet.concat([integrated, comp.take(~duplicate)], "fused")
 
 
 # ---------------------------------------------------------------------------
@@ -332,47 +330,55 @@ def read_crop_manifest(path: PathLike) -> list[CropAssignment]:
     required = np.ones(len(records), bool)
     quadrant = _code_column(records, "category_id_1", 4, required, rules)
     tooth = _code_column(records, "category_id_2", 8, required, rules)
-    scores = _field(records, "enum_score", None)
+    score = _numbers(_field(records, "enum_score"))[0]
     rules.note(
-        np.array([type(s) not in (int, float) or not 0 <= s <= 1 for s in scores], bool),
+        ~((score >= 0) & (score <= 1)),
         MalformedFile,
-        lambda i: f"enum_score must be in [0, 1], got {scores[i]!r}",
+        lambda i: f"enum_score must be in [0, 1], got {records[i].get('enum_score')!r}",
     )
     rules.raise_first()
     return [
-        CropAssignment(image_id, BoundingBox(*c), (q + 1, t + 1), float(score), BoundingBox(*box))
+        CropAssignment(image_id, BoundingBox(*c), (q + 1, t + 1), score, BoundingBox(*box))
         for image_id, c, q, t, score, box in zip(
-            ids, crop.tolist(), quadrant.tolist(), tooth.tolist(), scores, source.tolist()
+            ids, crop.tolist(), quadrant.tolist(), tooth.tolist(), score.tolist(), source.tolist()
         )
     ]
 
 
 def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
-    """Parse the external classifier's output: ``{crop_id, label, confidence}``."""
+    """Parse the external classifier's output: ``{crop_id, label, confidence}``.
+
+    A :class:`MalformedFile` names the first bad record and the first rule it
+    breaks: a record object, a ``crop_id`` >= 0, a known label, a confidence in [0, 1].
+    """
     data = _load_json(path)
     if not isinstance(data, list):
         raise MalformedFile(f"{path}: classifications must be a JSON array")
-    out = []
-    for i, rec in enumerate(data):
-        where = f"{path} [{i}]"
-        if not isinstance(rec, dict):
-            raise MalformedFile(f"{where}: classification record must be an object")
-        crop_id = rec.get("crop_id")
-        if not isinstance(crop_id, int) or isinstance(crop_id, bool) or crop_id < 0:
-            raise MalformedFile(f"{where}: crop_id must be a non-negative integer")
-        label = rec.get("label")
-        if label not in CROP_LABELS:
-            raise MalformedFile(f"{where}: unknown label {label!r}")
-        conf = rec.get("confidence")
-        if (
-            isinstance(conf, bool)
-            or not isinstance(conf, (int, float))
-            or not math.isfinite(conf)
-            or not 0 <= conf <= 1
-        ):
-            raise MalformedFile(f"{where}: confidence must be a number in [0, 1], got {conf!r}")
-        out.append(CropClassification(crop_id, label, float(conf)))
-    return out
+    rules = _FirstBreak(f"{path} ")
+    records = _records(data, "classification", rules)
+    crop_ids = _field(records, "crop_id", None)
+    rules.note(
+        np.array([type(v) is not int or v < 0 for v in crop_ids], bool),
+        MalformedFile,
+        lambda i: "crop_id must be a non-negative integer",
+    )
+    labels = _field(records, "label", None)
+    rules.note(
+        np.array([label not in CROP_LABELS for label in labels], bool),
+        MalformedFile,
+        lambda i: f"unknown label {labels[i]!r}",
+    )
+    confidence = _numbers(_field(records, "confidence"))[0]
+    rules.note(
+        ~((confidence >= 0) & (confidence <= 1)),
+        MalformedFile,
+        lambda i: f"confidence must be a number in [0, 1], got {records[i].get('confidence')!r}",
+    )
+    rules.raise_first()
+    return [
+        CropClassification(crop_id, label, conf)
+        for crop_id, label, conf in zip(crop_ids, labels, confidence.tolist())
+    ]
 
 
 def write_crop_classifications(items: Sequence[CropClassification], path: PathLike) -> None:

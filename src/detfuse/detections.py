@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,9 +75,31 @@ class Columns:
         """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""
         if ids == self.ids:
             return self.image
-        position = {image_id: k for k, image_id in enumerate(ids)}
-        remap = np.fromiter(map(position.get, self.ids, repeat(-1)), np.int32, len(self.ids))
-        return remap[self.image]
+        return _image_index(self.ids, ids)[self.image]
+
+
+def _image_index(ids: Iterable[ImageId], universe: Sequence[ImageId]) -> np.ndarray:
+    """Each of ``ids`` as an ``int32`` index into ``universe``; -1 where it is absent."""
+    position = {image_id: k for k, image_id in enumerate(universe)}
+    return np.fromiter(map(position.get, ids, repeat(-1)), np.int32)
+
+
+def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Iterable]) -> tuple:
+    """The image ids of a set whose rows are on the images ``row_ids``.
+
+    With no ``image_universe`` (``None``) they are the rows' images in
+    first-row order. A given one, even an empty one, is kept as
+    ``tuple(frozenset(image_universe))`` and must hold every row; the first
+    row outside it raises :class:`DanglingReference`.
+    """
+    if image_universe is None:
+        return tuple(dict.fromkeys(row_ids))
+    universe = tuple(frozenset(image_universe))
+    known = frozenset(universe)
+    if not known.issuperset(row_ids):
+        first = next(image_id for image_id in row_ids if image_id not in known)
+        raise DanglingReference(f"detection references image {first!r} outside the universe")
+    return universe
 
 
 def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:
@@ -110,8 +132,7 @@ def _concat(parts: Sequence[Columns], ids: tuple) -> Columns:
 def _columns_of(dets: Sequence[Detection], ids: tuple) -> Columns:
     """The columns of ``Detection`` objects, whose image ids are all in ``ids``."""
     n = len(dets)
-    position = {image_id: k for k, image_id in enumerate(ids)}
-    image = np.fromiter(map(position.__getitem__, map(_IMAGE_ID, dets)), np.int32, n)
+    image = _image_index(map(_IMAGE_ID, dets), ids)
     xywh = np.fromiter(chain.from_iterable(map(_XYWH, map(_BOX, dets))), float, 4 * n)
     score = np.fromiter(map(_SCORE, dets), float, n)
     codes = {cat: _category_codes(cat) for cat in set(map(_CATEGORY, dets))}
@@ -208,17 +229,7 @@ class DetectionSet:
         image_universe: Optional[Iterable[ImageId]] = None,
     ) -> None:
         objects = tuple(detections)
-        if image_universe is None:
-            ids = tuple(dict.fromkeys(map(_IMAGE_ID, objects)))
-        else:
-            ids = tuple(frozenset(image_universe))
-            known = frozenset(ids)
-            for d in objects:
-                if d.image_id not in known:
-                    raise DanglingReference(
-                        f"detection references image {d.image_id!r} outside the universe"
-                    )
-        self._start(source, ids)
+        self._start(source, _resolve_universe([d.image_id for d in objects], image_universe))
         self._objects = objects
 
     @classmethod
@@ -303,8 +314,3 @@ class DetectionSet:
             f"DetectionSet({len(self)} detections, source={self.source!r}, "
             f"{len(self.image_universe)} images)"
         )
-
-
-def as_set(dets: Union[DetectionSet, Iterable[Detection]]) -> DetectionSet:
-    """``dets`` itself when it is a set, else its detections as a ``fused`` set."""
-    return dets if isinstance(dets, DetectionSet) else DetectionSet(dets, "fused")

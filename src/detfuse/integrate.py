@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, as_set, same_image_blocks, source_code
-from .errors import AxisUnavailable, DanglingReference, fraction_problem, is_number, raise_problems
-from .geometry import Detection
+from .detections import Columns, DetectionSet, _resolve_universe, same_image_blocks, source_code
+from .errors import AxisUnavailable, fraction_problem, is_number, raise_problems
 from .io import PathLike, _dump_json
 from .results import detection_records
 
@@ -82,24 +81,6 @@ def _closest(enums: Columns, diags: Columns, max_distance: Optional[float]) -> n
     return match
 
 
-def match_closest_center(
-    enums: DetectionSet,
-    diags: DetectionSet,
-    cfg: IntegrationConfig = IntegrationConfig(),
-) -> list[tuple[int, Optional[int]]]:
-    """Pair every diagnosis detection with its nearest same-image tooth box.
-
-    Returns one ``(diag_index, enum_index)`` pair per diagnosis detection,
-    in input order; ``enum_index`` is ``None`` when the image has no
-    enumeration boxes or the nearest one lies beyond
-    ``cfg.max_match_distance``.  Ties on distance go to the higher-scoring
-    enumeration detection, then to the lower index.  Many-to-one matches
-    are allowed.
-    """
-    match = _closest(enums.columns, diags.columns, cfg.max_match_distance)
-    return [(i, None if j < 0 else j) for i, j in enumerate(match.tolist())]
-
-
 def integrate(
     enums: DetectionSet,
     diags: DetectionSet,
@@ -107,6 +88,10 @@ def integrate(
 ) -> DetectionSet:
     """Gate the enumeration stream, match, and fuse labels and scores.
 
+    Each diagnosis detection is matched to the gated same-image tooth whose
+    box center is nearest, unless that lies beyond
+    ``cfg.max_match_distance``; distance ties go to the higher-scoring
+    tooth, then to the lower index. Many diagnoses may share one tooth.
     Every diagnosis detection must carry a disease label.  Outputs are
     tagged ``fused`` and follow the diagnosis order over its universe.
     Matched outputs take the diagnosis box, the enumeration detection's
@@ -147,36 +132,25 @@ def integrate(
 
 
 def as_detection_set(
-    integrated: DetectionSet | Iterable[Detection],
-    source: str = "fused",
-    image_universe=None,
+    integrated: DetectionSet, source: str = "fused", image_universe=None
 ) -> DetectionSet:
     """Re-tag integrated detections as one :class:`DetectionSet`, without their links.
 
     With no ``image_universe`` the set covers the images its detections
     are on; a given one must hold them all.
     """
-    cols = as_set(integrated).columns
-    if image_universe is None:
-        present = np.bincount(cols.image, minlength=len(cols.ids))
-        ids = tuple(cols.ids[k] for k in np.flatnonzero(present).tolist())
-    else:
-        ids = tuple(frozenset(image_universe))
-    image = cols.image_index(ids)
-    outside = np.flatnonzero(image < 0)
-    if len(outside):
-        image_id = cols.ids[cols.image[outside[0]]]
-        raise DanglingReference(f"detection references image {image_id!r} outside the universe")
+    cols = integrated.columns
+    ids = _resolve_universe([cols.ids[k] for k in cols.image.tolist()], image_universe)
     retagged = dataclasses.replace(
         cols,
         ids=ids,
-        image=image,
+        image=cols.image_index(ids),
         origin=np.full_like(cols.origin, source_code(source)),
         link=np.full_like(cols.link, -1),
     )
     return DetectionSet.from_columns(retagged, source)
 
 
-def write_integrated(items: DetectionSet | Iterable[Detection], path: PathLike) -> None:
+def write_integrated(items: DetectionSet, path: PathLike) -> None:
     """Write detections as COCO results records, keeping ``matched_enum_id`` where set."""
     _dump_json(detection_records(items, links=True), path)

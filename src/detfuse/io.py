@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -40,8 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .detections import DetectionSet  # noqa: F401  (the oracle reads it from here)
-from .detections import _category_key, category_of
+from .detections import _category_key, _image_index, category_of
 from .errors import (
     CountMismatch,
     DanglingReference,
@@ -63,8 +63,8 @@ class AnnotatedImage:
     file_name: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image extent must be positive, got {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(f"image extent must be finite and > 0, got {self.width}x{self.height}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,6 +228,32 @@ def _mistyped(values: list, kinds: set) -> Optional[np.ndarray]:
     return np.array([type(v) not in kinds for v in values], bool)
 
 
+def _float(value) -> float:
+    """``float(value)``, or NaN for an integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as ``float64``, and the mask of those that are no number.
+
+    A number is an ``int`` or a ``float``; a bool is neither. A value that
+    is no number, or an integer too large for a float, reads as NaN, so
+    ``~np.isfinite`` of the result marks every value that is no finite number.
+    """
+    mistyped = _mistyped(values, {int, float})
+    if mistyped is None:
+        mistyped = np.zeros(len(values), bool)
+    else:
+        values = [v if ok else math.nan for v, ok in zip(values, ~mistyped)]
+    try:
+        return np.fromiter(values, float, len(values)), mistyped
+    except OverflowError:
+        return np.fromiter(map(_float, values), float, len(values)), mistyped
+
+
 def _field(records: list, key: str, default=_ABSENT) -> list:
     return list(map(dict.get, records, repeat(key), repeat(default)))
 
@@ -272,15 +298,9 @@ def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
             lambda i: f"{key} must be a 4-element [x, y, w, h] list, got {records[i].get(key)!r}",
         )
         boxes = [_UNIT_BOX if b else box for box, b in zip(boxes, bad)]
-    flat = list(chain.from_iterable(boxes))
-    bad = _mistyped(flat, {int, float})
-    if bad is not None:
-        bad = bad.reshape(n, 4).any(axis=1)
-        flat = list(chain.from_iterable(_UNIT_BOX if b else box for box, b in zip(boxes, bad)))
-    xywh = np.fromiter(flat, float, 4 * n).reshape(n, 4)
-    nonfinite = ~np.isfinite(xywh).all(axis=1)
+    xywh = _numbers(list(chain.from_iterable(boxes)))[0].reshape(n, 4)
     rules.note(
-        nonfinite if bad is None else bad | nonfinite,
+        ~np.isfinite(xywh).all(axis=1),
         MalformedFile,
         lambda i: f"{key} values must be finite numbers, got {records[i][key]!r}",
     )
@@ -427,8 +447,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     keys = _category_key(*_categories(records, "product", rules)).tolist()
     rules.raise_first()
 
-    position = {im.image_id: k for k, im in enumerate(images)}
-    image = np.fromiter(map(position.get, ids, repeat(-1)), np.intp, len(ids))
+    image = _image_index(ids, [im.image_id for im in images])
     unknown = np.flatnonzero(image < 0).tolist()
     if unknown:
         i = unknown[0]
@@ -470,18 +489,18 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
     ids = _image_ids(records, "id", rules)
     extents = []
     for key in ("width", "height"):
-        values = _field(records, key, None)
+        extent = _numbers(_field(records, key))[0]
         rules.note(
-            np.array([type(v) not in (int, float) or v <= 0 for v in values], bool),
+            ~(np.isfinite(extent) & (extent > 0)),
             MalformedFile,
             lambda i, key=key: f"{key} must be a positive number, got {records[i].get(key)!r}",
         )
-        extents.append(values)
+        extents.append(extent.tolist())
     rules.raise_first()
     if len(set(ids)) != len(ids):
         raise MalformedFile(f"{path}: duplicate image ids")
     return tuple(
-        AnnotatedImage(image_id, float(width), float(height), name)
+        AnnotatedImage(image_id, width, height, name)
         for image_id, width, height, name in zip(ids, *extents, _field(records, "file_name", ""))
     )
 

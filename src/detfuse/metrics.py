@@ -34,7 +34,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import CATEGORY_KEYS, Columns, DetectionSet, category_of
+from .detections import CATEGORY_KEYS, Columns, DetectionSet, _image_index, category_of
 from .errors import AxisUnavailable, ConfigError, DanglingReference
 from .geometry import BoundingBox, CategoryTriple
 from .io import AnnotatedDataset, PathLike, _atomic_open
@@ -300,9 +300,9 @@ def evaluate(
             carries no label along ``axis``.
     """
     project = axis_projection(axis, cfg.enumeration_product)
-    image_index = {image_id: i for i, image_id in enumerate(ds.image_ids())}
+    image_ids = tuple(ds.image_ids())
     cols = dets.columns
-    det_image = cols.image_index(tuple(image_index))
+    det_image = cols.image_index(image_ids)
     if (det_image < 0).any():
         unknown = cols.ids[cols.image[int(np.argmax(det_image < 0))]]
         raise DanglingReference(f"detection references unknown image {unknown!r}")
@@ -322,7 +322,8 @@ def evaluate(
     labelled = [
         (ann, class_index[key]) for ann, key in zip(ds.annotations, gt_keys) if key is not None
     ]
-    gt_group = np.array([image_index[ann.image_id] * n_cls + c for ann, c in labelled])
+    gt_image = _image_index([ann.image_id for ann, _ in labelled], image_ids)
+    gt_group = gt_image * np.intp(n_cls) + np.array([c for _, c in labelled], np.intp)
     gt_order = np.argsort(gt_group, kind="stable")  # annotation order within a group
     gt_group = gt_group[gt_order]
     gt_xywh = _xywh([labelled[i][0].box for i in gt_order.tolist()])

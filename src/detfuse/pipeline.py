@@ -16,11 +16,12 @@ Stage artifacts, in order:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from typing import Iterator, Optional
 
 from .complementary import (
     MergeConfig,
@@ -41,12 +42,7 @@ from .integrate import (
     integrate,
     write_integrated,
 )
-from .io import (
-    AnnotatedDataset,
-    PathLike,
-    _dump_json,
-    parse_ground_truth,
-)
+from .io import PathLike, _dump_json, parse_ground_truth
 from .metrics import AXES, EvalConfig, EvaluationReport, evaluate
 from .results import parse_detections, write_detections
 
@@ -205,6 +201,15 @@ def _drop_diseaseless(dets: DetectionSet, label: str) -> DetectionSet:
     return dets
 
 
+@contextlib.contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise any failure of the ``with`` block as the :class:`PipelineStageError` of ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Execute every configured stage and return the collected outputs."""
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -215,8 +220,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         artifacts.append(path)
         return path
 
-    stage = "load"
-    try:
+    with _stage("load"):
         dataset = parse_ground_truth(cfg.ground_truth)
         universe = frozenset(dataset.image_ids())
         enums = parse_detections(cfg.enumeration, "enumeration-model", universe)
@@ -229,31 +233,22 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             )
         else:
             diag_b = None
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
-    stage = "ensemble"
-    try:
+    with _stage("ensemble"):
         if diag_b is None:
             logger.warning("no diagnosis-B stream configured; passing diagnosis-A through")
             fused = DetectionSet.from_columns(diag_a.columns, "fused")
         else:
             fused = threshold_ensemble(diag_a, diag_b, cfg.ensemble)
         write_detections(fused, _out("01_fused.json"))
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
-    stage = "integrate"
-    try:
+    with _stage("integrate"):
         integrated = integrate(enums, fused, cfg.integration)
         write_integrated(integrated, _out("02_integrated.json"))
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
     merged = integrated
     if cfg.crop_classifications is not None:
-        stage = "complementary"
-        try:
+        with _stage("complementary"):
             gated = filter_enumeration(enums, cfg.enum_score_gate)
             crops = assign_crops(gated, dataset.images, cfg.pad_fraction)
             write_crop_manifest(crops, _out("crops_manifest.json"))
@@ -261,26 +256,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             comp = classifications_to_detections(crops, classifications, cfg.merge.min_confidence)
             merged = merge_complementary(integrated, comp, cfg.merge)
             write_integrated(merged, _out("03_complementary.json"))
-        except Exception as exc:
-            raise PipelineStageError(stage, exc) from exc
     else:
         logger.warning("no crop classifications configured; skipping the complementary stage")
 
-    stage = "finalize"
-    try:
+    with _stage("finalize"):
         final = as_detection_set(merged, "fused", universe)
         write_detections(final, _out("04_final.json"))
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
-    stage = "evaluate"
     reports: dict[str, EvaluationReport] = {}
-    try:
+    with _stage("evaluate"):
         for axis in cfg.axes:
             report = evaluate(dataset, final, axis, cfg.evaluation)
             reports[axis] = report
             _dump_json(report.as_dict(), _out(f"metrics_{axis}.json"))
-    except Exception as exc:
-        raise PipelineStageError(stage, exc) from exc
 
     return PipelineResult(cfg, fused, merged, final, reports, artifacts)

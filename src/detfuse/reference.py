@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .detections import DetectionSet
 from .errors import AxisUnavailable, DanglingReference
-from .io import AnnotatedDataset, DetectionSet
+from .io import AnnotatedDataset
 from .metrics import EvalConfig, EvaluationReport
 
 

@@ -9,13 +9,20 @@ field at a time; writers build their records from the columns.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, as_set, category_codes, source_code
-from .errors import DanglingReference, InvalidScore, MalformedFile
-from .geometry import Detection, ImageId
+from .detections import (
+    Columns,
+    DetectionSet,
+    _image_index,
+    _resolve_universe,
+    category_codes,
+    source_code,
+)
+from .errors import InvalidScore, MalformedFile
+from .geometry import ImageId
 from .io import (
     _TRIPLE_KEYS,
     PathLike,
@@ -26,7 +33,7 @@ from .io import (
     _FirstBreak,
     _image_ids,
     _load_json,
-    _mistyped,
+    _numbers,
     _records,
 )
 
@@ -69,14 +76,12 @@ def parse_detections(
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
 
-    scores = _field(records, "score")
-    bad = _mistyped(scores, {int, float})
-    if bad is not None:
-        rules.note(
-            bad, MalformedFile, lambda i: f"score must be a number, got {records[i].get('score')!r}"
-        )
-        scores = [s if ok else 0.0 for s, ok in zip(scores, ~bad)]
-    score = np.fromiter(scores, float, n)
+    score, mistyped = _numbers(_field(records, "score"))
+    rules.note(
+        mistyped,
+        MalformedFile,
+        lambda i: f"score must be a number, got {records[i].get('score')!r}",
+    )
     rules.note(
         ~((score >= 0.0) & (score <= 1.0)),  # NaN fails both
         InvalidScore,
@@ -105,30 +110,21 @@ def parse_detections(
         )
     rules.raise_first()
 
-    if image_universe is None:
-        universe = tuple(dict.fromkeys(ids))
-    else:
-        universe = tuple(frozenset(image_universe))
-    position = {image_id: k for k, image_id in enumerate(universe)}
-    image = np.fromiter(map(position.get, ids, repeat(-1, n)), np.int32, n)
-    outside = np.flatnonzero(image < 0)
-    if len(outside):
-        raise DanglingReference(
-            f"detection references image {ids[outside[0]]!r} outside the universe"
-        )
+    universe = _resolve_universe(ids, image_universe)
+    image = _image_index(ids, universe)
     origin = np.full(n, code, np.int8)
     columns = Columns(universe, image, xywh, score, quadrant, tooth, disease, origin, link)
     return DetectionSet.from_columns(columns, source)
 
 
-def detection_records(dets: Union[DetectionSet, Iterable[Detection]], *, links: bool) -> list[dict]:
+def detection_records(dets: DetectionSet, *, links: bool) -> list[dict]:
     """COCO results records of ``dets``, built from its columns.
 
     Each record holds ``image_id``, ``bbox``, ``score`` and the category
     fields that are set, then ``matched_enum_id`` where ``links`` is set
     and the detection has one.
     """
-    cols = as_set(dets).columns
+    cols = dets.columns
     ids = cols.ids
     keys = cols.category_key().tolist()
     categories = {
@@ -147,6 +143,6 @@ def detection_records(dets: Union[DetectionSet, Iterable[Detection]], *, links: 
     return records
 
 
-def write_detections(dets: Union[DetectionSet, Sequence[Detection]], path: PathLike) -> None:
+def write_detections(dets: DetectionSet, path: PathLike) -> None:
     """Write detections as a COCO results array with explicit triple fields."""
     _dump_json(detection_records(dets, links=False), path)

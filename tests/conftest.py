@@ -17,6 +17,17 @@ from detfuse import (
 )
 
 
+#: An integer too large for a float.
+HUGE = 10**400
+
+
+def huge_id(value):
+    """The test id of ``HUGE`` and ``-HUGE``; None (pytest's own id) for any other value."""
+    if type(value) is int and abs(value) == HUGE:
+        return "HUGE" if value > 0 else "-HUGE"
+    return None
+
+
 def grid_box(rng: np.random.Generator, span: int = 100, step: int = 5) -> BoundingBox:
     """A box on a coarse integer grid; collisions and exact ties are common."""
     x = int(rng.integers(0, span // step)) * step

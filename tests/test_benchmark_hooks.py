@@ -39,3 +39,17 @@ def test_benchmark_check_passes_on_one_dense_image(monkeypatch):
     inputs = workloads.make_inputs("eval-dense", 1, tracing.Tracer(), images=1)
     result = workloads.run_operation("eval-dense", None, inputs)
     assert workloads.Checker("eval-dense", inputs, None).check(result) == []
+
+
+def test_benchmark_check_passes_on_the_complement_pipeline(monkeypatch, tmp_path):
+    """The benchmark's checks and counts on a two-image ``pipeline-complement`` run."""
+    workloads = bench_module("workloads", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    work_dir = str(tmp_path)
+    inputs = workloads.make_inputs("pipeline-complement", 1, tracing.Tracer(), work_dir, images=2)
+    cfg = workloads.pipeline_config("pipeline-complement", work_dir)
+    result = workloads.run_operation("pipeline-complement", cfg, inputs)
+    assert workloads.Checker("pipeline-complement", inputs, cfg).check(result) == []
+    counts = workloads.layer_counts(inputs, result, cfg)
+    assert counts["integrate.diags_in"] == len(result.fused)
+    assert counts["complementary.candidates"] > 0

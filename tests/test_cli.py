@@ -156,6 +156,19 @@ class TestBasics:
         assert "[0]: image_id must be an integer or a string" in lines[0]
         assert not out.exists()
 
+    def test_box_value_too_large_for_a_float_is_one_error_line(self, tmp_path):
+        records = [{"image_id": 1, "bbox": [1, 2, 10**400, 4], "score": 0.5, "category_id_3": 0}]
+        dets = tmp_path / "d.json"
+        dets.write_text(json.dumps(records))
+        out = tmp_path / "o.json"
+        result = invoke("ensemble", dets, dets, "-o", out)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert "[0]: bbox values must be finite numbers" in lines[0]
+        assert not out.exists()
+
     def test_bad_crop_image_id_is_one_error_line(self, tmp_path):
         crop = {"crop_id": 0, "image_id": [1], "crop_bbox": [1, 2, 3, 4],
                 "source_bbox": [1, 2, 3, 4], "category_id_1": 0, "category_id_2": 1,

@@ -35,6 +35,8 @@ from detfuse import (
     write_crop_manifest,
 )
 
+from conftest import HUGE, huge_id
+
 
 def enum_det(x, y, w, h, score=0.9, image_id=1, quadrant=2, tooth=3) -> Detection:
     return Detection(
@@ -209,6 +211,9 @@ class TestMerge:
             image_id, BoundingBox(x, 0, 10, 10), 0.5, CategoryTriple(1, 1, disease), "fused", 0
         )
 
+    def integrated_set(self, x, disease="caries", image_id=1):
+        return DetectionSet([self.integrated(x, disease, image_id)], "fused")
+
     def comp_set(self, x, disease="caries", image_id=1):
         det = Detection(
             image_id,
@@ -220,33 +225,33 @@ class TestMerge:
         return DetectionSet([det], "complementary")
 
     def test_same_disease_overlap_suppressed(self):
-        merged = merge_complementary([self.integrated(0)], self.comp_set(1))
+        merged = merge_complementary(self.integrated_set(0), self.comp_set(1))
         assert len(merged) == 1  # iou 9/11 >= 0.5 and same disease
 
     def test_different_disease_overlap_kept(self):
-        merged = merge_complementary([self.integrated(0)], self.comp_set(1, "impacted"))
+        merged = merge_complementary(self.integrated_set(0), self.comp_set(1, "impacted"))
         assert len(merged) == 2
 
     def test_low_overlap_kept(self):
-        merged = merge_complementary([self.integrated(0)], self.comp_set(6))
+        merged = merge_complementary(self.integrated_set(0), self.comp_set(6))
         # iou = 4/16 = 0.25 < 0.5: kept even with the same disease
         assert len(merged) == 2
 
     def test_other_image_no_suppression(self):
-        merged = merge_complementary([self.integrated(0)], self.comp_set(1, image_id=2))
+        merged = merge_complementary(self.integrated_set(0), self.comp_set(1, image_id=2))
         assert len(merged) == 2
 
     def test_exact_threshold_suppresses(self):
         # x offset 10/3 gives iou exactly... use iou 1/3 with threshold 1/3
         merged = merge_complementary(
-            [self.integrated(0)], self.comp_set(5), MergeConfig(overlap_iou=1 / 3)
+            self.integrated_set(0), self.comp_set(5), MergeConfig(overlap_iou=1 / 3)
         )
         assert len(merged) == 1  # iou(offset 5) = 5/15 = 1/3 >= 1/3
 
     def test_integrated_passes_through_untouched(self):
         base = [self.integrated(0), self.integrated(50, "impacted")]
         comp = self.comp_set(100)
-        merged = merge_complementary(base, comp)
+        merged = merge_complementary(DetectionSet(base, "fused"), comp)
         assert list(merged[:2]) == base
         assert len(merged) == 3
         assert merged[2] == comp.detections[0]  # appended as it is
@@ -261,7 +266,7 @@ class TestMerge:
         """Each kept candidate has IoU 1 with itself, so a second merge suppresses it."""
         cfg = MergeConfig(overlap_iou=overlap_iou)
         comp_set = DetectionSet(comp, "complementary")
-        merged = merge_complementary(integrated, comp_set, cfg)
+        merged = merge_complementary(DetectionSet(integrated, "fused"), comp_set, cfg)
         assert merge_complementary(merged, comp_set, cfg) == merged
 
 
@@ -330,6 +335,14 @@ class TestCropIO:
         path = tmp_path / "cls.json"
         write_crop_classifications(items, path)
         assert parse_crop_classifications(path) == items
+
+    @pytest.mark.parametrize("confidence", [HUGE, -HUGE], ids=huge_id)
+    def test_confidence_must_be_a_finite_number(self, tmp_path, confidence):
+        path = tmp_path / "cls.json"
+        good = {"crop_id": 0, "label": "caries", "confidence": 0.5}
+        path.write_text(json.dumps([good, {**good, "confidence": confidence}]))
+        with pytest.raises(MalformedFile, match=r"cls\.json \[1\]: confidence must be a number"):
+            parse_crop_classifications(path)
 
     def test_classification_rejections(self, tmp_path):
         path = tmp_path / "cls.json"

@@ -20,10 +20,10 @@ from detfuse import (
     as_detection_set,
     filter_enumeration,
     integrate,
-    match_closest_center,
     parse_detections,
     write_integrated,
 )
+from detfuse.integrate import _closest
 
 from conftest import grid_box
 
@@ -76,46 +76,51 @@ def brute_force_match(enums, diags, max_match_distance=None):
     return out
 
 
+def matched_enum_ids(enums, diags, cfg=IntegrationConfig()):
+    """The enumeration index each diagnosis detection is matched to, or None."""
+    return [d.matched_enum_id for d in integrate(enums, diags, cfg)]
+
+
 class TestMatching:
     def test_simple_nearest(self):
         enums = enum_set([enum_det(0, 0, 0.9), enum_det(100, 0, 0.9)])
         diags = diag_set([diag_det(90, 0, 0.5)])
-        assert match_closest_center(enums, diags) == [(0, 1)]
+        assert matched_enum_ids(enums, diags) == [1]
 
     def test_matching_is_per_image(self):
         enums = enum_set([enum_det(0, 0, 0.9, image_id=1), enum_det(90, 0, 0.9, image_id=2)])
         diags = diag_set([diag_det(90, 0, 0.5, image_id=1)])
         # the nearer box lives on another image and must be ignored
-        assert match_closest_center(enums, diags) == [(0, 0)]
+        assert matched_enum_ids(enums, diags) == [0]
 
     def test_no_enums_on_image(self):
         enums = enum_set([enum_det(0, 0, 0.9, image_id=2)], universe={1, 2})
         diags = diag_set([diag_det(0, 0, 0.5, image_id=1)], universe={1, 2})
-        assert match_closest_center(enums, diags) == [(0, None)]
+        assert matched_enum_ids(enums, diags) == [None]
 
     def test_distance_tie_goes_to_higher_score(self):
         # centers (5,5) and (15,5); diag center (10,5) is exactly between
         enums = enum_set([enum_det(0, 0, 0.8), enum_det(10, 0, 0.9)])
         diags = diag_set([diag_det(5, 0, 0.5)])
-        assert match_closest_center(enums, diags) == [(0, 1)]
+        assert matched_enum_ids(enums, diags) == [1]
 
     def test_distance_and_score_tie_goes_to_lower_index(self):
         enums = enum_set([enum_det(0, 0, 0.9), enum_det(10, 0, 0.9)])
         diags = diag_set([diag_det(5, 0, 0.5)])
-        assert match_closest_center(enums, diags) == [(0, 0)]
+        assert matched_enum_ids(enums, diags) == [0]
 
     def test_many_to_one_is_allowed(self):
         enums = enum_set([enum_det(0, 0, 0.9), enum_det(200, 0, 0.9)])
         diags = diag_set([diag_det(0, 0, 0.5), diag_det(10, 0, 0.5)])
-        assert match_closest_center(enums, diags) == [(0, 0), (1, 0)]
+        assert matched_enum_ids(enums, diags) == [0, 0]
 
     def test_max_match_distance(self):
         enums = enum_set([enum_det(0, 0, 0.9)])
         diags = diag_set([diag_det(30, 40, 0.5)])  # center distance exactly 50
         near = IntegrationConfig(max_match_distance=50.0)
         far = IntegrationConfig(max_match_distance=49.9)
-        assert match_closest_center(enums, diags, near) == [(0, 0)]
-        assert match_closest_center(enums, diags, far) == [(0, None)]
+        assert matched_enum_ids(enums, diags, near) == [0]
+        assert matched_enum_ids(enums, diags, far) == [None]
 
     def test_fuzzed_against_brute_force(self):
         rng = np.random.default_rng(1234)
@@ -148,11 +153,11 @@ class TestMatching:
                     )
             universe = set(range(1, n_img + 1))
             max_dist = None if rng.random() < 0.5 else float(rng.integers(5, 80))
-            cfg = IntegrationConfig(max_match_distance=max_dist)
-            got = match_closest_center(
-                enum_set(enums, universe), diag_set(diags, universe), cfg
+            got = _closest(
+                enum_set(enums, universe).columns, diag_set(diags, universe).columns, max_dist
             )
-            assert got == brute_force_match(enums, diags, max_dist)
+            want = brute_force_match(enums, diags, max_dist)
+            assert got.tolist() == [-1 if j is None else j for _, j in want]
 
 
 class TestIntegrate:
@@ -238,7 +243,7 @@ class TestIntegratedIO:
                 1, BoundingBox(0, 0, 5, 5), 0.25, CategoryTriple(1, 2, "caries"), "fused", 0
             )
         ]
-        dets = as_detection_set(items, "fused", {1, 2})
+        dets = as_detection_set(DetectionSet(items, "fused"), "fused", {1, 2})
         assert dets.source == "fused"
         assert dets.image_universe == frozenset({1, 2})
         assert dets.detections[0].score == 0.25

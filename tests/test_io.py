@@ -25,6 +25,7 @@ from detfuse import (
     InvalidScore,
     MalformedFile,
     SplitSpec,
+    as_detection_set,
     parse_detections,
     parse_ground_truth,
     read_crop_manifest,
@@ -40,7 +41,7 @@ from detfuse import (
 )
 from detfuse.io import _dump_json
 
-from conftest import perfect_detections
+from conftest import HUGE, huge_id, perfect_detections
 
 
 def gt_payload() -> dict:
@@ -180,6 +181,14 @@ class TestGroundTruthParsing:
         assert "3 boxes" in warnings[0].message
         assert "annotations[0]" in warnings[0].message
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), HUGE], ids=huge_id)
+    def test_image_extent_must_be_a_finite_number(self, tmp_path, key, value):
+        payload = gt_payload()
+        payload["images"][1][key] = value
+        with pytest.raises(MalformedFile, match=rf"images\[1\]: {key} must be a positive number"):
+            parse_ground_truth(write_payload(tmp_path, payload))
+
     def test_fully_outside_box_rejected(self, tmp_path):
         payload = gt_payload()
         payload["annotations"][0]["bbox"] = [2000, 0, 10, 10]
@@ -244,7 +253,7 @@ class TestDetectionParsing:
         dets = parse_detections(write_payload(tmp_path, payload, "d.json"), "fused")
         assert dets.detections[0].category == CategoryTriple(2, 5, "periapical-lesion")
 
-    @pytest.mark.parametrize("score", [-0.1, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("score", [-0.1, 1.5, float("nan"), float("inf"), HUGE], ids=huge_id)
     def test_invalid_scores(self, tmp_path, score):
         payload = [{"image_id": 1, "bbox": [0, 0, 5, 5], "score": score, "category_id": 0}]
         path = tmp_path / "d.json"
@@ -335,6 +344,14 @@ class TestImageIds:
             parse_ground_truth(write_payload(tmp_path, payload))
 
 
+def finite_number(value) -> bool:
+    """An int or a float, not a bool, whose float is finite; an int too large for a float is not."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def decode_record(rec, source: str):
     """One record as the file format defines it: its ``Detection``, or the error class it raises."""
     if not isinstance(rec, dict) or "image_id" not in rec:
@@ -345,7 +362,7 @@ def decode_record(rec, source: str):
     box = rec.get("bbox")
     if type(box) is not list or len(box) != 4:
         return MalformedFile
-    if any(type(v) not in (int, float) or not math.isfinite(v) for v in box):
+    if not all(map(finite_number, box)):
         return MalformedFile
     if box[2] <= 0 or box[3] <= 0:
         return MalformedFile
@@ -413,6 +430,9 @@ MISSING = object()
 #: Without ``category_id_3`` a record may fall back on a bare ``category_id``.
 BREAKS = [(key, value) for key, values in INVALID_FIELDS.items() for value in values]
 BREAKS += [(key, MISSING) for key in REQUIRED_FIELDS]
+#: Numbers too large for a float, after the other breaks so that their test ids stay.
+TOO_LARGE_FIELDS = {"bbox": [[0, 0, HUGE, 5]], "score": [HUGE]}
+BREAKS += [(key, value) for key, values in TOO_LARGE_FIELDS.items() for value in values]
 
 
 valid_records = st.fixed_dictionaries(
@@ -452,7 +472,7 @@ class TestParsingProperties:
         else:
             assert list(parse_detections(path, source)) == decoded
 
-    @pytest.mark.parametrize("key,value", BREAKS)
+    @pytest.mark.parametrize("key,value", BREAKS, ids=huge_id)
     def test_each_broken_field(self, tmp_path, key, value):
         bases = [
             {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_1": 0,
@@ -525,7 +545,7 @@ edge_annotations = st.fixed_dictionaries(
 )
 ANNOTATION_BREAKS = [
     (key, value)
-    for key, values in INVALID_FIELDS.items()
+    for key, values in (*INVALID_FIELDS.items(), *TOO_LARGE_FIELDS.items())
     if key not in ("score", "matched_enum_id")
     for value in values
 ] + [(key, MISSING) for key in ("image_id", "bbox")]
@@ -643,13 +663,13 @@ class TestRoundTrips:
     @given(dets=grid_detections)
     def test_integrated_file_keeps_the_link(self, tmp_path_factory, dets):
         path = tmp_path_factory.getbasetemp() / "integrated.json"
-        write_integrated(dets, path)
+        write_integrated(DetectionSet(dets, "fused"), path)
         assert list(parse_detections(path, "fused")) == dets
 
     @given(dets=grid_detections)
     def test_detection_file_drops_the_link(self, tmp_path_factory, dets):
         path = tmp_path_factory.getbasetemp() / "detections.json"
-        write_detections(dets, path)
+        write_detections(DetectionSet(dets, "fused"), path)
         unlinked = [Detection(d.image_id, d.box, d.score, d.category, d.source) for d in dets]
         assert list(parse_detections(path, "fused")) == unlinked
 
@@ -683,6 +703,11 @@ class TestDatasetContainers:
         with pytest.raises(ValueError):
             AnnotatedDataset(images, [])
 
+    @pytest.mark.parametrize("extent", [(math.nan, 10), (10, math.inf)])
+    def test_image_rejects_a_non_finite_extent(self, extent):
+        with pytest.raises(ValueError):
+            AnnotatedImage(1, *extent)
+
     def test_detectionset_universe_check(self):
         det = Detection(
             5, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused"
@@ -695,6 +720,54 @@ class TestDatasetContainers:
             5, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused"
         )
         assert DetectionSet([det], "fused").image_universe == frozenset({5})
+
+
+def universe_rows() -> list:
+    """Rows on the images 2, "b", 2 and 7, in that order."""
+    return [
+        Detection(image_id, BoundingBox(k, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused")
+        for k, image_id in enumerate([2, "b", 2, 7])
+    ]
+
+
+def from_objects(rows, universe, tmp_path) -> DetectionSet:
+    return DetectionSet(rows, "fused", universe)
+
+
+def from_file(rows, universe, tmp_path) -> DetectionSet:
+    path = tmp_path / "rows.json"
+    write_detections(DetectionSet(rows, "fused"), path)
+    return parse_detections(path, "fused", universe)
+
+
+def retagged(rows, universe, tmp_path) -> DetectionSet:
+    return as_detection_set(DetectionSet(rows, "fused"), "fused", universe)
+
+
+@pytest.mark.parametrize("make", [from_objects, from_file, retagged])
+class TestUniverseRule:
+    """Every way a set is made follows one image-universe rule."""
+
+    def test_none_derives_the_rows_images_in_first_row_order(self, tmp_path, make):
+        dets = make(universe_rows(), None, tmp_path)
+        assert dets.image_universe == frozenset({2, "b", 7})
+        assert dets.columns.ids == (2, "b", 7)
+        assert list(dets) == universe_rows()
+
+    def test_empty_universe_rejects_every_row(self, tmp_path, make):
+        with pytest.raises(DanglingReference, match="image 2 outside the universe"):
+            make(universe_rows(), set(), tmp_path)
+
+    def test_given_universe_is_kept(self, tmp_path, make):
+        dets = make(universe_rows(), {2, "b", 7, 9}, tmp_path)
+        assert dets.image_universe == frozenset({2, "b", 7, 9})
+        assert list(dets) == universe_rows()
+
+    def test_first_row_outside_is_named(self, tmp_path, make):
+        with pytest.raises(DanglingReference) as exc_info:
+            make(universe_rows(), {2, 7}, tmp_path)
+        assert type(exc_info.value) is DanglingReference
+        assert str(exc_info.value) == "detection references image 'b' outside the universe"
 
 
 class TestSplitting:
@@ -798,7 +871,7 @@ class TestAtomicWrites:
         ids = ['say "hi"', "back\\slash", "zähne-🦷", "two\nlines"]
         dets = [Detection(i, box, 0.5, CategoryTriple(disease="caries"), "fused") for i in ids]
         path = tmp_path / "dets.json"
-        write_detections(dets, path)
+        write_detections(DetectionSet(dets, "fused"), path)
         text = path.read_text(encoding="utf-8")
         assert text.isascii()
         assert len(text.splitlines()) == len(ids) + 2
