@@ -287,18 +287,20 @@ def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
         disease_prior=_parse_prior(disease_prior),
         seed=seed,
     )
-    ds = generate_scene(plan)
-    os.makedirs(out_dir, exist_ok=True)
-    gt_path = os.path.join(out_dir, "gt.json")
-    write_ground_truth(ds, gt_path)
-    click.echo(f"wrote {len(ds.annotations)} annotations on {len(ds)} images -> {gt_path}")
+    streams = []
     for spec in simulations:
         source, _, profile_name = spec.partition("=")
         if not profile_name:
             raise click.BadParameter(f"expected SOURCE=PROFILE, got {spec!r}")
         if source not in SIMULATOR_SOURCES:
             raise click.BadParameter(f"source must be one of {SIMULATOR_SOURCES}")
-        profile = load_profile(profile_name)
+        streams.append((source, load_profile(profile_name)))
+    ds = generate_scene(plan)
+    os.makedirs(out_dir, exist_ok=True)
+    gt_path = os.path.join(out_dir, "gt.json")
+    write_ground_truth(ds, gt_path)
+    click.echo(f"wrote {len(ds.annotations)} annotations on {len(ds)} images -> {gt_path}")
+    for source, profile in streams:
         dets = simulate_detector(ds, profile, source, seed)
         path = os.path.join(out_dir, f"{source}.json")
         write_detections(dets, path)

@@ -17,12 +17,12 @@ import numpy as np
 from .detections import Columns, DetectionSet, _image_index, same_image_blocks, source_code
 from .errors import (
     AxisUnavailable,
-    ConfigError,
     DanglingCrop,
     MalformedFile,
     MissingImage,
-    fraction_problem,
     raise_problems,
+    setting_problems,
+    shorten,
 )
 from .geometry import CROP_LABELS, DISEASES, BoundingBox, ImageId
 from .io import (
@@ -88,10 +88,14 @@ class BalancePlan:
     multipliers: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        problems = []
+        for name, mult in self.multipliers.items():
+            if name not in DISEASES:
+                problems.append(f"unknown disease {shorten(name)} in multipliers")
+            problems += setting_problems(f"multipliers[{shorten(name)}]", mult, "[1, inf)", integer=True)
+        raise_problems(problems)
         self.counts = {d: int(self.counts.get(d, 0)) for d in DISEASES}
         self.multipliers = {d: int(self.multipliers.get(d, 1)) for d in DISEASES}
-        if any(m < 1 for m in self.multipliers.values()):
-            raise ValueError("multipliers must be >= 1")
 
     def planned(self) -> dict[str, int]:
         """Effective per-class counts after duplication."""
@@ -105,9 +109,14 @@ class MergeConfig:
 
     def __post_init__(self) -> None:
         raise_problems(
-            fraction_problem("overlap_iou", self.overlap_iou)
-            + fraction_problem("min_confidence", self.min_confidence)
+            setting_problems("overlap_iou", self.overlap_iou, "[0, 1]")
+            + setting_problems("min_confidence", self.min_confidence, "[0, 1]")
         )
+
+
+def _pad_problems(pad_fraction) -> list[str]:
+    """The problem with a crop padding, a fraction of the box added on each side, if any."""
+    return setting_problems("pad_fraction", pad_fraction, "[0, inf)")
 
 
 def assign_crops(
@@ -124,11 +133,11 @@ def assign_crops(
     zero.  The input is expected to be score-gated already.
 
     Raises:
+        ConfigError: ``pad_fraction`` is not a finite number >= 0.
         MissingImage: an enumeration detection references an image id not
             present in ``images``.
     """
-    if pad_fraction < 0:
-        raise ConfigError(f"pad_fraction must be >= 0, got {pad_fraction!r}")
+    raise_problems(_pad_problems(pad_fraction))
     cols = enums.columns
     lacking = (cols.quadrant < 0) | (cols.tooth < 0)
     unknown = np.zeros_like(lacking)
@@ -192,14 +201,7 @@ def oversample_plan(
     The default boost doubles the two rarest classes (periapical lesions
     and deep caries) and leaves everything else untouched.
     """
-    chosen = DEFAULT_BOOST if boost is None else boost
-    for name, mult in chosen.items():
-        if name not in DISEASES:
-            raise ValueError(f"unknown disease {name!r} in boost map")
-        if int(mult) < 1:
-            raise ValueError(f"boost multiplier for {name!r} must be >= 1, got {mult!r}")
-    multipliers = {d: int(chosen.get(d, 1)) for d in DISEASES}
-    return BalancePlan(counts=dict(counts), multipliers=multipliers)
+    return BalancePlan(dict(counts), dict(DEFAULT_BOOST if boost is None else boost))
 
 
 def classifications_to_detections(
@@ -334,7 +336,7 @@ def read_crop_manifest(path: PathLike) -> list[CropAssignment]:
     rules.note(
         ~((score >= 0) & (score <= 1)),
         MalformedFile,
-        lambda i: f"enum_score must be in [0, 1], got {records[i].get('enum_score')!r}",
+        lambda i: f"enum_score must be in [0, 1], got {shorten(records[i].get('enum_score'))}",
     )
     rules.raise_first()
     return [
@@ -366,13 +368,13 @@ def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
     rules.note(
         np.array([label not in CROP_LABELS for label in labels], bool),
         MalformedFile,
-        lambda i: f"unknown label {labels[i]!r}",
+        lambda i: f"unknown label {shorten(labels[i])}",
     )
     confidence = _numbers(_field(records, "confidence"))[0]
     rules.note(
         ~((confidence >= 0) & (confidence <= 1)),
         MalformedFile,
-        lambda i: f"confidence must be a number in [0, 1], got {records[i].get('confidence')!r}",
+        lambda i: f"confidence must be a number in [0, 1], got {shorten(records[i].get('confidence'))}",
     )
     rules.raise_first()
     return [

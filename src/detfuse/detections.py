@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DanglingReference
+from .errors import ConfigError, DanglingReference, shorten
 from .geometry import DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId
 
 _IMAGE_ID = attrgetter("image_id")
@@ -34,10 +34,10 @@ _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
 
 def source_code(source: str) -> int:
-    """The index of a source tag in :data:`SOURCES`; ValueError for an unknown tag."""
+    """The index of a source tag in :data:`SOURCES`; :class:`ConfigError` for an unknown tag."""
     code = _SOURCE_CODE.get(source)
     if code is None:
-        raise ValueError(f"unknown source tag {source!r}")
+        raise ConfigError(f"unknown source tag {shorten(source)}; expected one of {SOURCES}")
     return code
 
 

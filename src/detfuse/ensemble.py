@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .detections import DetectionSet
-from .errors import UniverseMismatch, fraction_problem, raise_problems
+from .errors import UniverseMismatch, raise_problems, setting_problems
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ class EnsembleConfig:
     tau: float = 0.05
 
     def __post_init__(self) -> None:
-        raise_problems(fraction_problem("tau", self.tau))
+        raise_problems(setting_problems("tau", self.tau, "[0, 1]"))
 
 
 def threshold_ensemble(

@@ -1,4 +1,4 @@
-"""Exception hierarchy, plus the setting checks that raise :class:`ConfigError`.
+"""Exception hierarchy, the settings rule that raises :class:`ConfigError`, and message echoes.
 
 Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 (and the CLI) can distinguish data problems from programming errors.
@@ -6,6 +6,7 @@ Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -53,16 +54,33 @@ class ConfigError(DetfuseError, ValueError):
     """A configuration value is missing, of the wrong type or out of range."""
 
 
-def is_number(value) -> bool:
-    """True for a real number; a bool is not a setting's number."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def shorten(value, limit: int = 120) -> str:
+    """``repr(value)``, or past ``limit`` characters its start and length; 4-float boxes fit."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def fraction_problem(name: str, value) -> list[str]:
-    """The problem with a setting that must be a number in [0, 1], if any."""
-    if is_number(value) and 0.0 <= value <= 1.0:
+def setting_problems(name: str, value, bounds: str, *, integer=False, optional=False) -> list[str]:
+    """The problem with the setting ``name``, if any, as a list of at most one message.
+
+    A setting's number is a real number that is not a bool, and finite; with
+    ``integer`` it must be an integer. ``bounds`` is its range in interval
+    notation, such as ``"[0, 1)"`` or ``"(0, inf)"``. With ``optional``,
+    ``None`` leaves the setting unset.
+    """
+    if optional and value is None:
         return []
-    return [f"{name} must be a number in [0, 1], got {value!r}"]
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    if (
+        isinstance(value, numbers.Integral if integer else numbers.Real)
+        and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+        and (low < value if bounds[0] == "(" else low <= value)
+        and (value < high if bounds[-1] == ")" else value <= high)
+    ):
+        return []
+    kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"
+    return [f"{name} must be {kind}, got {shorten(value)}"]
 
 
 def raise_problems(problems: list[str]) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .detections import Columns, DetectionSet, _resolve_universe, same_image_blocks, source_code
-from .errors import AxisUnavailable, fraction_problem, is_number, raise_problems
+from .errors import AxisUnavailable, raise_problems, setting_problems, shorten
 from .io import PathLike, _dump_json
 from .results import detection_records
 
@@ -32,15 +32,13 @@ class IntegrationConfig:
     unmatched_policy: str = KEEP_WITHOUT_ENUMERATION
 
     def __post_init__(self) -> None:
-        problems = fraction_problem("enum_score_gate", self.enum_score_gate)
-        distance = self.max_match_distance
-        if distance is not None and not (is_number(distance) and distance > 0):
-            problems.append(
-                f"max_match_distance must be a positive number when set, got {distance!r}"
-            )
+        problems = setting_problems("enum_score_gate", self.enum_score_gate, "[0, 1]")
+        problems += setting_problems(
+            "max_match_distance", self.max_match_distance, "(0, inf)", optional=True
+        )
         if self.unmatched_policy not in UNMATCHED_POLICIES:
             problems.append(
-                f"unmatched_policy must be one of {UNMATCHED_POLICIES}, got {self.unmatched_policy!r}"
+                f"unmatched_policy must be one of {UNMATCHED_POLICIES}, got {shorten(self.unmatched_policy)}"
             )
         raise_problems(problems)
 

@@ -41,14 +41,17 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .detections import _category_key, _image_index, category_of
+from .detections import _category_codes, _category_key, _image_index, category_of
 from .errors import (
     CountMismatch,
     DanglingReference,
     InvalidCategory,
     MalformedFile,
+    raise_problems,
+    setting_problems,
+    shorten,
 )
-from .geometry import DISEASES, BoundingBox, CategoryTriple, ImageId
+from .geometry import BoundingBox, CategoryTriple, ImageId
 
 logger = logging.getLogger(__name__)
 
@@ -113,8 +116,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.train_count, self.val_count, self.test_count) < 0:
-            raise ValueError("split counts must be non-negative")
+        raise_problems(
+            setting_problems("train_count", self.train_count, "[0, inf)", integer=True)
+            + setting_problems("val_count", self.val_count, "[0, inf)", integer=True)
+            + setting_problems("test_count", self.test_count, "[0, inf)", integer=True)
+            + setting_problems("seed", self.seed, "[0, inf)", integer=True)
+        )
 
     @property
     def total(self) -> int:
@@ -191,6 +198,12 @@ _ABSENT = object()
 
 #: The 0-based id fields of a category triple and their number of values.
 _TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4))
+
+
+def _category_fields(codes: tuple[int, int, int]) -> dict:
+    """The ``category_id_1/2/3`` fields of quadrant, tooth and disease codes; -1 leaves one out."""
+    return {key: code for (key, _), code in zip(_TRIPLE_KEYS, codes) if code >= 0}
+
 
 #: Stands in for a rejected box, so that the later checks can run on every row.
 _UNIT_BOX = [0.0, 0.0, 1.0, 1.0]
@@ -281,7 +294,7 @@ def _image_ids(records: list, key: str, rules: _FirstBreak) -> list:
     rules.note(
         bad,
         MalformedFile,
-        lambda i: f"{key} must be an integer or a string, got {records[i][key]!r}",
+        lambda i: f"{key} must be an integer or a string, got {shorten(records[i][key])}",
     )
     return [image_id if ok else 0 for image_id, ok in zip(ids, ~bad)]
 
@@ -295,19 +308,19 @@ def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
         rules.note(
             bad,
             MalformedFile,
-            lambda i: f"{key} must be a 4-element [x, y, w, h] list, got {records[i].get(key)!r}",
+            lambda i: f"{key} must be a 4-element [x, y, w, h] list, got {shorten(records[i].get(key))}",
         )
         boxes = [_UNIT_BOX if b else box for box, b in zip(boxes, bad)]
     xywh = _numbers(list(chain.from_iterable(boxes)))[0].reshape(n, 4)
     rules.note(
         ~np.isfinite(xywh).all(axis=1),
         MalformedFile,
-        lambda i: f"{key} values must be finite numbers, got {records[i][key]!r}",
+        lambda i: f"{key} values must be finite numbers, got {shorten(records[i][key])}",
     )
     rules.note(
         (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0),
         MalformedFile,
-        lambda i: f"{key} must have positive width and height, got {records[i][key]!r}",
+        lambda i: f"{key} must have positive width and height, got {shorten(records[i][key])}",
     )
     return xywh
 
@@ -330,13 +343,13 @@ def _code_column(
     rules.note(
         mistyped,
         InvalidCategory,
-        lambda i: f"{key!r} must be an integer, got {records[i].get(key)!r}",
+        lambda i: f"{key!r} must be an integer, got {shorten(records[i].get(key))}",
     )
     in_range = [type(v) is int and 0 <= v < upper for v in values]
     rules.note(
         present & ~mistyped & ~np.array(in_range, bool),
         InvalidCategory,
-        lambda i: f"{key!r} out of range 0..{upper - 1}, got {records[i][key]}",
+        lambda i: f"{key!r} out of range 0..{upper - 1}, got {shorten(records[i][key])}",
     )
     return np.fromiter((v if ok else -1 for v, ok in zip(values, in_range)), np.int8, len(values))
 
@@ -350,7 +363,7 @@ def _decode_bare(
     rules.note(
         mistyped,
         MalformedFile,
-        lambda i: f"field 'category_id' must be an integer, got {records[i]['category_id']!r}",
+        lambda i: f"field 'category_id' must be an integer, got {shorten(records[i]['category_id'])}",
     )
     rows = bare & ~mistyped
     if mode is None:
@@ -366,7 +379,7 @@ def _decode_bare(
     rules.note(
         rows & (cid < 0),
         InvalidCategory,
-        lambda i: f"{label} out of range 0..{upper - 1}, got {records[i]['category_id']}",
+        lambda i: f"{label} out of range 0..{upper - 1}, got {shorten(records[i]['category_id'])}",
     )
     ok = rows & (cid >= 0)
     if mode == "product":
@@ -451,7 +464,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     unknown = np.flatnonzero(image < 0).tolist()
     if unknown:
         i = unknown[0]
-        raise DanglingReference(f"{path} annotations[{i}]: unknown image_id {ids[i]!r}")
+        raise DanglingReference(f"{path} annotations[{i}]: unknown image_id {shorten(ids[i])}")
     size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
     with np.errstate(over="ignore"):
         inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
@@ -493,7 +506,7 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
         rules.note(
             ~(np.isfinite(extent) & (extent > 0)),
             MalformedFile,
-            lambda i, key=key: f"{key} must be a positive number, got {records[i].get(key)!r}",
+            lambda i, key=key: f"{key} must be a positive number, got {shorten(records[i].get(key))}",
         )
         extents.append(extent.tolist())
     rules.raise_first()
@@ -505,17 +518,6 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
     )
 
 
-def _encode_category(cat: CategoryTriple) -> dict:
-    rec: dict = {}
-    if cat.quadrant is not None:
-        rec["category_id_1"] = cat.quadrant - 1
-    if cat.enumeration is not None:
-        rec["category_id_2"] = cat.enumeration - 1
-    if cat.disease is not None:
-        rec["category_id_3"] = DISEASES.index(cat.disease)
-    return rec
-
-
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
     """Serialize a dataset back to the canonical COCO-style layout."""
     images = [
@@ -525,7 +527,7 @@ def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
     annotations = []
     for i, ann in enumerate(ds.annotations):
         rec: dict = {"id": i, "image_id": ann.image_id, "bbox": ann.box.as_xywh()}
-        rec.update(_encode_category(ann.category))
+        rec.update(_category_fields(_category_codes(ann.category)))
         if ann.mask_payload is not None:
             rec["segmentation"] = ann.mask_payload
         annotations.append(rec)

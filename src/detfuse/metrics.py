@@ -26,7 +26,6 @@ quadrant x tooth product by default, or 8 tooth classes), ``disease``
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -35,7 +34,14 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .detections import CATEGORY_KEYS, Columns, DetectionSet, _image_index, category_of
-from .errors import AxisUnavailable, ConfigError, DanglingReference
+from .errors import (
+    AxisUnavailable,
+    ConfigError,
+    DanglingReference,
+    raise_problems,
+    setting_problems,
+    shorten,
+)
 from .geometry import BoundingBox, CategoryTriple
 from .io import AnnotatedDataset, PathLike, _atomic_open
 
@@ -62,9 +68,7 @@ class EvalConfig:
     keep_pr_curves: bool = False
 
     def __post_init__(self) -> None:
-        value = self.max_dets
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigError(f"max_dets must be an integer >= 1, got {value!r}")
+        raise_problems(setting_problems("max_dets", self.max_dets, "[1, inf)", integer=True))
 
 
 @dataclass
@@ -115,7 +119,7 @@ def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
         return attrgetter(axis)
     if axis == "enumeration":
         return _tooth if enumeration_product else attrgetter("enumeration")
-    raise ConfigError(f"unknown axis {axis!r}; expected one of {AXES}")
+    raise ConfigError(f"unknown axis {shorten(axis)}; expected one of {AXES}")
 
 
 def class_label(key, axis: str) -> str:

@@ -25,6 +25,7 @@ from typing import Iterator, Optional
 
 from .complementary import (
     MergeConfig,
+    _pad_problems,
     assign_crops,
     classifications_to_detections,
     merge_complementary,
@@ -33,7 +34,7 @@ from .complementary import (
 )
 from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
-from .errors import ConfigError, DetfuseError, is_number, raise_problems
+from .errors import ConfigError, DetfuseError, raise_problems, shorten
 from .integrate import (
     KEEP_WITHOUT_ENUMERATION,
     IntegrationConfig,
@@ -104,30 +105,22 @@ class PipelineConfig:
                 object.__setattr__(self, name, make(**settings))
             except ConfigError as exc:
                 problems.append(str(exc))
-        if not (is_number(self.pad_fraction) and self.pad_fraction >= 0):
-            problems.append(f"pad_fraction must be a number >= 0, got {self.pad_fraction!r}")
+        problems += _pad_problems(self.pad_fraction)
         if not isinstance(self.axes, (list, tuple)):
-            problems.append(f"axes must be a list of axis names, got {self.axes!r}")
+            problems.append(f"axes must be a list of axis names, got {shorten(self.axes)}")
         elif not self.axes:
             problems.append("axes must not be empty")
         else:
             object.__setattr__(self, "axes", tuple(self.axes))
             for axis in self.axes:
                 if axis not in AXES:
-                    problems.append(f"unknown axis {axis!r}; expected one of {AXES}")
-        for label, path, required in (
-            ("ground_truth", self.ground_truth, True),
-            ("enumeration", self.enumeration, True),
-            ("diagnosis_a", self.diagnosis_a, True),
-            ("diagnosis_b", self.diagnosis_b, False),
-            ("crop_classifications", self.crop_classifications, False),
-        ):
-            if path is None:
-                continue
-            if required and not path:
-                problems.append(f"{label} path is required")
+                    problems.append(f"unknown axis {shorten(axis)}; expected one of {AXES}")
+        for key in _INPUT_KEYS:
+            path = getattr(self, key)
+            if key in _REQUIRED_KEYS and not path:
+                problems.append(f"{key} path is required")
             elif path and not os.path.isfile(path):
-                problems.append(f"{label} file not found: {path}")
+                problems.append(f"{key} file not found: {path}")
         raise_problems(problems)
 
 
@@ -137,14 +130,9 @@ _REQUIRED_KEYS = [
     f.name for f in _INIT_FIELDS if f.default is MISSING and f.default_factory is MISSING
 ]
 
-_PATH_KEYS = (
-    "ground_truth",
-    "enumeration",
-    "diagnosis_a",
-    "diagnosis_b",
-    "crop_classifications",
-    "out_dir",
-)
+#: The input files; with ``out_dir``, the paths that resolve relative to a config file.
+_INPUT_KEYS = ("ground_truth", "enumeration", "diagnosis_a", "diagnosis_b", "crop_classifications")
+_PATH_KEYS = (*_INPUT_KEYS, "out_dir")
 
 
 def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
@@ -152,10 +140,10 @@ def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineCon
         raise ConfigError("pipeline config must be a JSON object")
     unknown = set(payload) - _CONFIG_KEYS - {"threads"}
     if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown pipeline config keys: {shorten(sorted(unknown))}")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+        raise ConfigError(f"unsupported schema_version {shorten(version)}; expected {SCHEMA_VERSION}")
     if "threads" in payload:
         # Older schema-v1 files still set it; evaluation runs in one thread.
         logger.warning("pipeline config key 'threads' is deprecated and ignored")
@@ -166,7 +154,7 @@ def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineCon
     for key in _PATH_KEYS:
         value = kwargs.get(key)
         if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
+            raise ConfigError(f"{key} must be a path string, got {shorten(value)}")
         if value:
             kwargs[key] = os.path.normpath(os.path.join(base_dir, value))
     return PipelineConfig(**kwargs)

@@ -21,13 +21,13 @@ from .detections import (
     category_codes,
     source_code,
 )
-from .errors import InvalidScore, MalformedFile
+from .errors import InvalidScore, MalformedFile, shorten
 from .geometry import ImageId
 from .io import (
-    _TRIPLE_KEYS,
     PathLike,
     _boxes,
     _categories,
+    _category_fields,
     _dump_json,
     _field,
     _FirstBreak,
@@ -41,8 +41,6 @@ from .io import (
 _BARE_MODES = {"enumeration-model": "product", "diagnosis-A": "disease", "diagnosis-B": "disease"}
 
 _MAX_LINK = int(np.iinfo(np.int64).max)
-
-_CATEGORY_FIELDS = tuple(key for key, _ in _TRIPLE_KEYS)
 
 
 def parse_detections(
@@ -80,12 +78,12 @@ def parse_detections(
     rules.note(
         mistyped,
         MalformedFile,
-        lambda i: f"score must be a number, got {records[i].get('score')!r}",
+        lambda i: f"score must be a number, got {shorten(records[i].get('score'))}",
     )
     rules.note(
         ~((score >= 0.0) & (score <= 1.0)),  # NaN fails both
         InvalidScore,
-        lambda i: f"score {records[i]['score']!r} outside [0, 1]",
+        lambda i: f"score {shorten(records[i]['score'])} outside [0, 1]",
     )
 
     quadrant, tooth, disease = _categories(records, _BARE_MODES.get(source), rules)
@@ -102,7 +100,7 @@ def parse_detections(
             MalformedFile,
             lambda i: (
                 "matched_enum_id must be a non-negative integer, "
-                f"got {records[i]['matched_enum_id']!r}"
+                f"got {shorten(records[i]['matched_enum_id'])}"
             ),
         )
         link = np.fromiter(
@@ -127,10 +125,7 @@ def detection_records(dets: DetectionSet, *, links: bool) -> list[dict]:
     cols = dets.columns
     ids = cols.ids
     keys = cols.category_key().tolist()
-    categories = {
-        key: {name: code for name, code in zip(_CATEGORY_FIELDS, category_codes(key)) if code >= 0}
-        for key in set(keys)
-    }
+    categories = {key: _category_fields(category_codes(key)) for key in set(keys)}
     link_list = cols.link.tolist() if links else repeat(-1)
     records = []
     for image, box, score, key, link in zip(

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .detections import DetectionSet
-from .errors import ConfigError
+from .errors import ConfigError, raise_problems, setting_problems, shorten
 from .geometry import DISEASES, BoundingBox, CategoryTriple, Detection
 from .io import AnnotatedDataset, AnnotatedImage, GroundTruthAnnotation, PathLike
 
@@ -41,30 +41,24 @@ class ScenePlan:
     def __post_init__(self) -> None:
         prior = self.disease_prior
         if isinstance(prior, Mapping):
-            unknown = sorted(set(prior) - set(DISEASES))
-            if unknown:
-                raise ConfigError(f"unknown disease {unknown[0]!r} in prior")
-            prior = tuple((name, prior[name]) for name in DISEASES if name in prior)
-        else:
-            prior = tuple(prior)
-        object.__setattr__(self, "disease_prior", prior)
-        if self.num_images < 1:
-            raise ConfigError("num_images must be >= 1")
-        if self.width < 100 or self.height < 100:
-            raise ConfigError("scene must be at least 100x100 pixels")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ConfigError("missing_rate must lie in [0, 1)")
-        if not 0.0 <= self.layout_jitter <= 0.2:
-            raise ConfigError("layout_jitter must lie in [0, 0.2]")
-        total = 0.0
-        for name, p in prior:
+            prior = [(name, prior[name]) for name in DISEASES if name in prior] + [
+                (name, p) for name, p in prior.items() if name not in DISEASES
+            ]
+        object.__setattr__(self, "disease_prior", tuple(prior))
+        problems = []
+        for name, p in self.disease_prior:
             if name not in DISEASES:
-                raise ConfigError(f"unknown disease {name!r} in prior")
-            if p < 0:
-                raise ConfigError("disease probabilities must be >= 0")
-            total += p
-        if total > 1.0 + 1e-9:
-            raise ConfigError("disease prior mass exceeds 1")
+                problems.append(f"unknown disease {shorten(name)} in disease_prior")
+            problems += setting_problems(f"disease_prior[{shorten(name)}]", p, "[0, inf)")
+        if not problems and sum(p for _, p in self.disease_prior) > 1.0 + 1e-9:
+            problems.append("disease_prior mass exceeds 1")
+        problems += setting_problems("num_images", self.num_images, "[1, inf)", integer=True)
+        problems += setting_problems("width", self.width, "[100, inf)")
+        problems += setting_problems("height", self.height, "[100, inf)")
+        problems += setting_problems("missing_rate", self.missing_rate, "[0, 1)")
+        problems += setting_problems("layout_jitter", self.layout_jitter, "[0, 0.2]")
+        problems += setting_problems("seed", self.seed, "[0, inf)", integer=True)
+        raise_problems(problems)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,20 +76,16 @@ class DetectorProfile:
     det_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.recall <= 1.0:
-            raise ConfigError("recall must lie in [0, 1]")
-        if self.fp_per_image < 0:
-            raise ConfigError("fp_per_image must be >= 0")
-        if self.localization_noise < 0 or self.localization_noise > 0.5:
-            raise ConfigError("localization_noise must lie in [0, 0.5]")
-        for nm in ("tp_score_mean", "fp_score_mean"):
-            if not 0.0 <= getattr(self, nm) <= 1.0:
-                raise ConfigError(f"{nm} must lie in [0, 1]")
-        for nm in ("tp_score_std", "fp_score_std"):
-            if getattr(self, nm) < 0:
-                raise ConfigError(f"{nm} must be >= 0")
-        if self.det_cap is not None and self.det_cap < 1:
-            raise ConfigError("det_cap must be >= 1 when set")
+        raise_problems(
+            setting_problems("recall", self.recall, "[0, 1]")
+            + setting_problems("fp_per_image", self.fp_per_image, "[0, inf)")
+            + setting_problems("localization_noise", self.localization_noise, "[0, 0.5]")
+            + setting_problems("tp_score_mean", self.tp_score_mean, "[0, 1]")
+            + setting_problems("tp_score_std", self.tp_score_std, "[0, inf)")
+            + setting_problems("fp_score_mean", self.fp_score_mean, "[0, 1]")
+            + setting_problems("fp_score_std", self.fp_score_std, "[0, inf)")
+            + setting_problems("det_cap", self.det_cap, "[1, inf)", integer=True, optional=True)
+        )
 
 
 # FDI layout: the upper arch reads quadrant 1 tooth 8..1 then quadrant 2
@@ -190,8 +180,10 @@ def simulate_detector(
     detections for diseased teeth. Each image draws from an independent
     seeded stream, so per-image results never depend on batch composition.
     """
+    problems = setting_problems("seed", seed, "[0, inf)", integer=True)
     if source not in SIMULATOR_SOURCES:
-        raise ConfigError(f"source must be one of {SIMULATOR_SOURCES}, got {source!r}")
+        problems.append(f"source must be one of {SIMULATOR_SOURCES}, got {shorten(source)}")
+    raise_problems(problems)
     enumeration_task = source == "enumeration-model"
     salt = zlib.crc32(f"{profile.name}|{source}".encode("utf-8"))
 
@@ -246,15 +238,6 @@ BUILTIN_PROFILES = ("diffusiondet-like", "dino-like", "perfect")
 _PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 
 
-def _profile_from_dict(payload: dict) -> DetectorProfile:
-    unknown = set(payload) - _PROFILE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown profile fields: {sorted(unknown)}")
-    if "name" not in payload:
-        raise ConfigError("profile is missing a name")
-    return DetectorProfile(**payload)
-
-
 def load_profile(name_or_path: PathLike) -> DetectorProfile:
     """Load a built-in profile by name, or any profile from a JSON file."""
     text: str
@@ -271,4 +254,9 @@ def load_profile(name_or_path: PathLike) -> DetectorProfile:
         raise ConfigError(f"profile is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("profile JSON must be an object")
-    return _profile_from_dict(payload)
+    unknown = set(payload) - _PROFILE_KEYS
+    if unknown:
+        raise ConfigError(f"unknown profile fields: {shorten(sorted(unknown))}")
+    if "name" not in payload:
+        raise ConfigError("profile is missing a name")
+    return DetectorProfile(**payload)

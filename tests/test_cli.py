@@ -96,11 +96,48 @@ class TestBasics:
                 ["crops", "enumeration-model.json", "--gt", "gt.json", "-o", "OUT", "--gate", 5],
                 "enum_score_gate",
             ),
+            (
+                ["split", "gt.json", "--train", -1, "--val", 1, "--test", 6, "--out-dir", "OUT"],
+                "train_count",
+            ),
+            (["balance", "gt.json", "--boost", "foo=2", "-o", "OUT"], "'foo'"),
+            (["balance", "gt.json", "--boost", "caries=0", "-o", "OUT"], "multipliers['caries']"),
+            (
+                ["split", "gt.json", "--train", 4, "--val", 1, "--test", 1, "--seed", -1,
+                 "--out-dir", "OUT"],
+                "seed",
+            ),
+            (["synth", "--out-dir", "OUT", "--seed", -1], "seed"),
+            (
+                ["crops", "enumeration-model.json", "--gt", "gt.json", "-o", "OUT", "--pad", "nan"],
+                "pad_fraction",
+            ),
+            (
+                ["synth", "--out-dir", "OUT", "--simulate", "diagnosis-A=diffusiondet-like",
+                 "--simulate", {"recall": "high"}],
+                "recall",
+            ),
+            (["synth", "--out-dir", "OUT", "--simulate", {"det_cap": 1.5}], "det_cap"),
+            (["synth", "--out-dir", "OUT", "--simulate", {"fp_per_image": float("nan")}], "fp_per_image"),
+            (["synth", "--out-dir", "OUT", "--disease-prior", "caries=nan"], "disease_prior['caries']"),
+            (
+                ["ensemble", "diagnosis-A.json", "diagnosis-B.json", "-o", "OUT",
+                 "--primary-source", "bogus"],
+                "source tag 'bogus'",
+            ),
         ],
     )
     def test_out_of_range_option_is_one_error_line(self, corpus, tmp_path, args, key):
+        """A bad setting exits 1 with one line naming it; a dict is a profile file to simulate."""
         out = tmp_path / "out.json"
-        argv = [out if a == "OUT" else corpus / a if str(a).endswith(".json") else a for a in args]
+        profile = tmp_path / "profile.json"
+        argv = []
+        for a in args:
+            if isinstance(a, dict):
+                profile.write_text(json.dumps({"name": "p", **a}))
+                argv.append(f"diagnosis-B={profile}")
+            else:
+                argv.append(out if a == "OUT" else corpus / a if str(a).endswith(".json") else a)
         result = invoke(*argv)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
@@ -157,17 +194,23 @@ class TestBasics:
         assert not out.exists()
 
     def test_box_value_too_large_for_a_float_is_one_error_line(self, tmp_path):
-        records = [{"image_id": 1, "bbox": [1, 2, 10**400, 4], "score": 0.5, "category_id_3": 0}]
+        """A huge value, or a long string, is echoed in short on one line."""
         dets = tmp_path / "d.json"
-        dets.write_text(json.dumps(records))
         out = tmp_path / "o.json"
-        result = invoke("ensemble", dets, dets, "-o", out)
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # no traceback
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("Error: ")
-        assert "[0]: bbox values must be finite numbers" in lines[0]
-        assert not out.exists()
+        for field, value, message in (
+            ("bbox", [1, 2, 10**400, 4], "[0]: bbox values must be finite numbers, got [1, 2, 1000"),
+            ("score", "9" * 5000, "[0]: score must be a number, got '9999"),
+        ):
+            record = {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}
+            dets.write_text(json.dumps([{**record, field: value}]))
+            result = invoke("ensemble", dets, dets, "-o", out)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)  # no traceback
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: ")
+            assert message in lines[0]
+            assert len(lines[0]) - len(str(dets)) <= 200
+            assert not out.exists()
 
     def test_bad_crop_image_id_is_one_error_line(self, tmp_path):
         crop = {"crop_id": 0, "image_id": [1], "crop_bbox": [1, 2, 3, 4],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from detfuse import (
     BalancePlan,
     BoundingBox,
     CategoryTriple,
+    ConfigError,
     CropAssignment,
     CropClassification,
     DanglingCrop,
@@ -146,6 +148,14 @@ class TestBalance:
             oversample_plan({}, {"caries": 0})
         with pytest.raises(ValueError):
             BalancePlan(multipliers={"caries": -1})
+        for boost, named in (
+            ({"caries": 1.5}, "multipliers['caries']"),
+            ({"caries": "2"}, "multipliers['caries']"),
+            ({"impacted": True}, "multipliers['impacted']"),
+            ({"gum": 2, "caries": 0}, "unknown disease 'gum' in multipliers; multipliers['caries']"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                oversample_plan({}, boost)
 
 
 class TestClassificationsToDetections:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from detfuse import (
     AnnotatedImage,
     BoundingBox,
     CategoryTriple,
+    ConfigError,
     CountMismatch,
     CropAssignment,
     DanglingReference,
@@ -798,6 +800,14 @@ class TestSplitting:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(-1, 5, 5)
+        for args, named in (
+            ((1.5, 1, 1), "train_count"),
+            ((1, True, 1), "val_count"),
+            ((1, 1, 1, -1), "seed"),
+            ((1, 1, -1, 0.5), "test_count must be an integer in [0, inf), got -1; seed"),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                SplitSpec(*args)
 
     def test_subset_dataset(self, tiny_scene):
         sub = subset_dataset(tiny_scene, [2])

@@ -280,10 +280,11 @@ class TestErrors:
         with pytest.raises(TypeError):
             EvalConfig(recall_points=11)
 
-    @pytest.mark.parametrize("max_dets", [1.5, True, "100", 0])
+    @pytest.mark.parametrize("max_dets", [1.5, True, "100", 0, pytest.param("9" * 5000, id="long-string")])
     def test_max_dets_must_be_a_positive_integer(self, max_dets):
-        with pytest.raises(ConfigError, match="max_dets"):
+        with pytest.raises(ConfigError, match="max_dets") as exc_info:
             EvalConfig(max_dets=max_dets)
+        assert len(str(exc_info.value)) <= 200  # a long value is echoed in short
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):

@@ -274,6 +274,9 @@ class TestPipelineConfig:
             ("min_confidence", float("nan")),
             ("pad_fraction", "0.1"),
             ("unmatched_policy", "keep"),
+            ("max_match_distance", float("inf")),
+            ("pad_fraction", float("inf")),
+            ("ground_truth", None),
         ],
     )
     def test_bad_setting_fails_before_anything_is_written(self, tmp_path, key, value):

@@ -85,11 +85,20 @@ class TestGenerateScene:
             {"disease_prior": {"caries": 0.6, "impacted": 0.6}},
             {"disease_prior": (("gingivitis", 0.1),)},
             {"disease_prior": {"gum": 0.1}},
+            {"num_images": 2.5},
+            {"seed": -1},
+            {"disease_prior": {"caries": float("nan")}},
+            {"missing_rate": "0.1"},
+            {"height": float("nan")},
+            {"layout_jitter": False},
+            {"num_images": 0, "seed": -1, "width": float("inf")},
         ],
     )
     def test_plan_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc_info:
             ScenePlan(**kwargs)
+        for key in kwargs:  # one error names every bad field
+            assert key in str(exc_info.value)
 
 
 class TestSimulateDetector:
@@ -256,8 +265,16 @@ class TestProfiles:
             {"tp_score_mean": 1.5},
             {"fp_score_std": -0.5},
             {"det_cap": 0},
+            {"recall": "high"},
+            {"recall": True},
+            {"det_cap": 1.5},
+            {"fp_per_image": float("nan")},
+            {"tp_score_std": float("inf")},
+            {"recall": 2, "det_cap": 0},
         ],
     )
     def test_profile_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc_info:
             DetectorProfile("p", **kwargs)
+        for key in kwargs:  # one error names every bad field
+            assert key in str(exc_info.value)
