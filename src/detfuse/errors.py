@@ -6,8 +6,8 @@ Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 
 class DetfuseError(Exception):
@@ -54,19 +54,19 @@ class ConfigError(DetfuseError, ValueError):
     """A configuration value is missing, of the wrong type or out of range."""
 
 
-def shorten(value, limit: int = 120) -> str:
-    """``repr(value)``, or past ``limit`` characters its start and length; 4-float boxes fit."""
-    text = repr(value)
+def shorten(value) -> str:
+    """``repr(value)``, or past 120 characters its start and length; 4-float boxes fit."""
+    text, limit = repr(value), 120
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def setting_problems(name: str, value, bounds: str, *, integer=False, optional=False) -> list[str]:
     """The problem with the setting ``name``, if any, as a list of at most one message.
 
-    A setting's number is a real number that is not a bool, and finite; with
-    ``integer`` it must be an integer. ``bounds`` is its range in interval
-    notation, such as ``"[0, 1)"`` or ``"(0, inf)"``. With ``optional``,
-    ``None`` leaves the setting unset.
+    A setting's number is a real number that is not a bool, and finite (an
+    integer too large for a float is not); with ``integer`` it must be an
+    integer. ``bounds`` is its range in interval notation, such as ``"[0, 1)"``
+    or ``"(0, inf)"``. With ``optional``, ``None`` leaves the setting unset.
     """
     if optional and value is None:
         return []
@@ -74,7 +74,7 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
     if (
         isinstance(value, numbers.Integral if integer else numbers.Real)
         and not isinstance(value, bool)
-        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+        and (integer or abs(value) <= sys.float_info.max)
         and (low < value if bounds[0] == "(" else low <= value)
         and (value < high if bounds[-1] == ")" else value <= high)
     ):

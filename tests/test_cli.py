@@ -119,6 +119,7 @@ class TestBasics:
             ),
             (["synth", "--out-dir", "OUT", "--simulate", {"det_cap": 1.5}], "det_cap"),
             (["synth", "--out-dir", "OUT", "--simulate", {"fp_per_image": float("nan")}], "fp_per_image"),
+            (["synth", "--out-dir", "OUT", "--simulate", {"fp_per_image": 10**400}], "fp_per_image"),
             (["synth", "--out-dir", "OUT", "--disease-prior", "caries=nan"], "disease_prior['caries']"),
             (
                 ["ensemble", "diagnosis-A.json", "diagnosis-B.json", "-o", "OUT",

@@ -276,6 +276,7 @@ class TestPipelineConfig:
             ("unmatched_policy", "keep"),
             ("max_match_distance", float("inf")),
             ("pad_fraction", float("inf")),
+            pytest.param("pad_fraction", 10**400, id="pad_fraction-too-large-for-a-float"),
             ("ground_truth", None),
         ],
     )

@@ -132,7 +132,7 @@ def outside(bounds: str, integer: bool, optional: bool):
         bad += [int(low) - 1, low + 0.5, float(low) + 1]
         off = st.integers(max_value=int(low) - 1)
     else:
-        bad.append(low if low_open else math.nextafter(low, -math.inf))
+        bad += [10**400, -(10**400), low if low_open else math.nextafter(low, -math.inf)]
         off = st.floats(max_value=low, exclude_max=not low_open, allow_infinity=False)
     if high < math.inf:
         bad.append(high if high_open else math.nextafter(high, math.inf))
