@@ -45,11 +45,11 @@ print(f"integrated without crops: {len(integrated)} findings")
 
 # 1. emit one padded crop per gated tooth
 gated = filter_enumeration(enums, 0.7)
-crops_list = assign_crops(gated, ds.images, pad_fraction=0.1)
+crops = assign_crops(gated, ds.images, pad_fraction=0.1)
 workdir = Path(tempfile.mkdtemp(prefix="detfuse-demo-"))
 manifest_path = workdir / "crops_manifest.json"
-write_crop_manifest(crops_list, manifest_path)
-print(f"crop manifest: {len(crops_list)} crops -> {manifest_path}")
+write_crop_manifest(crops, manifest_path)
+print(f"crop manifest: {len(crops)} crops -> {manifest_path}")
 
 # 2. an external classifier labels each crop; here an oracle stands in
 truth = {

@@ -13,6 +13,7 @@ from .complementary import (
     BalancePlan,
     CropAssignment,
     CropClassification,
+    CropSet,
     MergeConfig,
     assign_crops,
     audit_balance,
@@ -119,6 +120,7 @@ __all__ = [
     "CountMismatch",
     "CropAssignment",
     "CropClassification",
+    "CropSet",
     "DanglingCrop",
     "DanglingReference",
     "Detection",

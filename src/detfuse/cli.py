@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import logging
 import os
+from typing import Callable, Iterable
 
 import click
 
@@ -54,9 +55,7 @@ def _domain_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DetfuseError as exc:
-            raise click.ClickException(str(exc)) from exc
-        except OSError as exc:
+        except (DetfuseError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -161,17 +160,18 @@ def complement(crops_path, classifications, integrated_path, output, min_confide
     )
 
 
-def _parse_boost(pairs: tuple[str, ...]) -> dict[str, int]:
-    boost = {}
+def _parse_pairs(pairs: Iterable[str], convert: Callable) -> dict:
+    """``DISEASE=VALUE`` strings as a dict of ``convert(VALUE)`` by disease."""
+    parsed = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not value:
-            raise click.BadParameter(f"expected DISEASE=MULTIPLIER, got {pair!r}")
+            raise click.BadParameter(f"expected DISEASE=VALUE, got {pair!r}")
         try:
-            boost[name] = int(value)
+            parsed[name] = convert(value)
         except ValueError as exc:
-            raise click.BadParameter(f"multiplier in {pair!r} is not an integer") from exc
-    return boost
+            raise click.BadParameter(f"{pair!r}: cannot read {value!r} as {convert.__name__}") from exc
+    return parsed
 
 
 @main.command()
@@ -187,7 +187,7 @@ def balance(ground_truth, boost, audit_only, output):
     if audit_only:
         plan = audited
     else:
-        plan = oversample_plan(audited.counts, _parse_boost(boost) if boost else None)
+        plan = oversample_plan(audited.counts, _parse_pairs(boost, int) if boost else None)
     planned = plan.planned()
     for disease, count in plan.counts.items():
         click.echo(
@@ -249,19 +249,6 @@ def evaluate_cmd(
         write_pr_csv(reports[axes[0]], pr_csv)
 
 
-def _parse_prior(text: str) -> dict[str, float]:
-    prior = {}
-    for pair in filter(None, text.split(",")):
-        name, _, value = pair.partition("=")
-        if not value:
-            raise click.BadParameter(f"expected DISEASE=PROB, got {pair!r}")
-        try:
-            prior[name] = float(value)
-        except ValueError as exc:
-            raise click.BadParameter(f"probability in {pair!r} is not a number") from exc
-    return prior
-
-
 @main.command()
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--images", default=10, show_default=True)
@@ -284,7 +271,7 @@ def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
     plan = ScenePlan(
         num_images=images,
         missing_rate=missing_rate,
-        disease_prior=_parse_prior(disease_prior),
+        disease_prior=_parse_pairs(filter(None, disease_prior.split(",")), float),
         seed=seed,
     )
     streams = []

@@ -5,16 +5,32 @@ crop manifest the external cropper consumes, audits disease class balance,
 plans rare-class oversampling, turns per-crop classifier verdicts back into
 detections, and merges those with the integrated stream to recover findings
 the diagnosis pathway missed.
+
+Crops are held as columns: a :class:`CropSet` is the gated enumeration rows
+plus an array of crop boxes, and :class:`CropAssignment` objects are views
+of it. A verdict becomes a detection by taking its crop's row.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, _image_index, same_image_blocks, source_code
+from .detections import (
+    Columns,
+    DetectionSet,
+    _image_index,
+    _per_row,
+    _resolve_universe,
+    category_codes,
+    same_image_blocks,
+    source_code,
+)
 from .errors import (
     AxisUnavailable,
     DanglingCrop,
@@ -40,6 +56,7 @@ from .io import (
     _numbers,
     _records,
 )
+from .integrate import as_detection_set
 from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
@@ -48,7 +65,7 @@ DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
 
 @dataclass(frozen=True, slots=True)
 class CropAssignment:
-    """One per-tooth crop region derived from an enumeration detection.
+    """One crop of a :class:`CropSet`, as a view built by indexing or iterating the set.
 
     ``crop_box`` is the padded, clamped region handed to the external
     cropper; ``source_box`` is the original unpadded enumeration box, which
@@ -61,10 +78,39 @@ class CropAssignment:
     enum_score: float
     source_box: BoundingBox
 
-    def __post_init__(self) -> None:
-        q, t = self.tooth
-        if q not in (1, 2, 3, 4) or t not in range(1, 9):
-            raise ValueError(f"invalid tooth axes {self.tooth!r}")
+
+@dataclass(frozen=True, eq=False)
+class CropSet:
+    """Per-tooth crops: gated enumeration rows and the crop box of each.
+
+    Crop ``i`` is row ``i`` of ``rows``, enumeration :class:`Columns` whose
+    every row has a quadrant and a tooth; its ``xywh`` is the unpadded
+    source box and its ``score`` the enumeration score. ``boxes`` is the
+    ``float64 [N, 4]`` array of padded, clamped crop regions. Indexing or
+    iterating the set gives :class:`CropAssignment` views, built once.
+    """
+
+    rows: Columns
+    boxes: np.ndarray
+
+    def _values(self) -> Iterator[tuple]:
+        """Per crop: image id, crop box, quadrant and tooth codes, enumeration score, source box."""
+        rows = self.rows
+        columns = (self.boxes, rows.quadrant, rows.tooth, rows.score, rows.xywh)
+        return _per_row(rows.ids, rows.image, *columns)
+
+    @cached_property
+    def _assignments(self) -> tuple[CropAssignment, ...]:
+        return tuple(
+            CropAssignment(image_id, BoundingBox(*crop), (q + 1, t + 1), score, BoundingBox(*box))
+            for image_id, crop, q, t, score, box in self._values()
+        )
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i: int) -> CropAssignment:
+        return self._assignments[i]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +169,7 @@ def assign_crops(
     enums: DetectionSet,
     images: Optional[Sequence[AnnotatedImage]],
     pad_fraction: float = 0.0,
-) -> list[CropAssignment]:
+) -> CropSet:
     """Derive one crop per enumeration detection.
 
     Each box is expanded by ``pad_fraction`` of its own width/height on
@@ -141,10 +187,8 @@ def assign_crops(
     cols = enums.columns
     lacking = (cols.quadrant < 0) | (cols.tooth < 0)
     unknown = np.zeros_like(lacking)
-    x, y, w, h = cols.xywh.T
-    dx = pad_fraction * w
-    dy = pad_fraction * h
-    crop = np.stack([x - dx, y - dy, w + 2 * dx, h + 2 * dy], axis=1)
+    pad = pad_fraction * cols.xywh[:, 2:]
+    crop = np.concatenate([cols.xywh[:, :2] - pad, cols.xywh[:, 2:] + 2 * pad], axis=1)
     if images is not None:
         by_id = {im.image_id: (im.width, im.height) for im in images}
         sizes = [by_id.get(image_id, (np.nan, np.nan)) for image_id in cols.ids]
@@ -152,44 +196,24 @@ def assign_crops(
         unknown = np.isnan(size[:, 0])
         crop = _clip(crop, size)
     bad = np.flatnonzero(lacking | unknown)
-    end = bad[0] if len(bad) else len(lacking)
-
-    ids = cols.ids
-    crops = [
-        CropAssignment(ids[image], BoundingBox(*c), (q + 1, t + 1), score, BoundingBox(*box))
-        for image, c, q, t, score, box in zip(
-            cols.image[:end].tolist(),
-            crop[:end].tolist(),
-            cols.quadrant[:end].tolist(),
-            cols.tooth[:end].tolist(),
-            cols.score[:end].tolist(),
-            cols.xywh[:end].tolist(),
-        )
-    ]
-    if end < len(lacking):
-        image_id = ids[cols.image[end]]
-        if lacking[end]:
+    if len(bad):
+        image_id = cols.ids[cols.image[bad[0]]]
+        if lacking[bad[0]]:
             raise AxisUnavailable(
                 f"enumeration detection on image {image_id!r} lacks quadrant/tooth axes"
             )
         raise MissingImage(f"enumeration detection references unknown image {image_id!r}")
-    return crops
+    return CropSet(cols, crop)
 
 
 def audit_balance(
     data: Union[AnnotatedDataset, Iterable[CropClassification]],
 ) -> BalancePlan:
     """Histogram disease labels; multipliers are left at the identity."""
-    counts = {d: 0 for d in DISEASES}
     if isinstance(data, AnnotatedDataset):
-        for ann in data.annotations:
-            if ann.category.disease is not None:
-                counts[ann.category.disease] += 1
-    else:
-        for cls in data:
-            if cls.label != "normal":
-                counts[cls.label] += 1
-    return BalancePlan(counts=counts)
+        disease = category_codes(data.key)[2].tolist()
+        return BalancePlan(counts=Counter(DISEASES[d] for d in disease if d >= 0))
+    return BalancePlan(counts=Counter(cls.label for cls in data if cls.label != "normal"))
 
 
 def oversample_plan(
@@ -205,14 +229,14 @@ def oversample_plan(
 
 
 def classifications_to_detections(
-    crops: Sequence[CropAssignment],
+    crops: CropSet,
     classifications: Iterable[CropClassification],
     min_confidence: float = 0.5,
 ) -> DetectionSet:
     """Convert confident non-normal crop verdicts into detections.
 
-    Each emitted detection reuses the crop's original enumeration box and
-    tooth axes, labels it with the classifier's disease, and scores it as
+    Each emitted detection is the crop's enumeration row: its original box
+    and tooth axes, labelled with the classifier's disease and scored as
     ``enum_score * confidence``.  At most one detection is emitted per
     crop.  The set covers the images of every crop.
 
@@ -221,7 +245,7 @@ def classifications_to_detections(
             manifest, or the same crop twice.
     """
     seen: set[int] = set()
-    kept: list[CropAssignment] = []
+    kept: list[int] = []
     confidence: list[float] = []
     disease: list[int] = []
     for cls in classifications:
@@ -232,25 +256,19 @@ def classifications_to_detections(
         seen.add(cls.crop_id)
         if cls.label == "normal" or cls.confidence < min_confidence:
             continue
-        kept.append(crops[cls.crop_id])
+        kept.append(cls.crop_id)
         confidence.append(cls.confidence)
         disease.append(DISEASES.index(cls.label))
 
-    n = len(kept)
-    ids = tuple(dict.fromkeys(c.image_id for c in crops))
-    teeth = np.array([c.tooth for c in kept], np.int8).reshape(n, 2) - 1
-    columns = Columns(
-        ids,
-        _image_index((c.image_id for c in kept), ids),
-        np.array([c.source_box.as_xywh() for c in kept], float).reshape(n, 4),
-        np.fromiter((c.enum_score for c in kept), float, n) * np.array(confidence, float),
-        teeth[:, 0],
-        teeth[:, 1],
-        np.array(disease, np.int8),
-        np.full(n, source_code("complementary"), np.int8),
-        np.full(n, -1, np.int64),
+    rows = crops.rows
+    found = dataclasses.replace(
+        rows.take(kept),
+        score=rows.score[kept] * np.array(confidence, float),
+        disease=np.array(disease, np.int8),
     )
-    return DetectionSet.from_columns(columns, "complementary")
+    images = [rows.ids[k] for k in np.unique(rows.image).tolist()]
+    comp = DetectionSet.from_columns(found, "complementary")
+    return as_detection_set(comp, "complementary", images)
 
 
 def merge_complementary(
@@ -288,32 +306,31 @@ def merge_complementary(
 # file formats
 
 
-def write_crop_manifest(crops: Sequence[CropAssignment], path: PathLike) -> None:
+def write_crop_manifest(crops: CropSet, path: PathLike) -> None:
     """Write the crop manifest consumed by the external cropper/classifier."""
-    records = []
-    for crop_id, crop in enumerate(crops):
-        records.append(
-            {
-                "crop_id": crop_id,
-                "image_id": crop.image_id,
-                "crop_bbox": crop.crop_box.as_xywh(),
-                "source_bbox": crop.source_box.as_xywh(),
-                "category_id_1": crop.tooth[0] - 1,
-                "category_id_2": crop.tooth[1] - 1,
-                "enum_score": crop.enum_score,
-            }
-        )
+    records = [
+        {
+            "crop_id": crop_id,
+            "image_id": image_id,
+            "crop_bbox": crop,
+            "source_bbox": box,
+            "category_id_1": q,
+            "category_id_2": t,
+            "enum_score": score,
+        }
+        for crop_id, (image_id, crop, q, t, score, box) in enumerate(crops._values())
+    ]
     _dump_json(records, path)
 
 
-def read_crop_manifest(path: PathLike) -> list[CropAssignment]:
+def read_crop_manifest(path: PathLike) -> CropSet:
     """Read a crop manifest, checked a field at a time by the rules of detection files.
 
     The error raised is that of the first bad record, for the first rule it
     breaks in this order: a record object, ``crop_id`` equal to its index,
     ``image_id``, ``crop_bbox``, ``source_bbox``, the tooth codes
     ``category_id_1`` and ``category_id_2`` (``InvalidCategory``), and
-    ``enum_score`` in [0, 1].
+    ``enum_score`` in [0, 1]. The rows cover the images of the crops.
     """
     data = _load_json(path)
     if not isinstance(data, list):
@@ -339,12 +356,14 @@ def read_crop_manifest(path: PathLike) -> list[CropAssignment]:
         lambda i: f"enum_score must be in [0, 1], got {shorten(records[i].get('enum_score'))}",
     )
     rules.raise_first()
-    return [
-        CropAssignment(image_id, BoundingBox(*c), (q + 1, t + 1), score, BoundingBox(*box))
-        for image_id, c, q, t, score, box in zip(
-            ids, crop.tolist(), quadrant.tolist(), tooth.tolist(), score.tolist(), source.tolist()
-        )
-    ]
+    n = len(records)
+    universe = _resolve_universe(ids, None)
+    image = _image_index(ids, universe)
+    disease = np.full(n, -1, np.int8)
+    origin = np.full(n, source_code("enumeration-model"), np.int8)
+    link = np.full(n, -1, np.int64)
+    rows = Columns(universe, image, source, score, quadrant, tooth, disease, origin, link)
+    return CropSet(rows, crop)
 
 
 def parse_crop_classifications(path: PathLike) -> list[CropClassification]:

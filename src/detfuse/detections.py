@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -129,18 +129,27 @@ def _concat(parts: Sequence[Columns], ids: tuple) -> Columns:
     return Columns(ids, np.concatenate([c.image_index(ids) for c in parts]), *arrays)
 
 
+def _record_columns(records: Sequence, ids: Sequence[ImageId]) -> tuple:
+    """The image index into ``ids`` (-1 where absent), ``xywh`` and ``(3, N)``
+    quadrant, tooth and disease codes of objects with an ``image_id``, a
+    ``box`` and a ``category``: detections or ground-truth annotations."""
+    n = len(records)
+    image = _image_index(map(_IMAGE_ID, records), ids)
+    xywh = np.fromiter(chain.from_iterable(map(_XYWH, map(_BOX, records))), float, 4 * n)
+    codes = {cat: _category_codes(cat) for cat in set(map(_CATEGORY, records))}
+    qtd = np.fromiter(chain.from_iterable(map(codes.__getitem__, map(_CATEGORY, records))), np.int8, 3 * n)
+    return image, xywh.reshape(n, 4), qtd.reshape(n, 3).T
+
+
 def _columns_of(dets: Sequence[Detection], ids: tuple) -> Columns:
     """The columns of ``Detection`` objects, whose image ids are all in ``ids``."""
     n = len(dets)
-    image = _image_index(map(_IMAGE_ID, dets), ids)
-    xywh = np.fromiter(chain.from_iterable(map(_XYWH, map(_BOX, dets))), float, 4 * n)
+    image, xywh, qtd = _record_columns(dets, ids)
     score = np.fromiter(map(_SCORE, dets), float, n)
-    codes = {cat: _category_codes(cat) for cat in set(map(_CATEGORY, dets))}
-    qtd = np.fromiter(chain.from_iterable(map(codes.__getitem__, map(_CATEGORY, dets))), np.int8, 3 * n)
     origin = np.fromiter(map(_SOURCE_CODE.__getitem__, map(_SOURCE, dets)), np.int8, n)
     links = (-1 if link is None else link for link in map(_LINK, dets))
     link = np.fromiter(links, np.int64, n)
-    return Columns(ids, image, xywh.reshape(n, 4), score, *qtd.reshape(n, 3).T, origin, link)
+    return Columns(ids, image, xywh, score, *qtd, origin, link)
 
 
 def _category_codes(cat: CategoryTriple) -> tuple[int, int, int]:
@@ -151,28 +160,33 @@ def _category_codes(cat: CategoryTriple) -> tuple[int, int, int]:
     )
 
 
+def _per_row(ids: Sequence[ImageId], image: np.ndarray, *columns) -> Iterator[tuple]:
+    """Each row's image id, then its entry in each of ``columns``, as Python values.
+
+    ``image`` indexes ``ids``. A column is an array or any other iterable of
+    Python values.
+    """
+    lists = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
+    return zip([ids[k] for k in image.tolist()], *lists)
+
+
+def _per_key(key: np.ndarray, make: Callable[[int], object]) -> list:
+    """``make(k)`` for each category key ``k`` of ``key``, made once per distinct key."""
+    keys = key.tolist()
+    made = {k: make(k) for k in set(keys)}
+    return [made[k] for k in keys]
+
+
 def _views(cols: Columns) -> tuple[Detection, ...]:
     """One :class:`Detection` per row; rows with equal categories share one triple."""
-    keys = cols.category_key().tolist()
-    triples = {key: category_of(key) for key in set(keys)}
-    ids = cols.ids
+    categories = _per_key(cols.category_key(), category_of)
+    rows = _per_row(cols.ids, cols.image, cols.xywh, cols.score, categories, cols.origin, cols.link)
     return tuple(
         Detection(
-            ids[image],
-            BoundingBox(*box),
-            score,
-            triples[key],
-            SOURCES[origin],
+            image_id, BoundingBox(*box), score, category, SOURCES[origin],
             None if link < 0 else link,
         )
-        for image, box, score, key, origin, link in zip(
-            cols.image.tolist(),
-            cols.xywh.tolist(),
-            cols.score.tolist(),
-            keys,
-            cols.origin.tolist(),
-            cols.link.tolist(),
-        )
+        for image_id, box, score, category, origin, link in rows
     )
 
 

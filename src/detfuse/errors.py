@@ -1,4 +1,4 @@
-"""Exception hierarchy, the settings rule that raises :class:`ConfigError`, and message echoes.
+"""Exception hierarchy, the settings rules that raise :class:`ConfigError`, and message echoes.
 
 Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 (and the CLI) can distinguish data problems from programming errors.
@@ -81,6 +81,20 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
         return []
     kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"
     return [f"{name} must be {kind}, got {shorten(value)}"]
+
+
+def choice_problems(name: str, value, choices) -> list[str]:
+    """The problem with the flag, name or choice ``name``, if any, as a list of at most one message.
+
+    ``choices`` is ``bool`` for a flag, which must be ``True`` or ``False``;
+    ``str`` for a name, which must be a string; or else the tuple of the
+    strings allowed.
+    """
+    if choices is bool or choices is str:
+        ok, kind = type(value) is choices, "a bool" if choices is bool else "a string"
+    else:
+        ok, kind = type(value) is str and value in choices, f"one of {choices}"
+    return [] if ok else [f"{name} must be {kind}, got {shorten(value)}"]
 
 
 def raise_problems(problems: list[str]) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .detections import Columns, DetectionSet, _resolve_universe, same_image_blocks, source_code
-from .errors import AxisUnavailable, raise_problems, setting_problems, shorten
+from .errors import AxisUnavailable, choice_problems, raise_problems, setting_problems
 from .io import PathLike, _dump_json
 from .results import detection_records
 
@@ -36,10 +36,7 @@ class IntegrationConfig:
         problems += setting_problems(
             "max_match_distance", self.max_match_distance, "(0, inf)", optional=True
         )
-        if self.unmatched_policy not in UNMATCHED_POLICIES:
-            problems.append(
-                f"unmatched_policy must be one of {UNMATCHED_POLICIES}, got {shorten(self.unmatched_policy)}"
-            )
+        problems += choice_problems("unmatched_policy", self.unmatched_policy, UNMATCHED_POLICIES)
         raise_problems(problems)
 
 

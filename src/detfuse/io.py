@@ -18,6 +18,10 @@ Two file families are understood, both UTF-8 JSON:
   carry ``matched_enum_id``.  They are read and written by
   :mod:`detfuse.results`.
 
+Ground truth is held as columns: an :class:`AnnotatedDataset` keeps one
+row per annotation (image index, ``xywh``, category key, segmentation),
+and :class:`GroundTruthAnnotation` objects are views of those rows.
+
 This module holds the JSON helpers and the field rules that every record
 file follows: detections, ground truth and crop manifests.  An image id is
 an integer (not a bool) or a string; anything else is a
@@ -35,13 +39,22 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .detections import _category_codes, _category_key, _image_index, category_of
+from .detections import (
+    _category_key,
+    _image_index,
+    _per_key,
+    _per_row,
+    _record_columns,
+    category_codes,
+    category_of,
+)
 from .errors import (
     CountMismatch,
     DanglingReference,
@@ -72,38 +85,71 @@ class AnnotatedImage:
 
 @dataclass(frozen=True, slots=True)
 class GroundTruthAnnotation:
+    """One row of an :class:`AnnotatedDataset`, as a view built when ``annotations`` is read."""
+
     image_id: ImageId
     box: BoundingBox
     category: CategoryTriple
     mask_payload: object = None
 
 
-@dataclass
 class AnnotatedDataset:
-    """Images plus their ground-truth annotations."""
+    """Images plus their ground-truth annotations, held as columns.
 
-    images: tuple[AnnotatedImage, ...]
-    annotations: tuple[GroundTruthAnnotation, ...]
+    One row per annotation: ``image`` (``int32``) indexes ``images``,
+    ``xywh`` is ``float64 [N, 4]``, ``key`` is the category key of
+    :meth:`~detfuse.detections.Columns.category_key`, and ``segmentation``
+    is a tuple of opaque payloads, ``None`` where absent. A
+    :class:`GroundTruthAnnotation` is a view, built when ``annotations`` is
+    first read. A dataset constructed from annotation objects converts them
+    to columns once and keeps them as its views.
+    """
 
-    def __post_init__(self) -> None:
-        self.images = tuple(self.images)
-        self.annotations = tuple(self.annotations)
-        ids = [im.image_id for im in self.images]
+    __hash__ = None
+
+    def __init__(
+        self, images: Iterable[AnnotatedImage], annotations: Iterable[GroundTruthAnnotation]
+    ) -> None:
+        images, objects = tuple(images), tuple(annotations)
+        image, xywh, codes = _record_columns(objects, [im.image_id for im in images])
+        self._fill(images, image, xywh, _category_key(*codes), [a.mask_payload for a in objects])
+        if (image < 0).any():
+            unknown = objects[int(np.argmax(image < 0))].image_id
+            raise DanglingReference(f"annotation references unknown image {unknown!r}")
+        self.annotations = objects
+
+    @classmethod
+    def _from_columns(cls, images, image, xywh, key, segmentation) -> "AnnotatedDataset":
+        """The dataset of ``images`` and checked columns whose ``image`` indexes them."""
+        return cls.__new__(cls)._fill(images, image, xywh, key, segmentation)
+
+    def _fill(self, images, image, xywh, key, segmentation) -> "AnnotatedDataset":
+        self.images = tuple(images)
+        ids = self.image_ids()
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate image ids in dataset")
-        known = set(ids)
-        for ann in self.annotations:
-            if ann.image_id not in known:
-                raise DanglingReference(f"annotation references unknown image {ann.image_id!r}")
+        self.image, self.xywh, self.key, self.segmentation = image, xywh, key, tuple(segmentation)
+        return self
+
+    @cached_property
+    def annotations(self) -> tuple[GroundTruthAnnotation, ...]:
+        categories = _per_key(self.key, category_of)
+        rows = _per_row(self.image_ids(), self.image, self.xywh, categories, self.segmentation)
+        return tuple(
+            GroundTruthAnnotation(image_id, BoundingBox(*box), category, mask)
+            for image_id, box, category, mask in rows
+        )
 
     def image_ids(self) -> list[ImageId]:
         return [im.image_id for im in self.images]
 
-    def images_by_id(self) -> dict[ImageId, AnnotatedImage]:
-        return {im.image_id: im for im in self.images}
-
     def __len__(self) -> int:
         return len(self.images)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnnotatedDataset):
+            return NotImplemented
+        return (self.images, self.annotations) == (other.images, other.annotations)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,9 +246,11 @@ _ABSENT = object()
 _TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4))
 
 
-def _category_fields(codes: tuple[int, int, int]) -> dict:
-    """The ``category_id_1/2/3`` fields of quadrant, tooth and disease codes; -1 leaves one out."""
-    return {key: code for (key, _), code in zip(_TRIPLE_KEYS, codes) if code >= 0}
+def _category_fields(key: np.ndarray) -> list[dict]:
+    """The ``category_id_1/2/3`` fields of each category key; an absent axis is left out."""
+    return _per_key(
+        key, lambda k: {name: c for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0}
+    )
 
 
 #: Stands in for a rejected box, so that the later checks can run on every row.
@@ -457,7 +505,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     records = _records(data["annotations"], "annotation", rules)
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
-    keys = _category_key(*_categories(records, "product", rules)).tolist()
+    key = _category_key(*_categories(records, "product", rules))
     rules.raise_first()
 
     image = _image_index(ids, [im.image_id for im in images])
@@ -468,32 +516,26 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
     with np.errstate(over="ignore"):
         inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
-        exceeds = np.flatnonzero(~inside).tolist()
-        clipped = _clip(xywh[exceeds], size[exceeds]).tolist()
-    boxes = xywh.tolist()
-    for i, box in zip(exceeds, clipped):
-        if box[2] <= 0 or box[3] <= 0:
-            raise MalformedFile(
-                f"{path} annotations[{i}]: box {boxes[i]} lies entirely outside the image"
-            )
-    if exceeds:
+        exceeds = np.flatnonzero(~inside)
+        clipped = _clip(xywh[exceeds], size[exceeds])
+    outside = exceeds[(clipped[:, 2] <= 0) | (clipped[:, 3] <= 0)]
+    if len(outside):
+        i = outside[0]
+        raise MalformedFile(
+            f"{path} annotations[{i}]: box {xywh[i].tolist()} lies entirely outside the image"
+        )
+    if len(exceeds):
         i = exceeds[0]
         im = images[image[i]]
         logger.warning(
             "%s: %d boxes exceed their image bounds and were clamped; first: %s",
             path, len(exceeds),
-            f"annotations[{i}] box {boxes[i]} exceeds the {im.width}x{im.height} image, "
-            f"clamped to {clipped[0]}",
+            f"annotations[{i}] box {xywh[i].tolist()} exceeds the {im.width}x{im.height} image, "
+            f"clamped to {clipped[0].tolist()}",
         )
-        for i, box in zip(exceeds, clipped):
-            boxes[i] = box
-
-    triples = {key: category_of(key) for key in set(keys)}
-    annotations = tuple(
-        GroundTruthAnnotation(image_id, BoundingBox(*box), triples[key], mask)
-        for image_id, box, key, mask in zip(ids, boxes, keys, _field(records, "segmentation", None))
-    )
-    return AnnotatedDataset(images, annotations)
+        xywh[exceeds] = clipped
+    segmentation = _field(records, "segmentation", None)
+    return AnnotatedDataset._from_columns(images, image, xywh, key, segmentation)
 
 
 def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
@@ -519,17 +561,17 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
 
 
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
-    """Serialize a dataset back to the canonical COCO-style layout."""
+    """Serialize a dataset back to the canonical COCO-style layout, from its columns."""
     images = [
         {"id": im.image_id, "width": im.width, "height": im.height, "file_name": im.file_name}
         for im in ds.images
     ]
+    rows = _per_row(ds.image_ids(), ds.image, ds.xywh, _category_fields(ds.key), ds.segmentation)
     annotations = []
-    for i, ann in enumerate(ds.annotations):
-        rec: dict = {"id": i, "image_id": ann.image_id, "bbox": ann.box.as_xywh()}
-        rec.update(_category_fields(_category_codes(ann.category)))
-        if ann.mask_payload is not None:
-            rec["segmentation"] = ann.mask_payload
+    for i, (image_id, box, fields, mask) in enumerate(rows):
+        rec: dict = {"id": i, "image_id": image_id, "bbox": box, **fields}
+        if mask is not None:
+            rec["segmentation"] = mask
         annotations.append(rec)
     _dump_json({"images": images, "annotations": annotations}, path)
 
@@ -554,11 +596,14 @@ def split_ids(ids: Sequence[ImageId], spec: SplitSpec) -> tuple[list, list, list
 
 def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDataset:
     """Restrict a dataset to ``ids``, keeping images in the given order."""
-    by_id = ds.images_by_id()
+    by_id = {im.image_id: im for im in ds.images}
     images = tuple(by_id[i] for i in ids)
-    wanted = set(ids)
-    annotations = tuple(a for a in ds.annotations if a.image_id in wanted)
-    return AnnotatedDataset(images, annotations)
+    image = _image_index(ds.image_ids(), ids)[ds.image]
+    rows = image >= 0
+    segmentation = compress(ds.segmentation, rows.tolist())
+    return AnnotatedDataset._from_columns(
+        images, image[rows], ds.xywh[rows], ds.key[rows], segmentation
+    )
 
 
 def split_dataset(
@@ -570,12 +615,7 @@ def split_dataset(
     and sliced; annotations follow their images.  The three outputs are
     pairwise disjoint and jointly cover the input.
     """
-    train_ids, val_ids, test_ids = split_ids(ds.image_ids(), spec)
-    return (
-        subset_dataset(ds, train_ids),
-        subset_dataset(ds, val_ids),
-        subset_dataset(ds, test_ids),
-    )
+    return tuple(subset_dataset(ds, ids) for ids in split_ids(ds.image_ids(), spec))
 
 
 def write_id_list(ids: Sequence[ImageId], path: PathLike) -> None:

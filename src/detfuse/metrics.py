@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import CATEGORY_KEYS, Columns, DetectionSet, _image_index, category_of
+from .detections import CATEGORY_KEYS, DetectionSet, category_of
 from .errors import (
     AxisUnavailable,
-    ConfigError,
     DanglingReference,
+    choice_problems,
     raise_problems,
     setting_problems,
-    shorten,
 )
-from .geometry import BoundingBox, CategoryTriple
 from .io import AnnotatedDataset, PathLike, _atomic_open
 
 AXES = ("quadrant", "enumeration", "disease", "agnostic")
@@ -68,7 +65,11 @@ class EvalConfig:
     keep_pr_curves: bool = False
 
     def __post_init__(self) -> None:
-        raise_problems(setting_problems("max_dets", self.max_dets, "[1, inf)", integer=True))
+        raise_problems(
+            setting_problems("max_dets", self.max_dets, "[1, inf)", integer=True)
+            + choice_problems("enumeration_product", self.enumeration_product, bool)
+            + choice_problems("keep_pr_curves", self.keep_pr_curves, bool)
+        )
 
 
 @dataclass
@@ -105,27 +106,18 @@ class EvaluationReport:
         return out
 
 
-def _tooth(category: CategoryTriple):
-    if category.quadrant is None or category.enumeration is None:
-        return None
-    return (category.quadrant, category.enumeration)
-
-
 def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
-    """The projection of a category onto one axis; it gives ``None`` when the axis is absent."""
+    """The projection of a category onto one axis; it gives ``None`` when the axis is absent.
+
+    A class is labelled ``str`` of its value; the 32 enumeration classes are
+    the two-digit FDI numbers, which sort as (quadrant, tooth) pairs do.
+    """
+    raise_problems(choice_problems("axis", axis, AXES))
     if axis == "agnostic":
         return lambda category: "all"
-    if axis in ("quadrant", "disease"):
-        return attrgetter(axis)
     if axis == "enumeration":
-        return _tooth if enumeration_product else attrgetter("enumeration")
-    raise ConfigError(f"unknown axis {shorten(axis)}; expected one of {AXES}")
-
-
-def class_label(key, axis: str) -> str:
-    if axis == "enumeration" and isinstance(key, tuple):
-        return f"{key[0]}{key[1]}"  # FDI two-digit number
-    return str(key)
+        return attrgetter("fdi" if enumeration_product else "enumeration")
+    return attrgetter(axis)
 
 
 #: Cells of one padded ``(groups, detections, ground truth)`` IoU block. Groups
@@ -133,14 +125,6 @@ def class_label(key, axis: str) -> str:
 #: exceed it), so padded memory does not grow with the image count. A cell
 #: costs about 48 bytes of IoU temporaries, which keeps a block under 1 MiB.
 _BLOCK_CELLS = 1 << 14
-
-_XYWH = attrgetter("x", "y", "w", "h")
-
-
-def _xywh(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """The ``(boxes, 4)`` array of COCO ``xywh`` boxes."""
-    return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float, 4 * len(boxes)).reshape(-1, 4)
-
 
 def _ranks(sorted_keys: np.ndarray) -> np.ndarray:
     """Each entry's index within its run of equal entries of a sorted array."""
@@ -164,11 +148,6 @@ def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
     inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
     union = a[..., 2] * a[..., 3] + g[..., 2] * g[..., 3] - inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
-
-
-def _iou_matrix(det_boxes: Sequence[BoundingBox], gt_boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU, rows = detections, columns = ground truth."""
-    return _iou_block(_xywh(det_boxes), _xywh(gt_boxes))
 
 
 def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
@@ -277,10 +256,9 @@ def _true_positives(
     return flags
 
 
-def _class_codes(cols: Columns, project: Callable, class_index: dict) -> np.ndarray:
-    """Each row's class index on the axis ``project`` reads; -1 for a class
-    absent from ``class_index``, -2 for no label on the axis."""
-    key = cols.category_key()
+def _class_codes(key: np.ndarray, project: Callable, class_index: dict) -> np.ndarray:
+    """The class index of each category key on the axis ``project`` reads; -1
+    for a class absent from ``class_index``, -2 for no label on the axis."""
     table = np.full(CATEGORY_KEYS, -2, np.intp)
     for k in np.flatnonzero(np.bincount(key, minlength=CATEGORY_KEYS)).tolist():
         value = project(category_of(k))
@@ -310,27 +288,24 @@ def evaluate(
     if (det_image < 0).any():
         unknown = cols.ids[cols.image[int(np.argmax(det_image < 0))]]
         raise DanglingReference(f"detection references unknown image {unknown!r}")
-    gt_keys = list(map(project, map(attrgetter("category"), ds.annotations)))
-    classes = sorted(set(gt_keys) - {None})
+    classes = sorted({project(category_of(k)) for k in np.unique(ds.key).tolist()} - {None})
     if not classes:
         raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
-    # The class index of each detection: -1 for a class absent from the
-    # ground truth, -2 for no label on this axis.
+    # The class index of each box: -1 for a class absent from the ground
+    # truth, -2 for no label on this axis.
     n_cls = len(classes)
     class_index = {key: c for c, key in enumerate(classes)}
-    det_class = _class_codes(cols, project, class_index)
+    det_class = _class_codes(cols.category_key(), project, class_index)
     if len(det_class) > 0 and (det_class == -2).all():
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
 
     # The (class, image) group of a box is numbered image * n_cls + class.
-    labelled = [
-        (ann, class_index[key]) for ann, key in zip(ds.annotations, gt_keys) if key is not None
-    ]
-    gt_image = _image_index([ann.image_id for ann, _ in labelled], image_ids)
-    gt_group = gt_image * np.intp(n_cls) + np.array([c for _, c in labelled], np.intp)
+    gt_class = _class_codes(ds.key, project, class_index)
+    gt_rows = np.flatnonzero(gt_class >= 0)
+    gt_group = ds.image[gt_rows] * np.intp(n_cls) + gt_class[gt_rows]
     gt_order = np.argsort(gt_group, kind="stable")  # annotation order within a group
     gt_group = gt_group[gt_order]
-    gt_xywh = _xywh([labelled[i][0].box for i in gt_order.tolist()])
+    gt_xywh = ds.xywh[gt_rows[gt_order]]
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
 
     det_group = det_image * n_cls + det_class
@@ -361,18 +336,17 @@ def evaluate(
         ar.append(sum(int(m) / npig[c] for m in pooled.sum(axis=1)) / n_t)
         curves.append(q)
 
-    n = len(classes)
     ap_mean = [sum(row) / n_t for row in ap]
-    per_class = {class_label(cls, axis): (m, r) for cls, m, r in zip(classes, ap_mean, ar)}
-    mean_ap = sum(ap_mean) / n
-    ap50 = sum(row[_AP50] for row in ap) / n
-    ap75 = sum(row[_AP75] for row in ap) / n
-    ar_all = sum(ar) / n
+    per_class = {str(cls): (m, r) for cls, m, r in zip(classes, ap_mean, ar)}
+    mean_ap = sum(ap_mean) / n_cls
+    ap50 = sum(row[_AP50] for row in ap) / n_cls
+    ap75 = sum(row[_AP75] for row in ap) / n_cls
+    ar_all = sum(ar) / n_cls
 
     pr_points = None
     if cfg.keep_pr_curves:
         pr_points = [
-            (t, float(r), float(sum(q[ti, ri] for q in curves) / n))
+            (t, float(r), float(sum(q[ti, ri] for q in curves) / n_cls))
             for ti, t in enumerate(IOU_THRESHOLDS)
             for ri, r in enumerate(_RECALL_GRID)
         ]

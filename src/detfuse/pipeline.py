@@ -34,7 +34,7 @@ from .complementary import (
 )
 from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
-from .errors import ConfigError, DetfuseError, raise_problems, shorten
+from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, shorten
 from .integrate import (
     KEEP_WITHOUT_ENUMERATION,
     IntegrationConfig,
@@ -113,8 +113,7 @@ class PipelineConfig:
         else:
             object.__setattr__(self, "axes", tuple(self.axes))
             for axis in self.axes:
-                if axis not in AXES:
-                    problems.append(f"unknown axis {shorten(axis)}; expected one of {AXES}")
+                problems += choice_problems("axis", axis, AXES)
         for key in _INPUT_KEYS:
             path = getattr(self, key)
             if key in _REQUIRED_KEYS and not path:
@@ -180,11 +179,11 @@ class PipelineResult:
     artifacts: list[str] = field(default_factory=list)
 
 
-def _drop_diseaseless(dets: DetectionSet, label: str) -> DetectionSet:
+def _drop_diseaseless(dets: DetectionSet) -> DetectionSet:
     labelled = dets.columns.disease >= 0
     dropped = len(dets) - int(labelled.sum())
     if dropped:
-        logger.warning("%s: dropped %d detections without a disease label", label, dropped)
+        logger.warning("%s: dropped %d detections without a disease label", dets.source, dropped)
         return dets.take(labelled)
     return dets
 
@@ -212,15 +211,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         dataset = parse_ground_truth(cfg.ground_truth)
         universe = frozenset(dataset.image_ids())
         enums = parse_detections(cfg.enumeration, "enumeration-model", universe)
-        diag_a = _drop_diseaseless(
-            parse_detections(cfg.diagnosis_a, "diagnosis-A", universe), "diagnosis-A"
+        diag_a, diag_b = (
+            None if path is None else _drop_diseaseless(parse_detections(path, source, universe))
+            for path, source in ((cfg.diagnosis_a, "diagnosis-A"), (cfg.diagnosis_b, "diagnosis-B"))
         )
-        if cfg.diagnosis_b is not None:
-            diag_b = _drop_diseaseless(
-                parse_detections(cfg.diagnosis_b, "diagnosis-B", universe), "diagnosis-B"
-            )
-        else:
-            diag_b = None
 
     with _stage("ensemble"):
         if diag_b is None:

@@ -17,8 +17,8 @@ from .detections import (
     Columns,
     DetectionSet,
     _image_index,
+    _per_row,
     _resolve_universe,
-    category_codes,
     source_code,
 )
 from .errors import InvalidScore, MalformedFile, shorten
@@ -123,15 +123,12 @@ def detection_records(dets: DetectionSet, *, links: bool) -> list[dict]:
     and the detection has one.
     """
     cols = dets.columns
-    ids = cols.ids
-    keys = cols.category_key().tolist()
-    categories = {key: _category_fields(category_codes(key)) for key in set(keys)}
-    link_list = cols.link.tolist() if links else repeat(-1)
+    categories = _category_fields(cols.category_key())
+    link_column = cols.link if links else repeat(-1)
+    rows = _per_row(cols.ids, cols.image, cols.xywh, cols.score, categories, link_column)
     records = []
-    for image, box, score, key, link in zip(
-        cols.image.tolist(), cols.xywh.tolist(), cols.score.tolist(), keys, link_list
-    ):
-        rec = {"image_id": ids[image], "bbox": box, "score": score, **categories[key]}
+    for image_id, box, score, fields, link in rows:
+        rec = {"image_id": image_id, "bbox": box, "score": score, **fields}
         if link >= 0:
             rec["matched_enum_id"] = link
         records.append(rec)

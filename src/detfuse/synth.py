@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .detections import DetectionSet
-from .errors import ConfigError, raise_problems, setting_problems, shorten
+from .errors import ConfigError, choice_problems, raise_problems, setting_problems, shorten
 from .geometry import DISEASES, BoundingBox, CategoryTriple, Detection
 from .io import AnnotatedDataset, AnnotatedImage, GroundTruthAnnotation, PathLike
 
@@ -44,11 +44,19 @@ class ScenePlan:
             prior = [(name, prior[name]) for name in DISEASES if name in prior] + [
                 (name, p) for name, p in prior.items() if name not in DISEASES
             ]
-        object.__setattr__(self, "disease_prior", tuple(prior))
         problems = []
+        pairs = isinstance(prior, (list, tuple)) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in prior
+        )
+        if not pairs:
+            problems.append(
+                "disease_prior must be a mapping or a list of (disease, probability) pairs, "
+                f"got {shorten(self.disease_prior)}"
+            )
+            prior = ()
+        object.__setattr__(self, "disease_prior", tuple(prior))
         for name, p in self.disease_prior:
-            if name not in DISEASES:
-                problems.append(f"unknown disease {shorten(name)} in disease_prior")
+            problems += choice_problems("disease_prior disease", name, DISEASES)
             problems += setting_problems(f"disease_prior[{shorten(name)}]", p, "[0, inf)")
         if not problems and sum(p for _, p in self.disease_prior) > 1.0 + 1e-9:
             problems.append("disease_prior mass exceeds 1")
@@ -77,7 +85,8 @@ class DetectorProfile:
 
     def __post_init__(self) -> None:
         raise_problems(
-            setting_problems("recall", self.recall, "[0, 1]")
+            choice_problems("name", self.name, str)
+            + setting_problems("recall", self.recall, "[0, 1]")
             + setting_problems("fp_per_image", self.fp_per_image, "[0, inf)")
             + setting_problems("localization_noise", self.localization_noise, "[0, 0.5]")
             + setting_problems("tp_score_mean", self.tp_score_mean, "[0, 1]")
@@ -181,8 +190,7 @@ def simulate_detector(
     seeded stream, so per-image results never depend on batch composition.
     """
     problems = setting_problems("seed", seed, "[0, inf)", integer=True)
-    if source not in SIMULATOR_SOURCES:
-        problems.append(f"source must be one of {SIMULATOR_SOURCES}, got {shorten(source)}")
+    problems += choice_problems("source", source, SIMULATOR_SOURCES)
     raise_problems(problems)
     enumeration_task = source == "enumeration-model"
     salt = zlib.crc32(f"{profile.name}|{source}".encode("utf-8"))
@@ -240,7 +248,6 @@ _PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 
 def load_profile(name_or_path: PathLike) -> DetectorProfile:
     """Load a built-in profile by name, or any profile from a JSON file."""
-    text: str
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_PROFILES:
         text = (
             resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json").read_text("utf-8")

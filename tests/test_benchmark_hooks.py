@@ -53,3 +53,21 @@ def test_benchmark_check_passes_on_the_complement_pipeline(monkeypatch, tmp_path
     counts = workloads.layer_counts(inputs, result, cfg)
     assert counts["integrate.diags_in"] == len(result.fused)
     assert counts["complementary.candidates"] > 0
+
+
+def test_benchmark_check_passes_on_the_four_axis_pipeline(monkeypatch, tmp_path):
+    """The benchmark's checks and counts on a two-image ``pipeline-4axis`` run.
+
+    The oracle and the counts read ``ds.annotations`` on all four axes.
+    """
+    workloads = bench_module("workloads", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    work_dir = str(tmp_path)
+    inputs = workloads.make_inputs("pipeline-4axis", 1, tracing.Tracer(), work_dir, images=2)
+    cfg = workloads.pipeline_config("pipeline-4axis", work_dir)
+    result = workloads.run_operation("pipeline-4axis", cfg, inputs)
+    assert workloads.Checker("pipeline-4axis", inputs, cfg).check(result) == []
+    counts = workloads.layer_counts(inputs, result, cfg)
+    assert counts["io.records_parsed"] > len(inputs.dataset.annotations)
+    for axis in workloads.AXES:
+        assert counts[f"metrics.groups.{axis}"] > 0

@@ -159,11 +159,26 @@ class TestBalance:
 
 
 class TestClassificationsToDetections:
-    CROPS = [
-        CropAssignment(1, BoundingBox(0, 0, 12, 12), (1, 2), 0.9, BoundingBox(1, 1, 10, 10)),
-        CropAssignment(1, BoundingBox(20, 0, 12, 12), (1, 3), 0.8, BoundingBox(21, 1, 10, 10)),
-        CropAssignment(2, BoundingBox(0, 0, 12, 12), (4, 8), 0.75, BoundingBox(1, 1, 10, 10)),
-    ]
+    CROPS = assign_crops(
+        DetectionSet(
+            [
+                enum_det(1, 1, 10, 10, 0.9, image_id=1, quadrant=1, tooth=2),
+                enum_det(21, 1, 10, 10, 0.8, image_id=1, quadrant=1, tooth=3),
+                enum_det(1, 1, 10, 10, 0.75, image_id=2, quadrant=4, tooth=8),
+            ],
+            "enumeration-model",
+        ),
+        None,
+        pad_fraction=0.1,
+    )
+
+    def test_crops_are_viewed_as_assignments(self):
+        assert list(self.CROPS) == [
+            CropAssignment(1, BoundingBox(0, 0, 12, 12), (1, 2), 0.9, BoundingBox(1, 1, 10, 10)),
+            CropAssignment(1, BoundingBox(20, 0, 12, 12), (1, 3), 0.8, BoundingBox(21, 1, 10, 10)),
+            CropAssignment(2, BoundingBox(0, 0, 12, 12), (4, 8), 0.75, BoundingBox(1, 1, 10, 10)),
+        ]
+        assert self.CROPS[2].tooth == (4, 8)
 
     def test_conversion_rules(self):
         verdicts = [
@@ -289,7 +304,7 @@ class TestCropIO:
         crops = assign_crops(enums, IMAGES, pad_fraction=0.25)
         path = tmp_path / "crops.json"
         write_crop_manifest(crops, path)
-        assert read_crop_manifest(path) == crops
+        assert list(read_crop_manifest(path)) == list(crops)
 
     def test_manifest_requires_dense_ids(self, tmp_path):
         path = tmp_path / "crops.json"

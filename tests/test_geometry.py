@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from detfuse import (
     CategoryTriple,
     Detection,
 )
-from detfuse.metrics import _iou_matrix
+from detfuse.metrics import _iou_block
 
 coord = st.integers(min_value=0, max_value=24)
 extent = st.integers(min_value=1, max_value=12)
@@ -22,7 +23,7 @@ int_boxes = st.builds(BoundingBox, coord, coord, extent, extent)
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """The IoU that evaluation and the crop merge compute, for one pair of boxes."""
-    return float(_iou_matrix([a], [b])[0, 0])
+    return float(_iou_block(np.array([a.as_xywh()], float), np.array([b.as_xywh()], float))[0, 0])
 
 
 def pixel_iou(a: BoundingBox, b: BoundingBox) -> Fraction:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from detfuse import (
@@ -18,7 +21,7 @@ from detfuse import (
     CategoryTriple,
     ConfigError,
     CountMismatch,
-    CropAssignment,
+    CropSet,
     DanglingReference,
     Detection,
     DetectionSet,
@@ -41,6 +44,8 @@ from detfuse import (
     write_id_list,
     write_integrated,
 )
+from detfuse.cli import main
+from detfuse.detections import category_of
 from detfuse.io import _dump_json
 
 from conftest import HUGE, huge_id, perfect_detections
@@ -648,9 +653,18 @@ def grid_datasets(draw) -> AnnotatedDataset:
     return AnnotatedDataset(images, annotations)
 
 
+def crop_set(entries) -> CropSet:
+    """The crops of ``(image_id, crop_box, tooth, enum_score, source_box)`` entries."""
+    teeth = [
+        Detection(image_id, source, score, CategoryTriple(*tooth), "enumeration-model")
+        for image_id, _, tooth, score, source in entries
+    ]
+    boxes = np.array([crop.as_xywh() for _, crop, *_ in entries], float).reshape(-1, 4)
+    return CropSet(DetectionSet(teeth, "enumeration-model").columns, boxes)
+
+
 grid_crops = st.lists(
-    st.builds(
-        CropAssignment,
+    st.tuples(
         st.sampled_from([0, 1, "img-2"]),
         grid_boxes,
         st.tuples(st.integers(1, 4), st.integers(1, 8)),
@@ -658,7 +672,7 @@ grid_crops = st.lists(
         grid_boxes,
     ),
     max_size=8,
-)
+).map(crop_set)
 
 
 class TestRoundTrips:
@@ -687,8 +701,69 @@ class TestRoundTrips:
     def test_crop_manifest_keeps_every_crop(self, tmp_path_factory, crops):
         path = tmp_path_factory.getbasetemp() / "crops.json"
         write_crop_manifest(crops, path)
-        assert read_crop_manifest(path) == crops
+        assert list(read_crop_manifest(path)) == list(crops)
         assert len(path.read_text().splitlines()) == (len(crops) + 2 if crops else 1)
+
+
+#: A ground-truth file with integer and float boxes, a bare ``category_id``,
+#: a string image id, segmentations and two boxes that are clamped.
+PINNED_GT = {
+    "images": [
+        {"id": 1, "width": 1000, "height": 500, "file_name": "a.png"},
+        {"id": "b", "width": 640.5, "height": 480},
+    ],
+    "annotations": [
+        {
+            "id": 7, "image_id": 1, "bbox": [100, 100, 80, 120],
+            "category_id_1": 0, "category_id_2": 2, "category_id_3": 0,
+        },
+        {
+            "image_id": "b", "bbox": [10.25, 20.5, 30, 40.125], "category_id": 13,
+            "segmentation": [[1, 2, 3, 4]],
+        },
+        {
+            "image_id": 1, "bbox": [950, 450, 100, 100], "category_id_3": 3,
+            "segmentation": {"counts": "x", "size": [2, 2]},
+        },
+        {"image_id": "b", "bbox": [-5, 0, 20, 20], "category_id_2": 7},
+    ],
+}
+PINNED_MANIFEST = [
+    {
+        "crop_id": 0, "image_id": 1, "crop_bbox": [1, 2, 3, 4], "source_bbox": [1.5, 2, 3, 4],
+        "category_id_1": 0, "category_id_2": 1, "enum_score": 1,
+    },
+    {
+        "crop_id": 1, "image_id": "b", "crop_bbox": [0.1, 0.2, 30.3, 40],
+        "source_bbox": [5, 6, 7, 8], "category_id_1": 3, "category_id_2": 7, "enum_score": 0.72,
+    },
+]
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedWriters:
+    """Writer output, pinned by sha256 from when ground truth and crops were objects."""
+
+    def test_synth_ground_truth(self, tmp_path):
+        args = ["synth", "--out-dir", str(tmp_path), "--images", "3", "--seed", "7"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert sha256(tmp_path / "gt.json") == (
+            "71e9100cb139707aab7ef43f263cde4b8aa27af015aa9ccd4aebb406e6cac179"
+        )
+
+    def test_parsed_ground_truth(self, tmp_path):
+        out = tmp_path / "out.json"
+        write_ground_truth(parse_ground_truth(write_payload(tmp_path, PINNED_GT)), out)
+        assert sha256(out) == "fd8f7c757928cf06f8cdd526f5621f5497bd65079c3529d24c0b9f6b1465fb41"
+
+    def test_read_crop_manifest(self, tmp_path):
+        out = tmp_path / "out.json"
+        write_crop_manifest(read_crop_manifest(write_payload(tmp_path, PINNED_MANIFEST)), out)
+        assert sha256(out) == "a80a4e3a8fa1c2ca302c630d3f3afe5aa0314231d9c795328fb91e1636586284"
 
 
 class TestDatasetContainers:
@@ -699,6 +774,16 @@ class TestDatasetContainers:
         ]
         with pytest.raises(DanglingReference):
             AnnotatedDataset(images, anns)
+
+    def test_dataset_converts_annotation_objects_once(self, tiny_scene):
+        """Objects, even from iterators, become the columns and are kept as the views."""
+        anns = tiny_scene.annotations
+        ds = AnnotatedDataset(iter(tiny_scene.images), iter(anns))
+        assert ds.images == tiny_scene.images
+        assert all(view is ann for view, ann in zip(ds.annotations, anns))
+        assert ds.image.tolist() == [0, 0, 1]
+        assert ds.xywh.tolist() == [ann.box.as_xywh() for ann in anns]
+        assert [category_of(key) for key in ds.key.tolist()] == [ann.category for ann in anns]
 
     def test_dataset_rejects_duplicate_images(self):
         images = [AnnotatedImage(1, 100, 100), AnnotatedImage(1, 50, 50)]

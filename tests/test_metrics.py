@@ -30,7 +30,6 @@ from detfuse.metrics import (
     IOU_THRESHOLDS,
     RECALL_POINTS,
     _iou_block,
-    _iou_matrix,
     _match,
     _match_block,
 )
@@ -40,6 +39,11 @@ from conftest import perfect_detections, random_eval_instance
 
 B = BoundingBox
 CARIES = CategoryTriple(disease="caries")
+
+
+def xywh(boxes) -> np.ndarray:
+    """The ``(boxes, 4)`` array that ``_iou_block`` reads."""
+    return np.array([b.as_xywh() for b in boxes], float).reshape(-1, 4)
 
 
 def one_image_ds(gt_boxes, disease="caries") -> AnnotatedDataset:
@@ -95,7 +99,7 @@ class TestWorkedExamples:
         ds = one_image_ds([B(0, 0, 10, 10)])
         dets = det_set([(B(0, 0, 10, 15), 0.9, None)])
         # inter = 100, union = 100 + 150 - 100 = 150: passes 0.50..0.65
-        assert _iou_matrix([B(0, 0, 10, 10)], [B(0, 0, 10, 15)])[0, 0] == pytest.approx(2 / 3)
+        assert _iou_block(xywh([B(0, 0, 10, 10)]), xywh([B(0, 0, 10, 15)]))[0, 0] == pytest.approx(2 / 3)
         report = evaluate(ds, dets, "disease")
         assert report.ar == pytest.approx(4 / 10)
 
@@ -103,7 +107,7 @@ class TestWorkedExamples:
         ds = one_image_ds([B(0, 0, 10, 10)])
         # 6x10 box inside a 10x10 gt: iou exactly 0.6, passes 0.50/0.55/0.60
         dets = det_set([(B(0, 0, 6, 10), 0.9, None)])
-        assert _iou_matrix([B(0, 0, 10, 10)], [B(0, 0, 6, 10)])[0, 0] == 0.6
+        assert _iou_block(xywh([B(0, 0, 10, 10)]), xywh([B(0, 0, 6, 10)]))[0, 0] == 0.6
         report = evaluate(ds, dets, "disease")
         assert report.ar == pytest.approx(3 / 10)
         assert report.ap50 == 1.0
@@ -172,7 +176,7 @@ class TestWorkedExamples:
 
 def match_columns(gt_boxes, det_boxes, iou_t):
     """The evaluator's per-group matching at one threshold; ``None`` for no match."""
-    row = _match(_iou_matrix(det_boxes, gt_boxes), [iou_t])[0]
+    row = _match(_iou_block(xywh(det_boxes), xywh(gt_boxes)), [iou_t])[0]
     return [None if j < 0 else int(j) for j in row]
 
 
@@ -210,7 +214,7 @@ class TestGreedyMatch:
 
     @given(dets=grid_boxes, gts=grid_boxes)
     def test_all_thresholds_agree_with_the_oracle(self, dets, gts):
-        matched = _match(_iou_matrix(dets, gts), IOU_THRESHOLDS) >= 0
+        matched = _match(_iou_block(xywh(dets), xywh(gts)), IOU_THRESHOLDS) >= 0
         assert matched.shape == (len(IOU_THRESHOLDS), len(dets))
         for row, t in zip(matched, IOU_THRESHOLDS):
             assert row.astype(int).tolist() == _match_flags(dets, gts, t)

@@ -12,10 +12,13 @@ import pytest
 import detfuse.pipeline as pipeline_module
 from detfuse import (
     AXES,
+    BoundingBox,
     ConfigError,
+    CropAssignment,
     CropClassification,
     Detection,
     DetfuseError,
+    GroundTruthAnnotation,
     PipelineConfig,
     PipelineStageError,
     ScenePlan,
@@ -25,7 +28,9 @@ from detfuse import (
     load_pipeline_config,
     load_profile,
     parse_detections,
+    parse_ground_truth,
     pipeline_config_from_dict,
+    read_crop_manifest,
     run_pipeline,
     simulate_detector,
     write_crop_classifications,
@@ -229,21 +234,29 @@ class TestPinnedArtifacts:
         assert artifact_hashes(tmp_path, crops=crops) == PINNED_HASHES[crops]
 
     def test_pipeline_builds_no_detection_objects(self, tmp_path, monkeypatch):
-        """The stages work on columns: a run with the crop stage builds no ``Detection``."""
+        """The stages work on columns: a run with the crop stage builds no per-row object."""
         ds, paths = make_inputs(tmp_path)
         verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
         cfg = PipelineConfig(**paths, crop_classifications=verdicts, axes=AXES)
-        built = []
-        check = Detection.__post_init__
+        built = {cls: [] for cls in (Detection, GroundTruthAnnotation, CropAssignment, BoundingBox)}
+        for cls, objects in built.items():
+            init = cls.__init__
 
-        def counting(self):
-            built.append(self)
-            check(self)
+            def counting(self, *args, init=init, objects=objects, **kwargs):
+                objects.append(self)
+                init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Detection, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         result = run_pipeline(cfg)
-        assert len(built) == 0
-        assert result.final[0] in built  # the count sees views built on demand
+        assert {cls.__name__: len(objects) for cls, objects in built.items()} == {
+            "Detection": 0, "GroundTruthAnnotation": 0, "CropAssignment": 0, "BoundingBox": 0
+        }
+        # The counts see views built on demand.
+        assert result.final[0] in built[Detection]
+        assert parse_ground_truth(cfg.ground_truth).annotations[0] in built[GroundTruthAnnotation]
+        crop = read_crop_manifest(os.path.join(cfg.out_dir, "crops_manifest.json"))[0]
+        assert crop in built[CropAssignment]
+        assert crop.crop_box in built[BoundingBox]
 
 
 class TestPipelineConfig:

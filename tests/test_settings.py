@@ -1,4 +1,4 @@
-"""The settings rule: every numeric setting of every config object, against its range."""
+"""The settings rules: every numeric setting against its range, and every flag, name and choice."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detfuse import (
+    AXES,
+    DISEASES,
+    UNMATCHED_POLICIES,
     BalancePlan,
     ConfigError,
     DetectionSet,
@@ -26,6 +29,8 @@ from detfuse import (
     load_profile,
     simulate_detector,
 )
+from detfuse.metrics import axis_projection
+from detfuse.synth import SIMULATOR_SOURCES
 
 TINY_SCENE = generate_scene(ScenePlan(num_images=1))
 PERFECT = load_profile("perfect")
@@ -153,3 +158,89 @@ def test_every_setting_follows_the_number_rule(data, name, build, bounds, intege
     value = data.draw(outside(bounds, integer, optional), label="outside")
     with pytest.raises(ConfigError, match=re.escape(name)):
         build(value)
+
+
+#: (name in the error, build with the value, ``bool`` for a flag, ``str`` for a name or the choices)
+CHOICES = [
+    ("enumeration_product", field(EvalConfig, "enumeration_product"), bool),
+    ("keep_pr_curves", field(EvalConfig, "keep_pr_curves"), bool),
+    ("name", field(DetectorProfile, "name"), str),
+    ("unmatched_policy", field(IntegrationConfig, "unmatched_policy"), UNMATCHED_POLICIES),
+    ("unmatched_policy", lambda v: pipeline(unmatched_policy=v), UNMATCHED_POLICIES),
+    ("axis", lambda v: pipeline(axes=["disease", v]), AXES),
+    ("axis", axis_projection, AXES),
+    ("disease_prior disease", lambda v: ScenePlan(disease_prior=[(v, 0.1)]), DISEASES),
+    ("source", lambda v: simulate_detector(TINY_SCENE, PERFECT, v), SIMULATOR_SOURCES),
+]
+
+#: Values of every kind but a string, a bool among them.
+NOT_STRINGS = (
+    st.booleans() | st.integers() | st.floats() | st.none() | st.binary(max_size=3)
+    | st.lists(st.text(max_size=3), max_size=2) | st.tuples(st.sampled_from(DISEASES))
+)
+
+
+def accepted(choices):
+    if choices is bool:
+        return st.booleans()
+    return st.text(max_size=8) if choices is str else st.sampled_from(choices)
+
+
+def rejected(choices):
+    if choices is bool:
+        return NOT_STRINGS.filter(lambda v: type(v) is not bool) | st.sampled_from(["yes", "no", ""])
+    if choices is str:
+        return NOT_STRINGS
+    near = st.sampled_from([c.upper() for c in choices] + [c + " " for c in choices] + [""])
+    return NOT_STRINGS | near | st.text(max_size=8).filter(lambda v: v not in choices)
+
+
+@pytest.mark.parametrize(
+    "name,build,choices", CHOICES, ids=[f"{row[0]}-{i}" for i, row in enumerate(CHOICES)]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_flag_name_and_choice_follows_the_rule(data, name, build, choices):
+    """A flag is a bool, a name a string and a choice one of its strings; else one ConfigError."""
+    build(data.draw(accepted(choices), label="accepted"))
+    value = data.draw(rejected(choices), label="rejected")
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        build(value)
+
+
+pairs = st.tuples(st.sampled_from(DISEASES), st.floats(0, 0.25))
+priors = st.dictionaries(st.sampled_from(DISEASES), st.floats(0, 0.25)) | st.lists(
+    pairs | pairs.map(list), max_size=4
+)
+not_pairs = st.sampled_from([5, None, "caries", ("caries",), ("caries", 0.1, 0.2), 0.1, {"caries"}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(prior=priors, bad=not_pairs | NOT_STRINGS.filter(lambda v: not isinstance(v, (list, tuple))))
+def test_disease_prior_shape_follows_the_rule(prior, bad):
+    """A prior is a mapping or a list of (disease, probability) pairs; else one ConfigError."""
+    ScenePlan(disease_prior=prior)
+    with pytest.raises(ConfigError, match="disease_prior"):
+        ScenePlan(disease_prior=[("caries", 0.1), bad])
+    with pytest.raises(ConfigError, match="disease_prior"):
+        ScenePlan(disease_prior=bad)
+
+
+class TestNonNumericDefects:
+    """Each was accepted, or raised a bare TypeError or ValueError, before the rule."""
+
+    def test_eval_flags_must_be_bools(self):
+        named = "enumeration_product must be a bool, got 'no'; keep_pr_curves must be a bool"
+        with pytest.raises(ConfigError, match=named):
+            EvalConfig(enumeration_product="no", keep_pr_curves="yes")
+
+    def test_profile_file_name_must_be_a_string(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text('{"name": 5}')
+        with pytest.raises(ConfigError, match="name must be a string, got 5"):
+            load_profile(str(path))
+
+    @pytest.mark.parametrize("prior", [5, (("caries",),)], ids=["number", "one-element-pair"])
+    def test_disease_prior_must_be_pairs(self, prior):
+        with pytest.raises(ConfigError, match="disease_prior must be a mapping or a list"):
+            ScenePlan(disease_prior=prior)
