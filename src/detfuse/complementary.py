@@ -17,7 +17,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .detections import (
     Columns,
     DetectionSet,
     _image_index,
+    _json_boxes,
+    _json_ids,
     _per_row,
     _resolve_universe,
     category_codes,
@@ -55,6 +57,7 @@ from .io import (
     _load_json,
     _numbers,
     _records,
+    _write_lines,
 )
 from .integrate import as_detection_set
 from .metrics import _iou_block
@@ -93,17 +96,14 @@ class CropSet:
     rows: Columns
     boxes: np.ndarray
 
-    def _values(self) -> Iterator[tuple]:
-        """Per crop: image id, crop box, quadrant and tooth codes, enumeration score, source box."""
-        rows = self.rows
-        columns = (self.boxes, rows.quadrant, rows.tooth, rows.score, rows.xywh)
-        return _per_row(rows.ids, rows.image, *columns)
-
     @cached_property
     def _assignments(self) -> tuple[CropAssignment, ...]:
+        rows = self.rows
+        columns = (self.boxes, rows.quadrant, rows.tooth, rows.score, rows.xywh)
+        values = _per_row(rows.ids, rows.image, *columns)
         return tuple(
             CropAssignment(image_id, BoundingBox(*crop), (q + 1, t + 1), score, BoundingBox(*box))
-            for image_id, crop, q, t, score, box in self._values()
+            for image_id, crop, q, t, score, box in values
         )
 
     def __len__(self) -> int:
@@ -307,20 +307,18 @@ def merge_complementary(
 
 
 def write_crop_manifest(crops: CropSet, path: PathLike) -> None:
-    """Write the crop manifest consumed by the external cropper/classifier."""
-    records = [
-        {
-            "crop_id": crop_id,
-            "image_id": image_id,
-            "crop_bbox": crop,
-            "source_bbox": box,
-            "category_id_1": q,
-            "category_id_2": t,
-            "enum_score": score,
-        }
-        for crop_id, (image_id, crop, q, t, score, box) in enumerate(crops._values())
+    """Write the crop manifest consumed by the external cropper/classifier, from its columns."""
+    rows = crops.rows
+    values = zip(
+        _json_ids(rows), _json_boxes(crops.boxes), _json_boxes(rows.xywh),
+        rows.quadrant.tolist(), rows.tooth.tolist(), rows.score.tolist(),
+    )
+    lines = [
+        f'{{"crop_id":{i},"image_id":{image_id},"crop_bbox":{crop},"source_bbox":{box},'
+        f'"category_id_1":{q},"category_id_2":{t},"enum_score":{score!r}}}'
+        for i, (image_id, crop, box, q, t, score) in enumerate(values)
     ]
-    _dump_json(records, path)
+    _write_lines(lines, path)
 
 
 def read_crop_manifest(path: PathLike) -> CropSet:
@@ -332,9 +330,7 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     ``category_id_1`` and ``category_id_2`` (``InvalidCategory``), and
     ``enum_score`` in [0, 1]. The rows cover the images of the crops.
     """
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: crop manifest must be a JSON array")
+    data = _load_json(path, "crop manifest")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "crop", rules)
     crop_ids = _field(records, "crop_id", None)
@@ -372,9 +368,7 @@ def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
     A :class:`MalformedFile` names the first bad record and the first rule it
     breaks: a record object, a ``crop_id`` >= 0, a known label, a confidence in [0, 1].
     """
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: classifications must be a JSON array")
+    data = _load_json(path, "classifications")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "classification", rules)
     crop_ids = _field(records, "crop_id", None)
@@ -403,7 +397,4 @@ def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
 
 
 def write_crop_classifications(items: Sequence[CropClassification], path: PathLike) -> None:
-    _dump_json(
-        [{"crop_id": c.crop_id, "label": c.label, "confidence": c.confidence} for c in items],
-        path,
-    )
+    _dump_json([dataclasses.asdict(c) for c in items], path)

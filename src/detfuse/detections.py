@@ -4,11 +4,12 @@ Every stage reads and writes a :class:`DetectionSet` through its
 :class:`Columns`: one array per field, one row per detection. A
 :class:`~detfuse.geometry.Detection` is built from a row only when the
 public per-record API asks for one, so the pipeline's hot path builds
-none.
+none; a set holds its rows' JSON text the same way.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
@@ -32,10 +33,13 @@ _ROW_FIELDS = ("image", "xywh", "score", "quadrant", "tooth", "disease", "origin
 
 _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
+# The C encoder, which ``json.dump`` gives up as soon as ``indent`` is set.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def source_code(source: str) -> int:
     """The index of a source tag in :data:`SOURCES`; :class:`ConfigError` for an unknown tag."""
-    code = _SOURCE_CODE.get(source)
+    code = _SOURCE_CODE.get(source) if isinstance(source, str) else None
     if code is None:
         raise ConfigError(f"unknown source tag {shorten(source)}; expected one of {SOURCES}")
     return code
@@ -190,6 +194,26 @@ def _views(cols: Columns) -> tuple[Detection, ...]:
     )
 
 
+def _json_ids(cols: Columns) -> list[str]:
+    """Each row's image id as JSON text, encoded once per id of ``cols.ids``."""
+    ids = [_encode_compact(image_id) for image_id in cols.ids]
+    return [ids[k] for k in cols.image.tolist()]
+
+
+def _json_boxes(xywh: np.ndarray) -> list[str]:
+    """Each box of ``xywh`` as a JSON array; a float's text is its ``repr``, as in ``json``."""
+    return [f"[{x!r},{y!r},{w!r},{h!r}]" for x, y, w, h in xywh.tolist()]
+
+
+#: How each piece of the rows' text is built from their columns.
+_ROW_TEXT = {
+    "box": lambda cols: [
+        f'{{"image_id":{i},"bbox":{b}' for i, b in zip(_json_ids(cols), _json_boxes(cols.xywh))
+    ],
+    "score": lambda cols: [f',"score":{s!r}' for s in cols.score.tolist()],
+}
+
+
 def same_image_blocks(
     a_image: np.ndarray, b_image: np.ndarray, a_key: Optional[np.ndarray] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -232,6 +256,12 @@ class DetectionSet:
 
     With no ``image_universe`` (``None``) the set is the images the
     detections are on; a given one, even an empty one, must hold them all.
+
+    A set holds its rows' JSON text the same way, built when a writer first
+    asks: ``"box"`` (``{"image_id":…,"bbox":[…]``) and ``"score"``
+    (``,"score":…``). ``take`` and ``concat`` carry it, ``concat`` building
+    a piece some parts hold for the rest. :meth:`from_columns` starts with
+    none; a stage that keeps a row's box or score passes that text on.
     """
 
     __hash__ = None
@@ -267,6 +297,7 @@ class DetectionSet:
         self._ids = ids
         self._columns: Optional[Columns] = None
         self._objects: Optional[tuple[Detection, ...]] = None
+        self._text: dict[str, list[str]] = {}
 
     @property
     def columns(self) -> Columns:
@@ -280,6 +311,17 @@ class DetectionSet:
             self._objects = _views(self._columns)
         return self._objects
 
+    def _row_text(self, piece: str) -> list[str]:
+        """Each row's ``"box"`` or ``"score"`` text, built from the columns at the first call."""
+        if piece not in self._text:
+            self._text[piece] = _ROW_TEXT[piece](self.columns)
+        return self._text[piece]
+
+    def _share_text(self, rows: "DetectionSet", *pieces: str) -> "DetectionSet":
+        """This set, holding those of ``pieces`` that ``rows``, a set of the same rows, holds."""
+        self._text.update((p, rows._text[p]) for p in pieces if p in rows._text)
+        return self
+
     def take(self, rows) -> "DetectionSet":
         """The rows ``rows`` (a mask, indices or a slice), with the same tag and universe."""
         index = np.arange(len(self))[rows]
@@ -288,6 +330,8 @@ class DetectionSet:
             out._columns = self._columns.take(index)
         if self._objects is not None:
             out._objects = tuple(map(self._objects.__getitem__, index.tolist()))
+        for piece, text in self._text.items():
+            out._text[piece] = list(map(text.__getitem__, index.tolist()))
         return out
 
     @staticmethod
@@ -299,6 +343,8 @@ class DetectionSet:
             out._objects = tuple(chain.from_iterable(p._objects for p in parts))
         if out._objects is None or all(p._columns is not None for p in parts):
             out._columns = _concat([p.columns for p in parts], ids)
+        for piece in {piece for p in parts for piece in p._text}:
+            out._text[piece] = list(chain.from_iterable(p._row_text(piece) for p in parts))
         return out
 
     def __len__(self) -> int:

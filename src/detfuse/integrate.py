@@ -17,8 +17,8 @@ import numpy as np
 
 from .detections import Columns, DetectionSet, _resolve_universe, same_image_blocks, source_code
 from .errors import AxisUnavailable, choice_problems, raise_problems, setting_problems
-from .io import PathLike, _dump_json
-from .results import detection_records
+from .io import PathLike
+from .results import _write_records
 
 KEEP_WITHOUT_ENUMERATION = "keep-without-enumeration"
 DROP = "drop"
@@ -121,9 +121,9 @@ def integrate(
         origin=np.full_like(found.origin, source_code("fused")),
         link=link,
     )
-    if cfg.unmatched_policy == DROP:
-        fused = fused.take(matched)
-    return DetectionSet.from_columns(fused, "fused")
+    # A row keeps its diagnosis image and box, so their text; a matched row's score is new.
+    out = DetectionSet.from_columns(fused, "fused")._share_text(diags, "box")
+    return out.take(matched) if cfg.unmatched_policy == DROP else out
 
 
 def as_detection_set(
@@ -132,7 +132,8 @@ def as_detection_set(
     """Re-tag integrated detections as one :class:`DetectionSet`, without their links.
 
     With no ``image_universe`` the set covers the images its detections
-    are on; a given one must hold them all.
+    are on; a given one must hold them all. The rows keep the text
+    ``integrated`` holds for them.
     """
     cols = integrated.columns
     ids = _resolve_universe([cols.ids[k] for k in cols.image.tolist()], image_universe)
@@ -143,9 +144,9 @@ def as_detection_set(
         origin=np.full_like(cols.origin, source_code(source)),
         link=np.full_like(cols.link, -1),
     )
-    return DetectionSet.from_columns(retagged, source)
+    return DetectionSet.from_columns(retagged, source)._share_text(integrated, "box", "score")
 
 
 def write_integrated(items: DetectionSet, path: PathLike) -> None:
     """Write detections as COCO results records, keeping ``matched_enum_id`` where set."""
-    _dump_json(detection_records(items, links=True), path)
+    _write_records(items, path, links=True)

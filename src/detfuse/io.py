@@ -48,6 +48,7 @@ import numpy as np
 
 from .detections import (
     _category_key,
+    _encode_compact,
     _image_index,
     _per_key,
     _per_row,
@@ -56,10 +57,12 @@ from .detections import (
     category_of,
 )
 from .errors import (
+    ConfigError,
     CountMismatch,
     DanglingReference,
     InvalidCategory,
     MalformedFile,
+    MissingImage,
     raise_problems,
     setting_problems,
     shorten,
@@ -127,7 +130,7 @@ class AnnotatedDataset:
         self.images = tuple(images)
         ids = self.image_ids()
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate image ids in dataset")
+            raise ConfigError("duplicate image ids in dataset")
         self.image, self.xywh, self.key, self.segmentation = image, xywh, key, tuple(segmentation)
         return self
 
@@ -178,14 +181,18 @@ class SplitSpec:
 # parsing helpers
 
 
-def _load_json(path: PathLike):
+def _load_json(path: PathLike, what: str, kind: type = list):
+    """The JSON in ``path``; :class:`MalformedFile` unless it is a ``kind``, calling it ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, kind):
+        raise MalformedFile(f"{path}: {what} must be a JSON {'array' if kind is list else 'object'}")
+    return data
 
 
 @contextlib.contextmanager
@@ -206,29 +213,25 @@ def _atomic_open(path: PathLike, newline: Optional[str] = None) -> Iterator[Text
         raise
 
 
-# The C encoder, which ``json.dump`` gives up as soon as ``indent`` is set.
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+def _write_lines(lines: list[str], path: PathLike) -> None:
+    """Write the record texts ``lines`` as a JSON array, one per line, as every record file is."""
+    with _atomic_open(path) as fh:
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n")
 
 
 def _dump_json(obj, path: PathLike) -> None:
     """Write ``obj`` as JSON ending in a newline; ``path`` changes only once the write is complete.
 
-    A list (every record artifact) is written as ``[``, then one compact
-    record per line, then ``]``; ``[]`` when empty.  Records are encoded
-    one at a time, so the whole array is never held as text.  Any other
-    value (metrics reports, ground truth, balance plans) is indented by 2.
+    A list is written one compact record per line by :func:`_write_lines`, the
+    writer of every record file. Any other value (metrics reports, ground
+    truth, balance plans) is indented by 2.
     """
+    if isinstance(obj, list):
+        _write_lines(list(map(_encode_compact, obj)), path)
+        return
     with _atomic_open(path) as fh:
-        if isinstance(obj, list):
-            sep = "[\n"
-            for rec in obj:
-                fh.write(sep)
-                fh.write(_encode_compact(rec))
-                sep = ",\n"
-            fh.write("\n]\n" if obj else "[]\n")
-        else:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +254,13 @@ def _category_fields(key: np.ndarray) -> list[dict]:
     return _per_key(
         key, lambda k: {name: c for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0}
     )
+
+
+def _category_text(key: np.ndarray) -> list[str]:
+    """The fields of :func:`_category_fields` as record text, ``,"category_id_1":0`` and on."""
+    return _per_key(key, lambda k: "".join(
+        f',"{name}":{c}' for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0
+    ))
 
 
 #: Stands in for a rejected box, so that the later checks can run on every row.
@@ -493,9 +503,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
         DanglingReference: annotation pointing at a missing image.
         InvalidCategory: category ids outside their documented ranges.
     """
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise MalformedFile(f"{path}: ground truth must be a JSON object")
+    data = _load_json(path, "ground truth", dict)
     for key in ("images", "annotations"):
         if key not in data or not isinstance(data[key], list):
             raise MalformedFile(f"{path}: missing or non-list {key!r} section")
@@ -595,8 +603,11 @@ def split_ids(ids: Sequence[ImageId], spec: SplitSpec) -> tuple[list, list, list
 
 
 def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDataset:
-    """Restrict a dataset to ``ids``, keeping images in the given order."""
+    """Restrict a dataset to ``ids``, in their order; an id not in it is :class:`MissingImage`."""
     by_id = {im.image_id: im for im in ds.images}
+    unknown = [i for i in ids if i not in by_id]
+    if unknown:
+        raise MissingImage(f"image {shorten(unknown[0])} is not in the dataset")
     images = tuple(by_id[i] for i in ids)
     image = _image_index(ds.image_ids(), ids)[ds.image]
     rows = image >= 0
@@ -623,7 +634,4 @@ def write_id_list(ids: Sequence[ImageId], path: PathLike) -> None:
 
 
 def read_id_list(path: PathLike) -> list:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: id list must be a JSON array")
-    return data
+    return _load_json(path, "id list")

@@ -3,12 +3,12 @@
 A results file is a JSON array of ``{image_id, bbox, score, ...}``
 records with the category fields of :mod:`detfuse.io`. Records are read
 field by field into :class:`~detfuse.detections.Columns` and checked a
-field at a time; writers build their records from the columns.
+field at a time. Writers build no records: a line is the set's shared row text
+(see :class:`~detfuse.detections.DetectionSet`), its category fields and its link.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -17,7 +17,6 @@ from .detections import (
     Columns,
     DetectionSet,
     _image_index,
-    _per_row,
     _resolve_universe,
     source_code,
 )
@@ -27,14 +26,14 @@ from .io import (
     PathLike,
     _boxes,
     _categories,
-    _category_fields,
-    _dump_json,
+    _category_text,
     _field,
     _FirstBreak,
     _image_ids,
     _load_json,
     _numbers,
     _records,
+    _write_lines,
 )
 
 #: How a bare ``category_id`` is decoded, by stream source; other sources forbid it.
@@ -65,9 +64,7 @@ def parse_detections(
     image checked against ``image_universe``.
     """
     code = source_code(source)
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise MalformedFile(f"{path}: detections must be a JSON array")
+    data = _load_json(path, "detections")
     n = len(data)
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "detection", rules)
@@ -115,26 +112,18 @@ def parse_detections(
     return DetectionSet.from_columns(columns, source)
 
 
-def detection_records(dets: DetectionSet, *, links: bool) -> list[dict]:
-    """COCO results records of ``dets``, built from its columns.
-
-    Each record holds ``image_id``, ``bbox``, ``score`` and the category
-    fields that are set, then ``matched_enum_id`` where ``links`` is set
-    and the detection has one.
-    """
+def _write_records(dets: DetectionSet, path: PathLike, *, links: bool) -> None:
+    """Write ``dets`` from its row text: ``image_id``, ``bbox``, ``score``, the category
+    fields that are set, then ``matched_enum_id`` where ``links`` is set and the row has one."""
     cols = dets.columns
-    categories = _category_fields(cols.category_key())
-    link_column = cols.link if links else repeat(-1)
-    rows = _per_row(cols.ids, cols.image, cols.xywh, cols.score, categories, link_column)
-    records = []
-    for image_id, box, score, fields, link in rows:
-        rec = {"image_id": image_id, "bbox": box, "score": score, **fields}
-        if link >= 0:
-            rec["matched_enum_id"] = link
-        records.append(rec)
-    return records
+    tails = _category_text(cols.category_key())
+    if links:
+        link = cols.link.tolist()
+        tails = [f'{t},"matched_enum_id":{k}' if k >= 0 else t for t, k in zip(tails, link)]
+    rows = zip(dets._row_text("box"), dets._row_text("score"), tails)
+    _write_lines([f"{box}{score}{tail}}}" for box, score, tail in rows], path)
 
 
 def write_detections(dets: DetectionSet, path: PathLike) -> None:
     """Write detections as a COCO results array with explicit triple fields."""
-    _dump_json(detection_records(dets, links=False), path)
+    _write_records(dets, path, links=False)

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
@@ -21,16 +21,24 @@ from detfuse import (
     CategoryTriple,
     ConfigError,
     CountMismatch,
+    CropClassification,
     CropSet,
     DanglingReference,
     Detection,
     DetectionSet,
     GroundTruthAnnotation,
     InvalidCategory,
+    IntegrationConfig,
     InvalidScore,
     MalformedFile,
+    MergeConfig,
+    MissingImage,
+    ScenePlan,
     SplitSpec,
     as_detection_set,
+    generate_scene,
+    integrate,
+    merge_complementary,
     parse_detections,
     parse_ground_truth,
     read_crop_manifest,
@@ -38,6 +46,7 @@ from detfuse import (
     split_dataset,
     split_ids,
     subset_dataset,
+    write_crop_classifications,
     write_crop_manifest,
     write_detections,
     write_ground_truth,
@@ -738,6 +747,22 @@ PINNED_MANIFEST = [
         "source_bbox": [5, 6, 7, 8], "category_id_1": 3, "category_id_2": 7, "enum_score": 0.72,
     },
 ]
+#: Diagnosis records: a bare disease ``category_id``, odd floats and ids, a link to drop.
+PINNED_DIAGNOSES = [
+    {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 1, "category_id_3": 0},
+    {"image_id": 'b"\\ü\n', "bbox": [0.1, 0.2, 1e-07, 1e16], "score": 5e-324, "category_id": 2},
+    {
+        "image_id": 1, "bbox": [-0.0, 7.25, 2, 3], "score": 0.30000000000000004,
+        "category_id_1": 3, "category_id_2": 7, "category_id_3": 3, "matched_enum_id": 4,
+    },
+    {"image_id": 1, "bbox": [400, 400, 5, 5], "score": 0.5, "category_id_3": 1},
+]
+#: Teeth on image 1 only, one under the default gate of 0.7.
+PINNED_TEETH = [
+    {"image_id": 1, "bbox": [0, 0, 10, 10], "score": 0.9, "category_id": 13},
+    {"image_id": 1, "bbox": [0, 5, 4, 4], "score": 0.75, "category_id_1": 2, "category_id_2": 0},
+    {"image_id": 1, "bbox": [390, 390, 20, 20], "score": 0.5, "category_id": 31},
+]
 
 
 def sha256(path) -> str:
@@ -745,7 +770,8 @@ def sha256(path) -> str:
 
 
 class TestPinnedWriters:
-    """Writer output, pinned by sha256 from when ground truth and crops were objects."""
+    """Writer output, pinned by sha256 from when ground truth and crops were objects
+    and records were encoded as dicts."""
 
     def test_synth_ground_truth(self, tmp_path):
         args = ["synth", "--out-dir", str(tmp_path), "--images", "3", "--seed", "7"]
@@ -764,6 +790,186 @@ class TestPinnedWriters:
         out = tmp_path / "out.json"
         write_crop_manifest(read_crop_manifest(write_payload(tmp_path, PINNED_MANIFEST)), out)
         assert sha256(out) == "a80a4e3a8fa1c2ca302c630d3f3afe5aa0314231d9c795328fb91e1636586284"
+
+    def test_parsed_detections(self, tmp_path):
+        out = tmp_path / "out.json"
+        write_detections(parse_detections(write_payload(tmp_path, PINNED_DIAGNOSES), "diagnosis-A"), out)
+        assert sha256(out) == "fef20c68806d9b926c6359ce6fca3dd387d027feee4201ec9e5694f1c7d7f58d"
+
+    def test_integrated_under_drop(self, tmp_path):
+        """Unmatched findings are dropped: the one beyond the distance and the one on no tooth's image."""
+        diags = parse_detections(write_payload(tmp_path, PINNED_DIAGNOSES), "diagnosis-A")
+        teeth = parse_detections(write_payload(tmp_path, PINNED_TEETH, "teeth.json"), "enumeration-model")
+        cfg = IntegrationConfig(max_match_distance=100.0, unmatched_policy="drop")
+        out = tmp_path / "out.json"
+        write_integrated(integrate(teeth, diags, cfg), out)
+        assert len(json.loads(out.read_text())) == 2
+        assert sha256(out) == "4d151b309913e04057063abc91813c157fd8b14edab08d98060163eb3f153e39"
+
+    def test_crop_classifications(self, tmp_path):
+        verdicts = [
+            CropClassification(0, "normal", 1.0),
+            CropClassification(3, "deep-caries", 0.30000000000000004),
+            CropClassification(1, "caries", 5e-324),
+        ]
+        out = tmp_path / "out.json"
+        write_crop_classifications(verdicts, out)
+        assert sha256(out) == "2d11591547650b078829c862d4ad52edd06b915472c254583d50f496014cab26"
+
+    def test_id_list(self, tmp_path):
+        out = tmp_path / "out.json"
+        write_id_list([3, 1, "x-7", 'q"\\ü\n'], out)
+        assert sha256(out) == "4d17b2af6f3408e63474d2711c10dd39cb90468cbccb7af4a178093139e8a512"
+
+
+def dict_layout(dets: DetectionSet, *, links: bool) -> bytes:
+    """The bytes of ``dets`` as dict records, each encoded with ``json`` and one per line."""
+    cols = dets.columns
+    names = ("category_id_1", "category_id_2", "category_id_3")
+    records = []
+    for row in zip(
+        cols.image.tolist(), cols.xywh.tolist(), cols.score.tolist(), cols.quadrant.tolist(),
+        cols.tooth.tolist(), cols.disease.tolist(), cols.link.tolist(),
+    ):
+        image, box, score, *codes, link = row
+        rec = {"image_id": cols.ids[image], "bbox": box, "score": score}
+        rec.update((name, code) for name, code in zip(names, codes) if code >= 0)
+        if links and link >= 0:
+            rec["matched_enum_id"] = link
+        records.append(rec)
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    text = "[\n" + ",\n".join(map(encode, records)) + "\n]\n" if records else "[]\n"
+    return text.encode()
+
+
+#: Float edge cases: a signed zero, the least subnormal, exponent forms and integer values.
+ODD_FLOATS = [-0.0, 5e-324, 1e-07, 1e16, 3.0, 0.1 + 0.2]
+#: Image ids: integers, and strings that need escaping, with non-ASCII characters and a newline.
+ROW_IMAGE_IDS = st.sampled_from([0, 7, 2**40, 'say "hi"', "back\\slash", "zähne-🦷", "two\nlines"])
+COORDINATES = st.sampled_from(ODD_FLOATS) | st.floats(-1e3, 1e3)
+EXTENTS = st.sampled_from([5e-324, 1e-07, 1e16, 3.0, 12.5]) | st.floats(0.5, 1e3)
+SCORES = st.sampled_from([-0.0, 5e-324, 1e-07, 1.0, 0.5]) | st.floats(0, 1)
+
+
+def detection_sets(source: str, *, disease: bool = True) -> st.SearchStrategy:
+    """Sets of ``source`` detections, any axis absent but the disease if ``disease``, any link."""
+    diseases = st.sampled_from(DISEASES)
+    axes = st.tuples(
+        st.none() | st.integers(1, 4),
+        st.none() | st.integers(1, 8),
+        diseases if disease else st.none() | diseases,
+    ).filter(any)
+    one = st.builds(
+        lambda image_id, box, score, axes, link: Detection(
+            image_id, BoundingBox(*box), score, CategoryTriple(*axes), source, link
+        ),
+        ROW_IMAGE_IDS,
+        st.tuples(COORDINATES, COORDINATES, EXTENTS, EXTENTS),
+        SCORES,
+        axes,
+        st.none() | st.integers(0, 2**63 - 1),
+    )
+    return st.lists(one, max_size=8).map(lambda dets: DetectionSet(dets, source))
+
+
+#: Without the explain phase, which re-runs a failing example about a thousand times.
+ROW_TEXT_SETTINGS = settings(
+    max_examples=40, deadline=None, phases=[p for p in Phase if p is not Phase.explain]
+)
+INTEGRATIONS = st.builds(
+    IntegrationConfig,
+    enum_score_gate=st.sampled_from([0.0, 0.5]),
+    max_match_distance=st.none() | st.floats(1.0, 100.0),
+    unmatched_policy=st.sampled_from(["keep-without-enumeration", "drop"]),
+)
+
+
+class TestRowText:
+    """Records written from shared row text have the bytes of dict records encoded by ``json``.
+
+    Each set is written, and so given its text, or not before the next step.
+    """
+
+    @staticmethod
+    def check(path, dets: DetectionSet) -> None:
+        """Both writers write ``dets`` as ``json`` writes its dict records (which builds its text)."""
+        write_detections(dets, path)
+        assert path.read_bytes() == dict_layout(dets, links=False)
+        write_integrated(dets, path)
+        assert path.read_bytes() == dict_layout(dets, links=True)
+
+    @ROW_TEXT_SETTINGS
+    @given(
+        fused=detection_sets("fused"),
+        extra=detection_sets("diagnosis-B"),
+        mask=st.lists(st.booleans(), max_size=8),
+        written=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_take_and_concat(self, tmp_path_factory, fused, extra, mask, written):
+        path = tmp_path_factory.getbasetemp() / "rows.json"
+        for dets, write in zip((fused, extra), written):
+            if write:
+                self.check(path, dets)
+        self.check(path, fused.take((mask + [True] * len(fused))[: len(fused)]))
+        self.check(path, DetectionSet.concat([fused, extra.take(slice(None, None, -1))], "fused"))
+
+    @ROW_TEXT_SETTINGS
+    @given(
+        teeth=detection_sets("enumeration-model", disease=False),
+        fused=detection_sets("fused"),
+        comp=detection_sets("complementary"),
+        cfg=INTEGRATIONS,
+        written=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    )
+    def test_integrate_merge_and_retag(self, tmp_path_factory, teeth, fused, comp, cfg, written):
+        path = tmp_path_factory.getbasetemp() / "rows.json"
+        if written[0]:
+            self.check(path, fused)
+        integrated = integrate(teeth, fused, cfg)
+        for dets, write in zip((integrated, comp), written[1:]):
+            if write:
+                self.check(path, dets)
+        merged = merge_complementary(integrated, comp, MergeConfig(overlap_iou=0.3))
+        self.check(path, merged)
+        self.check(path, as_detection_set(merged, "fused"))
+
+    def test_matched_rows_carry_the_product_score(self, tmp_path):
+        """Writing 01 builds the fused score text; 02 must not take it for a matched row."""
+        caries = CategoryTriple(disease="caries")
+        fused = DetectionSet(
+            [Detection(1, BoundingBox(i, i, 4, 4), 0.5, caries, "fused") for i in range(3)]
+            + [Detection(2, BoundingBox(0, 0, 4, 4), 0.25, caries, "fused")],
+            "fused",
+        )
+        position = CategoryTriple(quadrant=1, enumeration=2)
+        tooth = Detection(1, BoundingBox(0, 0, 5, 5), 0.9, position, "enumeration-model")
+        teeth = DetectionSet([tooth], "enumeration-model")
+        write_detections(fused, tmp_path / "01.json")
+        write_integrated(integrate(teeth, fused), tmp_path / "02.json")
+        records = json.loads((tmp_path / "02.json").read_text())
+        assert [r.get("matched_enum_id") for r in records] == [0, 0, 0, None]
+        assert [r["score"] for r in records] == [0.9 * 0.5] * 3 + [0.25]
+
+
+class TestBareErrorDefects:
+    """Each raised a bare TypeError, KeyError or ValueError instead of a DetfuseError."""
+
+    def test_unhashable_source_tag(self):
+        with pytest.raises(ConfigError, match=r"unknown source tag \['x'\]"):
+            DetectionSet([], ["x"])
+
+    def test_unhashable_source_tag_when_parsing(self, tmp_path):
+        path = write_payload(tmp_path, [], "dets.json")
+        with pytest.raises(ConfigError, match=r"unknown source tag \['x'\]"):
+            parse_detections(path, ["x"])
+
+    def test_subset_of_an_unknown_image(self):
+        with pytest.raises(MissingImage, match="image 99 is not in the dataset"):
+            subset_dataset(generate_scene(ScenePlan(num_images=2)), [1, 99])
+
+    def test_subset_with_a_repeated_image(self):
+        with pytest.raises(ConfigError, match="duplicate image ids"):
+            subset_dataset(generate_scene(ScenePlan(num_images=2)), [1, 1])
 
 
 class TestDatasetContainers:

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import detfuse.detections as detections_module
 import detfuse.pipeline as pipeline_module
 from detfuse import (
     AXES,
@@ -257,6 +258,29 @@ class TestPinnedArtifacts:
         crop = read_crop_manifest(os.path.join(cfg.out_dir, "crops_manifest.json"))[0]
         assert crop in built[CropAssignment]
         assert crop.crop_box in built[BoundingBox]
+
+    def test_pipeline_encodes_each_row_once(self, tmp_path, monkeypatch):
+        """01 builds the fused rows' text, 02 only the new scores, and 03 and 04 reuse it."""
+        ds, paths = make_inputs(tmp_path)
+        verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
+        cfg = PipelineConfig(**paths, crop_classifications=verdicts, axes=AXES)
+        built = {}
+        for piece, build in detections_module._ROW_TEXT.items():
+
+            def counting(cols, build=build, piece=piece):
+                built[piece] = built.get(piece, 0) + len(cols.score)
+                return build(cols)
+
+            monkeypatch.setitem(detections_module._ROW_TEXT, piece, counting)
+        result = run_pipeline(cfg)
+        with open(os.path.join(cfg.out_dir, "02_integrated.json")) as fh:
+            integrated = len(json.load(fh))
+        kept = len(result.integrated) - integrated  # the complementary rows the merge appends
+        assert kept > 0
+        assert built == {
+            "box": len(result.fused) + kept,
+            "score": len(result.fused) + integrated + kept,
+        }
 
 
 class TestPipelineConfig:
