@@ -94,16 +94,31 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
     With no ``image_universe`` (``None``) they are the rows' images in
     first-row order. A given one, even an empty one, is kept as
     ``tuple(frozenset(image_universe))`` and must hold every row; the first
-    row outside it raises :class:`DanglingReference`.
+    row outside it raises :class:`DanglingReference`, and an id that cannot
+    be hashed :class:`ConfigError`.
     """
-    if image_universe is None:
-        return tuple(dict.fromkeys(row_ids))
-    universe = tuple(frozenset(image_universe))
-    known = frozenset(universe)
-    if not known.issuperset(row_ids):
+    try:
+        if image_universe is None:
+            return tuple(dict.fromkeys(row_ids))
+        universe = tuple(frozenset(image_universe))
+        known = frozenset(universe)
+        inside = known.issuperset(row_ids)
+    except TypeError:
+        _require_hashable(chain(row_ids, () if image_universe is None else image_universe))
+        raise
+    if not inside:
         first = next(image_id for image_id in row_ids if image_id not in known)
         raise DanglingReference(f"detection references image {first!r} outside the universe")
     return universe
+
+
+def _require_hashable(ids: Iterable) -> None:
+    """Raise :class:`ConfigError` naming the first of the image ``ids`` that cannot be hashed."""
+    for image_id in ids:
+        try:
+            hash(image_id)
+        except TypeError:
+            raise ConfigError(f"image id {shorten(image_id)} is not hashable") from None
 
 
 def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:

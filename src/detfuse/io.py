@@ -53,6 +53,7 @@ from .detections import (
     _per_key,
     _per_row,
     _record_columns,
+    _require_hashable,
     category_codes,
     category_of,
 )
@@ -604,6 +605,7 @@ def split_ids(ids: Sequence[ImageId], spec: SplitSpec) -> tuple[list, list, list
 
 def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDataset:
     """Restrict a dataset to ``ids``, in their order; an id not in it is :class:`MissingImage`."""
+    _require_hashable(ids)
     by_id = {im.image_id: im for im in ds.images}
     unknown = [i for i in ids if i not in by_id]
     if unknown:

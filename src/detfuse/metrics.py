@@ -13,7 +13,8 @@ re-implementation); only ``max_dets`` and the enumeration classes are set:
 * Matching is greedy in score order, per image and class: each detection
   takes the unmatched ground-truth box with the highest IoU at or above
   the threshold; IoU ties go to the earlier ground-truth entry. Every
-  threshold is matched in the same pass over the detections.
+  threshold is matched in the same settling round, and the detections
+  that round leaves contested in the same rank-ordered steps.
 * Classes absent from the ground truth are skipped, not zero-counted.
 * AR is the matched fraction at ``max_dets``, averaged over the IoU
   thresholds and then over classes.
@@ -120,16 +121,34 @@ def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
     return attrgetter(axis)
 
 
+def _key_classes() -> dict:
+    """The class of each category key on each axis, by ``(axis, enumeration_product)``:
+    :func:`axis_projection` of :func:`category_of`, or ``None`` for no label on
+    the axis. Key 0 carries no axis at all."""
+    categories = [category_of(k) for k in range(1, CATEGORY_KEYS)]
+    return {
+        (axis, product): [None] + list(map(axis_projection(axis, product), categories))
+        for axis in AXES
+        for product in (True, False)
+    }
+
+
+_KEY_CLASSES = _key_classes()
+
 #: Cells of one padded ``(groups, detections, ground truth)`` IoU block. Groups
 #: are matched in blocks of at most this many cells (a single group may
 #: exceed it), so padded memory does not grow with the image count. A cell
-#: costs about 48 bytes of IoU temporaries, which keeps a block under 1 MiB.
+#: costs about 48 bytes of IoU temporaries; in the matcher it costs about
+#: 34: the IoU, its packed copy, the highest earlier IoU and a reach flag
+#: per threshold. That keeps a block under 1 MiB.
 _BLOCK_CELLS = 1 << 14
+
 
 def _ranks(sorted_keys: np.ndarray) -> np.ndarray:
     """Each entry's index within its run of equal entries of a sorted array."""
-    _, first, count = np.unique(sorted_keys, return_index=True, return_counts=True)
-    return np.arange(len(sorted_keys)) - np.repeat(first, count)
+    start = np.ones(len(sorted_keys), dtype=bool)
+    start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.arange(len(sorted_keys)) - np.flatnonzero(start)[np.cumsum(start) - 1]
 
 
 def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
@@ -158,30 +177,66 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     hold an IoU below every threshold, so that they never match. Returns a
     ``(groups, thresholds, detections)`` array holding the matched
     ground-truth column, or -1 where the detection matched nothing at that
-    threshold. The loop steps over detection rank, vectorized over groups
-    and thresholds.
+    threshold.
+
+    One vectorized settling round matches every detection that is the
+    first, in rank order, to reach its own best box: no earlier detection
+    can take that box, so greedy matching gives it the same one. Only the
+    detections still reaching a box left free are then stepped over in
+    rank order, one (group, threshold) pair per row.
     """
     t = np.asarray(thresholds)
     n_groups, n_dets, n_gts = ious.shape
     out = np.full((n_groups, len(t), n_dets), -1, dtype=np.int32)
-    if n_gts == 0:
-        return out
     # A detection below the lowest threshold against every box matches and
-    # takes nothing, so only the others are stepped over, packed to the
-    # front of their group in rank order.
-    g, d = np.nonzero(ious.max(axis=2) >= t.min())
+    # takes nothing, so only the others are matched, packed to the front
+    # of their group in rank order.
+    g, d = np.nonzero(ious.max(axis=2, initial=-1.0) >= t.min())
+    if len(g) == 0:
+        return out
     step = _ranks(g)
-    packed = np.full((n_groups, step.max(initial=-1) + 1, n_gts), -1.0)
+    packed = np.full((n_groups, step.max() + 1, n_gts), -1.0)
     packed[g, step] = ious[g, d]
-    cols = np.full((n_groups, len(t), packed.shape[1]), -1, dtype=np.int32)
-    free = np.ones((n_groups, len(t), n_gts), dtype=bool)
-    for i in range(packed.shape[1]):
-        masked = np.where(free, packed[:, i, None, :], -1.0)
-        j = masked.argmax(axis=2)  # ties go to the earlier ground-truth box
-        hit = masked.max(axis=2) >= t
-        cols[:, :, i] = np.where(hit, j, -1)
-        hit_g, hit_t = np.nonzero(hit)
-        free[hit_g, hit_t, j[hit]] = False
+
+    # The settling round. A detection reaches its best box (the highest
+    # IoU, ties to the earlier box) at every threshold at which it reaches
+    # any box. It is that box's first claimer where every earlier IoU with
+    # the box lies below the threshold.
+    best = packed.argmax(axis=2)
+    top = packed.max(axis=2)
+    earlier = np.full_like(packed, -1.0)  # the highest earlier IoU with each box
+    np.maximum.accumulate(packed[:, :-1], axis=1, out=earlier[:, 1:])
+    prior = np.take_along_axis(earlier, best[..., None], axis=2)[..., 0]
+    # (groups, thresholds, dets)
+    settled = (prior[:, None] < t[:, None]) & (top[:, None] >= t[:, None])
+    cols = np.where(settled, best[:, None], -1).astype(np.int32)
+    sg, st, si = np.nonzero(settled)
+    taken = np.zeros((n_groups, len(t), n_gts), dtype=bool)
+    taken[sg, st, best[sg, si]] = True
+
+    # The contested remainder: the detections that still reach a free box,
+    # stepped over in rank order, one (group, threshold) pair per row, with
+    # the settled boxes taken. A detection that reaches only taken boxes
+    # found them taken by an earlier one, so it matches nothing.
+    reach = packed[:, None] >= t[:, None, None]  # (groups, thresholds, dets, gts)
+    reach &= ~taken[:, :, None]
+    rg, rt, ri = np.nonzero(~settled & reach.any(axis=3))
+    if len(rg):
+        rank = _ranks(rg * len(t) + rt)
+        head = rank == 0
+        row = np.cumsum(head) - 1
+        which = np.full((row[-1] + 1, rank.max() + 1), -1)  # each row's detections
+        which[row, rank] = ri
+        grp, bar, free = rg[head], t[rt[head]], ~taken[rg[head], rt[head]]
+        rows = np.arange(len(grp))
+        picked = np.full(which.shape, -1, dtype=np.int32)
+        for i in range(which.shape[1]):
+            masked = np.where(free, packed[grp, which[:, i]], -1.0)
+            j = masked.argmax(axis=1)  # ties go to the earlier ground-truth box
+            hit = (masked[rows, j] >= bar) & (which[:, i] >= 0)
+            picked[hit, i] = j[hit]
+            free[rows[hit], j[hit]] = False
+        cols[rg, rt, ri] = picked[row, rank]
     out[g, :, d] = cols[g, :, step]
     return out
 
@@ -256,16 +311,6 @@ def _true_positives(
     return flags
 
 
-def _class_codes(key: np.ndarray, project: Callable, class_index: dict) -> np.ndarray:
-    """The class index of each category key on the axis ``project`` reads; -1
-    for a class absent from ``class_index``, -2 for no label on the axis."""
-    table = np.full(CATEGORY_KEYS, -2, np.intp)
-    for k in np.flatnonzero(np.bincount(key, minlength=CATEGORY_KEYS)).tolist():
-        value = project(category_of(k))
-        table[k] = -2 if value is None else class_index.get(value, -1)
-    return table[key]
-
-
 def evaluate(
     ds: AnnotatedDataset,
     dets: DetectionSet,
@@ -281,26 +326,29 @@ def evaluate(
         AxisUnavailable: the ground truth (or a non-empty detection set)
             carries no label along ``axis``.
     """
-    project = axis_projection(axis, cfg.enumeration_product)
+    raise_problems(choice_problems("axis", axis, AXES))
+    key_class = _KEY_CLASSES[axis, cfg.enumeration_product]
     image_ids = tuple(ds.image_ids())
     cols = dets.columns
     det_image = cols.image_index(image_ids)
     if (det_image < 0).any():
         unknown = cols.ids[cols.image[int(np.argmax(det_image < 0))]]
         raise DanglingReference(f"detection references unknown image {unknown!r}")
-    classes = sorted({project(category_of(k)) for k in np.unique(ds.key).tolist()} - {None})
+    present = np.flatnonzero(np.bincount(ds.key, minlength=CATEGORY_KEYS)).tolist()
+    classes = sorted({key_class[k] for k in present} - {None})
     if not classes:
         raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
     # The class index of each box: -1 for a class absent from the ground
     # truth, -2 for no label on this axis.
     n_cls = len(classes)
     class_index = {key: c for c, key in enumerate(classes)}
-    det_class = _class_codes(cols.category_key(), project, class_index)
+    table = np.array([-2 if v is None else class_index.get(v, -1) for v in key_class], np.intp)
+    det_class = table[cols.category_key()]
     if len(det_class) > 0 and (det_class == -2).all():
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
 
     # The (class, image) group of a box is numbered image * n_cls + class.
-    gt_class = _class_codes(ds.key, project, class_index)
+    gt_class = table[ds.key]
     gt_rows = np.flatnonzero(gt_class >= 0)
     gt_group = ds.image[gt_rows] * np.intp(n_cls) + gt_class[gt_rows]
     gt_order = np.argsort(gt_group, kind="stable")  # annotation order within a group
@@ -313,7 +361,8 @@ def evaluate(
     # Sort by group, then score (ties keep input order), and cap each group.
     # A class absent from the ground truth is skipped, not zero-counted.
     pos = np.flatnonzero(det_class >= 0)
-    pos = pos[np.lexsort((pos, -det_score[pos], det_group[pos]))]
+    pos = pos[np.argsort(-det_score[pos], kind="stable")]
+    pos = pos[np.argsort(det_group[pos], kind="stable")]
     rank = _ranks(det_group[pos])
     pos, rank = pos[rank < cfg.max_dets], rank[rank < cfg.max_dets]
     flags = _true_positives(det_group[pos], rank, cols.xywh[pos], gt_group, gt_xywh)

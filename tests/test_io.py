@@ -971,6 +971,18 @@ class TestBareErrorDefects:
         with pytest.raises(ConfigError, match="duplicate image ids"):
             subset_dataset(generate_scene(ScenePlan(num_images=2)), [1, 1])
 
+    def test_subset_with_an_unhashable_image_id(self):
+        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+            subset_dataset(generate_scene(ScenePlan(num_images=2)), [[1]])
+
+    def test_unhashable_image_id_in_a_universe(self):
+        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+            DetectionSet([], "fused", [[1]])
+        det = Detection([1], BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused")
+        for universe in (None, {1}):
+            with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+                DetectionSet([det], "fused", universe)
+
 
 class TestDatasetContainers:
     def test_dataset_rejects_dangling_annotation(self):

@@ -25,13 +25,16 @@ from detfuse import (
     write_pr_csv,
 )
 import detfuse.metrics
+from detfuse.detections import CATEGORY_KEYS, category_of
 from detfuse.metrics import (
+    _KEY_CLASSES,
     AXES,
     IOU_THRESHOLDS,
     RECALL_POINTS,
     _iou_block,
     _match,
     _match_block,
+    axis_projection,
 )
 from detfuse.reference import _match_flags
 
@@ -148,6 +151,19 @@ class TestWorkedExamples:
         uncapped = evaluate(ds, dets, "disease")
         assert uncapped.ar == 1.0
 
+    def test_equal_scores_keep_input_order(self):
+        """Within a group, equal scores rank in input order, before the cap too."""
+        ds = one_image_ds([B(10, 10, 50, 50)])
+        fp_first = det_set([(B(500, 500, 50, 50), 0.8, None), (B(10, 10, 50, 50), 0.8, None)])
+        tp_first = det_set([(B(10, 10, 50, 50), 0.8, None), (B(500, 500, 50, 50), 0.8, None)])
+        assert evaluate(ds, fp_first, "disease").ap50 == 0.5
+        assert evaluate(ds, tp_first, "disease").ap50 == 1.0
+        assert evaluate(ds, fp_first, "disease", EvalConfig(max_dets=1)).ar == 0.0
+        assert evaluate(ds, tp_first, "disease", EvalConfig(max_dets=1)).ar == 1.0
+        for dets in (fp_first, tp_first):
+            for m in (1, 2):
+                assert_agrees_with_oracle(ds, dets, "disease", EvalConfig(max_dets=m))
+
     def test_duplicate_detections_of_one_gt(self):
         ds = one_image_ds([B(0, 0, 10, 10)])
         dets = det_set([(B(0, 0, 10, 10), 0.9, None), (B(0, 0, 10, 10), 0.8, None)])
@@ -193,6 +209,19 @@ grid_boxes = st.lists(
 )
 
 
+#: Up to 30 detections on 1-3 boxes of a 3 x 3 grid of near-equal boxes:
+#: most detections reach the same boxes, so contested chains are deep.
+_crowded_box = st.builds(
+    BoundingBox,
+    st.sampled_from([0, 2, 4]),
+    st.sampled_from([0, 2, 4]),
+    st.sampled_from([10, 12]),
+    st.just(10),
+)
+crowded_dets = st.lists(_crowded_box, min_size=10, max_size=30)
+crowded_gts = st.lists(_crowded_box, min_size=1, max_size=3)
+
+
 class TestGreedyMatch:
     def test_best_iou_wins(self):
         gts = [B(0, 0, 10, 10), B(2, 0, 10, 10)]
@@ -222,20 +251,52 @@ class TestGreedyMatch:
     @given(groups=st.lists(st.tuples(grid_boxes, grid_boxes), min_size=1, max_size=4))
     def test_padded_groups_agree_with_the_oracle(self, groups):
         """Groups of unequal sizes matched in one zero-padded block."""
+        assert_block_agrees_with_oracle(groups)
 
-        def padded(box_lists):
-            block = np.zeros((len(box_lists), max(map(len, box_lists)), 4))
-            for k, boxes in enumerate(box_lists):
-                block[k, : len(boxes)] = np.reshape([b.as_xywh() for b in boxes], (-1, 4))
-            return block
+    @given(groups=st.lists(st.tuples(crowded_dets, crowded_gts), min_size=1, max_size=3))
+    def test_crowded_groups_agree_with_the_oracle(self, groups):
+        """Many detections on a few boxes, so most are contested after the settling round."""
+        assert_block_agrees_with_oracle(groups)
 
-        dets, gts = ([group[side] for group in groups] for side in (0, 1))
-        cols = _match_block(_iou_block(padded(dets), padded(gts)), IOU_THRESHOLDS)
-        for k, (d, g) in enumerate(groups):
-            assert (cols[k, :, len(d) :] == -1).all()  # padded rows never match
-            assert (cols[k] < len(g)).all()  # nor do padded columns
-            for row, t in zip(cols[k, :, : len(d)], IOU_THRESHOLDS):
-                assert (row >= 0).astype(int).tolist() == _match_flags(d, g, t)
+    def test_identical_boxes_agree_with_the_oracle(self):
+        """100 detections on 32 copies of their own box. Box 0 is every detection's
+        best box, so detections 1-31 take theirs in the stepped remainder."""
+        dets, gts = [B(0, 0, 10, 10)] * 100, [B(0, 0, 10, 10)] * 32
+        cols = assert_block_agrees_with_oracle([(dets, gts)])
+        assert (cols[0, :, :32] == np.arange(32)).all()
+        assert (cols[0, :, 32:] == -1).all()
+
+    def test_staircase_agrees_with_the_oracle(self):
+        """20 groups of 100 detections that all rank 32 boxes the same way."""
+        gts = [B(k, 0, 100, 100) for k in range(32)]  # IoU (100 - k) / (100 + k)
+        cols = assert_block_agrees_with_oracle([([B(0, 0, 100, 100)] * 100, gts)] * 20)
+        # Box 0 is every detection's best box; detection k > 0 takes box k in
+        # the stepped remainder, at the thresholds that box reaches.
+        assert (cols[:, :, 1:32].max(axis=1) == np.arange(1, 32)).all()
+
+
+def padded(box_lists) -> np.ndarray:
+    """The ``(groups, boxes, 4)`` block of ``box_lists``, zero-padded."""
+    block = np.zeros((len(box_lists), max(map(len, box_lists)), 4))
+    for k, boxes in enumerate(box_lists):
+        block[k, : len(boxes)] = np.reshape([b.as_xywh() for b in boxes], (-1, 4))
+    return block
+
+
+def assert_block_agrees_with_oracle(groups) -> np.ndarray:
+    """Match ``(detections, ground truth)`` box-list groups in one block, check
+    every group at every threshold against the oracle, and return the block's columns."""
+    dets, gts = ([group[side] for group in groups] for side in (0, 1))
+    cols = _match_block(_iou_block(padded(dets), padded(gts)), IOU_THRESHOLDS)
+    oracle = {}
+    for k, (d, g) in enumerate(groups):
+        assert (cols[k, :, len(d) :] == -1).all()  # padded rows never match
+        assert (cols[k] < len(g)).all()  # nor do padded columns
+        if (id(d), id(g)) not in oracle:  # groups that share their box lists share one run
+            oracle[id(d), id(g)] = [_match_flags(d, g, t) for t in IOU_THRESHOLDS]
+        flags = (cols[k, :, : len(d)] >= 0).astype(int).tolist()
+        assert flags == oracle[id(d), id(g)]
+    return cols
 
 
 class TestErrors:
@@ -428,6 +489,17 @@ class TestInvariants:
 
 
 class TestHelpers:
+    def test_key_classes_are_the_axis_projection(self):
+        for axis in AXES:
+            for product in (True, False):
+                table = _KEY_CLASSES[axis, product]
+                project = axis_projection(axis, product)
+                assert len(table) == CATEGORY_KEYS
+                assert table[0] is None  # key 0 carries no axis
+                for k in range(1, CATEGORY_KEYS):
+                    assert table[k] == project(category_of(k)), (axis, product, k)
+
+
     def test_pr_csv(self, tmp_path, tiny_scene):
         report = evaluate(
             tiny_scene, perfect_detections(tiny_scene), "disease", EvalConfig(keep_pr_curves=True)
