@@ -244,6 +244,7 @@ def classifications_to_detections(
         DanglingCrop: a classification references a crop id outside the
             manifest, or the same crop twice.
     """
+    raise_problems(setting_problems("min_confidence", min_confidence, "[0, 1]"))
     seen: set[int] = set()
     kept: list[int] = []
     confidence: list[float] = []

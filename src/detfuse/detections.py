@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -94,8 +95,8 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
     With no ``image_universe`` (``None``) they are the rows' images in
     first-row order. A given one, even an empty one, is kept as
     ``tuple(frozenset(image_universe))`` and must hold every row; the first
-    row outside it raises :class:`DanglingReference`, and an id that cannot
-    be hashed :class:`ConfigError`.
+    row outside it raises :class:`DanglingReference`, and a universe that
+    is not iterable or an id that cannot be hashed :class:`ConfigError`.
     """
     try:
         if image_universe is None:
@@ -104,6 +105,10 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
         known = frozenset(universe)
         inside = known.issuperset(row_ids)
     except TypeError:
+        if not isinstance(image_universe, (Iterable, type(None))):
+            raise ConfigError(
+                f"image universe {shorten(image_universe)} is not a collection of image ids"
+            ) from None
         _require_hashable(chain(row_ids, () if image_universe is None else image_universe))
         raise
     if not inside:
@@ -262,21 +267,21 @@ def same_image_blocks(
 class DetectionSet:
     """A tagged collection of detections covering a set of images.
 
-    The set is held as :class:`Columns`. A :class:`Detection` is a view,
-    built only when ``detections`` is read, the set is iterated or a row
-    is indexed; slicing gives a set. A set constructed from ``Detection``
-    objects keeps them, and its columns are built once, by the first stage
-    or writer that reads them. ``detections`` is a tuple; row selections
-    and concatenations carry along the objects their parts already hold.
+    A set is its :class:`Columns`. Everything else it holds is a cache of
+    them, built once, when first read: the :class:`Detection` views
+    (``detections``, iterating, indexing a row) and the rows' JSON text.
+    A set constructed from ``Detection`` objects holds them as its views
+    and builds its columns when a stage or writer first reads them.
+    ``take``, ``concat`` and slicing build a set from columns and carry
+    every cache their parts hold; ``concat`` builds one that only some
+    parts hold for the rest.
 
     With no ``image_universe`` (``None``) the set is the images the
     detections are on; a given one, even an empty one, must hold them all.
 
-    A set holds its rows' JSON text the same way, built when a writer first
-    asks: ``"box"`` (``{"image_id":…,"bbox":[…]``) and ``"score"``
-    (``,"score":…``). ``take`` and ``concat`` carry it, ``concat`` building
-    a piece some parts hold for the rest. :meth:`from_columns` starts with
-    none; a stage that keeps a row's box or score passes that text on.
+    The row text comes in two pieces: ``"box"`` (``{"image_id":…,"bbox":[…]``)
+    and ``"score"`` (``,"score":…``). A stage that keeps a row's box or
+    score passes that text on.
     """
 
     __hash__ = None
@@ -289,20 +294,14 @@ class DetectionSet:
     ) -> None:
         objects = tuple(detections)
         self._start(source, _resolve_universe([d.image_id for d in objects], image_universe))
-        self._objects = objects
+        self.detections = objects
 
     @classmethod
     def from_columns(cls, columns: Columns, source: str) -> "DetectionSet":
         """The set of ``columns``; its universe is ``columns.ids``."""
-        out = cls._empty(source, columns.ids)
-        out._columns = columns
-        return out
-
-    @classmethod
-    def _empty(cls, source: str, ids: tuple) -> "DetectionSet":
-        """A set with neither columns nor objects yet; the caller gives it one or both."""
         out = cls.__new__(cls)
-        out._start(source, ids)
+        out._start(source, columns.ids)
+        out.columns = columns
         return out
 
     def _start(self, source: str, ids: tuple) -> None:
@@ -310,21 +309,15 @@ class DetectionSet:
         self.source = source
         self.image_universe = frozenset(ids)
         self._ids = ids
-        self._columns: Optional[Columns] = None
-        self._objects: Optional[tuple[Detection, ...]] = None
         self._text: dict[str, list[str]] = {}
 
-    @property
+    @cached_property
     def columns(self) -> Columns:
-        if self._columns is None:
-            self._columns = _columns_of(self._objects, self._ids)
-        return self._columns
+        return _columns_of(self.detections, self._ids)
 
-    @property
+    @cached_property
     def detections(self) -> tuple[Detection, ...]:
-        if self._objects is None:
-            self._objects = _views(self._columns)
-        return self._objects
+        return _views(self.columns)
 
     def _row_text(self, piece: str) -> list[str]:
         """Each row's ``"box"`` or ``"score"`` text, built from the columns at the first call."""
@@ -340,32 +333,27 @@ class DetectionSet:
     def take(self, rows) -> "DetectionSet":
         """The rows ``rows`` (a mask, indices or a slice), with the same tag and universe."""
         index = np.arange(len(self))[rows]
-        out = DetectionSet._empty(self.source, self._ids)
-        if self._columns is not None:
-            out._columns = self._columns.take(index)
-        if self._objects is not None:
-            out._objects = tuple(map(self._objects.__getitem__, index.tolist()))
+        out = DetectionSet.from_columns(self.columns.take(index), self.source)
+        pick = index.tolist()
+        if "detections" in vars(self):
+            out.detections = tuple(map(self.detections.__getitem__, pick))
         for piece, text in self._text.items():
-            out._text[piece] = list(map(text.__getitem__, index.tolist()))
+            out._text[piece] = list(map(text.__getitem__, pick))
         return out
 
     @staticmethod
     def concat(parts: Sequence["DetectionSet"], source: str) -> "DetectionSet":
         """The rows of ``parts`` in order, over the union of their universes."""
-        ids = tuple(dict.fromkeys(chain.from_iterable(p._ids for p in parts)))
-        out = DetectionSet._empty(source, ids)
-        if all(p._objects is not None for p in parts):
-            out._objects = tuple(chain.from_iterable(p._objects for p in parts))
-        if out._objects is None or all(p._columns is not None for p in parts):
-            out._columns = _concat([p.columns for p in parts], ids)
+        ids = _resolve_universe(list(chain.from_iterable(p._ids for p in parts)), None)
+        out = DetectionSet.from_columns(_concat([p.columns for p in parts], ids), source)
+        if any("detections" in vars(p) for p in parts):
+            out.detections = tuple(chain.from_iterable(p.detections for p in parts))
         for piece in {piece for p in parts for piece in p._text}:
             out._text[piece] = list(chain.from_iterable(p._row_text(piece) for p in parts))
         return out
 
     def __len__(self) -> int:
-        if self._objects is not None:
-            return len(self._objects)
-        return len(self._columns.score)
+        return len(self.columns.score)
 
     def __iter__(self) -> Iterator[Detection]:
         return iter(self.detections)
@@ -373,9 +361,7 @@ class DetectionSet:
     def __getitem__(self, key):
         if isinstance(key, slice):
             return self.take(key)
-        if self._objects is not None:
-            return self._objects[key]
-        return _views(self._columns.take([np.arange(len(self))[key]]))[0]
+        return self.detections[key]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DetectionSet):

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .detections import DetectionSet
-from .errors import UniverseMismatch, raise_problems, setting_problems
+from .errors import UniverseMismatch, choice_problems, raise_problems, setting_problems
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,7 @@ def threshold_ensemble(
         UniverseMismatch: the streams cover different image id sets and
             ``allow_union`` is not set.
     """
+    raise_problems(choice_problems("allow_union", allow_union, bool))
     if primary.image_universe != secondary.image_universe:
         if not allow_union:
             raise UniverseMismatch(

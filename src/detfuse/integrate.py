@@ -47,6 +47,7 @@ def _gate(enums: DetectionSet, gate: float) -> np.ndarray:
 
 def filter_enumeration(enums: DetectionSet, gate: float) -> DetectionSet:
     """Keep enumeration detections scoring strictly above ``gate``, order-stable."""
+    raise_problems(setting_problems("gate", gate, "[0, 1]"))
     return enums.take(_gate(enums, gate))
 
 

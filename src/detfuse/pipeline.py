@@ -114,11 +114,13 @@ class PipelineConfig:
             object.__setattr__(self, "axes", tuple(self.axes))
             for axis in self.axes:
                 problems += choice_problems("axis", axis, AXES)
-        for key in _INPUT_KEYS:
+        for key in _PATH_KEYS:
             path = getattr(self, key)
-            if key in _REQUIRED_KEYS and not path:
+            if path is not None and not isinstance(path, str):
+                problems.append(f"{key} must be a path string, got {shorten(path)}")
+            elif key in _REQUIRED_KEYS and not path:
                 problems.append(f"{key} path is required")
-            elif path and not os.path.isfile(path):
+            elif path and key in _INPUT_KEYS and not os.path.isfile(path):
                 problems.append(f"{key} file not found: {path}")
         raise_problems(problems)
 
@@ -152,9 +154,7 @@ def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineCon
         raise ConfigError(f"pipeline config is missing required keys: {missing}")
     for key in _PATH_KEYS:
         value = kwargs.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{key} must be a path string, got {shorten(value)}")
-        if value:
+        if value and isinstance(value, str):
             kwargs[key] = os.path.normpath(os.path.join(base_dir, value))
     return PipelineConfig(**kwargs)
 

@@ -983,6 +983,10 @@ class TestBareErrorDefects:
             with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
                 DetectionSet([det], "fused", universe)
 
+    def test_universe_that_is_not_iterable(self):
+        with pytest.raises(ConfigError, match="image universe 5 is not a collection of image ids"):
+            DetectionSet([], "fused", 5)
+
 
 class TestDatasetContainers:
     def test_dataset_rejects_dangling_annotation(self):
@@ -1073,6 +1077,30 @@ class TestUniverseRule:
             make(universe_rows(), {2, 7}, tmp_path)
         assert type(exc_info.value) is DanglingReference
         assert str(exc_info.value) == "detection references image 'b' outside the universe"
+
+    def test_a_row_is_one_view(self, tmp_path, make):
+        dets = make(universe_rows(), None, tmp_path)
+        assert dets[0] is dets[0]
+        assert dets[-1] is dets.detections[-1]
+
+    def test_slices_and_concatenations_keep_views_and_bytes(self, tmp_path, make):
+        rows = universe_rows()
+        built = DetectionSet(rows[:2], "fused")
+        made = make(rows[2:], None, tmp_path)
+        written = [record_lines(dets, tmp_path / f"{k}.json") for k, dets in enumerate((built, made))]
+        joined = DetectionSet.concat([built, made], "fused")
+        assert joined.image_universe == frozenset({2, "b", 7})
+        assert all(view is row for view, row in zip(joined, (*built, *made), strict=True))
+        part = joined[1:3]
+        assert all(view is row for view, row in zip(part, (built[1], made[0]), strict=True))
+        assert record_lines(joined, tmp_path / "joined.json") == written[0] + written[1]
+        assert record_lines(part, tmp_path / "part.json") == written[0][1:] + written[1][:1]
+
+
+def record_lines(dets: DetectionSet, path) -> list[str]:
+    """The records that ``write_detections`` writes for ``dets``, one text each."""
+    write_detections(dets, path)
+    return [line.rstrip(",") for line in path.read_text().splitlines()[1:-1]]
 
 
 class TestSplitting:

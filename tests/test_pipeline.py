@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 
 import pytest
 
@@ -348,6 +349,17 @@ class TestPipelineConfig:
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
         assert issubclass(ConfigError, DetfuseError)
+
+    def test_direct_construction_requires_path_strings(self, tmp_path):
+        """A list ``out_dir`` passed and then failed in ``os.makedirs``; an open
+        descriptor passed as the ground-truth file."""
+        _, paths = make_inputs(tmp_path)
+        with open(paths["ground_truth"]) as fh:
+            for key, value in (("out_dir", ["x"]), ("ground_truth", fh.fileno()), ("diagnosis_b", 0.5)):
+                named = re.escape(f"{key} must be a path string, got {value!r}")
+                with pytest.raises(ConfigError, match=named):
+                    PipelineConfig(**{**paths, key: value})
+        assert not os.path.exists(paths["out_dir"])
 
     def test_from_dict_requires_axes_list(self, tmp_path):
         _, paths = make_inputs(tmp_path)

@@ -25,9 +25,12 @@ from detfuse import (
     ScenePlan,
     SplitSpec,
     assign_crops,
+    classifications_to_detections,
+    filter_enumeration,
     generate_scene,
     load_profile,
     simulate_detector,
+    threshold_ensemble,
 )
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
@@ -35,6 +38,7 @@ from detfuse.synth import SIMULATOR_SOURCES
 TINY_SCENE = generate_scene(ScenePlan(num_images=1))
 PERFECT = load_profile("perfect")
 SPLIT = {"train_count": 0, "val_count": 0, "test_count": 0}
+NO_TEETH = DetectionSet([], "enumeration-model")
 
 
 def pipeline(**setting):
@@ -61,7 +65,7 @@ SETTINGS = [
     ("pad_fraction", lambda v: pipeline(pad_fraction=v), "[0, inf)", False, False),
     (
         "pad_fraction",
-        lambda v: assign_crops(DetectionSet([], "enumeration-model"), None, v),
+        lambda v: assign_crops(NO_TEETH, None, v),
         "[0, inf)", False, False,
     ),
     ("num_images", field(ScenePlan, "num_images"), "[1, inf)", True, False),
@@ -101,6 +105,12 @@ SETTINGS = [
         "seed",
         lambda v: simulate_detector(TINY_SCENE, PERFECT, "diagnosis-A", seed=v),
         "[0, inf)", True, False,
+    ),
+    ("gate", lambda v: filter_enumeration(NO_TEETH, v), "[0, 1]", False, False),
+    (
+        "min_confidence",
+        lambda v: classifications_to_detections(assign_crops(NO_TEETH, None, 0.1), [], v),
+        "[0, 1]", False, False,
     ),
 ]
 
@@ -171,6 +181,13 @@ CHOICES = [
     ("axis", axis_projection, AXES),
     ("disease_prior disease", lambda v: ScenePlan(disease_prior=[(v, 0.1)]), DISEASES),
     ("source", lambda v: simulate_detector(TINY_SCENE, PERFECT, v), SIMULATOR_SOURCES),
+    (
+        "allow_union",
+        lambda v: threshold_ensemble(
+            DetectionSet([], "diagnosis-A"), DetectionSet([], "diagnosis-B"), allow_union=v
+        ),
+        bool,
+    ),
 ]
 
 #: Values of every kind but a string, a bool among them.
