@@ -22,19 +22,21 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .detections import (
+    _TRIPLES,
     Columns,
     DetectionSet,
+    _category_key,
     _image_index,
     _json_boxes,
     _json_ids,
     _per_row,
     _resolve_universe,
-    category_codes,
     same_image_blocks,
     source_code,
 )
 from .errors import (
     AxisUnavailable,
+    ConfigError,
     DanglingCrop,
     MalformedFile,
     MissingImage,
@@ -122,8 +124,12 @@ class CropClassification:
     def __post_init__(self) -> None:
         if self.label not in CROP_LABELS:
             raise ValueError(f"unknown crop label {self.label!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence!r}")
+        try:
+            valid = 0.0 <= self.confidence <= 1.0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigError(f"confidence must be in [0, 1], got {shorten(self.confidence)}")
 
 
 @dataclass
@@ -211,8 +217,7 @@ def audit_balance(
 ) -> BalancePlan:
     """Histogram disease labels; multipliers are left at the identity."""
     if isinstance(data, AnnotatedDataset):
-        disease = category_codes(data.key)[2].tolist()
-        return BalancePlan(counts=Counter(DISEASES[d] for d in disease if d >= 0))
+        return BalancePlan(counts=Counter(c.disease for c in _TRIPLES[data.key] if c.disease))
     return BalancePlan(counts=Counter(cls.label for cls in data if cls.label != "normal"))
 
 
@@ -262,11 +267,10 @@ def classifications_to_detections(
         disease.append(DISEASES.index(cls.label))
 
     rows = crops.rows
-    found = dataclasses.replace(
-        rows.take(kept),
-        score=rows.score[kept] * np.array(confidence, float),
-        disease=np.array(disease, np.int8),
-    )
+    found = rows.take(kept)
+    score = found.score * np.array(confidence, float)
+    key = _category_key(found.quadrant, found.tooth, np.array(disease, np.int8))
+    found = dataclasses.replace(found, score=score, key=key)
     images = [rows.ids[k] for k in np.unique(rows.image).tolist()]
     comp = DetectionSet.from_columns(found, "complementary")
     return as_detection_set(comp, "complementary", images)
@@ -290,7 +294,8 @@ def merge_complementary(
         AxisUnavailable: an integrated detection has no disease label.
     """
     found, extra = integrated.columns, comp.columns
-    diseaseless = np.flatnonzero(found.disease < 0)
+    found_disease, extra_disease = found.disease, extra.disease
+    diseaseless = np.flatnonzero(found_disease < 0)
     if len(diseaseless):
         image_id = found.ids[found.image[diseaseless[0]]]
         raise AxisUnavailable(f"integrated detection on image {image_id!r} has no disease label")
@@ -298,7 +303,7 @@ def merge_complementary(
     duplicate = np.zeros(len(extra.score), bool)
     for c, f in same_image_blocks(extra.image_index(found.ids), found.image):
         overlap = _iou_block(extra.xywh[c], found.xywh[f]) >= cfg.overlap_iou
-        same = extra.disease[c, None] == found.disease[f]
+        same = extra_disease[c, None] == found_disease[f]
         duplicate[c] = (overlap & same).any(axis=1)
     return DetectionSet.concat([integrated, comp.take(~duplicate)], "fused")
 
@@ -356,10 +361,10 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     n = len(records)
     universe = _resolve_universe(ids, None)
     image = _image_index(ids, universe)
-    disease = np.full(n, -1, np.int8)
+    key = _category_key(quadrant, tooth, np.full(n, -1, np.int8))
     origin = np.full(n, source_code("enumeration-model"), np.int8)
     link = np.full(n, -1, np.int64)
-    rows = Columns(universe, image, source, score, quadrant, tooth, disease, origin, link)
+    rows = Columns(universe, image, source, score, key, origin, link)
     return CropSet(rows, crop)
 
 

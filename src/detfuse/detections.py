@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ _SOURCE = attrgetter("source")
 _LINK = attrgetter("matched_enum_id")
 
 #: The per-row arrays of :class:`Columns`, in order.
-_ROW_FIELDS = ("image", "xywh", "score", "quadrant", "tooth", "disease", "origin", "link")
+_ROW_FIELDS = ("image", "xywh", "score", "key", "origin", "link")
 
 _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
@@ -51,30 +51,28 @@ class Columns:
     """Detections as arrays, one row per detection.
 
     ``image`` (``int32``) indexes ``ids``, the image ids of the set's
-    universe. ``xywh`` is ``float64 [N, 4]``. The ``int8`` category codes
-    are the 0-based ids of the file format (quadrant 0..3, tooth 0..7,
-    disease 0..3), -1 where the axis is absent. ``origin`` (``int8``)
-    indexes :data:`SOURCES`, and ``link`` (``int64``) is ``matched_enum_id``,
-    -1 where unset.
+    universe. ``xywh`` is ``float64 [N, 4]``. ``key`` is each row's category
+    key, as ground truth holds it; ``quadrant``, ``tooth`` and ``disease``
+    decode it into the 0-based ids of the file format, -1 where the axis is
+    absent. ``origin`` (``int8``) indexes :data:`SOURCES`, and ``link``
+    (``int64``) is ``matched_enum_id``, -1 where unset.
     """
 
     ids: tuple
     image: np.ndarray
     xywh: np.ndarray
     score: np.ndarray
-    quadrant: np.ndarray
-    tooth: np.ndarray
-    disease: np.ndarray
+    key: np.ndarray
     origin: np.ndarray
     link: np.ndarray
+
+    quadrant = property(lambda self: category_codes(self.key)[0])
+    tooth = property(lambda self: category_codes(self.key)[1])
+    disease = property(lambda self: category_codes(self.key)[2])
 
     def take(self, rows) -> "Columns":
         """The rows ``rows`` (a mask, indices or a slice), over the same ids."""
         return Columns(self.ids, *(getattr(self, name)[rows] for name in _ROW_FIELDS))
-
-    def category_key(self) -> np.ndarray:
-        """One small int per row for its category codes; :func:`category_of` reads it."""
-        return _category_key(self.quadrant, self.tooth, self.disease)
 
     def image_index(self, ids: tuple) -> np.ndarray:
         """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""
@@ -93,15 +91,17 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
     """The image ids of a set whose rows are on the images ``row_ids``.
 
     With no ``image_universe`` (``None``) they are the rows' images in
-    first-row order. A given one, even an empty one, is kept as
-    ``tuple(frozenset(image_universe))`` and must hold every row; the first
-    row outside it raises :class:`DanglingReference`, and a universe that
-    is not iterable or an id that cannot be hashed :class:`ConfigError`.
+    first-row order. A given one, even an empty one or an iterator, is read
+    once, kept as ``tuple(frozenset(...))`` and must hold every row; the
+    first row outside it raises :class:`DanglingReference`, and a universe
+    that is not iterable or an id that cannot be hashed :class:`ConfigError`.
     """
+    given = ()
     try:
         if image_universe is None:
             return tuple(dict.fromkeys(row_ids))
-        universe = tuple(frozenset(image_universe))
+        given = tuple(image_universe)
+        universe = tuple(frozenset(given))
         known = frozenset(universe)
         inside = known.issuperset(row_ids)
     except TypeError:
@@ -109,7 +109,7 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
             raise ConfigError(
                 f"image universe {shorten(image_universe)} is not a collection of image ids"
             ) from None
-        _require_hashable(chain(row_ids, () if image_universe is None else image_universe))
+        _require_hashable(chain(row_ids, given))
         raise
     if not inside:
         first = next(image_id for image_id in row_ids if image_id not in known)
@@ -127,25 +127,30 @@ def _require_hashable(ids: Iterable) -> None:
 
 
 def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:
-    """:meth:`Columns.category_key` of the quadrant, tooth and disease code arrays."""
+    """The category key of the quadrant, tooth and disease code arrays (-1 where absent)."""
     return (quadrant.astype(np.intp) + 1) * 45 + (tooth + 1) * 5 + disease + 1
 
 
-#: The number of :meth:`Columns.category_key` values.
+#: The number of category key values; key 0 carries no axis and is no category.
 CATEGORY_KEYS = 5 * 9 * 5
 
 
 def category_codes(key: int) -> tuple[int, int, int]:
-    """The quadrant, tooth and disease codes of a :meth:`Columns.category_key` value."""
+    """The quadrant, tooth and disease codes of a category key, or of an array of keys."""
     return key // 45 - 1, key // 5 % 9 - 1, key % 5 - 1
 
 
 def category_of(key: int) -> CategoryTriple:
-    """The category of a :meth:`Columns.category_key` value."""
+    """The category of a category key."""
     q, t, d = category_codes(key)
     return CategoryTriple(
         None if q < 0 else q + 1, None if t < 0 else t + 1, None if d < 0 else DISEASES[d]
     )
+
+
+#: The category of each key (``None`` for key 0, which carries no axis), and the key of each.
+_TRIPLES = np.array([None, *map(category_of, range(1, CATEGORY_KEYS))], object)
+_KEY_OF = {category: k for k, category in enumerate(_TRIPLES.tolist()) if k}
 
 
 def _concat(parts: Sequence[Columns], ids: tuple) -> Columns:
@@ -154,34 +159,25 @@ def _concat(parts: Sequence[Columns], ids: tuple) -> Columns:
 
 
 def _record_columns(records: Sequence, ids: Sequence[ImageId]) -> tuple:
-    """The image index into ``ids`` (-1 where absent), ``xywh`` and ``(3, N)``
-    quadrant, tooth and disease codes of objects with an ``image_id``, a
-    ``box`` and a ``category``: detections or ground-truth annotations."""
+    """The image index into ``ids`` (-1 where absent), ``xywh`` and category
+    key of objects with an ``image_id``, a ``box`` and a ``category``:
+    detections or ground-truth annotations."""
     n = len(records)
     image = _image_index(map(_IMAGE_ID, records), ids)
     xywh = np.fromiter(chain.from_iterable(map(_XYWH, map(_BOX, records))), float, 4 * n)
-    codes = {cat: _category_codes(cat) for cat in set(map(_CATEGORY, records))}
-    qtd = np.fromiter(chain.from_iterable(map(codes.__getitem__, map(_CATEGORY, records))), np.int8, 3 * n)
-    return image, xywh.reshape(n, 4), qtd.reshape(n, 3).T
+    key = np.fromiter(map(_KEY_OF.__getitem__, map(_CATEGORY, records)), np.intp, n)
+    return image, xywh.reshape(n, 4), key
 
 
 def _columns_of(dets: Sequence[Detection], ids: tuple) -> Columns:
     """The columns of ``Detection`` objects, whose image ids are all in ``ids``."""
     n = len(dets)
-    image, xywh, qtd = _record_columns(dets, ids)
+    image, xywh, key = _record_columns(dets, ids)
     score = np.fromiter(map(_SCORE, dets), float, n)
     origin = np.fromiter(map(_SOURCE_CODE.__getitem__, map(_SOURCE, dets)), np.int8, n)
     links = (-1 if link is None else link for link in map(_LINK, dets))
     link = np.fromiter(links, np.int64, n)
-    return Columns(ids, image, xywh, score, *qtd, origin, link)
-
-
-def _category_codes(cat: CategoryTriple) -> tuple[int, int, int]:
-    return (
-        -1 if cat.quadrant is None else cat.quadrant - 1,
-        -1 if cat.enumeration is None else cat.enumeration - 1,
-        -1 if cat.disease is None else DISEASES.index(cat.disease),
-    )
+    return Columns(ids, image, xywh, score, key, origin, link)
 
 
 def _per_row(ids: Sequence[ImageId], image: np.ndarray, *columns) -> Iterator[tuple]:
@@ -194,16 +190,9 @@ def _per_row(ids: Sequence[ImageId], image: np.ndarray, *columns) -> Iterator[tu
     return zip([ids[k] for k in image.tolist()], *lists)
 
 
-def _per_key(key: np.ndarray, make: Callable[[int], object]) -> list:
-    """``make(k)`` for each category key ``k`` of ``key``, made once per distinct key."""
-    keys = key.tolist()
-    made = {k: make(k) for k in set(keys)}
-    return [made[k] for k in keys]
-
-
 def _views(cols: Columns) -> tuple[Detection, ...]:
     """One :class:`Detection` per row; rows with equal categories share one triple."""
-    categories = _per_key(cols.category_key(), category_of)
+    categories = _TRIPLES[cols.key]
     rows = _per_row(cols.ids, cols.image, cols.xywh, cols.score, categories, cols.origin, cols.link)
     return tuple(
         Detection(

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .errors import ConfigError, shorten
+
 ImageId = Union[int, str]
 
 #: Disease class names, in canonical index order (index 0..3 in data files).
@@ -37,8 +39,12 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"box field {name!r} must be finite, got {v!r}")
+            try:
+                finite = math.isfinite(v)
+            except (TypeError, OverflowError):  # no number, or an int too large for a float
+                finite = False
+            if not finite:
+                raise ConfigError(f"box field {name!r} must be finite, got {shorten(v)}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box must have positive extent, got w={self.w}, h={self.h}")
 
@@ -97,7 +103,11 @@ class Detection:
     matched_enum_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score!r}")
+        try:
+            valid = 0.0 <= self.score <= 1.0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ConfigError(f"score must be in [0, 1], got {shorten(self.score)}")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source tag {self.source!r}")

@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, _resolve_universe, same_image_blocks, source_code
+from .detections import (
+    Columns, DetectionSet, _category_key, _resolve_universe, same_image_blocks, source_code
+)
 from .errors import AxisUnavailable, choice_problems, raise_problems, setting_problems
 from .io import PathLike
 from .results import _write_records
@@ -108,17 +110,14 @@ def integrate(
     tooth_row = gated[match[matched]]
     score = found.score.copy()
     score[matched] = teeth.score[tooth_row] * found.score[matched]
-    quadrant = np.full_like(found.quadrant, -1)
-    quadrant[matched] = teeth.quadrant[tooth_row]
-    tooth = np.full_like(found.tooth, -1)
-    tooth[matched] = teeth.tooth[tooth_row]
+    quadrant, tooth = np.full((2, len(found.score)), -1)
+    quadrant[matched], tooth[matched] = teeth.quadrant[tooth_row], teeth.tooth[tooth_row]
     link = np.full_like(found.link, -1)
     link[matched] = tooth_row
     fused = dataclasses.replace(
         found,
         score=score,
-        quadrant=quadrant,
-        tooth=tooth,
+        key=_category_key(quadrant, tooth, found.disease),
         origin=np.full_like(found.origin, source_code("fused")),
         link=link,
     )

@@ -47,15 +47,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Uni
 import numpy as np
 
 from .detections import (
+    _TRIPLES,
     _category_key,
     _encode_compact,
     _image_index,
-    _per_key,
     _per_row,
     _record_columns,
     _require_hashable,
     category_codes,
-    category_of,
 )
 from .errors import (
     ConfigError,
@@ -83,8 +82,13 @@ class AnnotatedImage:
     file_name: str = ""
 
     def __post_init__(self) -> None:
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise ValueError(f"image extent must be finite and > 0, got {self.width}x{self.height}")
+        try:
+            valid = 0 < self.width < math.inf and 0 < self.height < math.inf
+        except TypeError:
+            valid = False
+        if not valid:
+            extent = f"{shorten(self.width)}x{shorten(self.height)}"
+            raise ConfigError(f"image extent must be finite and > 0, got {extent}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +105,8 @@ class AnnotatedDataset:
     """Images plus their ground-truth annotations, held as columns.
 
     One row per annotation: ``image`` (``int32``) indexes ``images``,
-    ``xywh`` is ``float64 [N, 4]``, ``key`` is the category key of
-    :meth:`~detfuse.detections.Columns.category_key`, and ``segmentation``
+    ``xywh`` is ``float64 [N, 4]``, ``key`` is the category key, as in
+    :attr:`~detfuse.detections.Columns.key`, and ``segmentation``
     is a tuple of opaque payloads, ``None`` where absent. A
     :class:`GroundTruthAnnotation` is a view, built when ``annotations`` is
     first read. A dataset constructed from annotation objects converts them
@@ -115,8 +119,8 @@ class AnnotatedDataset:
         self, images: Iterable[AnnotatedImage], annotations: Iterable[GroundTruthAnnotation]
     ) -> None:
         images, objects = tuple(images), tuple(annotations)
-        image, xywh, codes = _record_columns(objects, [im.image_id for im in images])
-        self._fill(images, image, xywh, _category_key(*codes), [a.mask_payload for a in objects])
+        image, xywh, key = _record_columns(objects, [im.image_id for im in images])
+        self._fill(images, image, xywh, key, [a.mask_payload for a in objects])
         if (image < 0).any():
             unknown = objects[int(np.argmax(image < 0))].image_id
             raise DanglingReference(f"annotation references unknown image {unknown!r}")
@@ -137,7 +141,7 @@ class AnnotatedDataset:
 
     @cached_property
     def annotations(self) -> tuple[GroundTruthAnnotation, ...]:
-        categories = _per_key(self.key, category_of)
+        categories = _TRIPLES[self.key]
         rows = _per_row(self.image_ids(), self.image, self.xywh, categories, self.segmentation)
         return tuple(
             GroundTruthAnnotation(image_id, BoundingBox(*box), category, mask)
@@ -250,18 +254,13 @@ _ABSENT = object()
 _TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4))
 
 
-def _category_fields(key: np.ndarray) -> list[dict]:
-    """The ``category_id_1/2/3`` fields of each category key; an absent axis is left out."""
-    return _per_key(
-        key, lambda k: {name: c for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0}
-    )
-
-
-def _category_text(key: np.ndarray) -> list[str]:
-    """The fields of :func:`_category_fields` as record text, ``,"category_id_1":0`` and on."""
-    return _per_key(key, lambda k: "".join(
-        f',"{name}":{c}' for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0
-    ))
+#: The ``category_id_1/2/3`` fields of each category key; an absent axis is left out.
+_KEY_FIELDS = np.array([
+    {name: c for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0}
+    for k in range(len(_TRIPLES))
+], object)
+#: The fields of :data:`_KEY_FIELDS` as record text, ``,"category_id_1":0`` and on.
+_KEY_TEXT = np.array(["".join(f',"{n}":{c}' for n, c in f.items()) for f in _KEY_FIELDS], object)
 
 
 #: Stands in for a rejected box, so that the later checks can run on every row.
@@ -448,8 +447,8 @@ def _decode_bare(
         codes[2][ok] = cid[ok]
 
 
-def _categories(records: list, bare_mode: Optional[str], rules: _FirstBreak) -> list:
-    """The quadrant, tooth and disease codes of each record's category fields.
+def _categories(records: list, bare_mode: Optional[str], rules: _FirstBreak) -> np.ndarray:
+    """The category key of each record's category fields.
 
     A record holds a triple of 0-based ids or, without one, a bare
     ``category_id``: ``bare_mode`` ``"product"`` reads it as quadrant * 8 +
@@ -465,7 +464,7 @@ def _categories(records: list, bare_mode: Optional[str], rules: _FirstBreak) -> 
     rules.note(~triple & ~bare, MalformedFile, lambda i: "record has no category fields")
     if bare.any():
         _decode_bare(records, bare, bare_mode, codes, rules)
-    return codes
+    return _category_key(*codes)
 
 
 def _clip(xywh: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -514,7 +513,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     records = _records(data["annotations"], "annotation", rules)
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
-    key = _category_key(*_categories(records, "product", rules))
+    key = _categories(records, "product", rules)
     rules.raise_first()
 
     image = _image_index(ids, [im.image_id for im in images])
@@ -575,7 +574,7 @@ def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
         {"id": im.image_id, "width": im.width, "height": im.height, "file_name": im.file_name}
         for im in ds.images
     ]
-    rows = _per_row(ds.image_ids(), ds.image, ds.xywh, _category_fields(ds.key), ds.segmentation)
+    rows = _per_row(ds.image_ids(), ds.image, ds.xywh, _KEY_FIELDS[ds.key], ds.segmentation)
     annotations = []
     for i, (image_id, box, fields, mask) in enumerate(rows):
         rec: dict = {"id": i, "image_id": image_id, "bbox": box, **fields}

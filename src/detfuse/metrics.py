@@ -33,7 +33,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import CATEGORY_KEYS, DetectionSet, category_of
+from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet
 from .errors import (
     AxisUnavailable,
     DanglingReference,
@@ -121,19 +121,14 @@ def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
     return attrgetter(axis)
 
 
-def _key_classes() -> dict:
-    """The class of each category key on each axis, by ``(axis, enumeration_product)``:
-    :func:`axis_projection` of :func:`category_of`, or ``None`` for no label on
-    the axis. Key 0 carries no axis at all."""
-    categories = [category_of(k) for k in range(1, CATEGORY_KEYS)]
-    return {
-        (axis, product): [None] + list(map(axis_projection(axis, product), categories))
-        for axis in AXES
-        for product in (True, False)
-    }
-
-
-_KEY_CLASSES = _key_classes()
+#: The class of each category key on each axis, by ``(axis, enumeration_product)``:
+#: :func:`axis_projection` of the key's category, or ``None`` for no label on the
+#: axis. Key 0 carries no axis at all.
+_KEY_CLASSES = {
+    (axis, product): [None, *map(axis_projection(axis, product), _TRIPLES[1:])]
+    for axis in AXES
+    for product in (True, False)
+}
 
 #: Cells of one padded ``(groups, detections, ground truth)`` IoU block. Groups
 #: are matched in blocks of at most this many cells (a single group may
@@ -343,7 +338,7 @@ def evaluate(
     n_cls = len(classes)
     class_index = {key: c for c, key in enumerate(classes)}
     table = np.array([-2 if v is None else class_index.get(v, -1) for v in key_class], np.intp)
-    det_class = table[cols.category_key()]
+    det_class = table[cols.key]
     if len(det_class) > 0 and (det_class == -2).all():
         raise AxisUnavailable(f"detections carry no {axis!r} labels")
 

@@ -26,10 +26,10 @@ from .io import (
     PathLike,
     _boxes,
     _categories,
-    _category_text,
     _field,
     _FirstBreak,
     _image_ids,
+    _KEY_TEXT,
     _load_json,
     _numbers,
     _records,
@@ -83,7 +83,7 @@ def parse_detections(
         lambda i: f"score {shorten(records[i]['score'])} outside [0, 1]",
     )
 
-    quadrant, tooth, disease = _categories(records, _BARE_MODES.get(source), rules)
+    key = _categories(records, _BARE_MODES.get(source), rules)
 
     links = _field(records, "matched_enum_id", None)
     if set(map(type, links)) <= {type(None)}:
@@ -108,7 +108,7 @@ def parse_detections(
     universe = _resolve_universe(ids, image_universe)
     image = _image_index(ids, universe)
     origin = np.full(n, code, np.int8)
-    columns = Columns(universe, image, xywh, score, quadrant, tooth, disease, origin, link)
+    columns = Columns(universe, image, xywh, score, key, origin, link)
     return DetectionSet.from_columns(columns, source)
 
 
@@ -116,7 +116,7 @@ def _write_records(dets: DetectionSet, path: PathLike, *, links: bool) -> None:
     """Write ``dets`` from its row text: ``image_id``, ``bbox``, ``score``, the category
     fields that are set, then ``matched_enum_id`` where ``links`` is set and the row has one."""
     cols = dets.columns
-    tails = _category_text(cols.category_key())
+    tails = _KEY_TEXT[cols.key].tolist()
     if links:
         link = cols.link.tolist()
         tails = [f'{t},"matched_enum_id":{k}' if k >= 0 else t for t, k in zip(tails, link)]

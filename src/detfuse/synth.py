@@ -11,6 +11,7 @@ stream, so results are independent of image processing order.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -247,14 +248,16 @@ _PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 
 
 def load_profile(name_or_path: PathLike) -> DetectorProfile:
-    """Load a built-in profile by name, or any profile from a JSON file."""
+    """Load a built-in profile by name, or any profile from the JSON file at a path."""
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_PROFILES:
         text = (
             resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json").read_text("utf-8")
         )
-    else:
+    elif isinstance(name_or_path, (str, os.PathLike)):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    else:
+        raise ConfigError(f"profile must be a name or a path, got {shorten(name_or_path)}")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

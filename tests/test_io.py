@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -54,7 +55,7 @@ from detfuse import (
     write_integrated,
 )
 from detfuse.cli import main
-from detfuse.detections import category_of
+from detfuse.detections import Columns, category_of
 from detfuse.io import _dump_json
 
 from conftest import HUGE, huge_id, perfect_detections
@@ -85,6 +86,10 @@ def gt_payload() -> dict:
             },
         ],
     }
+
+
+UNIT = BoundingBox(0, 0, 1, 1)
+CARIES = CategoryTriple(disease="caries")
 
 
 def write_payload(tmp_path, payload, name="gt.json"):
@@ -987,6 +992,27 @@ class TestBareErrorDefects:
         with pytest.raises(ConfigError, match="image universe 5 is not a collection of image ids"):
             DetectionSet([], "fused", 5)
 
+    def test_iterator_universe_with_an_unhashable_id(self):
+        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+            DetectionSet([], "fused", iter([[1]]))
+
+    @pytest.mark.parametrize(
+        "make,echo",
+        [
+            (lambda: BoundingBox(HUGE, 0, 1, 1), "(401 characters)"),
+            (lambda: BoundingBox("1", 0, 1, 1), "got '1'"),
+            (lambda: Detection(1, UNIT, "0.5", CARIES, "fused"), "got '0.5'"),
+            (lambda: Detection(1, UNIT, HUGE, CARIES, "fused"), "(401 characters)"),
+            (lambda: AnnotatedImage(1, "5", 5), "got '5'x5"),
+            (lambda: CropClassification(0, "caries", "0.9"), "got '0.9'"),
+        ],
+        ids=["huge-box", "string-box", "string-score", "huge-score", "string-extent", "string-confidence"],
+    )
+    def test_value_types_reject_what_is_no_number(self, make, echo):
+        with pytest.raises(ConfigError) as raised:
+            make()
+        assert str(raised.value).endswith(echo) and len(str(raised.value)) < 200
+
 
 class TestDatasetContainers:
     def test_dataset_rejects_dangling_annotation(self):
@@ -1024,6 +1050,10 @@ class TestDatasetContainers:
         with pytest.raises(DanglingReference):
             DetectionSet([det], "fused", frozenset({1, 2}))
 
+    def test_columns_hold_one_category_key(self):
+        names = [field.name for field in dataclasses.fields(Columns)]
+        assert names == ["ids", "image", "xywh", "score", "key", "origin", "link"]
+
     def test_detectionset_derives_universe(self):
         det = Detection(
             5, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused"
@@ -1053,6 +1083,16 @@ def retagged(rows, universe, tmp_path) -> DetectionSet:
     return as_detection_set(DetectionSet(rows, "fused"), "fused", universe)
 
 
+#: Every category: each axis absent or set, but never all three absent.
+ALL_TRIPLES = [
+    CategoryTriple(q, t, d)
+    for q in (None, 1, 2, 3, 4)
+    for t in (None, *range(1, 9))
+    for d in (None, *DISEASES)
+    if (q, t, d) != (None, None, None)
+]
+
+
 @pytest.mark.parametrize("make", [from_objects, from_file, retagged])
 class TestUniverseRule:
     """Every way a set is made follows one image-universe rule."""
@@ -1077,6 +1117,18 @@ class TestUniverseRule:
             make(universe_rows(), {2, 7}, tmp_path)
         assert type(exc_info.value) is DanglingReference
         assert str(exc_info.value) == "detection references image 'b' outside the universe"
+
+    def test_every_category_has_the_key_of_ground_truth(self, tmp_path, make):
+        box = BoundingBox(0, 0, 5, 5)
+        rows = [Detection(1, box, 0.5, category, "fused") for category in ALL_TRIPLES]
+        dets = make(rows, None, tmp_path)
+        annotations = [GroundTruthAnnotation(1, box, category) for category in ALL_TRIPLES]
+        ds = AnnotatedDataset([AnnotatedImage(1, 10, 10)], annotations)
+        keys = dets.columns.key.tolist()
+        assert len(ALL_TRIPLES) == len(set(keys)) == 224
+        assert keys == ds.key.tolist()
+        assert [category_of(key) for key in keys] == ALL_TRIPLES
+        assert list(dets) == rows
 
     def test_a_row_is_one_view(self, tmp_path, make):
         dets = make(universe_rows(), None, tmp_path)

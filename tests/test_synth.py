@@ -251,6 +251,11 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             load_profile(path)
 
+    @pytest.mark.parametrize("name_or_path", [["x"], 1.5])
+    def test_profile_must_be_a_name_or_a_path(self, name_or_path):
+        with pytest.raises(ConfigError, match="profile must be a name or a path, got"):
+            load_profile(name_or_path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_profile(tmp_path / "nope.json")
