@@ -6,9 +6,10 @@ plans rare-class oversampling, turns per-crop classifier verdicts back into
 detections, and merges those with the integrated stream to recover findings
 the diagnosis pathway missed.
 
-Crops are held as columns: a :class:`CropSet` is the gated enumeration rows
-plus an array of crop boxes, and :class:`CropAssignment` objects are views
-of it. A verdict becomes a detection by taking its crop's row.
+Crops and verdicts are held as columns: a :class:`CropSet` is the gated
+enumeration rows plus an array of crop boxes, a :class:`CropVerdicts` one
+crop id, label and confidence per verdict; :class:`CropAssignment` and
+:class:`CropClassification` objects are views. A verdict takes its crop's row.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ from .detections import (
     _per_row,
     _resolve_universe,
     same_image_blocks,
-    source_code,
 )
 from .errors import (
     AxisUnavailable,
-    ConfigError,
     DanglingCrop,
     MalformedFile,
     MissingImage,
@@ -44,7 +43,7 @@ from .errors import (
     setting_problems,
     shorten,
 )
-from .geometry import CROP_LABELS, DISEASES, BoundingBox, ImageId
+from .geometry import CROP_LABELS, DISEASES, BoundingBox, ImageId, source_code
 from .io import (
     AnnotatedDataset,
     AnnotatedImage,
@@ -66,6 +65,11 @@ from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
+
+#: Crop ids are ``int64``: the integers below ``_CROP_ID_END``.
+_CROP_ID_END = 2**63
+_CROP_IDS = f"[0, {float(_CROP_ID_END)!r})"
+_LABEL_CODE = {label: code for code, label in enumerate(CROP_LABELS)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,19 +121,61 @@ class CropSet:
 
 @dataclass(frozen=True, slots=True)
 class CropClassification:
+    """One classifier verdict on a crop; a view when read from a :class:`CropVerdicts`."""
+
     crop_id: int
     label: str
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.label not in CROP_LABELS:
-            raise ValueError(f"unknown crop label {self.label!r}")
-        try:
-            valid = 0.0 <= self.confidence <= 1.0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ConfigError(f"confidence must be in [0, 1], got {shorten(self.confidence)}")
+        crop_id, label, confidence = self.crop_id, self.label, self.confidence
+        if not (
+            type(crop_id) is int and 0 <= crop_id < _CROP_ID_END and label in CROP_LABELS
+            and (type(confidence) is float and 0.0 <= confidence <= 1.0
+                 or type(confidence) is int and 0 <= confidence <= 1)
+        ):
+            raise_problems(
+                setting_problems("crop_id", crop_id, _CROP_IDS, integer=True)
+                + ([] if label in CROP_LABELS else [f"unknown crop label {shorten(label)}"])
+                + setting_problems("confidence", confidence, "[0, 1]")
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class CropVerdicts:
+    """Crop classifier verdicts as columns, one row per verdict.
+
+    ``crop_id`` (``int64``) indexes a :class:`CropSet`, ``label`` (``int8``)
+    indexes :data:`CROP_LABELS` and ``confidence`` is ``float64``. Indexing
+    or iterating gives :class:`CropClassification` views, built once.
+    """
+
+    crop_id: np.ndarray
+    label: np.ndarray
+    confidence: np.ndarray
+
+    @cached_property
+    def _classifications(self) -> tuple[CropClassification, ...]:
+        values = zip(self.crop_id.tolist(), self.label.tolist(), self.confidence.tolist())
+        return tuple(CropClassification(i, CROP_LABELS[k], c) for i, k, c in values)
+
+    def __len__(self) -> int:
+        return len(self.crop_id)
+
+    def __getitem__(self, i: int) -> CropClassification:
+        return self._classifications[i]
+
+
+def _verdicts(verdicts: Iterable[CropClassification]) -> CropVerdicts:
+    """``verdicts`` as columns: a :class:`CropVerdicts` as it is, objects converted once."""
+    if isinstance(verdicts, CropVerdicts):
+        return verdicts
+    items = list(verdicts)
+    return CropVerdicts(
+        np.array([v.crop_id for v in items], np.int64),
+        np.array([_LABEL_CODE[v.label] for v in items], np.int8),
+        np.array([v.confidence for v in items], float),
+    )
 
 
 @dataclass
@@ -218,7 +264,8 @@ def audit_balance(
     """Histogram disease labels; multipliers are left at the identity."""
     if isinstance(data, AnnotatedDataset):
         return BalancePlan(counts=Counter(c.disease for c in _TRIPLES[data.key] if c.disease))
-    return BalancePlan(counts=Counter(cls.label for cls in data if cls.label != "normal"))
+    counts = np.bincount(_verdicts(data).label, minlength=len(CROP_LABELS))[1:]
+    return BalancePlan(counts=dict(zip(DISEASES, counts.tolist())))
 
 
 def oversample_plan(
@@ -243,33 +290,31 @@ def classifications_to_detections(
     Each emitted detection is the crop's enumeration row: its original box
     and tooth axes, labelled with the classifier's disease and scored as
     ``enum_score * confidence``.  At most one detection is emitted per
-    crop.  The set covers the images of every crop.
+    crop.  The set covers the images of every crop.  ``classifications`` is
+    a :class:`CropVerdicts` or any iterable of :class:`CropClassification`.
 
     Raises:
-        DanglingCrop: a classification references a crop id outside the
-            manifest, or the same crop twice.
+        DanglingCrop: the first classification that references a crop id
+            outside the manifest, or a crop an earlier one classified.
     """
     raise_problems(setting_problems("min_confidence", min_confidence, "[0, 1]"))
-    seen: set[int] = set()
-    kept: list[int] = []
-    confidence: list[float] = []
-    disease: list[int] = []
-    for cls in classifications:
-        if not 0 <= cls.crop_id < len(crops):
-            raise DanglingCrop(f"classification references unknown crop {cls.crop_id}")
-        if cls.crop_id in seen:
-            raise DanglingCrop(f"crop {cls.crop_id} classified more than once")
-        seen.add(cls.crop_id)
-        if cls.label == "normal" or cls.confidence < min_confidence:
-            continue
-        kept.append(cls.crop_id)
-        confidence.append(cls.confidence)
-        disease.append(DISEASES.index(cls.label))
+    verdicts = _verdicts(classifications)
+    crop_id = verdicts.crop_id
+    unknown = crop_id >= len(crops)
+    repeated = np.ones_like(unknown)
+    repeated[np.unique(crop_id, return_index=True)[1]] = False
+    bad = np.flatnonzero(unknown | repeated)
+    if len(bad):
+        first = bad[0]
+        if unknown[first]:
+            raise DanglingCrop(f"classification references unknown crop {crop_id[first]}")
+        raise DanglingCrop(f"crop {crop_id[first]} classified more than once")
+    kept = np.flatnonzero((verdicts.label > 0) & (verdicts.confidence >= min_confidence))
 
     rows = crops.rows
-    found = rows.take(kept)
-    score = found.score * np.array(confidence, float)
-    key = _category_key(found.quadrant, found.tooth, np.array(disease, np.int8))
+    found = rows.take(crop_id[kept])
+    score = found.score * verdicts.confidence[kept]
+    key = _category_key(found.quadrant, found.tooth, verdicts.label[kept] - 1)
     found = dataclasses.replace(found, score=score, key=key)
     images = [rows.ids[k] for k in np.unique(rows.image).tolist()]
     comp = DetectionSet.from_columns(found, "complementary")
@@ -368,27 +413,25 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     return CropSet(rows, crop)
 
 
-def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
+def parse_crop_classifications(path: PathLike) -> CropVerdicts:
     """Parse the external classifier's output: ``{crop_id, label, confidence}``.
 
     A :class:`MalformedFile` names the first bad record and the first rule it
-    breaks: a record object, a ``crop_id`` >= 0, a known label, a confidence in [0, 1].
+    breaks: a record object, an ``int64`` ``crop_id`` >= 0, a known label, a
+    confidence in [0, 1].
     """
     data = _load_json(path, "classifications")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "classification", rules)
     crop_ids = _field(records, "crop_id", None)
     rules.note(
-        np.array([type(v) is not int or v < 0 for v in crop_ids], bool),
+        np.array([type(v) is not int or not 0 <= v < _CROP_ID_END for v in crop_ids], bool),
         MalformedFile,
-        lambda i: "crop_id must be a non-negative integer",
+        lambda i: f"crop_id must be an integer in {_CROP_IDS}, got {shorten(crop_ids[i])}",
     )
     labels = _field(records, "label", None)
-    rules.note(
-        np.array([label not in CROP_LABELS for label in labels], bool),
-        MalformedFile,
-        lambda i: f"unknown label {shorten(labels[i])}",
-    )
+    label = np.array([_LABEL_CODE.get(v, -1) if type(v) is str else -1 for v in labels], np.int8)
+    rules.note(label < 0, MalformedFile, lambda i: f"unknown label {shorten(labels[i])}")
     confidence = _numbers(_field(records, "confidence"))[0]
     rules.note(
         ~((confidence >= 0) & (confidence <= 1)),
@@ -396,11 +439,8 @@ def parse_crop_classifications(path: PathLike) -> list[CropClassification]:
         lambda i: f"confidence must be a number in [0, 1], got {shorten(records[i].get('confidence'))}",
     )
     rules.raise_first()
-    return [
-        CropClassification(crop_id, label, conf)
-        for crop_id, label, conf in zip(crop_ids, labels, confidence.tolist())
-    ]
+    return CropVerdicts(np.array(crop_ids, np.int64), label, confidence)
 
 
-def write_crop_classifications(items: Sequence[CropClassification], path: PathLike) -> None:
+def write_crop_classifications(items: Iterable[CropClassification], path: PathLike) -> None:
     _dump_json([dataclasses.asdict(c) for c in items], path)

@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DanglingReference, shorten
-from .geometry import DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId
+from .geometry import (
+    _SOURCE_CODE, DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId, source_code
+)
 
 _IMAGE_ID = attrgetter("image_id")
 _BOX = attrgetter("box")
@@ -32,18 +34,8 @@ _LINK = attrgetter("matched_enum_id")
 #: The per-row arrays of :class:`Columns`, in order.
 _ROW_FIELDS = ("image", "xywh", "score", "key", "origin", "link")
 
-_SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
-
 # The C encoder, which ``json.dump`` gives up as soon as ``indent`` is set.
 _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def source_code(source: str) -> int:
-    """The index of a source tag in :data:`SOURCES`; :class:`ConfigError` for an unknown tag."""
-    code = _SOURCE_CODE.get(source) if isinstance(source, str) else None
-    if code is None:
-        raise ConfigError(f"unknown source tag {shorten(source)}; expected one of {SOURCES}")
-    return code
 
 
 @dataclass(frozen=True, slots=True, eq=False)

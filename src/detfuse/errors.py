@@ -74,7 +74,7 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
     if (
         isinstance(value, numbers.Integral if integer else numbers.Real)
         and not isinstance(value, bool)
-        and (integer or abs(value) <= sys.float_info.max)
+        and (integer or -sys.float_info.max <= value <= sys.float_info.max)
         and (low < value if bounds[0] == "(" else low <= value)
         and (value < high if bounds[-1] == ")" else value <= high)
     ):

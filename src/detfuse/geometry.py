@@ -9,11 +9,11 @@ and clipping to an image is :func:`detfuse.io._clip`.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ConfigError, shorten
+from .errors import ConfigError, raise_problems, setting_problems, shorten
 
 ImageId = Union[int, str]
 
@@ -26,6 +26,20 @@ CROP_LABELS = ("normal",) + DISEASES
 #: Closed set of detection provenance tags.
 SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B", "complementary", "fused")
 
+_SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
+
+#: A number field passes at once if its exact type is in ``_FAST`` and it is finite and in range.
+_FAST = frozenset((int, float))
+_LOWEST, _FLOAT_MAX = -sys.float_info.max, sys.float_info.max
+
+
+def source_code(source: str) -> int:
+    """The index of a source tag in :data:`SOURCES`; :class:`ConfigError` for an unknown tag."""
+    code = _SOURCE_CODE.get(source) if isinstance(source, str) else None
+    if code is None:
+        raise ConfigError(f"unknown source tag {shorten(source)}; expected one of {SOURCES}")
+    return code
+
 
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
@@ -37,16 +51,16 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
-            try:
-                finite = math.isfinite(v)
-            except (TypeError, OverflowError):  # no number, or an int too large for a float
-                finite = False
-            if not finite:
-                raise ConfigError(f"box field {name!r} must be finite, got {shorten(v)}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box must have positive extent, got w={self.w}, h={self.h}")
+        x, y, w, h = self.x, self.y, self.w, self.h
+        if not (
+            type(x) in _FAST and type(y) in _FAST and type(w) in _FAST and type(h) in _FAST
+            and _LOWEST <= x <= _FLOAT_MAX and _LOWEST <= y <= _FLOAT_MAX
+            and 0 < w <= _FLOAT_MAX and 0 < h <= _FLOAT_MAX
+        ):
+            raise_problems(
+                setting_problems("box x", x, "(-inf, inf)") + setting_problems("box y", y, "(-inf, inf)")
+                + setting_problems("box w", w, "(0, inf)") + setting_problems("box h", h, "(0, inf)")
+            )
 
     @property
     def area(self) -> float:
@@ -71,13 +85,13 @@ class CategoryTriple:
 
     def __post_init__(self) -> None:
         if self.quadrant is None and self.enumeration is None and self.disease is None:
-            raise ValueError("category must carry at least one axis")
+            raise ConfigError("category must carry at least one axis")
         if self.quadrant is not None and self.quadrant not in (1, 2, 3, 4):
-            raise ValueError(f"quadrant must be in 1..4, got {self.quadrant!r}")
+            raise ConfigError(f"quadrant must be in 1..4, got {shorten(self.quadrant)}")
         if self.enumeration is not None and self.enumeration not in range(1, 9):
-            raise ValueError(f"enumeration must be in 1..8, got {self.enumeration!r}")
+            raise ConfigError(f"enumeration must be in 1..8, got {shorten(self.enumeration)}")
         if self.disease is not None and self.disease not in DISEASES:
-            raise ValueError(f"unknown disease {self.disease!r}")
+            raise ConfigError(f"unknown disease {shorten(self.disease)}")
 
     @property
     def fdi(self) -> Optional[int]:
@@ -103,11 +117,8 @@ class Detection:
     matched_enum_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        try:
-            valid = 0.0 <= self.score <= 1.0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ConfigError(f"score must be in [0, 1], got {shorten(self.score)}")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source tag {self.source!r}")
+        score, source = self.score, self.source
+        if not (type(score) in _FAST and 0.0 <= score <= 1.0):
+            raise_problems(setting_problems("score", score, "[0, 1]"))
+        if type(source) is not str or source not in _SOURCE_CODE:
+            source_code(source)

@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .detections import (
-    Columns, DetectionSet, _category_key, _resolve_universe, same_image_blocks, source_code
-)
+from .detections import Columns, DetectionSet, _category_key, _resolve_universe, same_image_blocks
 from .errors import AxisUnavailable, choice_problems, raise_problems, setting_problems
+from .geometry import source_code
 from .io import PathLike
 from .results import _write_records
 

@@ -67,7 +67,7 @@ from .errors import (
     setting_problems,
     shorten,
 )
-from .geometry import BoundingBox, CategoryTriple, ImageId
+from .geometry import _FAST, _FLOAT_MAX, BoundingBox, CategoryTriple, ImageId
 
 logger = logging.getLogger(__name__)
 
@@ -82,13 +82,10 @@ class AnnotatedImage:
     file_name: str = ""
 
     def __post_init__(self) -> None:
-        try:
-            valid = 0 < self.width < math.inf and 0 < self.height < math.inf
-        except TypeError:
-            valid = False
-        if not valid:
-            extent = f"{shorten(self.width)}x{shorten(self.height)}"
-            raise ConfigError(f"image extent must be finite and > 0, got {extent}")
+        w, h = self.width, self.height
+        fast = type(w) in _FAST and type(h) in _FAST and 0 < w <= _FLOAT_MAX and 0 < h <= _FLOAT_MAX
+        if not fast and (setting_problems("w", w, "(0, inf)") or setting_problems("h", h, "(0, inf)")):
+            raise ConfigError(f"image extent must be finite and > 0, got {shorten(w)}x{shorten(h)}")
 
 
 @dataclass(frozen=True, slots=True)

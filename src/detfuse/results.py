@@ -18,10 +18,9 @@ from .detections import (
     DetectionSet,
     _image_index,
     _resolve_universe,
-    source_code,
 )
 from .errors import InvalidScore, MalformedFile, shorten
-from .geometry import ImageId
+from .geometry import ImageId, source_code
 from .io import (
     PathLike,
     _boxes,

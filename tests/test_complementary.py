@@ -19,6 +19,7 @@ from detfuse import (
     ConfigError,
     CropAssignment,
     CropClassification,
+    CropVerdicts,
     DanglingCrop,
     Detection,
     DetectionSet,
@@ -216,6 +217,54 @@ class TestClassificationsToDetections:
         with pytest.raises(ValueError):
             CropClassification(0, "caries", 1.1)
 
+    @pytest.mark.parametrize("crop_id", ["a", 1.5, True, None, -1, 10**20, 2**63])
+    def test_crop_id_must_be_an_int64_index(self, tmp_path, crop_id):
+        """Each crop id here raised a bare TypeError or IndexError, or passed to DanglingCrop."""
+        with pytest.raises(ConfigError, match="crop_id must be an integer in"):
+            CropClassification(crop_id, "caries", 0.5)
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps([{"crop_id": crop_id, "label": "caries", "confidence": 0.5}]))
+        with pytest.raises(MalformedFile, match=r"cls\.json \[0\]: crop_id must be an integer in"):
+            parse_crop_classifications(path)
+
+    def test_the_largest_crop_id_is_an_unknown_crop(self, tmp_path):
+        path = tmp_path / "cls.json"
+        write_crop_classifications([CropClassification(2**63 - 1, "caries", 0.5)], path)
+        for verdicts in (parse_crop_classifications(path), list(parse_crop_classifications(path))):
+            with pytest.raises(DanglingCrop, match="unknown crop 9223372036854775807"):
+                classifications_to_detections(self.CROPS, verdicts)
+
+    @pytest.mark.parametrize(
+        "crop_ids,message",
+        [
+            ([0, 5, 0, 1, 1], "classification references unknown crop 5"),
+            ([0, 1, 0, 5], "crop 0 classified more than once"),
+            ([2, 7, 7], "classification references unknown crop 7"),
+        ],
+    )
+    def test_the_first_offending_verdict_is_reported(self, crop_ids, message):
+        verdicts = [CropClassification(i, "caries", 0.9) for i in crop_ids]
+        with pytest.raises(DanglingCrop, match=f"^{message}$"):
+            classifications_to_detections(self.CROPS, verdicts)
+
+    def test_parsed_verdicts_convert_as_their_objects(self, tmp_path):
+        """A ``CropVerdicts`` and the list of its views give the same rows and the same audit."""
+        path = tmp_path / "cls.json"
+        labels = ["caries", "normal", "impacted", "periapical-lesion"]
+        write_crop_classifications(
+            [CropClassification(i, label, c) for i, label, c in zip([2, 0, 1], labels, [0.9, 0.7, 0.5])],
+            path,
+        )
+        verdicts = parse_crop_classifications(path)
+        assert isinstance(verdicts, CropVerdicts) and len(verdicts) == 3
+        assert verdicts[0] is verdicts[0]
+        assert verdicts.label.tolist() == [1, 0, 3]
+        parsed = classifications_to_detections(self.CROPS, verdicts)
+        listed = classifications_to_detections(self.CROPS, list(verdicts))
+        assert list(parsed.detections) == list(listed.detections)
+        assert [d.category.disease for d in parsed.detections] == ["caries", "impacted"]
+        assert audit_balance(verdicts).counts == audit_balance(list(verdicts)).counts
+
 
 def diagnoses(source: str):
     """Lists of diagnoses on grid boxes over two images."""
@@ -359,7 +408,7 @@ class TestCropIO:
         items = [CropClassification(0, "normal", 0.75), CropClassification(1, "caries", 0.5)]
         path = tmp_path / "cls.json"
         write_crop_classifications(items, path)
-        assert parse_crop_classifications(path) == items
+        assert list(parse_crop_classifications(path)) == items
 
     @pytest.mark.parametrize("confidence", [HUGE, -HUGE], ids=huge_id)
     def test_confidence_must_be_a_finite_number(self, tmp_path, confidence):

@@ -963,6 +963,10 @@ class TestBareErrorDefects:
         with pytest.raises(ConfigError, match=r"unknown source tag \['x'\]"):
             DetectionSet([], ["x"])
 
+    def test_long_source_tag_is_cut(self):
+        with pytest.raises(ConfigError, match=r"unknown source tag 'x+\.\.\. \(502 characters\); expected"):
+            Detection(1, UNIT, 0.5, CARIES, "x" * 500)
+
     def test_unhashable_source_tag_when_parsing(self, tmp_path):
         path = write_payload(tmp_path, [], "dets.json")
         with pytest.raises(ConfigError, match=r"unknown source tag \['x'\]"):
@@ -1005,8 +1009,19 @@ class TestBareErrorDefects:
             (lambda: Detection(1, UNIT, HUGE, CARIES, "fused"), "(401 characters)"),
             (lambda: AnnotatedImage(1, "5", 5), "got '5'x5"),
             (lambda: CropClassification(0, "caries", "0.9"), "got '0.9'"),
+            (lambda: BoundingBox(0, 0, -(10**300), 1), "(302 characters)"),
+            (lambda: AnnotatedImage(1, HUGE, 5), "(401 characters)x5"),
+            (lambda: CropClassification(0, "x" * 500, 0.5), "(502 characters)"),
+            (lambda: CropClassification(0, ["x"], 0.5), "unknown crop label ['x']"),
+            (lambda: CategoryTriple(quadrant="x" * 300), "(302 characters)"),
+            (lambda: CategoryTriple(quadrant=HUGE), "(401 characters)"),
+            (lambda: CategoryTriple(disease="x" * 500), "(502 characters)"),
         ],
-        ids=["huge-box", "string-box", "string-score", "huge-score", "string-extent", "string-confidence"],
+        ids=[
+            "huge-box", "string-box", "string-score", "huge-score", "string-extent",
+            "string-confidence", "long-negative-extent", "huge-extent", "long-label", "list-label",
+            "long-quadrant", "huge-quadrant", "long-disease",
+        ],
     )
     def test_value_types_reject_what_is_no_number(self, make, echo):
         with pytest.raises(ConfigError) as raised:

@@ -29,6 +29,7 @@ from detfuse import (
     generate_scene,
     load_pipeline_config,
     load_profile,
+    parse_crop_classifications,
     parse_detections,
     parse_ground_truth,
     pipeline_config_from_dict,
@@ -240,7 +241,8 @@ class TestPinnedArtifacts:
         ds, paths = make_inputs(tmp_path)
         verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
         cfg = PipelineConfig(**paths, crop_classifications=verdicts, axes=AXES)
-        built = {cls: [] for cls in (Detection, GroundTruthAnnotation, CropAssignment, BoundingBox)}
+        classes = (Detection, GroundTruthAnnotation, CropAssignment, BoundingBox, CropClassification)
+        built = {cls: [] for cls in classes}
         for cls, objects in built.items():
             init = cls.__init__
 
@@ -251,7 +253,8 @@ class TestPinnedArtifacts:
             monkeypatch.setattr(cls, "__init__", counting)
         result = run_pipeline(cfg)
         assert {cls.__name__: len(objects) for cls, objects in built.items()} == {
-            "Detection": 0, "GroundTruthAnnotation": 0, "CropAssignment": 0, "BoundingBox": 0
+            "Detection": 0, "GroundTruthAnnotation": 0, "CropAssignment": 0, "BoundingBox": 0,
+            "CropClassification": 0,
         }
         # The counts see views built on demand.
         assert result.final[0] in built[Detection]
@@ -259,6 +262,7 @@ class TestPinnedArtifacts:
         crop = read_crop_manifest(os.path.join(cfg.out_dir, "crops_manifest.json"))[0]
         assert crop in built[CropAssignment]
         assert crop.crop_box in built[BoundingBox]
+        assert parse_crop_classifications(verdicts)[0] in built[CropClassification]
 
     def test_pipeline_encodes_each_row_once(self, tmp_path, monkeypatch):
         """01 builds the fused rows' text, 02 only the new scores, and 03 and 04 reuse it."""

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,13 @@ from detfuse import (
     AXES,
     DISEASES,
     UNMATCHED_POLICIES,
+    AnnotatedImage,
     BalancePlan,
+    BoundingBox,
+    CategoryTriple,
     ConfigError,
+    CropClassification,
+    Detection,
     DetectionSet,
     DetectorProfile,
     EnsembleConfig,
@@ -32,6 +39,8 @@ from detfuse import (
     simulate_detector,
     threshold_ensemble,
 )
+from detfuse.complementary import _CROP_IDS
+from detfuse.errors import setting_problems
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
 
@@ -261,3 +270,50 @@ class TestNonNumericDefects:
     def test_disease_prior_must_be_pairs(self, prior):
         with pytest.raises(ConfigError, match="disease_prior must be a mapping or a list"):
             ScenePlan(disease_prior=prior)
+
+
+#: (name, build with the value, bounds, integer): the number fields of the value types.
+VALUE_FIELDS = [
+    ("box x", lambda v: BoundingBox(v, 0, 1, 1), "(-inf, inf)", False),
+    ("box y", lambda v: BoundingBox(0, v, 1, 1), "(-inf, inf)", False),
+    ("box w", lambda v: BoundingBox(0, 0, v, 1), "(0, inf)", False),
+    ("box h", lambda v: BoundingBox(0, 0, 1, v), "(0, inf)", False),
+    (
+        "score",
+        lambda v: Detection(1, BoundingBox(0, 0, 1, 1), v, CategoryTriple(disease="caries"), "fused"),
+        "[0, 1]", False,
+    ),
+    ("image extent", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False),
+    ("image extent", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False),
+    ("confidence", lambda v: CropClassification(0, "caries", v), "[0, 1]", False),
+    ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _CROP_IDS, True),
+]
+
+#: Values of every kind a number field may be handed, on and around every bound.
+ANY_VALUE = (
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None, "1", [1],
+        0, 1, -0.0, 5e-324, sys.float_info.max, 2**63 - 1, 2**63, 10**20,
+        math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+    ])
+    | st.floats() | st.integers() | st.integers(-2, 3) | st.integers(min_value=2**62, max_value=2**64)
+    | st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_) | st.text(max_size=3)
+)
+
+
+@pytest.mark.parametrize(
+    "name,build,bounds,integer",
+    VALUE_FIELDS,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(VALUE_FIELDS)],
+)
+@settings(max_examples=150, deadline=None)
+@given(value=ANY_VALUE)
+def test_value_types_follow_the_number_rule(name, build, bounds, integer, value):
+    """A value type accepts a number field's value exactly when ``setting_problems`` does."""
+    refused = setting_problems(name, value, bounds, integer=integer)
+    if refused:
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            build(value)
+    else:
+        build(value)
