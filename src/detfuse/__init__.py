@@ -65,8 +65,6 @@ from .io import (
     GroundTruthAnnotation,
     SplitSpec,
     parse_ground_truth,
-    read_id_list,
-    split_dataset,
     split_ids,
     subset_dataset,
     write_ground_truth,
@@ -165,7 +163,6 @@ __all__ = [
     "read_crop_manifest",
     "run_pipeline",
     "simulate_detector",
-    "split_dataset",
     "split_ids",
     "subset_dataset",
     "threshold_ensemble",
@@ -173,7 +170,6 @@ __all__ = [
     "write_crop_manifest",
     "write_detections",
     "write_ground_truth",
-    "read_id_list",
     "write_id_list",
     "write_integrated",
     "write_pr_csv",

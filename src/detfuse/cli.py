@@ -129,7 +129,7 @@ def crops(enumeration, gt_path, output, gate, pad):
     """Emit the crop manifest for the external patch classifier."""
     cfg = IntegrationConfig(enum_score_gate=gate)
     ds = parse_ground_truth(gt_path)
-    enums = parse_detections(enumeration, "enumeration-model", frozenset(ds.image_ids()))
+    enums = parse_detections(enumeration, "enumeration-model", ds.image_ids())
     gated = filter_enumeration(enums, cfg.enum_score_gate)
     manifest = assign_crops(gated, ds.images, pad)
     write_crop_manifest(manifest, output)
@@ -232,7 +232,7 @@ def evaluate_cmd(
         keep_pr_curves=pr_csv is not None,
     )
     ds = parse_ground_truth(ground_truth)
-    dets = parse_detections(detections, source, frozenset(ds.image_ids()))
+    dets = parse_detections(detections, source, ds.image_ids())
     reports = {}
     for axis in axes:
         report = evaluate(ds, dets, axis, cfg)

@@ -18,7 +18,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -219,16 +219,14 @@ def _pad_problems(pad_fraction) -> list[str]:
 
 def assign_crops(
     enums: DetectionSet,
-    images: Optional[Sequence[AnnotatedImage]],
+    images: Sequence[AnnotatedImage],
     pad_fraction: float = 0.0,
 ) -> CropSet:
     """Derive one crop per enumeration detection.
 
     Each box is expanded by ``pad_fraction`` of its own width/height on
-    every side, then clamped to its image.  ``images`` may be ``None`` when
-    no image metadata is available, in which case no clamping (and no
-    bounds checking) happens; callers should then keep ``pad_fraction`` at
-    zero.  The input is expected to be score-gated already.
+    every side, then clamped to its image.  The input is expected to be
+    score-gated already.
 
     Raises:
         ConfigError: ``pad_fraction`` is not a finite number >= 0.
@@ -238,15 +236,13 @@ def assign_crops(
     raise_problems(_pad_problems(pad_fraction))
     cols = enums.columns
     lacking = (cols.quadrant < 0) | (cols.tooth < 0)
-    unknown = np.zeros_like(lacking)
     pad = pad_fraction * cols.xywh[:, 2:]
     crop = np.concatenate([cols.xywh[:, :2] - pad, cols.xywh[:, 2:] + 2 * pad], axis=1)
-    if images is not None:
-        by_id = {im.image_id: (im.width, im.height) for im in images}
-        sizes = [by_id.get(image_id, (np.nan, np.nan)) for image_id in cols.ids]
-        size = np.array(sizes, float).reshape(-1, 2)[cols.image]
-        unknown = np.isnan(size[:, 0])
-        crop = _clip(crop, size)
+    by_id = {im.image_id: (im.width, im.height) for im in images}
+    sizes = [by_id.get(image_id, (np.nan, np.nan)) for image_id in cols.ids]
+    size = np.array(sizes, float).reshape(-1, 2)[cols.image]
+    unknown = np.isnan(size[:, 0])
+    crop = _clip(crop, size)
     bad = np.flatnonzero(lacking | unknown)
     if len(bad):
         image_id = cols.ids[cols.image[bad[0]]]
@@ -258,14 +254,9 @@ def assign_crops(
     return CropSet(cols, crop)
 
 
-def audit_balance(
-    data: Union[AnnotatedDataset, Iterable[CropClassification]],
-) -> BalancePlan:
-    """Histogram disease labels; multipliers are left at the identity."""
-    if isinstance(data, AnnotatedDataset):
-        return BalancePlan(counts=Counter(c.disease for c in _TRIPLES[data.key] if c.disease))
-    counts = np.bincount(_verdicts(data).label, minlength=len(CROP_LABELS))[1:]
-    return BalancePlan(counts=dict(zip(DISEASES, counts.tolist())))
+def audit_balance(ds: AnnotatedDataset) -> BalancePlan:
+    """Histogram the disease labels of ``ds``; multipliers are left at the identity."""
+    return BalancePlan(counts=Counter(c.disease for c in _TRIPLES[ds.key] if c.disease))
 
 
 def oversample_plan(
@@ -443,4 +434,9 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
 
 
 def write_crop_classifications(items: Iterable[CropClassification], path: PathLike) -> None:
-    _dump_json([dataclasses.asdict(c) for c in items], path)
+    """Write verdicts as ``{crop_id, label, confidence}`` records, from their columns."""
+    v = _verdicts(items)
+    values = zip(v.crop_id.tolist(), v.label.tolist(), v.confidence.tolist())
+    _dump_json(
+        [{"crop_id": i, "label": CROP_LABELS[k], "confidence": c} for i, k, c in values], path
+    )

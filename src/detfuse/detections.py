@@ -84,7 +84,7 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
 
     With no ``image_universe`` (``None``) they are the rows' images in
     first-row order. A given one, even an empty one or an iterator, is read
-    once, kept as ``tuple(frozenset(...))`` and must hold every row; the
+    once, kept in its order without repeats and must hold every row; the
     first row outside it raises :class:`DanglingReference`, and a universe
     that is not iterable or an id that cannot be hashed :class:`ConfigError`.
     """
@@ -93,7 +93,7 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
         if image_universe is None:
             return tuple(dict.fromkeys(row_ids))
         given = tuple(image_universe)
-        universe = tuple(frozenset(given))
+        universe = tuple(dict.fromkeys(given))
         known = frozenset(universe)
         inside = known.issuperset(row_ids)
     except TypeError:

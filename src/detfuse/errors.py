@@ -71,12 +71,15 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
     if optional and value is None:
         return []
     low, high = (float(end) for end in bounds[1:-1].split(","))
+    kinds = numbers.Integral if integer else numbers.Real
+    number = isinstance(value, kinds) and not isinstance(value, bool)
+    # A float of another width, such as numpy's float32, is compared as a Python float.
+    x = float(value) if number and not isinstance(value, numbers.Rational) else value
     if (
-        isinstance(value, numbers.Integral if integer else numbers.Real)
-        and not isinstance(value, bool)
-        and (integer or -sys.float_info.max <= value <= sys.float_info.max)
-        and (low < value if bounds[0] == "(" else low <= value)
-        and (value < high if bounds[-1] == ")" else value <= high)
+        number
+        and (integer or -sys.float_info.max <= x <= sys.float_info.max)
+        and (low < x if bounds[0] == "(" else low <= x)
+        and (x < high if bounds[-1] == ")" else x <= high)
     ):
         return []
     kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"

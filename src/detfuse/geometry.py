@@ -62,10 +62,6 @@ class BoundingBox:
                 + setting_problems("box w", w, "(0, inf)") + setting_problems("box h", h, "(0, inf)")
             )
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def as_xywh(self) -> list[float]:
         return [self.x, self.y, self.w, self.h]
 
@@ -84,14 +80,20 @@ class CategoryTriple:
     disease: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.quadrant is None and self.enumeration is None and self.disease is None:
+        quadrant, enumeration, disease = self.quadrant, self.enumeration, self.disease
+        if quadrant is None and enumeration is None and disease is None:
             raise ConfigError("category must carry at least one axis")
-        if self.quadrant is not None and self.quadrant not in (1, 2, 3, 4):
-            raise ConfigError(f"quadrant must be in 1..4, got {shorten(self.quadrant)}")
-        if self.enumeration is not None and self.enumeration not in range(1, 9):
-            raise ConfigError(f"enumeration must be in 1..8, got {shorten(self.enumeration)}")
-        if self.disease is not None and self.disease not in DISEASES:
-            raise ConfigError(f"unknown disease {shorten(self.disease)}")
+        known = disease is None or disease in DISEASES
+        if not (
+            (quadrant is None or type(quadrant) is int and 1 <= quadrant <= 4)
+            and (enumeration is None or type(enumeration) is int and 1 <= enumeration <= 8)
+            and known
+        ):
+            raise_problems(
+                setting_problems("quadrant", quadrant, "[1, 4]", integer=True, optional=True)
+                + setting_problems("enumeration", enumeration, "[1, 8]", integer=True, optional=True)
+                + ([] if known else [f"unknown disease {shorten(disease)}"])
+            )
 
     @property
     def fdi(self) -> Optional[int]:

@@ -615,21 +615,5 @@ def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDat
     )
 
 
-def split_dataset(
-    ds: AnnotatedDataset, spec: SplitSpec
-) -> tuple[AnnotatedDataset, AnnotatedDataset, AnnotatedDataset]:
-    """Deterministically partition a dataset into train/val/test.
-
-    The image id list is shuffled with a PRNG seeded from ``spec.seed``
-    and sliced; annotations follow their images.  The three outputs are
-    pairwise disjoint and jointly cover the input.
-    """
-    return tuple(subset_dataset(ds, ids) for ids in split_ids(ds.image_ids(), spec))
-
-
 def write_id_list(ids: Sequence[ImageId], path: PathLike) -> None:
     _dump_json(list(ids), path)
-
-
-def read_id_list(path: PathLike) -> list:
-    return _load_json(path, "id list")

@@ -236,12 +236,6 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _match(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
-    """:func:`_match_block` of one group: ``(detections, ground truth)`` IoUs in,
-    ``(thresholds, detections)`` matched columns out."""
-    return _match_block(ious[None], thresholds)[0]
-
-
 def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
     """Enveloped precision at each recall point, one row per threshold.
 

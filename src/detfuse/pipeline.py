@@ -209,7 +209,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("load"):
         dataset = parse_ground_truth(cfg.ground_truth)
-        universe = frozenset(dataset.image_ids())
+        universe = dataset.image_ids()
         enums = parse_detections(cfg.enumeration, "enumeration-model", universe)
         diag_a, diag_b = (
             None if path is None else _drop_diseaseless(parse_detections(path, source, universe))

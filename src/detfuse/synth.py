@@ -26,17 +26,20 @@ from .io import AnnotatedDataset, AnnotatedImage, GroundTruthAnnotation, PathLik
 
 SIMULATOR_SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B")
 
+# Every synthetic image has the same extent; each tooth's position, size and
+# aspect vary by up to this fraction of its slot.
+_WIDTH = 2900
+_HEIGHT = 1300
+_LAYOUT_JITTER = 0.05
+
 
 @dataclass(frozen=True, slots=True)
 class ScenePlan:
     """Layout and labelling parameters for one synthetic dataset."""
 
     num_images: int = 10
-    width: int = 2900
-    height: int = 1300
     missing_rate: float = 0.0
     disease_prior: tuple[tuple[str, float], ...] = ()
-    layout_jitter: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,10 +65,7 @@ class ScenePlan:
         if not problems and sum(p for _, p in self.disease_prior) > 1.0 + 1e-9:
             problems.append("disease_prior mass exceeds 1")
         problems += setting_problems("num_images", self.num_images, "[1, inf)", integer=True)
-        problems += setting_problems("width", self.width, "[100, inf)")
-        problems += setting_problems("height", self.height, "[100, inf)")
         problems += setting_problems("missing_rate", self.missing_rate, "[0, 1)")
-        problems += setting_problems("layout_jitter", self.layout_jitter, "[0, 0.2]")
         problems += setting_problems("seed", self.seed, "[0, inf)", integer=True)
         raise_problems(problems)
 
@@ -111,34 +111,32 @@ def generate_scene(plan: ScenePlan) -> AnnotatedDataset:
     full quadrant+tooth+disease triple.
     """
     rng = np.random.default_rng(plan.seed)
-    margin = 0.05 * plan.width
-    slot_w = (plan.width - 2 * margin) / 16
+    margin = 0.05 * _WIDTH
+    slot_w = (_WIDTH - 2 * margin) / 16
     tooth_w = 0.72 * slot_w
-    tooth_h = 0.22 * plan.height
-    rows = ((_UPPER, 0.20 * plan.height), (_LOWER, 0.55 * plan.height))
+    tooth_h = 0.22 * _HEIGHT
+    rows = ((_UPPER, 0.20 * _HEIGHT), (_LOWER, 0.55 * _HEIGHT))
 
     prior = tuple(plan.disease_prior)
     images = []
     annotations = []
     for i in range(plan.num_images):
         image_id = i + 1
-        images.append(
-            AnnotatedImage(image_id, plan.width, plan.height, f"synthetic_{image_id:04d}.png")
-        )
+        images.append(AnnotatedImage(image_id, _WIDTH, _HEIGHT, f"synthetic_{image_id:04d}.png"))
         for teeth, base_y in rows:
             for slot, (quadrant, tooth) in enumerate(teeth):
                 if rng.random() < plan.missing_rate:
                     continue
-                jx = rng.uniform(-1.0, 1.0) * plan.layout_jitter * slot_w
-                jy = rng.uniform(-1.0, 1.0) * plan.layout_jitter * tooth_h
-                jw = 1.0 + rng.uniform(-1.0, 1.0) * plan.layout_jitter
-                jh = 1.0 + rng.uniform(-1.0, 1.0) * plan.layout_jitter
+                jx = rng.uniform(-1.0, 1.0) * _LAYOUT_JITTER * slot_w
+                jy = rng.uniform(-1.0, 1.0) * _LAYOUT_JITTER * tooth_h
+                jw = 1.0 + rng.uniform(-1.0, 1.0) * _LAYOUT_JITTER
+                jh = 1.0 + rng.uniform(-1.0, 1.0) * _LAYOUT_JITTER
                 w = tooth_w * jw
                 h = tooth_h * jh
                 x = margin + slot * slot_w + (slot_w - w) / 2 + jx
                 y = base_y + jy
-                x = min(max(x, 0.0), plan.width - w)
-                y = min(max(y, 0.0), plan.height - h)
+                x = min(max(x, 0.0), _WIDTH - w)
+                y = min(max(y, 0.0), _HEIGHT - h)
                 disease = None
                 u = rng.random()
                 acc = 0.0
@@ -237,7 +235,7 @@ def simulate_detector(
             order = sorted(range(len(image_dets)), key=lambda k: (-image_dets[k].score, k))
             image_dets = [image_dets[k] for k in sorted(order[: profile.det_cap])]
         detections.extend(image_dets)
-    return DetectionSet(detections, source, frozenset(ds.image_ids()))
+    return DetectionSet(detections, source, ds.image_ids())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,11 +83,6 @@ class TestAssignCrops:
         crops = assign_crops(enums, IMAGES, pad_fraction=0.0)
         assert crops[0].crop_box == BoundingBox(10, 10, 30, 30)
 
-    def test_without_image_metadata(self):
-        enums = DetectionSet([enum_det(0, 0, 10, 10)], "enumeration-model")
-        crops = assign_crops(enums, None, pad_fraction=0.0)
-        assert crops[0].crop_box == BoundingBox(0, 0, 10, 10)
-
     def test_unknown_image_raises(self):
         enums = DetectionSet([enum_det(0, 0, 10, 10, image_id=9)], "enumeration-model")
         with pytest.raises(MissingImage):
@@ -106,25 +102,13 @@ class TestAssignCrops:
 
 
 class TestBalance:
-    def test_audit_from_classifications(self):
-        verdicts = [
-            CropClassification(0, "caries", 0.9),
-            CropClassification(1, "caries", 0.8),
-            CropClassification(2, "normal", 0.99),
-            CropClassification(3, "deep-caries", 0.7),
-        ]
-        plan = audit_balance(verdicts)
-        assert plan.counts == {
-            "caries": 2, "deep-caries": 1, "impacted": 0, "periapical-lesion": 0
-        }
-        assert plan.multipliers == {d: 1 for d in DISEASES}
-
     def test_audit_from_dataset(self, tiny_scene):
         plan = audit_balance(tiny_scene)
         assert plan.counts["caries"] == 1
         assert plan.counts["impacted"] == 1
         assert plan.counts["deep-caries"] == 1
         assert plan.counts["periapical-lesion"] == 0
+        assert plan.multipliers == {d: 1 for d in DISEASES}
 
     def test_default_boost_doubles_rare_classes(self):
         counts = {"caries": 10, "deep-caries": 4, "impacted": 7, "periapical-lesion": 3}
@@ -169,7 +153,7 @@ class TestClassificationsToDetections:
             ],
             "enumeration-model",
         ),
-        None,
+        IMAGES + [AnnotatedImage(2, 100, 100)],
         pad_fraction=0.1,
     )
 
@@ -263,7 +247,6 @@ class TestClassificationsToDetections:
         listed = classifications_to_detections(self.CROPS, list(verdicts))
         assert list(parsed.detections) == list(listed.detections)
         assert [d.category.disease for d in parsed.detections] == ["caries", "impacted"]
-        assert audit_balance(verdicts).counts == audit_balance(list(verdicts)).counts
 
 
 def diagnoses(source: str):
@@ -409,6 +392,21 @@ class TestCropIO:
         path = tmp_path / "cls.json"
         write_crop_classifications(items, path)
         assert list(parse_crop_classifications(path)) == items
+
+    def test_classifications_with_numpy_values_are_written(self, tmp_path):
+        """numpy crop ids and confidences, which the value rule accepts, are written as numbers."""
+        items = [
+            CropClassification(np.int64(3), "caries", np.float32(0.5)),
+            CropClassification(0, "normal", 1),
+            CropClassification(1, "impacted", np.float64(0.25)),
+        ]
+        path = tmp_path / "cls.json"
+        write_crop_classifications(items, path)
+        assert path.read_text() == (
+            '[\n{"crop_id":3,"label":"caries","confidence":0.5},\n'
+            '{"crop_id":0,"label":"normal","confidence":1.0},\n'
+            '{"crop_id":1,"label":"impacted","confidence":0.25}\n]\n'
+        )
 
     @pytest.mark.parametrize("confidence", [HUGE, -HUGE], ids=huge_id)
     def test_confidence_must_be_a_finite_number(self, tmp_path, confidence):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from detfuse import (
     BoundingBox,
     CategoryTriple,
+    ConfigError,
     Detection,
 )
 from detfuse.metrics import _iou_block
@@ -93,9 +95,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, float("inf"), 1)
 
-    def test_area(self):
-        assert BoundingBox(0, 0, 4, 5).area == 20
-
     def test_triple_requires_an_axis(self):
         with pytest.raises(ValueError):
             CategoryTriple()
@@ -113,6 +112,15 @@ class TestValidation:
     def test_triple_ranges(self, kwargs):
         with pytest.raises(ValueError):
             CategoryTriple(**kwargs)
+
+    def test_triple_codes_are_integers(self):
+        """A bool or float code was accepted, and gave an FDI number such as 12.0."""
+        named = (
+            "quadrant must be an integer in [1, 4] when set, got True; "
+            "enumeration must be an integer in [1, 8] when set, got 2.0"
+        )
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            CategoryTriple(quadrant=True, enumeration=2.0)
 
     def test_fdi_notation(self):
         assert CategoryTriple(quadrant=3, enumeration=8).fdi == 38

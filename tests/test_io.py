@@ -43,8 +43,6 @@ from detfuse import (
     parse_detections,
     parse_ground_truth,
     read_crop_manifest,
-    read_id_list,
-    split_dataset,
     split_ids,
     subset_dataset,
     write_crop_classifications,
@@ -1212,35 +1210,6 @@ class TestSplitting:
         assert sub.image_ids() == [2]
         assert len(sub.annotations) == 1
         assert sub.annotations[0].image_id == 2
-
-    def test_split_dataset_partition(self):
-        images = [AnnotatedImage(i, 100, 100) for i in range(1, 7)]
-        anns = [
-            GroundTruthAnnotation(
-                i, BoundingBox(0, 0, 5, 5), CategoryTriple(disease="caries")
-            )
-            for i in range(1, 7)
-        ]
-        ds = AnnotatedDataset(images, anns)
-        parts = split_dataset(ds, SplitSpec(4, 1, 1, seed=3))
-        assert tuple(len(p) for p in parts) == (4, 1, 1)
-        all_ids = sorted(i for part in parts for i in part.image_ids())
-        assert all_ids == [1, 2, 3, 4, 5, 6]
-        for part in parts:
-            for ann in part.annotations:
-                assert ann.image_id in set(part.image_ids())
-
-    def test_id_list_roundtrip(self, tmp_path):
-        ids = [3, 1, "x-7"]
-        path = tmp_path / "ids.json"
-        write_id_list(ids, path)
-        assert read_id_list(path) == ids
-
-    def test_id_list_rejects_non_array(self, tmp_path):
-        path = tmp_path / "ids.json"
-        path.write_text('{"ids": []}')
-        with pytest.raises(MalformedFile):
-            read_id_list(path)
 
 
 class TestAtomicWrites:

@@ -32,7 +32,6 @@ from detfuse.metrics import (
     IOU_THRESHOLDS,
     RECALL_POINTS,
     _iou_block,
-    _match,
     _match_block,
     axis_projection,
 )
@@ -192,7 +191,7 @@ class TestWorkedExamples:
 
 def match_columns(gt_boxes, det_boxes, iou_t):
     """The evaluator's per-group matching at one threshold; ``None`` for no match."""
-    row = _match(_iou_block(xywh(det_boxes), xywh(gt_boxes)), [iou_t])[0]
+    row = _match_block(_iou_block(xywh(det_boxes), xywh(gt_boxes))[None], [iou_t])[0][0]
     return [None if j < 0 else int(j) for j in row]
 
 
@@ -243,7 +242,7 @@ class TestGreedyMatch:
 
     @given(dets=grid_boxes, gts=grid_boxes)
     def test_all_thresholds_agree_with_the_oracle(self, dets, gts):
-        matched = _match(_iou_block(xywh(dets), xywh(gts)), IOU_THRESHOLDS) >= 0
+        matched = _match_block(_iou_block(xywh(dets), xywh(gts))[None], IOU_THRESHOLDS)[0] >= 0
         assert matched.shape == (len(IOU_THRESHOLDS), len(dets))
         for row, t in zip(matched, IOU_THRESHOLDS):
             assert row.astype(int).tolist() == _match_flags(dets, gts, t)

@@ -7,6 +7,8 @@ import json
 import logging
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -286,6 +288,48 @@ class TestPinnedArtifacts:
             "box": len(result.fused) + kept,
             "score": len(result.fused) + integrated + kept,
         }
+
+
+#: Runs the pipeline config given as JSON and prints each result set's image ids.
+RUN_AND_PRINT_IDS = """
+import json, sys
+from detfuse import PipelineConfig, run_pipeline
+result = run_pipeline(PipelineConfig(**json.loads(sys.argv[1])))
+print(json.dumps([list(s.columns.ids) for s in (result.fused, result.integrated, result.final)]))
+"""
+
+
+def test_string_image_ids_do_not_depend_on_the_hash_seed(tmp_path):
+    """Universes keep the dataset's image order, so no set or artifact varies with the hash seed."""
+    _, paths = make_inputs(tmp_path, num_images=6)
+    for key in ("ground_truth", "enumeration", "diagnosis_a", "diagnosis_b"):
+        with open(paths[key]) as fh:
+            payload = json.load(fh)
+        records = payload["annotations"] if key == "ground_truth" else payload
+        for record in records:
+            record["image_id"] = f"img-{record['image_id']}"
+        for image in payload["images"] if key == "ground_truth" else []:
+            image["id"] = f"img-{image['id']}"
+        with open(paths[key], "w") as fh:
+            json.dump(payload, fh)
+    ds = parse_ground_truth(paths["ground_truth"])
+    paths["crop_classifications"] = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
+    src = os.path.dirname(os.path.dirname(pipeline_module.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("1", "2"):
+        out = str(tmp_path / f"out-{seed}")
+        cfg = json.dumps({**paths, "out_dir": out, "axes": list(AXES)})
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath}
+        result = subprocess.run(
+            [sys.executable, "-c", RUN_AND_PRINT_IDS, cfg],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {name: open(os.path.join(out, name), "rb").read() for name in sorted(os.listdir(out))}
+        runs.append((json.loads(result.stdout), files))
+    assert runs[0][0] == [ds.image_ids()] * 3
+    assert runs[1] == runs[0]
 
 
 class TestPipelineConfig:

@@ -74,14 +74,14 @@ SETTINGS = [
     ("pad_fraction", lambda v: pipeline(pad_fraction=v), "[0, inf)", False, False),
     (
         "pad_fraction",
-        lambda v: assign_crops(NO_TEETH, None, v),
+        lambda v: assign_crops(NO_TEETH, TINY_SCENE.images, v),
         "[0, inf)", False, False,
     ),
     ("num_images", field(ScenePlan, "num_images"), "[1, inf)", True, False),
-    ("width", field(ScenePlan, "width"), "[100, inf)", False, False),
-    ("height", field(ScenePlan, "height"), "[100, inf)", False, False),
+    ("tau", lambda v: pipeline(tau=v), "[0, 1]", False, False),
+    ("max_dets", lambda v: pipeline(max_dets=v), "[1, inf)", True, False),
     ("missing_rate", field(ScenePlan, "missing_rate"), "[0, 1)", False, False),
-    ("layout_jitter", field(ScenePlan, "layout_jitter"), "[0, 0.2]", False, False),
+    ("max_match_distance", lambda v: pipeline(max_match_distance=v), "(0, inf)", False, True),
     ("seed", field(ScenePlan, "seed"), "[0, inf)", True, False),
     # One probability is the whole prior mass, which may pass 1 by rounding (1e-9) only.
     (
@@ -118,7 +118,7 @@ SETTINGS = [
     ("gate", lambda v: filter_enumeration(NO_TEETH, v), "[0, 1]", False, False),
     (
         "min_confidence",
-        lambda v: classifications_to_detections(assign_crops(NO_TEETH, None, 0.1), [], v),
+        lambda v: classifications_to_detections(assign_crops(NO_TEETH, TINY_SCENE.images), [], v),
         "[0, 1]", False, False,
     ),
 ]
@@ -252,6 +252,17 @@ def test_disease_prior_shape_follows_the_rule(prior, bad):
         ScenePlan(disease_prior=bad)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("narrow", [np.float32, np.float16])
+def test_narrow_numpy_floats_are_checked_without_a_warning(narrow):
+    """Comparing a float32 or float16 with the largest float warned of an overflow."""
+    assert setting_problems("confidence", narrow(0.5), "[0, 1]") == []
+    assert CropClassification(3, "caries", narrow(0.5)).confidence == 0.5
+    assert setting_problems("tau", narrow("inf"), "[0, 1]") == [
+        f"tau must be a number in [0, 1], got {narrow('inf')!r}"
+    ]
+
+
 class TestNonNumericDefects:
     """Each was accepted, or raised a bare TypeError or ValueError, before the rule."""
 
@@ -272,21 +283,23 @@ class TestNonNumericDefects:
             ScenePlan(disease_prior=prior)
 
 
-#: (name, build with the value, bounds, integer): the number fields of the value types.
+#: (name, build with the value, bounds, integer, optional): the number fields of the value types.
 VALUE_FIELDS = [
-    ("box x", lambda v: BoundingBox(v, 0, 1, 1), "(-inf, inf)", False),
-    ("box y", lambda v: BoundingBox(0, v, 1, 1), "(-inf, inf)", False),
-    ("box w", lambda v: BoundingBox(0, 0, v, 1), "(0, inf)", False),
-    ("box h", lambda v: BoundingBox(0, 0, 1, v), "(0, inf)", False),
+    ("box x", lambda v: BoundingBox(v, 0, 1, 1), "(-inf, inf)", False, False),
+    ("box y", lambda v: BoundingBox(0, v, 1, 1), "(-inf, inf)", False, False),
+    ("box w", lambda v: BoundingBox(0, 0, v, 1), "(0, inf)", False, False),
+    ("box h", lambda v: BoundingBox(0, 0, 1, v), "(0, inf)", False, False),
     (
         "score",
         lambda v: Detection(1, BoundingBox(0, 0, 1, 1), v, CategoryTriple(disease="caries"), "fused"),
-        "[0, 1]", False,
+        "[0, 1]", False, False,
     ),
-    ("image extent", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False),
-    ("image extent", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False),
-    ("confidence", lambda v: CropClassification(0, "caries", v), "[0, 1]", False),
-    ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _CROP_IDS, True),
+    ("image extent", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False, False),
+    ("image extent", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False, False),
+    ("confidence", lambda v: CropClassification(0, "caries", v), "[0, 1]", False, False),
+    ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _CROP_IDS, True, False),
+    ("quadrant", lambda v: CategoryTriple(quadrant=v, disease="caries"), "[1, 4]", True, True),
+    ("enumeration", lambda v: CategoryTriple(enumeration=v, disease="caries"), "[1, 8]", True, True),
 ]
 
 #: Values of every kind a number field may be handed, on and around every bound.
@@ -298,20 +311,23 @@ ANY_VALUE = (
     ])
     | st.floats() | st.integers() | st.integers(-2, 3) | st.integers(min_value=2**62, max_value=2**64)
     | st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.floats(width=32).map(np.float32) | st.floats(width=16).map(np.float16)
     | st.booleans().map(np.bool_) | st.text(max_size=3)
 )
 
 
 @pytest.mark.parametrize(
-    "name,build,bounds,integer",
+    "name,build,bounds,integer,optional",
     VALUE_FIELDS,
     ids=[f"{row[0]}-{i}" for i, row in enumerate(VALUE_FIELDS)],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(value=ANY_VALUE)
-def test_value_types_follow_the_number_rule(name, build, bounds, integer, value):
-    """A value type accepts a number field's value exactly when ``setting_problems`` does."""
-    refused = setting_problems(name, value, bounds, integer=integer)
+def test_value_types_follow_the_number_rule(name, build, bounds, integer, optional, value):
+    """A value type accepts a number field's value exactly when ``setting_problems`` does,
+    without a warning (numpy floats of every width among the values)."""
+    refused = setting_problems(name, value, bounds, integer=integer, optional=optional)
     if refused:
         with pytest.raises(ConfigError, match=re.escape(name)):
             build(value)

@@ -36,13 +36,14 @@ class TestGenerateScene:
         assert all(teeth == full for teeth in per_image.values())
 
     def test_boxes_stay_inside_image(self):
-        plan = ScenePlan(num_images=5, layout_jitter=0.2, seed=3)
-        ds = generate_scene(plan)
+        ds = generate_scene(ScenePlan(num_images=5, seed=3))
+        extent = {img.image_id: (img.width, img.height) for img in ds.images}
         for ann in ds.annotations:
             b = ann.box
+            width, height = extent[ann.image_id]
             assert b.x >= 0 and b.y >= 0
-            assert b.x + b.w <= plan.width
-            assert b.y + b.h <= plan.height
+            assert b.x + b.w <= width
+            assert b.y + b.h <= height
 
     def test_missing_rate_removes_teeth(self):
         full = generate_scene(ScenePlan(num_images=20, seed=1))
@@ -76,11 +77,11 @@ class TestGenerateScene:
         "kwargs",
         [
             {"num_images": 0},
-            {"width": 50},
-            {"height": 99},
+            {"num_images": True},
+            {"seed": "3"},
             {"missing_rate": 1.0},
             {"missing_rate": -0.1},
-            {"layout_jitter": 0.3},
+            {"missing_rate": float("inf")},
             {"disease_prior": {"caries": -0.1}},
             {"disease_prior": {"caries": 0.6, "impacted": 0.6}},
             {"disease_prior": (("gingivitis", 0.1),)},
@@ -89,9 +90,9 @@ class TestGenerateScene:
             {"seed": -1},
             {"disease_prior": {"caries": float("nan")}},
             {"missing_rate": "0.1"},
-            {"height": float("nan")},
-            {"layout_jitter": False},
-            {"num_images": 0, "seed": -1, "width": float("inf")},
+            {"num_images": None},
+            {"missing_rate": False},
+            {"num_images": 0, "seed": -1},
         ],
     )
     def test_plan_validation(self, kwargs):
