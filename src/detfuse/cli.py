@@ -226,11 +226,7 @@ def evaluate_cmd(
     """Report AP/AR for a detection file along one or more axes."""
     if pr_csv and len(axes) != 1:
         raise click.UsageError("--pr-csv requires exactly one --axis")
-    cfg = EvalConfig(
-        max_dets=max_dets,
-        enumeration_product=not tooth_only,
-        keep_pr_curves=pr_csv is not None,
-    )
+    cfg = EvalConfig(max_dets=max_dets, enumeration_product=not tooth_only)
     ds = parse_ground_truth(ground_truth)
     dets = parse_detections(detections, source, ds.image_ids())
     reports = {}

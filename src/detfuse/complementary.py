@@ -43,7 +43,9 @@ from .errors import (
     setting_problems,
     shorten,
 )
-from .geometry import CROP_LABELS, DISEASES, BoundingBox, ImageId, source_code
+from .geometry import (
+    _ID_END, _ID_RANGE, CROP_LABELS, DISEASES, BoundingBox, ImageId, source_code
+)
 from .io import (
     AnnotatedDataset,
     AnnotatedImage,
@@ -65,10 +67,6 @@ from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
-
-#: Crop ids are ``int64``: the integers below ``_CROP_ID_END``.
-_CROP_ID_END = 2**63
-_CROP_IDS = f"[0, {float(_CROP_ID_END)!r})"
 _LABEL_CODE = {label: code for code, label in enumerate(CROP_LABELS)}
 
 
@@ -130,12 +128,12 @@ class CropClassification:
     def __post_init__(self) -> None:
         crop_id, label, confidence = self.crop_id, self.label, self.confidence
         if not (
-            type(crop_id) is int and 0 <= crop_id < _CROP_ID_END and label in CROP_LABELS
+            type(crop_id) is int and 0 <= crop_id < _ID_END and label in CROP_LABELS
             and (type(confidence) is float and 0.0 <= confidence <= 1.0
                  or type(confidence) is int and 0 <= confidence <= 1)
         ):
             raise_problems(
-                setting_problems("crop_id", crop_id, _CROP_IDS, integer=True)
+                setting_problems("crop_id", crop_id, _ID_RANGE, integer=True)
                 + ([] if label in CROP_LABELS else [f"unknown crop label {shorten(label)}"])
                 + setting_problems("confidence", confidence, "[0, 1]")
             )
@@ -187,10 +185,11 @@ class BalancePlan:
 
     def __post_init__(self) -> None:
         problems = []
-        for name, mult in self.multipliers.items():
-            if name not in DISEASES:
-                problems.append(f"unknown disease {shorten(name)} in multipliers")
-            problems += setting_problems(f"multipliers[{shorten(name)}]", mult, "[1, inf)", integer=True)
+        for kind, bounds in (("counts", "[0, inf)"), ("multipliers", "[1, inf)")):
+            for name, value in getattr(self, kind).items():
+                if name not in DISEASES:
+                    problems.append(f"unknown disease {shorten(name)} in {kind}")
+                problems += setting_problems(f"{kind}[{shorten(name)}]", value, bounds, integer=True)
         raise_problems(problems)
         self.counts = {d: int(self.counts.get(d, 0)) for d in DISEASES}
         self.multipliers = {d: int(self.multipliers.get(d, 1)) for d in DISEASES}
@@ -416,9 +415,9 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
     records = _records(data, "classification", rules)
     crop_ids = _field(records, "crop_id", None)
     rules.note(
-        np.array([type(v) is not int or not 0 <= v < _CROP_ID_END for v in crop_ids], bool),
+        np.array([type(v) is not int or not 0 <= v < _ID_END for v in crop_ids], bool),
         MalformedFile,
-        lambda i: f"crop_id must be an integer in {_CROP_IDS}, got {shorten(crop_ids[i])}",
+        lambda i: f"crop_id must be an integer in {_ID_RANGE}, got {shorten(crop_ids[i])}",
     )
     labels = _field(records, "label", None)
     label = np.array([_LABEL_CODE.get(v, -1) if type(v) is str else -1 for v in labels], np.int8)

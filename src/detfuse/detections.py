@@ -18,9 +18,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DanglingReference, shorten
+from .errors import ConfigError, DanglingReference, raise_problems, shorten
 from .geometry import (
-    _SOURCE_CODE, DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId, source_code
+    _SOURCE_CODE, DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId,
+    _image_id_problems, source_code,
 )
 
 _IMAGE_ID = attrgetter("image_id")
@@ -86,36 +87,22 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
     first-row order. A given one, even an empty one or an iterator, is read
     once, kept in its order without repeats and must hold every row; the
     first row outside it raises :class:`DanglingReference`, and a universe
-    that is not iterable or an id that cannot be hashed :class:`ConfigError`.
+    that is not iterable or holds a value that is no image id :class:`ConfigError`.
     """
-    given = ()
-    try:
-        if image_universe is None:
-            return tuple(dict.fromkeys(row_ids))
-        given = tuple(image_universe)
-        universe = tuple(dict.fromkeys(given))
-        known = frozenset(universe)
-        inside = known.issuperset(row_ids)
-    except TypeError:
-        if not isinstance(image_universe, (Iterable, type(None))):
-            raise ConfigError(
-                f"image universe {shorten(image_universe)} is not a collection of image ids"
-            ) from None
-        _require_hashable(chain(row_ids, given))
-        raise
-    if not inside:
+    if image_universe is None:
+        return tuple(dict.fromkeys(row_ids))
+    if not isinstance(image_universe, Iterable):
+        raise ConfigError(
+            f"image universe {shorten(image_universe)} is not a collection of image ids"
+        )
+    given = tuple(image_universe)
+    raise_problems(_image_id_problems(given))
+    universe = tuple(dict.fromkeys(given))
+    known = frozenset(universe)
+    if not known.issuperset(row_ids):
         first = next(image_id for image_id in row_ids if image_id not in known)
         raise DanglingReference(f"detection references image {first!r} outside the universe")
     return universe
-
-
-def _require_hashable(ids: Iterable) -> None:
-    """Raise :class:`ConfigError` naming the first of the image ``ids`` that cannot be hashed."""
-    for image_id in ids:
-        try:
-            hash(image_id)
-        except TypeError:
-            raise ConfigError(f"image id {shorten(image_id)} is not hashable") from None
 
 
 def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ConfigError, raise_problems, setting_problems, shorten
 
 ImageId = Union[int, str]
+
+#: The exact types of an image id, in memory as in files: an ``int`` (not a bool) or a ``str``.
+_ID_TYPES = frozenset((int, str))
+
+#: Crop ids and ``matched_enum_id`` are ``int64``: the integers in this range.
+_ID_END = 2**63
+_ID_RANGE = f"[0, {float(_ID_END)!r})"
 
 #: Disease class names, in canonical index order (index 0..3 in data files).
 DISEASES = ("caries", "deep-caries", "impacted", "periapical-lesion")
@@ -31,6 +38,15 @@ _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 #: A number field passes at once if its exact type is in ``_FAST`` and it is finite and in range.
 _FAST = frozenset((int, float))
 _LOWEST, _FLOAT_MAX = -sys.float_info.max, sys.float_info.max
+
+
+def _image_id_problems(ids: Sequence) -> list[str]:
+    """The problem with the first of ``ids`` that is no image id, if any, as a list of at most
+    one message; the ids' types are read in one pass."""
+    if set(map(type, ids)) <= _ID_TYPES:
+        return []
+    bad = next(image_id for image_id in ids if type(image_id) not in _ID_TYPES)
+    return [f"image id must be an int or a str, got {type(bad).__name__} {shorten(bad)}"]
 
 
 def source_code(source: str) -> int:
@@ -108,7 +124,7 @@ class Detection:
     """A single detector output: box, confidence and category, with provenance.
 
     ``matched_enum_id`` is set only on integrated detections: the index of
-    the matched tooth in the original enumeration stream.
+    the matched tooth in the original enumeration stream, an ``int64``.
     """
 
     image_id: ImageId
@@ -119,8 +135,14 @@ class Detection:
     matched_enum_id: Optional[int] = None
 
     def __post_init__(self) -> None:
-        score, source = self.score, self.source
-        if not (type(score) in _FAST and 0.0 <= score <= 1.0):
-            raise_problems(setting_problems("score", score, "[0, 1]"))
+        image_id, score, source, link = self.image_id, self.score, self.source, self.matched_enum_id
+        if not (
+            type(image_id) in _ID_TYPES and type(score) in _FAST and 0.0 <= score <= 1.0
+            and (link is None or type(link) is int and 0 <= link < _ID_END)
+        ):
+            raise_problems(
+                _image_id_problems((image_id,)) + setting_problems("score", score, "[0, 1]")
+                + setting_problems("matched_enum_id", link, _ID_RANGE, integer=True, optional=True)
+            )
         if type(source) is not str or source not in _SOURCE_CODE:
             source_code(source)

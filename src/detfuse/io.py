@@ -25,7 +25,8 @@ and :class:`GroundTruthAnnotation` objects are views of those rows.
 This module holds the JSON helpers and the field rules that every record
 file follows: detections, ground truth and crop manifests.  An image id is
 an integer (not a bool) or a string; anything else is a
-:class:`MalformedFile` naming its record.
+:class:`MalformedFile` naming its record, and a :class:`ConfigError` where
+an id enters memory.
 
 Unknown extra keys are ignored on read; writers emit a canonical subset
 of keys so that parse -> write round-trips are stable.
@@ -53,7 +54,6 @@ from .detections import (
     _image_index,
     _per_row,
     _record_columns,
-    _require_hashable,
     category_codes,
 )
 from .errors import (
@@ -67,7 +67,9 @@ from .errors import (
     setting_problems,
     shorten,
 )
-from .geometry import _FAST, _FLOAT_MAX, BoundingBox, CategoryTriple, ImageId
+from .geometry import (
+    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _image_id_problems
+)
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +86,8 @@ class AnnotatedImage:
     def __post_init__(self) -> None:
         w, h = self.width, self.height
         fast = type(w) in _FAST and type(h) in _FAST and 0 < w <= _FLOAT_MAX and 0 < h <= _FLOAT_MAX
+        if type(self.image_id) not in _ID_TYPES:
+            raise_problems(_image_id_problems((self.image_id,)))
         if not fast and (setting_problems("w", w, "(0, inf)") or setting_problems("h", h, "(0, inf)")):
             raise ConfigError(f"image extent must be finite and > 0, got {shorten(w)}x{shorten(h)}")
 
@@ -116,6 +120,7 @@ class AnnotatedDataset:
         self, images: Iterable[AnnotatedImage], annotations: Iterable[GroundTruthAnnotation]
     ) -> None:
         images, objects = tuple(images), tuple(annotations)
+        raise_problems(_image_id_problems([a.image_id for a in objects]))
         image, xywh, key = _record_columns(objects, [im.image_id for im in images])
         self._fill(images, image, xywh, key, [a.mask_payload for a in objects])
         if (image < 0).any():
@@ -342,7 +347,7 @@ def _records(data: list, noun: str, rules: _FirstBreak) -> list:
 def _image_ids(records: list, key: str, rules: _FirstBreak) -> list:
     """The ``key`` field of each record, an integer (not a bool) or a string; 0 where it is not."""
     ids = _field(records, key)
-    bad = _mistyped(ids, {int, str})
+    bad = _mistyped(ids, _ID_TYPES)
     if bad is None:
         return ids
     rules.note(bad & ~_present(records, key), MalformedFile, lambda i: f"record lacks {key}")
@@ -601,7 +606,7 @@ def split_ids(ids: Sequence[ImageId], spec: SplitSpec) -> tuple[list, list, list
 
 def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDataset:
     """Restrict a dataset to ``ids``, in their order; an id not in it is :class:`MissingImage`."""
-    _require_hashable(ids)
+    raise_problems(_image_id_problems(ids))
     by_id = {im.image_id: im for im in ds.images}
     unknown = [i for i in ids if i not in by_id]
     if unknown:

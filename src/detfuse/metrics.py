@@ -36,6 +36,7 @@ import numpy as np
 from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet
 from .errors import (
     AxisUnavailable,
+    ConfigError,
     DanglingReference,
     choice_problems,
     raise_problems,
@@ -63,13 +64,11 @@ class EvalConfig:
     recall_points: ClassVar[int] = RECALL_POINTS
     max_dets: int = 100
     enumeration_product: bool = True
-    keep_pr_curves: bool = False
 
     def __post_init__(self) -> None:
         raise_problems(
             setting_problems("max_dets", self.max_dets, "[1, inf)", integer=True)
             + choice_problems("enumeration_product", self.enumeration_product, bool)
-            + choice_problems("keep_pr_curves", self.keep_pr_curves, bool)
         )
 
 
@@ -81,7 +80,9 @@ class EvaluationReport:
     ap75: float
     ar: float
     per_class: dict[str, tuple[float, float]] = field(default_factory=dict)
-    pr_points: Optional[list[tuple[float, float, float]]] = None
+    #: The class-mean interpolated precision, a row per IoU threshold and a column per
+    #: recall point; :func:`evaluate` always sets it. Reports compare by their numbers alone.
+    pr_curve: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("mean_ap", "ap50", "ap75", "ar"):
@@ -92,7 +93,7 @@ class EvaluationReport:
             raise ValueError(f"mean_ap {self.mean_ap!r} exceeds ap50 {self.ap50!r}")
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "axis": self.axis,
             "mAP": self.mean_ap,
             "AP50": self.ap50,
@@ -100,11 +101,6 @@ class EvaluationReport:
             "AR": self.ar,
             "per_class": {k: {"AP": ap, "AR": ar} for k, (ap, ar) in self.per_class.items()},
         }
-        if self.pr_points is not None:
-            out["pr_points"] = [
-                {"iou_threshold": t, "recall": r, "precision": p} for t, r, p in self.pr_points
-            ]
-        return out
 
 
 def axis_projection(axis: str, enumeration_product: bool = True) -> Callable:
@@ -360,7 +356,7 @@ def evaluate(
     pool = np.lexsort((pos, -det_score[pos], det_class[pos]))
     bounds = np.searchsorted(det_class[pos[pool]], np.arange(n_cls + 1)).tolist()
 
-    # Per class, in class order: AP per threshold, AR and the PR samples.
+    # Per class, in class order: AP per threshold, AR and the PR curve.
     # The means below stay Python sums in threshold, then class order: a
     # numpy reduction would change the last bit of mAP and AR.
     n_t = len(IOU_THRESHOLDS)
@@ -380,24 +376,17 @@ def evaluate(
     ap50 = sum(row[_AP50] for row in ap) / n_cls
     ap75 = sum(row[_AP75] for row in ap) / n_cls
     ar_all = sum(ar) / n_cls
-
-    pr_points = None
-    if cfg.keep_pr_curves:
-        pr_points = [
-            (t, float(r), float(sum(q[ti, ri] for q in curves) / n_cls))
-            for ti, t in enumerate(IOU_THRESHOLDS)
-            for ri, r in enumerate(_RECALL_GRID)
-        ]
-
-    return EvaluationReport(axis, mean_ap, ap50, ap75, ar_all, per_class, pr_points)
+    pr_curve = sum(curves) / n_cls
+    return EvaluationReport(axis, mean_ap, ap50, ap75, ar_all, per_class, pr_curve)
 
 
 def write_pr_csv(report: EvaluationReport, path: PathLike) -> None:
-    """Export PR curve samples as ``recall,precision,iou_threshold`` rows."""
-    if report.pr_points is None:
-        raise ValueError("report carries no PR points; evaluate with keep_pr_curves=True")
+    """Export the report's PR curve as ``recall,precision,iou_threshold`` rows, by threshold."""
+    if report.pr_curve is None:
+        raise ConfigError(f"the {report.axis} report carries no PR curve; evaluate builds one")
+    recalls = _RECALL_GRID.tolist()
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["recall", "precision", "iou_threshold"])
-        for t, r, p in report.pr_points:
-            writer.writerow([f"{r:.2f}", repr(p), repr(t)])
+        for t, row in zip(IOU_THRESHOLDS, report.pr_curve.tolist()):
+            writer.writerows([f"{r:.2f}", repr(p), repr(t)] for r, p in zip(recalls, row))

@@ -20,7 +20,7 @@ from .detections import (
     _resolve_universe,
 )
 from .errors import InvalidScore, MalformedFile, shorten
-from .geometry import ImageId, source_code
+from .geometry import _ID_END, ImageId, source_code
 from .io import (
     PathLike,
     _boxes,
@@ -37,8 +37,6 @@ from .io import (
 
 #: How a bare ``category_id`` is decoded, by stream source; other sources forbid it.
 _BARE_MODES = {"enumeration-model": "product", "diagnosis-A": "disease", "diagnosis-B": "disease"}
-
-_MAX_LINK = int(np.iinfo(np.int64).max)
 
 
 def parse_detections(
@@ -89,7 +87,7 @@ def parse_detections(
         link = np.full(n, -1, np.int64)
     else:
         bad = np.array(
-            [v is not None and not (type(v) is int and 0 <= v <= _MAX_LINK) for v in links], bool
+            [v is not None and not (type(v) is int and 0 <= v < _ID_END) for v in links], bool
         )
         rules.note(
             bad,

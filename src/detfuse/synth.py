@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Mapping, Optional
 
@@ -39,26 +39,19 @@ class ScenePlan:
 
     num_images: int = 10
     missing_rate: float = 0.0
-    disease_prior: tuple[tuple[str, float], ...] = ()
+    #: A probability per disease, held as ``(disease, probability)`` pairs in :data:`DISEASES` order.
+    disease_prior: Mapping[str, float] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        prior = self.disease_prior
-        if isinstance(prior, Mapping):
-            prior = [(name, prior[name]) for name in DISEASES if name in prior] + [
-                (name, p) for name, p in prior.items() if name not in DISEASES
-            ]
-        problems = []
-        pairs = isinstance(prior, (list, tuple)) and all(
-            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in prior
-        )
-        if not pairs:
-            problems.append(
-                "disease_prior must be a mapping or a list of (disease, probability) pairs, "
-                f"got {shorten(self.disease_prior)}"
-            )
-            prior = ()
-        object.__setattr__(self, "disease_prior", tuple(prior))
+        prior, problems = self.disease_prior, []
+        if not isinstance(prior, Mapping):
+            problems.append(f"disease_prior must be a mapping, got {shorten(prior)}")
+            prior = {}
+        pairs = [(name, prior[name]) for name in DISEASES if name in prior] + [
+            (name, p) for name, p in prior.items() if name not in DISEASES
+        ]
+        object.__setattr__(self, "disease_prior", tuple(pairs))
         for name, p in self.disease_prior:
             problems += choice_problems("disease_prior disease", name, DISEASES)
             problems += setting_problems(f"disease_prior[{shorten(name)}]", p, "[0, inf)")

@@ -71,3 +71,24 @@ def test_benchmark_check_passes_on_the_four_axis_pipeline(monkeypatch, tmp_path)
     assert counts["io.records_parsed"] > len(inputs.dataset.annotations)
     for axis in workloads.AXES:
         assert counts[f"metrics.groups.{axis}"] > 0
+
+
+def test_traced_run_records_every_span_it_reaches(monkeypatch, tmp_path):
+    """A traced two-image ``pipeline-complement`` run reaches every layer the benchmark
+    names, each as a closed child span of the one root, and leaves the pipeline unpatched."""
+    workloads = bench_module("workloads", monkeypatch)
+    tracing = bench_module("tracing", monkeypatch)
+    work_dir = str(tmp_path)
+    inputs = workloads.make_inputs("pipeline-complement", 1, tracing.Tracer(), work_dir, images=2)
+    cfg = workloads.pipeline_config("pipeline-complement", work_dir)
+    saved = {attr: getattr(detfuse.pipeline, attr) for attr in (*tracing.PIPELINE_SPANS, "evaluate")}
+    tracer = tracing.Tracer()
+    result = workloads.run_traced_operation("pipeline-complement", cfg, inputs, tracer)
+    assert workloads.Checker("pipeline-complement", inputs, cfg).check(result) == []
+    root, *layers = tracer.spans
+    assert root[0] == "pipeline.run_pipeline" and root[3] is None
+    assert {name for name, *_ in layers} == {
+        *tracing.PIPELINE_SPANS.values(), "metrics.evaluate.disease"
+    }
+    assert all(parent == 0 and start <= end for _, start, end, parent in layers)
+    assert {attr: getattr(detfuse.pipeline, attr) for attr in saved} == saved

@@ -37,12 +37,15 @@ from detfuse import (
     ScenePlan,
     SplitSpec,
     as_detection_set,
+    evaluate,
     generate_scene,
     integrate,
+    load_profile,
     merge_complementary,
     parse_detections,
     parse_ground_truth,
     read_crop_manifest,
+    simulate_detector,
     split_ids,
     subset_dataset,
     write_crop_classifications,
@@ -51,6 +54,7 @@ from detfuse import (
     write_ground_truth,
     write_id_list,
     write_integrated,
+    write_pr_csv,
 )
 from detfuse.cli import main
 from detfuse.detections import Columns, category_of
@@ -819,6 +823,15 @@ class TestPinnedWriters:
         write_crop_classifications(verdicts, out)
         assert sha256(out) == "2d11591547650b078829c862d4ad52edd06b915472c254583d50f496014cab26"
 
+    def test_pr_csv(self, tmp_path):
+        """The class mean of 32 enumeration curves, pinned from when it was summed point by point."""
+        plan = ScenePlan(6, 0.1, {"caries": 0.2, "impacted": 0.1}, 3)
+        ds = generate_scene(plan)
+        dets = simulate_detector(ds, load_profile("diffusiondet-like"), "enumeration-model", seed=3)
+        out = tmp_path / "pr.csv"
+        write_pr_csv(evaluate(ds, dets, "enumeration"), out)
+        assert sha256(out) == "d59eee74a7bb2bc7400a0722230a688085a6ee44a924ede482dc9987212437b8"
+
     def test_id_list(self, tmp_path):
         out = tmp_path / "out.json"
         write_id_list([3, 1, "x-7", 'q"\\ü\n'], out)
@@ -979,23 +992,22 @@ class TestBareErrorDefects:
             subset_dataset(generate_scene(ScenePlan(num_images=2)), [1, 1])
 
     def test_subset_with_an_unhashable_image_id(self):
-        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+        with pytest.raises(ConfigError, match=r"image id must be an int or a str, got list \[1\]"):
             subset_dataset(generate_scene(ScenePlan(num_images=2)), [[1]])
 
     def test_unhashable_image_id_in_a_universe(self):
-        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+        """An unhashable id is refused in a universe, and on a row before it reaches one."""
+        with pytest.raises(ConfigError, match=r"image id must be an int or a str, got list \[1\]"):
             DetectionSet([], "fused", [[1]])
-        det = Detection([1], BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused")
-        for universe in (None, {1}):
-            with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
-                DetectionSet([det], "fused", universe)
+        with pytest.raises(ConfigError, match=r"image id must be an int or a str, got list \[1\]"):
+            Detection([1], BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused")
 
     def test_universe_that_is_not_iterable(self):
         with pytest.raises(ConfigError, match="image universe 5 is not a collection of image ids"):
             DetectionSet([], "fused", 5)
 
     def test_iterator_universe_with_an_unhashable_id(self):
-        with pytest.raises(ConfigError, match=r"image id \[1\] is not hashable"):
+        with pytest.raises(ConfigError, match=r"image id must be an int or a str, got list \[1\]"):
             DetectionSet([], "fused", iter([[1]]))
 
     @pytest.mark.parametrize(
@@ -1025,6 +1037,39 @@ class TestBareErrorDefects:
         with pytest.raises(ConfigError) as raised:
             make()
         assert str(raised.value).endswith(echo) and len(str(raised.value)) < 200
+
+
+class TestOneImageIdRule:
+    """The ids that memory accepts are the ids that files hold."""
+
+    @pytest.mark.parametrize("image_id", [0, -3, 2**70, "", "img-1"])
+    def test_every_int_and_str_round_trips(self, image_id, tmp_path):
+        ds = AnnotatedDataset(
+            [AnnotatedImage(image_id, 5, 5)], [GroundTruthAnnotation(image_id, UNIT, CARIES)]
+        )
+        dets = DetectionSet([Detection(image_id, UNIT, 0.5, CARIES, "fused")], "fused", [image_id])
+        write_ground_truth(ds, tmp_path / "gt.json")
+        write_detections(dets, tmp_path / "dets.json")
+        assert parse_ground_truth(tmp_path / "gt.json") == ds
+        assert parse_detections(tmp_path / "dets.json", "fused") == dets
+
+
+class TestMatchedEnumIdRule:
+    """``matched_enum_id`` is None or an int (not a bool) in [0, 2**63), as in files. Before
+    the rule "x" and 2**70 raised a bare ValueError and OverflowError when the columns were
+    first read, True and 1.5 were written as 1, and -5 was read as unset."""
+
+    @pytest.mark.parametrize("link", ["x", 2**70, 2**63, True, 1.5, -5])
+    def test_anything_else_is_refused(self, link):
+        named = f"matched_enum_id must be an integer in [0, {float(2**63)!r}) when set, got {link!r}"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            Detection(1, UNIT, 0.5, CARIES, "fused", link)
+
+    @pytest.mark.parametrize("link", [None, 0, 2**63 - 1, np.int64(7)])
+    def test_what_is_accepted_round_trips(self, link, tmp_path):
+        dets = DetectionSet([Detection(1, UNIT, 0.5, CARIES, "fused", link)], "fused")
+        write_integrated(dets, tmp_path / "out.json")
+        assert parse_detections(tmp_path / "out.json", "fused")[0].matched_enum_id == link
 
 
 class TestDatasetContainers:

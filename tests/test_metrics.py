@@ -500,9 +500,8 @@ class TestHelpers:
 
 
     def test_pr_csv(self, tmp_path, tiny_scene):
-        report = evaluate(
-            tiny_scene, perfect_detections(tiny_scene), "disease", EvalConfig(keep_pr_curves=True)
-        )
+        report = evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")
+        assert report.pr_curve.shape == (len(IOU_THRESHOLDS), RECALL_POINTS)
         path = tmp_path / "pr.csv"
         write_pr_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -514,23 +513,36 @@ class TestHelpers:
         assert float(first[2]) == 0.5
 
     def test_pr_csv_failed_write_keeps_previous_file(self, tmp_path, tiny_scene):
-        report = evaluate(
-            tiny_scene, perfect_detections(tiny_scene), "disease", EvalConfig(keep_pr_curves=True)
-        )
+        report = evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")
         path = tmp_path / "pr.csv"
         write_pr_csv(report, path)
         before = path.read_bytes()
-        # a recall that cannot be formatted makes the write fail after five rows
-        report.pr_points = report.pr_points[:5] + [(0.5, "x", 1.0)]
-        with pytest.raises(ValueError):
+
+        class Unprintable:
+            def __repr__(self):
+                raise ValueError("cannot print")
+
+        # a precision that cannot be written makes the write fail after five rows
+        report.pr_curve = report.pr_curve.astype(object)
+        report.pr_curve[0, 5] = Unprintable()
+        with pytest.raises(ValueError, match="cannot print"):
             write_pr_csv(report, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["pr.csv"]
 
     def test_pr_csv_requires_curves(self, tiny_scene):
-        report = evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")
-        with pytest.raises(ValueError):
+        """Only evaluate builds a curve: the oracle's report, like one built by hand, has none."""
+        report = naive_oracle_evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")
+        with pytest.raises(ConfigError, match="the disease report carries no PR curve"):
             write_pr_csv(report, "/tmp/nope.csv")
+
+    def test_reports_compare_by_their_numbers(self, tiny_scene):
+        """The curve is left out of equality, repr and the JSON form."""
+        dets = perfect_detections(tiny_scene)
+        report = evaluate(tiny_scene, dets, "disease")
+        oracle = naive_oracle_evaluate(tiny_scene, dets, "disease")
+        assert report == oracle and repr(report) == repr(oracle)
+        assert report.as_dict() == oracle.as_dict()
 
     def test_report_as_dict(self, tiny_scene):
         report = evaluate(tiny_scene, perfect_detections(tiny_scene), "disease")

@@ -5,16 +5,18 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detfuse import (
     AXES,
     DISEASES,
     UNMATCHED_POLICIES,
+    AnnotatedDataset,
     AnnotatedImage,
     BalancePlan,
     BoundingBox,
@@ -26,6 +28,7 @@ from detfuse import (
     DetectorProfile,
     EnsembleConfig,
     EvalConfig,
+    GroundTruthAnnotation,
     IntegrationConfig,
     MergeConfig,
     PipelineConfig,
@@ -33,13 +36,16 @@ from detfuse import (
     SplitSpec,
     assign_crops,
     classifications_to_detections,
+    evaluate,
     filter_enumeration,
     generate_scene,
     load_profile,
+    oversample_plan,
     simulate_detector,
+    subset_dataset,
     threshold_ensemble,
 )
-from detfuse.complementary import _CROP_IDS
+from detfuse.geometry import _ID_RANGE
 from detfuse.errors import setting_problems
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
@@ -48,6 +54,27 @@ TINY_SCENE = generate_scene(ScenePlan(num_images=1))
 PERFECT = load_profile("perfect")
 SPLIT = {"train_count": 0, "val_count": 0, "test_count": 0}
 NO_TEETH = DetectionSet([], "enumeration-model")
+DISEASED_SCENE = generate_scene(ScenePlan(num_images=1, disease_prior={"caries": 1.0}))
+NO_FINDINGS = DetectionSet([], "fused")
+
+
+class Pairs(Mapping):
+    """A mapping held as its ``(key, value)`` pairs, so that a key need not be hashable."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def __getitem__(self, key):
+        for k, value in self.pairs:
+            if k is key or k == key:
+                return value
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
 
 
 def pipeline(**setting):
@@ -121,6 +148,7 @@ SETTINGS = [
         lambda v: classifications_to_detections(assign_crops(NO_TEETH, TINY_SCENE.images), [], v),
         "[0, 1]", False, False,
     ),
+    ("counts['caries']", lambda v: BalancePlan(counts={"caries": v}), "[0, inf)", True, False),
 ]
 
 
@@ -182,13 +210,13 @@ def test_every_setting_follows_the_number_rule(data, name, build, bounds, intege
 #: (name in the error, build with the value, ``bool`` for a flag, ``str`` for a name or the choices)
 CHOICES = [
     ("enumeration_product", field(EvalConfig, "enumeration_product"), bool),
-    ("keep_pr_curves", field(EvalConfig, "keep_pr_curves"), bool),
+    ("axis", lambda v: evaluate(DISEASED_SCENE, NO_FINDINGS, v), AXES),
     ("name", field(DetectorProfile, "name"), str),
     ("unmatched_policy", field(IntegrationConfig, "unmatched_policy"), UNMATCHED_POLICIES),
     ("unmatched_policy", lambda v: pipeline(unmatched_policy=v), UNMATCHED_POLICIES),
     ("axis", lambda v: pipeline(axes=["disease", v]), AXES),
     ("axis", axis_projection, AXES),
-    ("disease_prior disease", lambda v: ScenePlan(disease_prior=[(v, 0.1)]), DISEASES),
+    ("disease_prior disease", lambda v: ScenePlan(disease_prior=Pairs((v, 0.1))), DISEASES),
     ("source", lambda v: simulate_detector(TINY_SCENE, PERFECT, v), SIMULATOR_SOURCES),
     (
         "allow_union",
@@ -234,21 +262,21 @@ def test_every_flag_name_and_choice_follows_the_rule(data, name, build, choices)
         build(value)
 
 
-pairs = st.tuples(st.sampled_from(DISEASES), st.floats(0, 0.25))
-priors = st.dictionaries(st.sampled_from(DISEASES), st.floats(0, 0.25)) | st.lists(
-    pairs | pairs.map(list), max_size=4
+priors = st.dictionaries(st.sampled_from(DISEASES), st.floats(0, 0.25))
+#: No mapping: a number, a name, one-element and three-element pairs, a list of pairs, a set.
+not_mappings = st.sampled_from(
+    [5, None, "caries", ("caries",), ("caries", 0.1, 0.2), [("caries", 0.1)], 0.1, {"caries"}]
 )
-not_pairs = st.sampled_from([5, None, "caries", ("caries",), ("caries", 0.1, 0.2), 0.1, {"caries"}])
 
 
 @settings(max_examples=60, deadline=None)
-@given(prior=priors, bad=not_pairs | NOT_STRINGS.filter(lambda v: not isinstance(v, (list, tuple))))
+@given(prior=priors, bad=not_mappings | NOT_STRINGS)
 def test_disease_prior_shape_follows_the_rule(prior, bad):
-    """A prior is a mapping or a list of (disease, probability) pairs; else one ConfigError."""
-    ScenePlan(disease_prior=prior)
-    with pytest.raises(ConfigError, match="disease_prior"):
-        ScenePlan(disease_prior=[("caries", 0.1), bad])
-    with pytest.raises(ConfigError, match="disease_prior"):
+    """A prior is a mapping, held as pairs in disease order; anything else is one ConfigError."""
+    held = tuple((name, prior[name]) for name in DISEASES if name in prior)
+    assert ScenePlan(disease_prior=prior).disease_prior == held
+    assert ScenePlan(disease_prior=Pairs(*prior.items())).disease_prior == held
+    with pytest.raises(ConfigError, match=re.escape(f"disease_prior must be a mapping, got {bad!r}")):
         ScenePlan(disease_prior=bad)
 
 
@@ -267,20 +295,14 @@ class TestNonNumericDefects:
     """Each was accepted, or raised a bare TypeError or ValueError, before the rule."""
 
     def test_eval_flags_must_be_bools(self):
-        named = "enumeration_product must be a bool, got 'no'; keep_pr_curves must be a bool"
-        with pytest.raises(ConfigError, match=named):
-            EvalConfig(enumeration_product="no", keep_pr_curves="yes")
+        with pytest.raises(ConfigError, match="enumeration_product must be a bool, got 'no'"):
+            EvalConfig(enumeration_product="no")
 
     def test_profile_file_name_must_be_a_string(self, tmp_path):
         path = tmp_path / "profile.json"
         path.write_text('{"name": 5}')
         with pytest.raises(ConfigError, match="name must be a string, got 5"):
             load_profile(str(path))
-
-    @pytest.mark.parametrize("prior", [5, (("caries",),)], ids=["number", "one-element-pair"])
-    def test_disease_prior_must_be_pairs(self, prior):
-        with pytest.raises(ConfigError, match="disease_prior must be a mapping or a list"):
-            ScenePlan(disease_prior=prior)
 
 
 #: (name, build with the value, bounds, integer, optional): the number fields of the value types.
@@ -297,9 +319,14 @@ VALUE_FIELDS = [
     ("image extent", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False, False),
     ("image extent", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False, False),
     ("confidence", lambda v: CropClassification(0, "caries", v), "[0, 1]", False, False),
-    ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _CROP_IDS, True, False),
+    ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _ID_RANGE, True, False),
     ("quadrant", lambda v: CategoryTriple(quadrant=v, disease="caries"), "[1, 4]", True, True),
     ("enumeration", lambda v: CategoryTriple(enumeration=v, disease="caries"), "[1, 8]", True, True),
+    (
+        "matched_enum_id",
+        lambda v: Detection(1, BoundingBox(0, 0, 1, 1), 0.5, CategoryTriple(1, 2), "fused", v),
+        _ID_RANGE, True, True,
+    ),
 ]
 
 #: Values of every kind a number field may be handed, on and around every bound.
@@ -333,3 +360,67 @@ def test_value_types_follow_the_number_rule(name, build, bounds, integer, option
             build(value)
     else:
         build(value)
+
+
+def one_image(v) -> tuple[AnnotatedImage]:
+    """One image, on ``v`` if it is an image id and else on 0."""
+    return (AnnotatedImage(v if type(v) in (int, str) else 0, 5, 5),)
+
+
+#: Each place an image id enters memory, building with the id.
+IMAGE_ID_FIELDS = [
+    lambda v: Detection(v, BoundingBox(0, 0, 1, 1), 0.5, CategoryTriple(disease="caries"), "fused"),
+    lambda v: AnnotatedImage(v, 5, 5),
+    lambda v: AnnotatedDataset(
+        one_image(v),
+        [GroundTruthAnnotation(v, BoundingBox(0, 0, 1, 1), CategoryTriple(disease="caries"))],
+    ),
+    lambda v: DetectionSet([], "fused", [v]),
+    lambda v: subset_dataset(AnnotatedDataset(one_image(v), []), [v]),
+]
+
+
+@pytest.mark.parametrize(
+    "build", IMAGE_ID_FIELDS, ids=["detection", "image", "annotation", "universe", "subset"]
+)
+@settings(max_examples=150, deadline=None)
+@given(value=ANY_VALUE | st.tuples(st.integers()) | st.text())
+@example(value=np.int64(1))
+@example(value=1.5)
+@example(value=(1, 2))
+@example(value=True)
+@example(value=[1])
+def test_value_types_follow_the_image_id_rule(build, value):
+    """An image id is accepted exactly when it is an int (not a bool) or a str, as in files;
+    anything else is one ConfigError naming its type and value. Before the rule a numpy id
+    made the writers raise a bare TypeError, a float, tuple or bool id was written to a file
+    that then failed to parse, and a list id raised a bare TypeError."""
+    if type(value) in (int, str):
+        build(value)
+    else:
+        named = f"image id must be an int or a str, got {type(value).__name__} {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            build(value)
+
+
+class TestBalancePlanCounts:
+    """Each count was dropped, accepted, truncated or a bare ValueError before the rule."""
+
+    @pytest.mark.parametrize(
+        "counts,named",
+        [
+            ({"caries": "x"}, "counts['caries'] must be an integer in [0, inf), got 'x'"),
+            ({"cavity": 3}, "unknown disease 'cavity' in counts"),
+            ({"caries": -3}, "counts['caries'] must be an integer in [0, inf), got -3"),
+            ({"caries": 2.7}, "counts['caries'] must be an integer in [0, inf), got 2.7"),
+        ],
+        ids=["string", "unknown-disease", "negative", "fraction"],
+    )
+    def test_counts_follow_the_settings_rule(self, counts, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            oversample_plan(counts)
+
+    def test_every_problem_is_one_error(self):
+        named = "unknown disease 'cavity' in counts; unknown disease 'gum' in multipliers"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            BalancePlan(counts={"cavity": 3}, multipliers={"gum": 2})
