@@ -304,6 +304,11 @@ class TestNonNumericDefects:
         with pytest.raises(ConfigError, match="name must be a string, got 5"):
             load_profile(str(path))
 
+    @pytest.mark.parametrize("prior", [5, (("caries",),)], ids=["number", "one-element-pair"])
+    def test_disease_prior_must_be_pairs(self, prior):
+        with pytest.raises(ConfigError, match="disease_prior must be a mapping, got"):
+            ScenePlan(disease_prior=prior)
+
 
 #: (name, build with the value, bounds, integer, optional): the number fields of the value types.
 VALUE_FIELDS = [
