@@ -621,4 +621,7 @@ def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDat
 
 
 def write_id_list(ids: Sequence[ImageId], path: PathLike) -> None:
-    _dump_json(list(ids), path)
+    """Write ``ids`` as a JSON list; an id that is not an int or a str is :class:`ConfigError`."""
+    ids = list(ids)
+    raise_problems(_image_id_problems(ids))
+    _dump_json(ids, path)

@@ -8,6 +8,10 @@ re-implementation); only ``max_dets`` and the enumeration classes are set:
   0.50 and 0.75 thresholds of that list.
 * 101 recall sample points ``i / 100``; precision is the running-maximum
   envelope sampled at the first rank whose recall reaches each point.
+  That rank is a class's ``ceil(i * npig / 100)``-th true positive, an
+  exact integer test, and the envelope there is the greatest precision at
+  it or a later true positive, since precision rises nowhere else. Every
+  class and threshold is sampled in one pass over the true positives.
 * Detections are stable-sorted by descending score (ties keep input
   order) and capped at ``max_dets`` per image and class before matching.
 * Matching is greedy in score order, per image and class: each detection
@@ -51,7 +55,6 @@ IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 #: The COCO protocol's recall sample points, ``i / 100`` for i in 0..100.
 RECALL_POINTS = 101
 
-_RECALL_GRID = np.arange(RECALL_POINTS) / (RECALL_POINTS - 1)
 _AP50 = IOU_THRESHOLDS.index(0.5)
 _AP75 = IOU_THRESHOLDS.index(0.75)
 
@@ -232,30 +235,6 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _interpolated_precision(flags: np.ndarray, npig: int) -> np.ndarray:
-    """Enveloped precision at each recall point, one row per threshold.
-
-    ``flags`` holds the true-positive flags of the pooled, score-ordered
-    detections of one class, one row per threshold.
-    """
-    n = flags.shape[1]
-    tp = np.cumsum(flags, axis=1)
-    rc = tp / npig
-    env = np.maximum.accumulate((tp / np.arange(1, n + 1))[:, ::-1], axis=1)[:, ::-1]
-    # One search over every threshold: row ``t`` of the recalls, which lie
-    # in [0, 1], and of the recall points is shifted by ``2 * t``. A recall
-    # ``tp / npig`` and a point ``i / 100`` are equal or differ by at least
-    # ``1 / (100 * npig)``, far more than the shift can round away, so every
-    # comparison is the unshifted one.
-    row = np.arange(len(flags))[:, None]
-    idx = np.searchsorted((rc + 2.0 * row).ravel(), (_RECALL_GRID + 2.0 * row).ravel())
-    idx = idx.reshape(len(flags), RECALL_POINTS) - n * row
-    valid = idx < n
-    q = np.zeros((len(flags), RECALL_POINTS))
-    q[valid] = env[np.nonzero(valid)[0], idx[valid]]
-    return q
-
-
 def _true_positives(
     det_group: np.ndarray,
     det_rank: np.ndarray,
@@ -342,33 +321,48 @@ def evaluate(
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
 
     det_group = det_image * n_cls + det_class
-    det_score = cols.score
-    # Sort by group, then score (ties keep input order), and cap each group.
-    # A class absent from the ground truth is skipped, not zero-counted.
+    # Sort by score (ties keep input order), then by group, and cap each
+    # group. A class absent from the ground truth is skipped, not
+    # zero-counted. ``score_rank`` is each row's index in score order.
     pos = np.flatnonzero(det_class >= 0)
-    pos = pos[np.argsort(-det_score[pos], kind="stable")]
-    pos = pos[np.argsort(det_group[pos], kind="stable")]
-    rank = _ranks(det_group[pos])
-    pos, rank = pos[rank < cfg.max_dets], rank[rank < cfg.max_dets]
-    flags = _true_positives(det_group[pos], rank, cols.xywh[pos], gt_group, gt_xywh)
+    pos = pos[np.argsort(-cols.score[pos], kind="stable")]
+    score_rank = np.argsort(det_group[pos], kind="stable")
+    group = det_group[pos[score_rank]]
+    rank = _ranks(group)
+    keep = rank < cfg.max_dets
+    xywh = cols.xywh[pos[score_rank[keep]]]
+    group, rank, score_rank = group[keep], rank[keep], score_rank[keep]
+    # Matching sets the memory peak, so free the detection arrays it does not read.
+    del det_image, det_class, det_group, pos, keep
+    flags = _true_positives(group, rank, xywh, gt_group, gt_xywh)
 
-    # Pool each class's detections in score order, ties in input order.
-    pool = np.lexsort((pos, -det_score[pos], det_class[pos]))
-    bounds = np.searchsorted(det_class[pos[pool]], np.arange(n_cls + 1)).tolist()
+    # Pool each class's detections in score order, ties in input order, and
+    # number each one's place in its class's pool. The keys are unique; the
+    # default sort's scratch memory raised the peak by 0.2 MiB, a stable one's not.
+    pool = np.argsort(group % n_cls * len(cols.score) + score_rank, kind="stable")
+    pool_class = group[pool] % n_cls
+    place = _ranks(pool_class)
+    # Each (threshold, class) pair has a curve, numbered t * n_cls + class.
+    # At its k-th true positive, at place p (both from 0), precision is
+    # (k + 1) / (p + 1), and the envelope is its suffix maximum.
+    n_t = len(IOU_THRESHOLDS)
+    t, j = np.nonzero(flags[:, pool])
+    curve = t * n_cls + pool_class[j]
+    k = _ranks(curve)
+    found = np.bincount(curve, minlength=n_t * n_cls)
+    env = np.zeros((n_t * n_cls, found.max(initial=0) + 1))
+    env[curve, k] = (k + 1) / (place[j] + 1)
+    env = np.maximum.accumulate(env[:, ::-1], axis=1)[:, ::-1]
+    # Point r is first reached at the m-th true positive, m = ceil(r * npig
+    # / 100); past a curve's last true positive the envelope reads 0.
+    need = -(-np.arange(RECALL_POINTS) * np.array(npig)[:, None] // (RECALL_POINTS - 1))
+    col = np.clip(need - 1, 0, env.shape[1] - 1)[None]
+    q = np.take_along_axis(env.reshape(n_t, n_cls, -1), col, axis=2)  # (thresholds, classes, points)
 
-    # Per class, in class order: AP per threshold, AR and the PR curve.
     # The means below stay Python sums in threshold, then class order: a
     # numpy reduction would change the last bit of mAP and AR.
-    n_t = len(IOU_THRESHOLDS)
-    ap: list = []
-    ar: list = []
-    curves: list = []
-    for c in range(n_cls):
-        pooled = flags[:, pool[bounds[c] : bounds[c + 1]]]
-        q = _interpolated_precision(pooled, npig[c])
-        ap.append((q.sum(axis=1) / RECALL_POINTS).tolist())
-        ar.append(sum(int(m) / npig[c] for m in pooled.sum(axis=1)) / n_t)
-        curves.append(q)
+    ap = (q.sum(axis=2) / RECALL_POINTS).T.tolist()
+    ar = [sum(m / npig[c] for m in found[c::n_cls].tolist()) / n_t for c in range(n_cls)]
 
     ap_mean = [sum(row) / n_t for row in ap]
     per_class = {str(cls): (m, r) for cls, m, r in zip(classes, ap_mean, ar)}
@@ -376,7 +370,7 @@ def evaluate(
     ap50 = sum(row[_AP50] for row in ap) / n_cls
     ap75 = sum(row[_AP75] for row in ap) / n_cls
     ar_all = sum(ar) / n_cls
-    pr_curve = sum(curves) / n_cls
+    pr_curve = sum(q.swapaxes(0, 1)) / n_cls
     return EvaluationReport(axis, mean_ap, ap50, ap75, ar_all, per_class, pr_curve)
 
 
@@ -384,7 +378,7 @@ def write_pr_csv(report: EvaluationReport, path: PathLike) -> None:
     """Export the report's PR curve as ``recall,precision,iou_threshold`` rows, by threshold."""
     if report.pr_curve is None:
         raise ConfigError(f"the {report.axis} report carries no PR curve; evaluate builds one")
-    recalls = _RECALL_GRID.tolist()
+    recalls = [i / (RECALL_POINTS - 1) for i in range(RECALL_POINTS)]
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["recall", "precision", "iou_threshold"])

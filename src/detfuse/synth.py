@@ -15,6 +15,7 @@ import os
 import zlib
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -39,8 +40,8 @@ class ScenePlan:
 
     num_images: int = 10
     missing_rate: float = 0.0
-    #: A probability per disease, held as ``(disease, probability)`` pairs in :data:`DISEASES` order.
-    disease_prior: Mapping[str, float] = field(default_factory=dict)
+    #: A probability per disease, held read-only in :data:`DISEASES` order and left out of the hash.
+    disease_prior: Mapping[str, float] = field(default_factory=dict, hash=False)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,16 +52,16 @@ class ScenePlan:
         pairs = [(name, prior[name]) for name in DISEASES if name in prior] + [
             (name, p) for name, p in prior.items() if name not in DISEASES
         ]
-        object.__setattr__(self, "disease_prior", tuple(pairs))
-        for name, p in self.disease_prior:
+        for name, p in pairs:
             problems += choice_problems("disease_prior disease", name, DISEASES)
             problems += setting_problems(f"disease_prior[{shorten(name)}]", p, "[0, inf)")
-        if not problems and sum(p for _, p in self.disease_prior) > 1.0 + 1e-9:
+        if not problems and sum(p for _, p in pairs) > 1.0 + 1e-9:
             problems.append("disease_prior mass exceeds 1")
         problems += setting_problems("num_images", self.num_images, "[1, inf)", integer=True)
         problems += setting_problems("missing_rate", self.missing_rate, "[0, 1)")
         problems += setting_problems("seed", self.seed, "[0, inf)", integer=True)
         raise_problems(problems)
+        object.__setattr__(self, "disease_prior", MappingProxyType(dict(pairs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +111,7 @@ def generate_scene(plan: ScenePlan) -> AnnotatedDataset:
     tooth_h = 0.22 * _HEIGHT
     rows = ((_UPPER, 0.20 * _HEIGHT), (_LOWER, 0.55 * _HEIGHT))
 
-    prior = tuple(plan.disease_prior)
+    prior = tuple(plan.disease_prior.items())
     images = []
     annotations = []
     for i in range(plan.num_images):

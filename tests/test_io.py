@@ -1053,6 +1053,25 @@ class TestOneImageIdRule:
         assert parse_ground_truth(tmp_path / "gt.json") == ds
         assert parse_detections(tmp_path / "dets.json", "fused") == dets
 
+    @pytest.mark.parametrize(
+        "ids,echo",
+        [([np.int64(1)], "got int64"), ([1.5, (1, 2)], "got float 1.5")],
+        ids=["numpy-int", "float-and-tuple"],
+    )
+    def test_id_list_refuses_other_ids_and_writes_nothing(self, ids, echo, tmp_path):
+        """The first raised a bare TypeError, and the second was written as given."""
+        out = tmp_path / "ids.json"
+        with pytest.raises(ConfigError, match=re.escape(echo)) as raised:
+            write_id_list(ids, out)
+        assert str(raised.value).count("image id must be") == 1
+        assert not out.exists()
+
+    def test_id_list_reads_an_iterator_once(self, tmp_path):
+        """Checking the ids must not use up an iterator before it is written."""
+        out = tmp_path / "ids.json"
+        write_id_list(iter([3, "x-7"]), out)
+        assert json.loads(out.read_text()) == [3, "x-7"]
+
 
 class TestMatchedEnumIdRule:
     """``matched_enum_id`` is None or an int (not a bool) in [0, 2**63), as in files. Before

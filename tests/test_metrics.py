@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detfuse import (
@@ -162,6 +162,18 @@ class TestWorkedExamples:
         for dets in (fp_first, tp_first):
             for m in (1, 2):
                 assert_agrees_with_oracle(ds, dets, "disease", EvalConfig(max_dets=m))
+
+    def test_recall_landing_on_a_recall_point(self):
+        """With 4 boxes, one true positive at rank 2 reaches recall 0.25 exactly: point 25
+        reads its precision 0.5, and the points past it read 0 (``100 * m >= r * npig``)."""
+        ds = one_image_ds([B(100 * i, 0, 10, 10) for i in range(4)])
+        dets = det_set([(B(500, 500, 10, 10), 0.9, None), (B(0, 0, 10, 10), 0.8, None)])
+        report = evaluate(ds, dets, "disease")
+        assert (report.pr_curve[:, :26] == 0.5).all()
+        assert (report.pr_curve[:, 26:] == 0.0).all()
+        assert report.ap50 == 26 * 0.5 / RECALL_POINTS
+        assert report.mean_ap == pytest.approx(report.ap50)
+        assert report.ar == 0.25
 
     def test_duplicate_detections_of_one_gt(self):
         ds = one_image_ds([B(0, 0, 10, 10)])
@@ -485,6 +497,108 @@ class TestInvariants:
         noisy = evaluate(ds, widened, "disease")
         assert base.mean_ap == noisy.mean_ap
         assert base.ar == noisy.ar
+
+
+#: Widths of a detection on a 10x10 ground-truth box, and the IoU each gives: 1, 0.909,
+#: 0.769, 0.667, 0.556 and 0.333, each clear of every threshold.
+WIDTHS = (10, 11, 13, 15, 18, 30)
+#: The 32 enumeration classes as (quadrant, tooth) pairs.
+FDI = [(q, t) for q in range(1, 5) for t in range(1, 9)]
+
+
+@st.composite
+def enumeration_scenes(draw):
+    """A scene on the 32-class enumeration axis whose matching is known without an IoU search.
+
+    Ground-truth boxes are 10x10 and 40 apart, so a detection widened on one box overlaps
+    that box alone; false positives lie below every box. Each class with ground truth gets
+    no detections, false positives only or a mix; one class may have detections alone.
+    Returns the dataset, the detections and, per detection, its image, class, score, target
+    box index within its class (or None) and IoU.
+    """
+    n_images = draw(st.integers(1, 3))
+    classes = draw(st.lists(st.sampled_from(FDI), min_size=1, max_size=4, unique=True))
+    npig = {c: draw(st.sampled_from([3, 4, 7, 25])) for c in classes}
+    gt = {c: [draw(st.integers(0, n_images - 1)) for _ in range(npig[c])] for c in classes}
+    images = [AnnotatedImage(i + 1, 2000, 2000) for i in range(n_images)]
+    slot = [0] * n_images  # the next free grid slot of each image
+    boxes = {c: [] for c in classes}
+    annotations = []
+    for c in classes:
+        for image in gt[c]:
+            k, slot[image] = slot[image], slot[image] + 1
+            boxes[c].append(B(40 * (k % 40), 40 * (k // 40), 10, 10))
+            annotations.append(
+                GroundTruthAnnotation(image + 1, boxes[c][-1], CategoryTriple(*c, "caries"))
+            )
+    ds = AnnotatedDataset(images, annotations)
+
+    modes = {c: draw(st.sampled_from(["none", "fp-only", "mixed"])) for c in classes}
+    det_classes = [c for c in classes if modes[c] != "none"]
+    extra = draw(st.sampled_from([c for c in FDI if c not in classes]))
+    if draw(st.booleans()):
+        det_classes.append(extra)  # detections on a class with no ground truth
+    rows = []
+    for c in det_classes:
+        for _ in range(draw(st.integers(1, 12))):
+            score = draw(st.integers(0, 10)) / 10  # a coarse grid, so that scores tie
+            if modes.get(c) == "mixed" and draw(st.booleans()):
+                target = draw(st.integers(0, npig[c] - 1))
+                width = draw(st.sampled_from(WIDTHS))
+                box = boxes[c][target]
+                rows.append((gt[c][target], c, score, target, 10 / width,
+                             B(box.x, box.y, width, 10)))
+            else:
+                image = draw(st.integers(0, n_images - 1))
+                x = draw(st.integers(0, 190)) * 10
+                rows.append((image, c, score, None, 0.0, B(x, 1900, 10, 10)))
+    rows = draw(st.permutations(rows))
+    dets = DetectionSet(
+        [Detection(image + 1, box, score, CategoryTriple(*c, "caries"), "fused")
+         for image, c, score, _, _, box in rows],
+        "fused",
+        frozenset(ds.image_ids()),
+    )
+    return ds, dets, npig, rows
+
+
+def naive_pr_curve(npig, rows, max_dets):
+    """The class mean of each class's enveloped precision, found rank by rank."""
+    curves = []
+    for c in sorted(npig):
+        ranked = sorted(
+            (i for i, row in enumerate(rows) if row[1] == c), key=lambda i: -rows[i][2]
+        )
+        kept = [i for n, i in enumerate(ranked)
+                if sum(rows[k][0] == rows[i][0] for k in ranked[:n]) < max_dets]
+        curve = []
+        for t in IOU_THRESHOLDS:
+            taken, flags = set(), []
+            for i in kept:
+                image, _, _, target, iou, _ = rows[i]
+                hit = target is not None and iou >= t and (image, target) not in taken
+                taken |= {(image, target)} if hit else set()
+                flags.append(hit)
+            tp = np.cumsum(flags)
+            precision = [tp[n] / (n + 1) for n in range(len(kept))]
+            points = []
+            for r in range(RECALL_POINTS):
+                first = next((n for n in range(len(kept)) if tp[n] / npig[c] >= r / 100), None)
+                points.append(0.0 if first is None else max(precision[first:]))
+            curve.append(points)
+        curves.append(curve)
+    return np.mean(curves, axis=0)
+
+
+class TestPrCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(scene=enumeration_scenes(), max_dets=st.integers(1, 3))
+    def test_matches_a_naive_envelope(self, scene, max_dets):
+        ds, dets, npig, rows = scene
+        report = evaluate(ds, dets, "enumeration", EvalConfig(max_dets=max_dets))
+        assert list(report.per_class) == [f"{q}{t}" for q, t in sorted(npig)]
+        np.testing.assert_allclose(report.pr_curve, naive_pr_curve(npig, rows, max_dets),
+                                   rtol=0, atol=1e-12)
 
 
 class TestHelpers:

@@ -272,10 +272,10 @@ not_mappings = st.sampled_from(
 @settings(max_examples=60, deadline=None)
 @given(prior=priors, bad=not_mappings | NOT_STRINGS)
 def test_disease_prior_shape_follows_the_rule(prior, bad):
-    """A prior is a mapping, held as pairs in disease order; anything else is one ConfigError."""
-    held = tuple((name, prior[name]) for name in DISEASES if name in prior)
-    assert ScenePlan(disease_prior=prior).disease_prior == held
-    assert ScenePlan(disease_prior=Pairs(*prior.items())).disease_prior == held
+    """A prior is a mapping, held in disease order; anything else is one ConfigError."""
+    held = [(name, prior[name]) for name in DISEASES if name in prior]
+    assert list(ScenePlan(disease_prior=prior).disease_prior.items()) == held
+    assert list(ScenePlan(disease_prior=Pairs(*prior.items())).disease_prior.items()) == held
     with pytest.raises(ConfigError, match=re.escape(f"disease_prior must be a mapping, got {bad!r}")):
         ScenePlan(disease_prior=bad)
 

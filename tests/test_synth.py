@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -57,7 +58,20 @@ class TestGenerateScene:
 
     def test_prior_mapping_is_normalised(self):
         plan = ScenePlan(disease_prior={"impacted": 0.2, "caries": 0.1})
-        assert plan.disease_prior == (("caries", 0.1), ("impacted", 0.2))
+        assert list(plan.disease_prior.items()) == [("caries", 0.1), ("impacted", 0.2)]
+        with pytest.raises(TypeError):
+            plan.disease_prior["caries"] = 0.5
+
+    def test_replaced_plan_equals_the_plan_built_directly(self):
+        """Replacing a field raised ConfigError while the prior was held as pairs."""
+        prior = {"impacted": 0.2, "caries": 0.1}
+        replaced = dataclasses.replace(ScenePlan(disease_prior=prior), seed=2)
+        direct = ScenePlan(disease_prior=prior, seed=2)
+        assert replaced == direct and hash(replaced) == hash(direct)
+        assert list(replaced.disease_prior.items()) == list(direct.disease_prior.items())
+        assert generate_scene(dataclasses.replace(direct, num_images=2)) == generate_scene(
+            ScenePlan(num_images=2, disease_prior=prior, seed=2)
+        )
 
     def test_mixed_prior_leaves_healthy_teeth(self):
         ds = generate_scene(ScenePlan(num_images=10, disease_prior={"caries": 0.3}, seed=5))
