@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on any domain error (bad file contents,
-dangling references, out-of-range settings, failed stages), 2 on usage
-errors such as unknown options or option values of the wrong type.
+dangling references, out-of-range settings, failed stages) or file error,
+2 on usage errors such as unknown options or option values of the wrong
+type. The command group maps the errors of every command, in one place.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import os
 from typing import Callable, Iterable
@@ -44,24 +44,31 @@ from .io import (
     write_ground_truth,
     write_id_list,
 )
-from .metrics import AXES, EvalConfig, evaluate, write_pr_csv
+from .metrics import AXES, EvalConfig, EvaluationReport, evaluate, write_pr_csv
 from .pipeline import load_pipeline_config, run_pipeline
 from .results import parse_detections, write_detections
 from .synth import SIMULATOR_SOURCES, ScenePlan, generate_scene, load_profile, simulate_detector
 
 
-def _domain_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Group(click.Group):
+    """The command group; a domain or file error in any command is one ``Error:`` line, exit 1."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (DetfuseError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
-    return wrapper
+
+def _echo_report(axis: str, report: EvaluationReport) -> None:
+    """Echo the summary line of ``report``."""
+    click.echo(
+        f"axis={axis} mAP={report.mean_ap:.4f} AP50={report.ap50:.4f} "
+        f"AP75={report.ap75:.4f} AR={report.ar:.4f}"
+    )
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(__version__)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
@@ -80,7 +87,6 @@ def main(verbose: bool) -> None:
 @click.option("--primary-source", default="diagnosis-A", show_default=True)
 @click.option("--secondary-source", default="diagnosis-B", show_default=True)
 @click.option("--allow-union", is_flag=True, help="Permit differing image universes.")
-@_domain_errors
 def ensemble(primary, secondary, output, tau, primary_source, secondary_source, allow_union):
     """Fuse two detection files with the score-threshold rule."""
     cfg = EnsembleConfig(tau=tau)
@@ -104,7 +110,6 @@ def ensemble(primary, secondary, output, tau, primary_source, secondary_source, 
     type=click.Choice(UNMATCHED_POLICIES),
 )
 @click.option("--diagnosis-source", default="fused", show_default=True)
-@_domain_errors
 def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, diagnosis_source):
     """Attach tooth positions to disease detections by closest center."""
     cfg = IntegrationConfig(
@@ -124,7 +129,6 @@ def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, di
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 @click.option("--gate", default=0.7, show_default=True)
 @click.option("--pad", default=0.1, show_default=True, help="Padding per side as a box fraction.")
-@_domain_errors
 def crops(enumeration, gt_path, output, gate, pad):
     """Emit the crop manifest for the external patch classifier."""
     cfg = IntegrationConfig(enum_score_gate=gate)
@@ -145,7 +149,6 @@ def crops(enumeration, gt_path, output, gate, pad):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 @click.option("--min-confidence", default=0.5, show_default=True)
 @click.option("--overlap-iou", default=0.5, show_default=True)
-@_domain_errors
 def complement(crops_path, classifications, integrated_path, output, min_confidence, overlap_iou):
     """Merge crop-classifier verdicts into an integrated detection file."""
     cfg = MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
@@ -179,7 +182,6 @@ def _parse_pairs(pairs: Iterable[str], convert: Callable) -> dict:
 @click.option("--boost", multiple=True, help="DISEASE=MULTIPLIER override; repeatable.")
 @click.option("--audit-only", is_flag=True, help="Histogram only, identity multipliers.")
 @click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
-@_domain_errors
 def balance(ground_truth, boost, audit_only, output):
     """Audit the disease histogram and plan duplication counts."""
     ds = parse_ground_truth(ground_truth)
@@ -219,7 +221,6 @@ def balance(ground_truth, boost, audit_only, output):
 @click.option("--tooth-only", is_flag=True, help="Score enumeration as 8 tooth classes.")
 @click.option("--report-json", default=None, type=click.Path(dir_okay=False))
 @click.option("--pr-csv", default=None, type=click.Path(dir_okay=False))
-@_domain_errors
 def evaluate_cmd(
     ground_truth, detections, axes, source, max_dets, tooth_only, report_json, pr_csv
 ):
@@ -233,10 +234,7 @@ def evaluate_cmd(
     for axis in axes:
         report = evaluate(ds, dets, axis, cfg)
         reports[axis] = report
-        click.echo(
-            f"axis={axis} mAP={report.mean_ap:.4f} AP50={report.ap50:.4f} "
-            f"AP75={report.ap75:.4f} AR={report.ar:.4f}"
-        )
+        _echo_report(axis, report)
         for label, (ap, ar) in report.per_class.items():
             click.echo(f"  {label:20s} AP={ap:.4f} AR={ar:.4f}")
     if report_json:
@@ -261,7 +259,6 @@ def evaluate_cmd(
     multiple=True,
     help="SOURCE=PROFILE, e.g. diagnosis-A=diffusiondet-like; repeatable.",
 )
-@_domain_errors
 def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
     """Generate a synthetic dataset and optional simulated detections."""
     plan = ScenePlan(
@@ -298,7 +295,6 @@ def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--write-datasets", is_flag=True, help="Also write per-split annotation files.")
-@_domain_errors
 def split(ground_truth, train, val, test, seed, out_dir, write_datasets):
     """Deterministically split a dataset into train/val/test id lists."""
     ds = parse_ground_truth(ground_truth)
@@ -314,7 +310,6 @@ def split(ground_truth, train, val, test, seed, out_dir, write_datasets):
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@_domain_errors
 def pipeline(config):
     """Run the full fusion pipeline described by a JSON config."""
     cfg = load_pipeline_config(config)
@@ -323,10 +318,7 @@ def pipeline(config):
     click.echo(f"integrated: {len(result.integrated)} detections")
     click.echo(f"final:      {len(result.final)} detections")
     for axis, report in result.reports.items():
-        click.echo(
-            f"axis={axis} mAP={report.mean_ap:.4f} AP50={report.ap50:.4f} "
-            f"AP75={report.ap75:.4f} AR={report.ar:.4f}"
-        )
+        _echo_report(axis, report)
     click.echo(f"artifacts in {cfg.out_dir}")
 
 

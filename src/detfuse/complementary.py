@@ -27,10 +27,10 @@ from .detections import (
     Columns,
     DetectionSet,
     _category_key,
-    _image_index,
     _json_boxes,
     _json_ids,
     _per_row,
+    _refuse,
     _resolve_universe,
     same_image_blocks,
 )
@@ -219,7 +219,7 @@ def _pad_problems(pad_fraction) -> list[str]:
 def assign_crops(
     enums: DetectionSet,
     images: Sequence[AnnotatedImage],
-    pad_fraction: float = 0.0,
+    pad_fraction: float,
 ) -> CropSet:
     """Derive one crop per enumeration detection.
 
@@ -229,28 +229,24 @@ def assign_crops(
 
     Raises:
         ConfigError: ``pad_fraction`` is not a finite number >= 0.
+        AxisUnavailable: an enumeration detection lacks its quadrant or tooth.
         MissingImage: an enumeration detection references an image id not
             present in ``images``.
     """
     raise_problems(_pad_problems(pad_fraction))
     cols = enums.columns
-    lacking = (cols.quadrant < 0) | (cols.tooth < 0)
+    _refuse(
+        (cols.quadrant < 0) | (cols.tooth < 0), cols.image_id, AxisUnavailable,
+        "enumeration detection on image {} lacks quadrant/tooth axes",
+    )
+    image = cols.image_index(tuple(im.image_id for im in images))
+    _refuse(
+        image < 0, cols.image_id, MissingImage, "enumeration detection references unknown image {}"
+    )
     pad = pad_fraction * cols.xywh[:, 2:]
     crop = np.concatenate([cols.xywh[:, :2] - pad, cols.xywh[:, 2:] + 2 * pad], axis=1)
-    by_id = {im.image_id: (im.width, im.height) for im in images}
-    sizes = [by_id.get(image_id, (np.nan, np.nan)) for image_id in cols.ids]
-    size = np.array(sizes, float).reshape(-1, 2)[cols.image]
-    unknown = np.isnan(size[:, 0])
-    crop = _clip(crop, size)
-    bad = np.flatnonzero(lacking | unknown)
-    if len(bad):
-        image_id = cols.ids[cols.image[bad[0]]]
-        if lacking[bad[0]]:
-            raise AxisUnavailable(
-                f"enumeration detection on image {image_id!r} lacks quadrant/tooth axes"
-            )
-        raise MissingImage(f"enumeration detection references unknown image {image_id!r}")
-    return CropSet(cols, crop)
+    size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
+    return CropSet(cols, _clip(crop, size))
 
 
 def audit_balance(ds: AnnotatedDataset) -> BalancePlan:
@@ -330,10 +326,10 @@ def merge_complementary(
     """
     found, extra = integrated.columns, comp.columns
     found_disease, extra_disease = found.disease, extra.disease
-    diseaseless = np.flatnonzero(found_disease < 0)
-    if len(diseaseless):
-        image_id = found.ids[found.image[diseaseless[0]]]
-        raise AxisUnavailable(f"integrated detection on image {image_id!r} has no disease label")
+    _refuse(
+        found_disease < 0, found.image_id, AxisUnavailable,
+        "integrated detection on image {} has no disease label",
+    )
 
     duplicate = np.zeros(len(extra.score), bool)
     for c, f in same_image_blocks(extra.image_index(found.ids), found.image):
@@ -394,8 +390,7 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     )
     rules.raise_first()
     n = len(records)
-    universe = _resolve_universe(ids, None)
-    image = _image_index(ids, universe)
+    universe, image = _resolve_universe(ids, None)
     key = _category_key(quadrant, tooth, np.full(n, -1, np.int8))
     origin = np.full(n, source_code("enumeration-model"), np.int8)
     link = np.full(n, -1, np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class Columns:
             return self.image
         return _image_index(self.ids, ids)[self.image]
 
+    def image_id(self, row: int) -> ImageId:
+        """The image id of row ``row``."""
+        return self.ids[self.image[row]]
+
 
 def _image_index(ids: Iterable[ImageId], universe: Sequence[ImageId]) -> np.ndarray:
     """Each of ``ids`` as an ``int32`` index into ``universe``; -1 where it is absent."""
@@ -80,8 +84,17 @@ def _image_index(ids: Iterable[ImageId], universe: Sequence[ImageId]) -> np.ndar
     return np.fromiter(map(position.get, ids, repeat(-1)), np.int32)
 
 
+def _refuse(bad: np.ndarray, image_of: Callable, error: type, message: str, where=None) -> None:
+    """Raise ``error`` for the first row that ``bad`` marks, naming its image ``image_of(row)``,
+    shortened, at the ``{}`` of ``message``; after ``where[row]: `` when ``where`` is given."""
+    if bad.any():
+        row = int(bad.argmax())
+        text = message.format(shorten(image_of(row)))
+        raise error(text if where is None else f"{where}[{row}]: {text}")
+
+
 def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Iterable]) -> tuple:
-    """The image ids of a set whose rows are on the images ``row_ids``.
+    """The image ids of a set whose rows are on the images ``row_ids``, and each row's index into them.
 
     With no ``image_universe`` (``None``) they are the rows' images in
     first-row order. A given one, even an empty one or an iterator, is read
@@ -90,19 +103,21 @@ def _resolve_universe(row_ids: Sequence[ImageId], image_universe: Optional[Itera
     that is not iterable or holds a value that is no image id :class:`ConfigError`.
     """
     if image_universe is None:
-        return tuple(dict.fromkeys(row_ids))
-    if not isinstance(image_universe, Iterable):
+        universe = tuple(dict.fromkeys(row_ids))
+    elif not isinstance(image_universe, Iterable):
         raise ConfigError(
             f"image universe {shorten(image_universe)} is not a collection of image ids"
         )
-    given = tuple(image_universe)
-    raise_problems(_image_id_problems(given))
-    universe = tuple(dict.fromkeys(given))
-    known = frozenset(universe)
-    if not known.issuperset(row_ids):
-        first = next(image_id for image_id in row_ids if image_id not in known)
-        raise DanglingReference(f"detection references image {first!r} outside the universe")
-    return universe
+    else:
+        given = tuple(image_universe)
+        raise_problems(_image_id_problems(given))
+        universe = tuple(dict.fromkeys(given))
+    image = _image_index(row_ids, universe)
+    _refuse(
+        image < 0, row_ids.__getitem__, DanglingReference,
+        "detection references image {} outside the universe",
+    )
+    return universe, image
 
 
 def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) -> np.ndarray:
@@ -261,7 +276,7 @@ class DetectionSet:
         image_universe: Optional[Iterable[ImageId]] = None,
     ) -> None:
         objects = tuple(detections)
-        self._start(source, _resolve_universe([d.image_id for d in objects], image_universe))
+        self._start(source, _resolve_universe([d.image_id for d in objects], image_universe)[0])
         self.detections = objects
 
     @classmethod
@@ -312,7 +327,7 @@ class DetectionSet:
     @staticmethod
     def concat(parts: Sequence["DetectionSet"], source: str) -> "DetectionSet":
         """The rows of ``parts`` in order, over the union of their universes."""
-        ids = _resolve_universe(list(chain.from_iterable(p._ids for p in parts)), None)
+        ids = tuple(dict.fromkeys(chain.from_iterable(p._ids for p in parts)))
         out = DetectionSet.from_columns(_concat([p.columns for p in parts], ids), source)
         if any("detections" in vars(p) for p in parts):
             out.detections = tuple(chain.from_iterable(p.detections for p in parts))

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detections import Columns, DetectionSet, _category_key, _resolve_universe, same_image_blocks
+from .detections import Columns, DetectionSet, _category_key, _refuse, _resolve_universe, same_image_blocks
 from .errors import AxisUnavailable, choice_problems, raise_problems, setting_problems
 from .geometry import source_code
 from .io import PathLike
@@ -99,10 +99,10 @@ def integrate(
     """
     gated = np.flatnonzero(_gate(enums, cfg.enum_score_gate))
     teeth, found = enums.columns, diags.columns
-    diseaseless = np.flatnonzero(found.disease < 0)
-    if len(diseaseless):
-        image_id = found.ids[found.image[diseaseless[0]]]
-        raise AxisUnavailable(f"diagnosis detection on image {image_id!r} has no disease label")
+    _refuse(
+        found.disease < 0, found.image_id, AxisUnavailable,
+        "diagnosis detection on image {} has no disease label",
+    )
 
     match = _closest(teeth.take(gated), found, cfg.max_match_distance)
     matched = match >= 0
@@ -135,11 +135,11 @@ def as_detection_set(
     ``integrated`` holds for them.
     """
     cols = integrated.columns
-    ids = _resolve_universe([cols.ids[k] for k in cols.image.tolist()], image_universe)
+    ids, image = _resolve_universe([cols.ids[k] for k in cols.image.tolist()], image_universe)
     retagged = dataclasses.replace(
         cols,
         ids=ids,
-        image=cols.image_index(ids),
+        image=image,
         origin=np.full_like(cols.origin, source_code(source)),
         link=np.full_like(cols.link, -1),
     )

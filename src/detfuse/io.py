@@ -54,6 +54,7 @@ from .detections import (
     _image_index,
     _per_row,
     _record_columns,
+    _refuse,
     category_codes,
 )
 from .errors import (
@@ -120,12 +121,11 @@ class AnnotatedDataset:
         self, images: Iterable[AnnotatedImage], annotations: Iterable[GroundTruthAnnotation]
     ) -> None:
         images, objects = tuple(images), tuple(annotations)
-        raise_problems(_image_id_problems([a.image_id for a in objects]))
+        ids = [a.image_id for a in objects]
+        raise_problems(_image_id_problems(ids))
         image, xywh, key = _record_columns(objects, [im.image_id for im in images])
         self._fill(images, image, xywh, key, [a.mask_payload for a in objects])
-        if (image < 0).any():
-            unknown = objects[int(np.argmax(image < 0))].image_id
-            raise DanglingReference(f"annotation references unknown image {unknown!r}")
+        _refuse(image < 0, ids.__getitem__, DanglingReference, "annotation references unknown image {}")
         self.annotations = objects
 
     @classmethod
@@ -519,10 +519,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     rules.raise_first()
 
     image = _image_index(ids, [im.image_id for im in images])
-    unknown = np.flatnonzero(image < 0).tolist()
-    if unknown:
-        i = unknown[0]
-        raise DanglingReference(f"{path} annotations[{i}]: unknown image_id {shorten(ids[i])}")
+    _refuse(image < 0, ids.__getitem__, DanglingReference, "unknown image_id {}", f"{path} annotations")
     size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
     with np.errstate(over="ignore"):
         inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
@@ -604,14 +601,13 @@ def split_ids(ids: Sequence[ImageId], spec: SplitSpec) -> tuple[list, list, list
     return train, val, test
 
 
-def subset_dataset(ds: AnnotatedDataset, ids: Sequence[ImageId]) -> AnnotatedDataset:
+def subset_dataset(ds: AnnotatedDataset, ids: Iterable[ImageId]) -> AnnotatedDataset:
     """Restrict a dataset to ``ids``, in their order; an id not in it is :class:`MissingImage`."""
+    ids = list(ids)
     raise_problems(_image_id_problems(ids))
-    by_id = {im.image_id: im for im in ds.images}
-    unknown = [i for i in ids if i not in by_id]
-    if unknown:
-        raise MissingImage(f"image {shorten(unknown[0])} is not in the dataset")
-    images = tuple(by_id[i] for i in ids)
+    index = _image_index(ids, ds.image_ids())
+    _refuse(index < 0, ids.__getitem__, MissingImage, "image {} is not in the dataset")
+    images = tuple(map(ds.images.__getitem__, index.tolist()))
     image = _image_index(ds.image_ids(), ids)[ds.image]
     rows = image >= 0
     segmentation = compress(ds.segmentation, rows.tolist())

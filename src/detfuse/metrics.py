@@ -37,7 +37,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet
+from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet, _refuse
 from .errors import (
     AxisUnavailable,
     ConfigError,
@@ -292,12 +292,9 @@ def evaluate(
     """
     raise_problems(choice_problems("axis", axis, AXES))
     key_class = _KEY_CLASSES[axis, cfg.enumeration_product]
-    image_ids = tuple(ds.image_ids())
     cols = dets.columns
-    det_image = cols.image_index(image_ids)
-    if (det_image < 0).any():
-        unknown = cols.ids[cols.image[int(np.argmax(det_image < 0))]]
-        raise DanglingReference(f"detection references unknown image {unknown!r}")
+    det_image = cols.image_index(tuple(ds.image_ids()))
+    _refuse(det_image < 0, cols.image_id, DanglingReference, "detection references unknown image {}")
     present = np.flatnonzero(np.bincount(ds.key, minlength=CATEGORY_KEYS)).tolist()
     classes = sorted({key_class[k] for k in present} - {None})
     if not classes:

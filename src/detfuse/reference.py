@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .detections import DetectionSet
-from .errors import AxisUnavailable, DanglingReference
+from .errors import AxisUnavailable, DanglingReference, choice_problems, raise_problems, shorten
 from .io import AnnotatedDataset
-from .metrics import EvalConfig, EvaluationReport
+from .metrics import AXES, EvalConfig, EvaluationReport
 
 
 def _axis_key(category, axis: str, product: bool):
@@ -97,10 +97,11 @@ def naive_oracle_evaluate(
     cfg: EvalConfig = EvalConfig(),
 ) -> EvaluationReport:
     """Slow, loop-based twin of :func:`detfuse.metrics.evaluate`."""
+    raise_problems(choice_problems("axis", axis, AXES))
     known = set(ds.image_ids())
     for d in dets:
         if d.image_id not in known:
-            raise DanglingReference(f"detection references unknown image {d.image_id!r}")
+            raise DanglingReference(f"detection references unknown image {shorten(d.image_id)}")
 
     gt_groups: dict = {}
     gt_count: dict = {}

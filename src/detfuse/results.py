@@ -13,12 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .detections import (
-    Columns,
-    DetectionSet,
-    _image_index,
-    _resolve_universe,
-)
+from .detections import Columns, DetectionSet, _resolve_universe
 from .errors import InvalidScore, MalformedFile, shorten
 from .geometry import _ID_END, ImageId, source_code
 from .io import (
@@ -102,8 +97,7 @@ def parse_detections(
         )
     rules.raise_first()
 
-    universe = _resolve_universe(ids, image_universe)
-    image = _image_index(ids, universe)
+    universe, image = _resolve_universe(ids, image_universe)
     origin = np.full(n, code, np.int8)
     columns = Columns(universe, image, xywh, score, key, origin, link)
     return DetectionSet.from_columns(columns, source)

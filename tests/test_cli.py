@@ -8,7 +8,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from detfuse import __version__
+from detfuse import DetfuseError, __version__
 from detfuse.cli import main
 
 runner = CliRunner()
@@ -212,6 +212,37 @@ class TestBasics:
             assert message in lines[0]
             assert len(lines[0]) - len(str(dets)) <= 200
             assert not out.exists()
+
+    def test_unknown_long_image_id_is_one_short_error_line(self, tmp_path):
+        """A detection on an image the ground truth lacks names it in short."""
+        gt = tmp_path / "gt.json"
+        image = {"id": 1, "width": 5, "height": 5}
+        gt.write_text(json.dumps({"images": [image], "annotations": []}))
+        dets = tmp_path / "d.json"
+        record = {"image_id": "x" * 5000, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}
+        dets.write_text(json.dumps([record]))
+        result = invoke("evaluate", gt, dets)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: detection references image 'xxx")
+        assert "(5002 characters) outside the universe" in lines[0]
+        assert len(lines[0]) <= 200
+
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_every_command_maps_a_domain_error_to_one_line(self, monkeypatch, name):
+        """The command group, not each command, turns a domain error into exit 1."""
+        command = main.commands[name]
+
+        def fail():
+            raise DetfuseError(f"{name} failed")
+
+        monkeypatch.setattr(command, "params", [])
+        monkeypatch.setattr(command, "callback", fail)
+        result = invoke(name)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output == f"Error: {name} failed\n"
 
     def test_bad_crop_image_id_is_one_error_line(self, tmp_path):
         crop = {"crop_id": 0, "image_id": [1], "crop_bbox": [1, 2, 3, 4],

@@ -93,7 +93,7 @@ class TestAssignCrops:
             1, BoundingBox(0, 0, 5, 5), 0.9, CategoryTriple(disease="caries"), "enumeration-model"
         )
         with pytest.raises(ValueError):
-            assign_crops(DetectionSet([bare], "enumeration-model"), IMAGES)
+            assign_crops(DetectionSet([bare], "enumeration-model"), IMAGES, pad_fraction=0.1)
 
     def test_negative_padding_rejected(self):
         enums = DetectionSet([enum_det(0, 0, 10, 10)], "enumeration-model")

@@ -18,6 +18,7 @@ from detfuse import (
     DISEASES,
     AnnotatedDataset,
     AnnotatedImage,
+    AxisUnavailable,
     BoundingBox,
     CategoryTriple,
     ConfigError,
@@ -25,6 +26,7 @@ from detfuse import (
     CropClassification,
     CropSet,
     DanglingReference,
+    DetfuseError,
     Detection,
     DetectionSet,
     GroundTruthAnnotation,
@@ -37,6 +39,7 @@ from detfuse import (
     ScenePlan,
     SplitSpec,
     as_detection_set,
+    assign_crops,
     evaluate,
     generate_scene,
     integrate,
@@ -1226,6 +1229,68 @@ class TestUniverseRule:
         assert record_lines(part, tmp_path / "part.json") == written[0][1:] + written[1][:1]
 
 
+#: An image id of 5,000 characters.
+LONG_ID = "x" * 5000
+TOOTH = CategoryTriple(1, 1)
+ONE_IMAGE = AnnotatedDataset([AnnotatedImage(1, 5, 5)], [GroundTruthAnnotation(1, UNIT, CARIES)])
+
+
+def long_set(category, source="fused") -> DetectionSet:
+    """One row of ``category`` on the image ``LONG_ID``."""
+    return DetectionSet([Detection(LONG_ID, UNIT, 0.5, category, source)], source)
+
+
+def long_gt_file(tmp_path):
+    payload = gt_payload()
+    payload["annotations"][0]["image_id"] = LONG_ID
+    return parse_ground_truth(write_payload(tmp_path, payload))
+
+
+class TestOneRefusalRule:
+    """Every stage refuses a row outside its set, or without its axis, by one rule: the
+    error names the row's image id through ``shorten``. Before the rule seven of them
+    echoed the whole id, 5,000 characters of it here."""
+
+    @pytest.mark.parametrize(
+        "refuse,error",
+        [
+            (lambda tmp: DetectionSet(long_set(CARIES), "fused", [1]), DanglingReference),
+            (
+                lambda tmp: AnnotatedDataset(
+                    ONE_IMAGE.images, [GroundTruthAnnotation(LONG_ID, UNIT, CARIES)]
+                ),
+                DanglingReference,
+            ),
+            (long_gt_file, DanglingReference),
+            (lambda tmp: subset_dataset(ONE_IMAGE, [LONG_ID]), MissingImage),
+            (
+                lambda tmp: assign_crops(long_set(CARIES, "enumeration-model"), [], 0.1),
+                AxisUnavailable,
+            ),
+            (lambda tmp: assign_crops(long_set(TOOTH, "enumeration-model"), [], 0.1), MissingImage),
+            (lambda tmp: evaluate(ONE_IMAGE, long_set(CARIES)), DanglingReference),
+            (
+                lambda tmp: integrate(DetectionSet([], "enumeration-model"), long_set(TOOTH)),
+                AxisUnavailable,
+            ),
+            (
+                lambda tmp: merge_complementary(long_set(TOOTH), DetectionSet([], "complementary")),
+                AxisUnavailable,
+            ),
+        ],
+        ids=[
+            "universe", "dataset", "ground-truth-file", "subset", "crops-axis", "crops-image",
+            "evaluate", "integrate", "merge",
+        ],
+    )
+    def test_a_long_image_id_is_echoed_short(self, refuse, error, tmp_path):
+        with pytest.raises(DetfuseError) as raised:
+            refuse(tmp_path)
+        assert type(raised.value) is error
+        assert "... (5002 characters)" in str(raised.value)
+        assert len(str(raised.value)) <= 300
+
+
 def record_lines(dets: DetectionSet, path) -> list[str]:
     """The records that ``write_detections`` writes for ``dets``, one text each."""
     write_detections(dets, path)
@@ -1274,6 +1339,12 @@ class TestSplitting:
         assert sub.image_ids() == [2]
         assert len(sub.annotations) == 1
         assert sub.annotations[0].image_id == 2
+
+    def test_subset_reads_an_iterator_once(self, tiny_scene):
+        """Checking the ids must not use up an iterator before the images are picked."""
+        sub = subset_dataset(tiny_scene, iter([1, 2]))
+        assert sub.image_ids() == [1, 2]
+        assert sub == tiny_scene
 
 
 class TestAtomicWrites:

@@ -427,6 +427,27 @@ class TestOracleAgreement:
         assert report.per_class["impacted"] == pytest.approx((0.45, 0.9))
 
 
+    @pytest.mark.parametrize(
+        "image_id,axis,error",
+        [(1, "color", ConfigError), ("x" * 5000, "disease", DanglingReference)],
+        ids=["unknown-axis", "unknown-long-image"],
+    )
+    def test_oracle_refuses_as_evaluate_does(self, image_id, axis, error):
+        """The same error and message, the image id echoed in short."""
+        ds = AnnotatedDataset(
+            [AnnotatedImage(1, 50, 50)], [GroundTruthAnnotation(1, B(0, 0, 5, 5), CARIES)]
+        )
+        dets = DetectionSet([Detection(image_id, B(0, 0, 5, 5), 0.5, CARIES, "fused")], "fused")
+        messages = []
+        for evaluator in (evaluate, naive_oracle_evaluate):
+            with pytest.raises(error) as raised:
+                evaluator(ds, dets, axis)
+            assert type(raised.value) is error
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert len(messages[0]) <= 300
+
+
 def assert_agrees_with_oracle(ds, dets, axis, cfg):
     fast = evaluate(ds, dets, axis, cfg)
     slow = naive_oracle_evaluate(ds, dets, axis, cfg)

@@ -145,7 +145,7 @@ SETTINGS = [
     ("gate", lambda v: filter_enumeration(NO_TEETH, v), "[0, 1]", False, False),
     (
         "min_confidence",
-        lambda v: classifications_to_detections(assign_crops(NO_TEETH, TINY_SCENE.images), [], v),
+        lambda v: classifications_to_detections(assign_crops(NO_TEETH, TINY_SCENE.images, 0.1), [], v),
         "[0, 1]", False, False,
     ),
     ("counts['caries']", lambda v: BalancePlan(counts={"caries": v}), "[0, inf)", True, False),
