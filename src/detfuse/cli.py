@@ -16,6 +16,7 @@ import click
 
 from . import __version__
 from .complementary import (
+    _PAD_FRACTION,
     MergeConfig,
     assign_crops,
     audit_balance,
@@ -28,13 +29,7 @@ from .complementary import (
 )
 from .ensemble import EnsembleConfig, threshold_ensemble
 from .errors import DetfuseError
-from .integrate import (
-    UNMATCHED_POLICIES,
-    IntegrationConfig,
-    filter_enumeration,
-    integrate,
-    write_integrated,
-)
+from .integrate import UNMATCHED_POLICIES, IntegrationConfig, filter_enumeration, integrate, write_integrated
 from .io import (
     SplitSpec,
     _dump_json,
@@ -83,7 +78,9 @@ def main(verbose: bool) -> None:
 @click.argument("primary", type=click.Path(exists=True, dir_okay=False))
 @click.argument("secondary", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--tau", default=0.05, show_default=True, help="Score threshold splitting the streams.")
+@click.option(
+    "--tau", default=EnsembleConfig().tau, show_default=True, help="Score threshold splitting the streams."
+)
 @click.option("--primary-source", default="diagnosis-A", show_default=True)
 @click.option("--secondary-source", default="diagnosis-B", show_default=True)
 @click.option("--allow-union", is_flag=True, help="Permit differing image universes.")
@@ -101,11 +98,16 @@ def ensemble(primary, secondary, output, tau, primary_source, secondary_source, 
 @click.argument("enumeration", type=click.Path(exists=True, dir_okay=False))
 @click.argument("diagnosis", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--gate", default=0.7, show_default=True, help="Enumeration score gate (strict).")
+@click.option(
+    "--gate",
+    default=IntegrationConfig().enum_score_gate,
+    show_default=True,
+    help="Enumeration score gate (strict).",
+)
 @click.option("--max-distance", default=None, type=float, help="Optional center-distance bound.")
 @click.option(
     "--policy",
-    default=UNMATCHED_POLICIES[0],
+    default=IntegrationConfig().unmatched_policy,
     show_default=True,
     type=click.Choice(UNMATCHED_POLICIES),
 )
@@ -127,14 +129,13 @@ def integrate_cmd(enumeration, diagnosis, output, gate, max_distance, policy, di
 @click.argument("enumeration", type=click.Path(exists=True, dir_okay=False))
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--gate", default=0.7, show_default=True)
-@click.option("--pad", default=0.1, show_default=True, help="Padding per side as a box fraction.")
+@click.option("--gate", default=IntegrationConfig().enum_score_gate, show_default=True)
+@click.option("--pad", default=_PAD_FRACTION, show_default=True, help="Padding per side as a box fraction.")
 def crops(enumeration, gt_path, output, gate, pad):
     """Emit the crop manifest for the external patch classifier."""
-    cfg = IntegrationConfig(enum_score_gate=gate)
     ds = parse_ground_truth(gt_path)
     enums = parse_detections(enumeration, "enumeration-model", ds.image_ids())
-    gated = filter_enumeration(enums, cfg.enum_score_gate)
+    gated = filter_enumeration(enums, gate)
     manifest = assign_crops(gated, ds.images, pad)
     write_crop_manifest(manifest, output)
     click.echo(f"wrote {len(manifest)} crops -> {output}")
@@ -147,15 +148,15 @@ def crops(enumeration, gt_path, output, gate, pad):
 )
 @click.option("--integrated", "integrated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--min-confidence", default=0.5, show_default=True)
-@click.option("--overlap-iou", default=0.5, show_default=True)
+@click.option("--min-confidence", default=MergeConfig().min_confidence, show_default=True)
+@click.option("--overlap-iou", default=MergeConfig().overlap_iou, show_default=True)
 def complement(crops_path, classifications, integrated_path, output, min_confidence, overlap_iou):
     """Merge crop-classifier verdicts into an integrated detection file."""
     cfg = MergeConfig(overlap_iou=overlap_iou, min_confidence=min_confidence)
     manifest = read_crop_manifest(crops_path)
     verdicts = parse_crop_classifications(classifications)
     integrated = parse_detections(integrated_path, "fused")
-    comp = classifications_to_detections(manifest, verdicts, min_confidence)
+    comp = classifications_to_detections(manifest, verdicts, cfg.min_confidence)
     merged = merge_complementary(integrated, comp, cfg)
     write_integrated(merged, output)
     click.echo(
@@ -217,7 +218,7 @@ def balance(ground_truth, boost, audit_only, output):
     show_default=True,
 )
 @click.option("--source", default="fused", show_default=True, help="Source tag of the detections.")
-@click.option("--max-dets", default=100, show_default=True)
+@click.option("--max-dets", default=EvalConfig().max_dets, show_default=True)
 @click.option("--tooth-only", is_flag=True, help="Score enumeration as 8 tooth classes.")
 @click.option("--report-json", default=None, type=click.Path(dir_okay=False))
 @click.option("--pr-csv", default=None, type=click.Path(dir_okay=False))
@@ -315,7 +316,8 @@ def pipeline(config):
     cfg = load_pipeline_config(config)
     result = run_pipeline(cfg)
     click.echo(f"fused:      {len(result.fused)} detections")
-    click.echo(f"integrated: {len(result.integrated)} detections")
+    merged = "integrated:" if cfg.crop_classifications is None else "complementary:"
+    click.echo(f"{merged} {len(result.integrated)} detections")
     click.echo(f"final:      {len(result.final)} detections")
     for axis, report in result.reports.items():
         _echo_report(axis, report)

@@ -68,6 +68,8 @@ from .metrics import _iou_block
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
 _LABEL_CODE = {label: code for code, label in enumerate(CROP_LABELS)}
+#: The crop padding of the pipeline and ``crops --pad``; ``assign_crops`` takes it explicitly.
+_PAD_FRACTION = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,7 +271,7 @@ def oversample_plan(
 def classifications_to_detections(
     crops: CropSet,
     classifications: Iterable[CropClassification],
-    min_confidence: float = 0.5,
+    min_confidence: float = MergeConfig().min_confidence,
 ) -> DetectionSet:
     """Convert confident non-normal crop verdicts into detections.
 
@@ -283,7 +285,7 @@ def classifications_to_detections(
         DanglingCrop: the first classification that references a crop id
             outside the manifest, or a crop an earlier one classified.
     """
-    raise_problems(setting_problems("min_confidence", min_confidence, "[0, 1]"))
+    MergeConfig(min_confidence=min_confidence)  # checks its range
     verdicts = _verdicts(classifications)
     crop_id = verdicts.crop_id
     unknown = crop_id >= len(crops)

@@ -48,7 +48,7 @@ def _gate(enums: DetectionSet, gate: float) -> np.ndarray:
 
 def filter_enumeration(enums: DetectionSet, gate: float) -> DetectionSet:
     """Keep enumeration detections scoring strictly above ``gate``, order-stable."""
-    raise_problems(setting_problems("gate", gate, "[0, 1]"))
+    IntegrationConfig(enum_score_gate=gate)  # checks the gate's range
     return enums.take(_gate(enums, gate))
 
 

@@ -24,6 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Optional
 
 from .complementary import (
+    _PAD_FRACTION,
     MergeConfig,
     _pad_problems,
     assign_crops,
@@ -35,14 +36,7 @@ from .complementary import (
 from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
 from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, shorten
-from .integrate import (
-    KEEP_WITHOUT_ENUMERATION,
-    IntegrationConfig,
-    as_detection_set,
-    filter_enumeration,
-    integrate,
-    write_integrated,
-)
+from .integrate import IntegrationConfig, as_detection_set, filter_enumeration, integrate, write_integrated
 from .io import PathLike, _dump_json, parse_ground_truth
 from .metrics import AXES, EvalConfig, EvaluationReport, evaluate
 from .results import parse_detections, write_detections
@@ -66,9 +60,9 @@ class PipelineConfig:
     """Input paths plus the settings of every stage.
 
     Each stage config is built once, here, from the flat settings that
-    share its field names, and checks them itself. Every problem, theirs
-    and the checks below, is reported in one :class:`ConfigError` before
-    any stage runs.
+    share its field names, and checks them itself; their defaults are its.
+    Every problem, theirs and the checks below, is reported in one
+    :class:`ConfigError` before any stage runs. Empty ``axes`` evaluate nothing.
     """
 
     ground_truth: str
@@ -77,14 +71,14 @@ class PipelineConfig:
     out_dir: str
     diagnosis_b: Optional[str] = None
     crop_classifications: Optional[str] = None
-    tau: float = 0.05
-    enum_score_gate: float = 0.7
-    max_match_distance: Optional[float] = None
-    unmatched_policy: str = KEEP_WITHOUT_ENUMERATION
-    pad_fraction: float = 0.1
-    min_confidence: float = 0.5
-    overlap_iou: float = 0.5
-    max_dets: int = 100
+    tau: float = EnsembleConfig().tau
+    enum_score_gate: float = IntegrationConfig().enum_score_gate
+    max_match_distance: Optional[float] = IntegrationConfig().max_match_distance
+    unmatched_policy: str = IntegrationConfig().unmatched_policy
+    pad_fraction: float = _PAD_FRACTION
+    min_confidence: float = MergeConfig().min_confidence
+    overlap_iou: float = MergeConfig().overlap_iou
+    max_dets: int = EvalConfig().max_dets
     axes: tuple[str, ...] = ("disease",)
     ensemble: EnsembleConfig = field(init=False, repr=False, compare=False)
     integration: IntegrationConfig = field(init=False, repr=False, compare=False)
@@ -108,8 +102,6 @@ class PipelineConfig:
         problems += _pad_problems(self.pad_fraction)
         if not isinstance(self.axes, (list, tuple)):
             problems.append(f"axes must be a list of axis names, got {shorten(self.axes)}")
-        elif not self.axes:
-            problems.append("axes must not be empty")
         else:
             object.__setattr__(self, "axes", tuple(self.axes))
             for axis in self.axes:

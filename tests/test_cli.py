@@ -4,14 +4,27 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from detfuse import DetfuseError, __version__
+from detfuse import (
+    DetfuseError,
+    EnsembleConfig,
+    EvalConfig,
+    IntegrationConfig,
+    MergeConfig,
+    PipelineConfig,
+    __version__,
+)
 from detfuse.cli import main
+from detfuse.complementary import _PAD_FRACTION
 
 runner = CliRunner()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(*args):
@@ -502,20 +515,35 @@ class TestBalanceAndSplit:
 
 
 class TestPipelineCommand:
-    def test_config_run_matches_stepwise_ensemble(self, corpus, tmp_path):
-        out_dir = tmp_path / "run"
+    def _config(self, corpus, tmp_path, **settings):
+        """A config file running the corpus streams into ``tmp_path / "run"``."""
         config = {
             "schema_version": 1,
             "ground_truth": str(corpus / "gt.json"),
             "enumeration": str(corpus / "enumeration-model.json"),
             "diagnosis_a": str(corpus / "diagnosis-A.json"),
             "diagnosis_b": str(corpus / "diagnosis-B.json"),
-            "out_dir": str(out_dir),
-            "axes": ["disease", "agnostic"],
+            "out_dir": str(tmp_path / "run"),
+            **settings,
         }
-        cfg_path = tmp_path / "pipeline.json"
-        cfg_path.write_text(json.dumps(config))
-        result = ok("pipeline", cfg_path)
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def _verdicts(self, corpus, tmp_path):
+        """A caries verdict at confidence 0.9 on every crop of the corpus."""
+        manifest = tmp_path / "crops.json"
+        ok("crops", corpus / "enumeration-model.json", "--gt", corpus / "gt.json", "-o", manifest)
+        verdicts = tmp_path / "verdicts.json"
+        verdicts.write_text(json.dumps([
+            {"crop_id": r["crop_id"], "label": "caries", "confidence": 0.9}
+            for r in json.loads(manifest.read_text())
+        ]))
+        return str(verdicts)
+
+    def test_config_run_matches_stepwise_ensemble(self, corpus, tmp_path):
+        out_dir = tmp_path / "run"
+        result = ok("pipeline", self._config(corpus, tmp_path, axes=["disease", "agnostic"]))
         assert "fused:" in result.output
         assert "axis=disease mAP=" in result.output
         assert f"artifacts in {out_dir}" in result.output
@@ -543,3 +571,86 @@ class TestPipelineCommand:
         result = invoke("pipeline", cfg_path)
         assert result.exit_code == 1
         assert "load" in result.output
+
+    def test_merged_count_is_labelled_by_its_stage(self, corpus, tmp_path):
+        """The middle count is 02's rows without the crop stage and 03's rows with it."""
+        run = tmp_path / "run"
+        result = ok("pipeline", self._config(corpus, tmp_path))
+        rows = len(json.loads((run / "02_integrated.json").read_text()))
+        assert f"integrated: {rows} detections" in result.output
+        assert "complementary:" not in result.output
+
+        verdicts = self._verdicts(corpus, tmp_path)
+        result = ok("pipeline", self._config(corpus, tmp_path, crop_classifications=verdicts))
+        rows = len(json.loads((run / "03_complementary.json").read_text()))
+        assert rows > len(json.loads((run / "02_integrated.json").read_text()))
+        assert f"complementary: {rows} detections" in result.output
+        assert "integrated:" not in result.output
+
+    def test_images_only_run_with_no_axes(self, corpus, tmp_path):
+        """Ground truth without annotations runs every stage and evaluates nothing."""
+        gt = json.loads((corpus / "gt.json").read_text())
+        gt["annotations"] = []
+        images_only = tmp_path / "images.json"
+        images_only.write_text(json.dumps(gt))
+        verdicts = self._verdicts(corpus, tmp_path)
+        config = self._config(
+            corpus, tmp_path, ground_truth=str(images_only), crop_classifications=verdicts, axes=[]
+        )
+        result = ok("pipeline", config)
+        assert sorted(os.listdir(tmp_path / "run")) == [
+            "01_fused.json",
+            "02_integrated.json",
+            "03_complementary.json",
+            "04_final.json",
+            "crops_manifest.json",
+        ]
+        assert "axis=" not in result.output
+
+    def test_readme_quick_start_runs_the_shipped_config(self, tmp_path):
+        config = tmp_path / "pipeline.example.json"
+        shutil.copy(ROOT / "configs" / "pipeline.example.json", config)
+        ok(
+            "synth",
+            "--out-dir", tmp_path / "data",
+            "--images", 20,
+            "--seed", 42,
+            "--simulate", "enumeration-model=perfect",
+            "--simulate", "diagnosis-A=diffusiondet-like",
+            "--simulate", "diagnosis-B=dino-like",
+        )
+        result = ok("pipeline", config)
+        assert "axis=agnostic mAP=" in result.output
+        assert f"artifacts in {tmp_path / 'data' / 'out'}" in result.output
+
+
+def test_every_default_is_its_stage_configs():
+    """Each CLI option and flat pipeline setting defaults to the value of the stage setting it sets."""
+    flat = {f.name: f.default for f in fields(PipelineConfig) if f.init}
+    homes = {
+        ("ensemble", "tau"): EnsembleConfig().tau,
+        ("integrate", "gate"): IntegrationConfig().enum_score_gate,
+        ("integrate", "policy"): IntegrationConfig().unmatched_policy,
+        ("crops", "gate"): IntegrationConfig().enum_score_gate,
+        ("crops", "pad"): _PAD_FRACTION,
+        ("complement", "min_confidence"): MergeConfig().min_confidence,
+        ("complement", "overlap_iou"): MergeConfig().overlap_iou,
+        ("evaluate", "max_dets"): EvalConfig().max_dets,
+    }
+    for (command, option), default in homes.items():
+        params = {p.name: p.default for p in main.commands[command].params}
+        assert params[option] == default, (command, option)
+
+    stage = {
+        f.name: f.default
+        for cls in (EnsembleConfig, IntegrationConfig, MergeConfig, EvalConfig)
+        for f in fields(cls)
+    }
+    shared = flat.keys() & stage.keys()
+    assert shared == {
+        "tau", "enum_score_gate", "max_match_distance", "unmatched_policy",
+        "min_confidence", "overlap_iou", "max_dets",
+    }
+    for name in shared:
+        assert flat[name] == stage[name], name
+    assert flat["pad_fraction"] == _PAD_FRACTION

@@ -142,7 +142,7 @@ SETTINGS = [
         lambda v: simulate_detector(TINY_SCENE, PERFECT, "diagnosis-A", seed=v),
         "[0, inf)", True, False,
     ),
-    ("gate", lambda v: filter_enumeration(NO_TEETH, v), "[0, 1]", False, False),
+    ("enum_score_gate", lambda v: filter_enumeration(NO_TEETH, v), "[0, 1]", False, False),
     (
         "min_confidence",
         lambda v: classifications_to_detections(assign_crops(NO_TEETH, TINY_SCENE.images, 0.1), [], v),
