@@ -246,9 +246,9 @@ def evaluate_cmd(
 
 @main.command()
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--images", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--missing-rate", default=0.0, show_default=True)
+@click.option("--images", default=ScenePlan().num_images, show_default=True)
+@click.option("--seed", default=ScenePlan().seed, show_default=True)
+@click.option("--missing-rate", default=ScenePlan().missing_rate, show_default=True)
 @click.option(
     "--disease-prior",
     default="caries=0.1,deep-caries=0.08,impacted=0.07,periapical-lesion=0.05",
@@ -293,7 +293,7 @@ def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
 @click.option("--train", required=True, type=int)
 @click.option("--val", required=True, type=int)
 @click.option("--test", required=True, type=int)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=SplitSpec(0, 0, 0).seed, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--write-datasets", is_flag=True, help="Also write per-split annotation files.")
 def split(ground_truth, train, val, test, seed, out_dir, write_datasets):

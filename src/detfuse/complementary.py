@@ -56,10 +56,11 @@ from .io import (
     _dump_json,
     _field,
     _FirstBreak,
+    _id_column,
     _image_ids,
     _load_json,
-    _numbers,
     _records,
+    _unit_numbers,
     _write_lines,
 )
 from .integrate import as_detection_set
@@ -364,34 +365,27 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     """Read a crop manifest, checked a field at a time by the rules of detection files.
 
     The error raised is that of the first bad record, for the first rule it
-    breaks in this order: a record object, ``crop_id`` equal to its index,
-    ``image_id``, ``crop_bbox``, ``source_bbox``, the tooth codes
-    ``category_id_1`` and ``category_id_2`` (``InvalidCategory``), and
-    ``enum_score`` in [0, 1]. The rows cover the images of the crops.
+    breaks in this order: a record object, an ``int64`` ``crop_id`` that
+    equals its index, ``image_id``, ``crop_bbox``, ``source_bbox``, the
+    tooth codes ``category_id_1`` and ``category_id_2``
+    (``InvalidCategory``), and ``enum_score`` in [0, 1]. A bad number is
+    named as :func:`setting_problems` names it. The rows cover the images
+    of the crops.
     """
     data = _load_json(path, "crop manifest")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "crop", rules)
-    crop_ids = _field(records, "crop_id", None)
-    rules.note(
-        np.array([type(v) is not int or v != i for i, v in enumerate(crop_ids)], bool),
-        MalformedFile,
-        lambda i: "crop ids must be dense and ordered",
-    )
+    n = len(records)
+    crop_ids = _id_column(records, "crop_id", rules)
+    rules.note(crop_ids != np.arange(n), MalformedFile, lambda i: "crop ids must be dense and ordered")
     ids = _image_ids(records, "image_id", rules)
     crop = _boxes(records, "crop_bbox", rules)
     source = _boxes(records, "source_bbox", rules)
-    required = np.ones(len(records), bool)
+    required = np.ones(n, bool)
     quadrant = _code_column(records, "category_id_1", 4, required, rules)
     tooth = _code_column(records, "category_id_2", 8, required, rules)
-    score = _numbers(_field(records, "enum_score"))[0]
-    rules.note(
-        ~((score >= 0) & (score <= 1)),
-        MalformedFile,
-        lambda i: f"enum_score must be in [0, 1], got {shorten(records[i].get('enum_score'))}",
-    )
+    score = _unit_numbers(records, "enum_score", MalformedFile, rules)
     rules.raise_first()
-    n = len(records)
     universe, image = _resolve_universe(ids, None)
     key = _category_key(quadrant, tooth, np.full(n, -1, np.int8))
     origin = np.full(n, source_code("enumeration-model"), np.int8)
@@ -405,28 +399,18 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
 
     A :class:`MalformedFile` names the first bad record and the first rule it
     breaks: a record object, an ``int64`` ``crop_id`` >= 0, a known label, a
-    confidence in [0, 1].
+    confidence in [0, 1]. A bad number is named as :func:`setting_problems` names it.
     """
     data = _load_json(path, "classifications")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "classification", rules)
-    crop_ids = _field(records, "crop_id", None)
-    rules.note(
-        np.array([type(v) is not int or not 0 <= v < _ID_END for v in crop_ids], bool),
-        MalformedFile,
-        lambda i: f"crop_id must be an integer in {_ID_RANGE}, got {shorten(crop_ids[i])}",
-    )
+    crop_id = _id_column(records, "crop_id", rules)
     labels = _field(records, "label", None)
     label = np.array([_LABEL_CODE.get(v, -1) if type(v) is str else -1 for v in labels], np.int8)
     rules.note(label < 0, MalformedFile, lambda i: f"unknown label {shorten(labels[i])}")
-    confidence = _numbers(_field(records, "confidence"))[0]
-    rules.note(
-        ~((confidence >= 0) & (confidence <= 1)),
-        MalformedFile,
-        lambda i: f"confidence must be a number in [0, 1], got {shorten(records[i].get('confidence'))}",
-    )
+    confidence = _unit_numbers(records, "confidence", MalformedFile, rules)
     rules.raise_first()
-    return CropVerdicts(np.array(crop_ids, np.int64), label, confidence)
+    return CropVerdicts(crop_id, label, confidence)
 
 
 def write_crop_classifications(items: Iterable[CropClassification], path: PathLike) -> None:

@@ -69,7 +69,8 @@ from .errors import (
     shorten,
 )
 from .geometry import (
-    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _image_id_problems
+    _FAST, _FLOAT_MAX, _ID_END, _ID_RANGE, _ID_TYPES, BoundingBox, CategoryTriple, ImageId,
+    _image_id_problems,
 )
 
 logger = logging.getLogger(__name__)
@@ -412,6 +413,45 @@ def _code_column(
         lambda i: f"{key!r} out of range 0..{upper - 1}, got {shorten(records[i][key])}",
     )
     return np.fromiter((v if ok else -1 for v, ok in zip(values, in_range)), np.int8, len(values))
+
+
+def _unit_numbers(records: list, key: str, error: type, rules: _FirstBreak) -> np.ndarray:
+    """The number in [0, 1] of the field ``key`` of each record, as ``float64``.
+
+    A value that is no number is :class:`MalformedFile`; a number outside
+    [0, 1] is ``error``, named as :func:`setting_problems` names it.
+    """
+    values, mistyped = _numbers(_field(records, key))
+    rules.note(
+        mistyped, MalformedFile, lambda i: f"{key} must be a number, got {shorten(records[i].get(key))}"
+    )
+    rules.note(
+        ~((values >= 0.0) & (values <= 1.0)),  # NaN fails both
+        error,
+        lambda i: setting_problems(key, records[i][key], "[0, 1]")[0],
+    )
+    return values
+
+
+def _id_column(records: list, key: str, rules: _FirstBreak, optional: bool = False) -> np.ndarray:
+    """The ``int64`` id field ``key`` of each record, -1 where it is absent or null.
+
+    An id is an integer in [0, 2**63), else :class:`MalformedFile`, named as
+    :func:`setting_problems` names it; with ``optional`` it may be absent.
+    """
+    values = _field(records, key, None)
+    kinds = set(map(type, values))
+    if optional and kinds <= {type(None)}:
+        return np.full(len(values), -1, np.int64)
+    if kinds <= {int} and 0 <= min(values, default=0) and max(values, default=0) < _ID_END:
+        return np.array(values, np.int64)
+    ok = [type(v) is int and 0 <= v < _ID_END for v in values]
+    rules.note(
+        np.array([not (good or optional and v is None) for v, good in zip(values, ok)], bool),
+        MalformedFile,
+        lambda i: setting_problems(key, values[i], _ID_RANGE, integer=True, optional=optional)[0],
+    )
+    return np.fromiter((v if good else -1 for v, good in zip(values, ok)), np.int64, len(values))
 
 
 def _decode_bare(

@@ -63,6 +63,7 @@ class PipelineConfig:
     share its field names, and checks them itself; their defaults are its.
     Every problem, theirs and the checks below, is reported in one
     :class:`ConfigError` before any stage runs. Empty ``axes`` evaluate nothing.
+    A path that is set is a non-empty string; an input path names an existing file.
     """
 
     ground_truth: str
@@ -108,12 +109,12 @@ class PipelineConfig:
                 problems += choice_problems("axis", axis, AXES)
         for key in _PATH_KEYS:
             path = getattr(self, key)
-            if path is not None and not isinstance(path, str):
+            if path is None:
+                problems += [f"{key} path is required"] if key in _REQUIRED_KEYS else []
+            elif not (isinstance(path, str) and path):
                 problems.append(f"{key} must be a path string, got {shorten(path)}")
-            elif key in _REQUIRED_KEYS and not path:
-                problems.append(f"{key} path is required")
-            elif path and key in _INPUT_KEYS and not os.path.isfile(path):
-                problems.append(f"{key} file not found: {path}")
+            elif key in _INPUT_KEYS and not os.path.isfile(path):
+                problems.append(f"{key} file not found: {shorten(path)}")
         raise_problems(problems)
 
 

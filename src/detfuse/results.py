@@ -14,19 +14,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .detections import Columns, DetectionSet, _resolve_universe
-from .errors import InvalidScore, MalformedFile, shorten
-from .geometry import _ID_END, ImageId, source_code
+from .errors import InvalidScore
+from .geometry import ImageId, source_code
 from .io import (
     PathLike,
     _boxes,
     _categories,
-    _field,
     _FirstBreak,
+    _id_column,
     _image_ids,
     _KEY_TEXT,
     _load_json,
-    _numbers,
     _records,
+    _unit_numbers,
     _write_lines,
 )
 
@@ -41,7 +41,7 @@ def parse_detections(
 ) -> DetectionSet:
     """Parse a COCO results array into a :class:`DetectionSet`.
 
-    An optional ``matched_enum_id`` (a non-negative integer) is kept on
+    An optional ``matched_enum_id`` (an integer in [0, 2**63)) is kept on
     the detection, so integrated files are read here too.
 
     ``image_universe`` widens the covered id set beyond the images that
@@ -62,39 +62,9 @@ def parse_detections(
     records = _records(data, "detection", rules)
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
-
-    score, mistyped = _numbers(_field(records, "score"))
-    rules.note(
-        mistyped,
-        MalformedFile,
-        lambda i: f"score must be a number, got {shorten(records[i].get('score'))}",
-    )
-    rules.note(
-        ~((score >= 0.0) & (score <= 1.0)),  # NaN fails both
-        InvalidScore,
-        lambda i: f"score {shorten(records[i]['score'])} outside [0, 1]",
-    )
-
+    score = _unit_numbers(records, "score", InvalidScore, rules)
     key = _categories(records, _BARE_MODES.get(source), rules)
-
-    links = _field(records, "matched_enum_id", None)
-    if set(map(type, links)) <= {type(None)}:
-        link = np.full(n, -1, np.int64)
-    else:
-        bad = np.array(
-            [v is not None and not (type(v) is int and 0 <= v < _ID_END) for v in links], bool
-        )
-        rules.note(
-            bad,
-            MalformedFile,
-            lambda i: (
-                "matched_enum_id must be a non-negative integer, "
-                f"got {shorten(records[i]['matched_enum_id'])}"
-            ),
-        )
-        link = np.fromiter(
-            (-1 if v is None or b else v for v, b in zip(links, bad)), np.int64, n
-        )
+    link = _id_column(records, "matched_enum_id", rules, optional=True)
     rules.raise_first()
 
     universe, image = _resolve_universe(ids, image_universe)

@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class DetectorProfile:
     tp_score_std: float = 0.0
     fp_score_mean: float = 0.5
     fp_score_std: float = 0.0
-    det_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
         raise_problems(
@@ -88,7 +87,6 @@ class DetectorProfile:
             + setting_problems("tp_score_std", self.tp_score_std, "[0, inf)")
             + setting_problems("fp_score_mean", self.fp_score_mean, "[0, 1]")
             + setting_problems("fp_score_std", self.fp_score_std, "[0, inf)")
-            + setting_problems("det_cap", self.det_cap, "[1, inf)", integer=True, optional=True)
         )
 
 
@@ -195,7 +193,6 @@ def simulate_detector(
     detections = []
     for index, img in enumerate(ds.images):
         rng = np.random.default_rng([seed, salt, index])
-        image_dets = []
         for ann in by_image[img.image_id]:
             cat = ann.category
             if enumeration_task:
@@ -210,7 +207,7 @@ def simulate_detector(
                 continue
             box = _jitter_box(rng, ann.box, profile.localization_noise, img.width, img.height)
             score = _clamped_normal(rng, profile.tp_score_mean, profile.tp_score_std)
-            image_dets.append(Detection(img.image_id, box, score, out_cat, source))
+            detections.append(Detection(img.image_id, box, score, out_cat, source))
         n_fp = int(rng.poisson(profile.fp_per_image))
         for _ in range(n_fp):
             w = float(rng.uniform(0.04, 0.09)) * img.width
@@ -224,11 +221,7 @@ def simulate_detector(
             else:
                 cat = CategoryTriple(disease=DISEASES[int(rng.integers(0, len(DISEASES)))])
             score = _clamped_normal(rng, profile.fp_score_mean, profile.fp_score_std)
-            image_dets.append(Detection(img.image_id, BoundingBox(x, y, w, h), score, cat, source))
-        if profile.det_cap is not None and len(image_dets) > profile.det_cap:
-            order = sorted(range(len(image_dets)), key=lambda k: (-image_dets[k].score, k))
-            image_dets = [image_dets[k] for k in sorted(order[: profile.det_cap])]
-        detections.extend(image_dets)
+            detections.append(Detection(img.image_id, BoundingBox(x, y, w, h), score, cat, source))
     return DetectionSet(detections, source, ds.image_ids())
 
 

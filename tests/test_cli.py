@@ -18,6 +18,8 @@ from detfuse import (
     IntegrationConfig,
     MergeConfig,
     PipelineConfig,
+    ScenePlan,
+    SplitSpec,
     __version__,
 )
 from detfuse.cli import main
@@ -130,7 +132,7 @@ class TestBasics:
                  "--simulate", {"recall": "high"}],
                 "recall",
             ),
-            (["synth", "--out-dir", "OUT", "--simulate", {"det_cap": 1.5}], "det_cap"),
+            (["synth", "--out-dir", "OUT", "--simulate", {"localization_noise": 1}], "localization_noise"),
             (["synth", "--out-dir", "OUT", "--simulate", {"fp_per_image": float("nan")}], "fp_per_image"),
             (["synth", "--out-dir", "OUT", "--simulate", {"fp_per_image": 10**400}], "fp_per_image"),
             (["synth", "--out-dir", "OUT", "--disease-prior", "caries=nan"], "disease_prior['caries']"),
@@ -625,7 +627,7 @@ class TestPipelineCommand:
 
 
 def test_every_default_is_its_stage_configs():
-    """Each CLI option and flat pipeline setting defaults to the value of the stage setting it sets."""
+    """Each CLI option and flat pipeline setting defaults to the value of the setting it sets."""
     flat = {f.name: f.default for f in fields(PipelineConfig) if f.init}
     homes = {
         ("ensemble", "tau"): EnsembleConfig().tau,
@@ -636,6 +638,10 @@ def test_every_default_is_its_stage_configs():
         ("complement", "min_confidence"): MergeConfig().min_confidence,
         ("complement", "overlap_iou"): MergeConfig().overlap_iou,
         ("evaluate", "max_dets"): EvalConfig().max_dets,
+        ("synth", "images"): ScenePlan().num_images,
+        ("synth", "seed"): ScenePlan().seed,
+        ("synth", "missing_rate"): ScenePlan().missing_rate,
+        ("split", "seed"): {f.name: f.default for f in fields(SplitSpec)}["seed"],
     }
     for (command, option), default in homes.items():
         params = {p.name: p.default for p in main.commands[command].params}

@@ -364,6 +364,8 @@ class TestPipelineConfig:
             ("pad_fraction", float("inf")),
             pytest.param("pad_fraction", 10**400, id="pad_fraction-too-large-for-a-float"),
             ("ground_truth", None),
+            ("crop_classifications", ""),
+            ("diagnosis_b", ""),
         ],
     )
     def test_bad_setting_fails_before_anything_is_written(self, tmp_path, key, value):

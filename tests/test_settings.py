@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -30,6 +31,8 @@ from detfuse import (
     EvalConfig,
     GroundTruthAnnotation,
     IntegrationConfig,
+    InvalidScore,
+    MalformedFile,
     MergeConfig,
     PipelineConfig,
     ScenePlan,
@@ -41,6 +44,9 @@ from detfuse import (
     generate_scene,
     load_profile,
     oversample_plan,
+    parse_crop_classifications,
+    parse_detections,
+    read_crop_manifest,
     simulate_detector,
     subset_dataset,
     threshold_ensemble,
@@ -127,7 +133,7 @@ SETTINGS = [
     ("tp_score_std", field(DetectorProfile, "tp_score_std", name="p"), "[0, inf)", False, False),
     ("fp_score_mean", field(DetectorProfile, "fp_score_mean", name="p"), "[0, 1]", False, False),
     ("fp_score_std", field(DetectorProfile, "fp_score_std", name="p"), "[0, inf)", False, False),
-    ("det_cap", field(DetectorProfile, "det_cap", name="p"), "[1, inf)", True, True),
+    ("overlap_iou", lambda v: pipeline(overlap_iou=v), "[0, 1]", False, False),
     ("train_count", field(SplitSpec, "train_count", **SPLIT), "[0, inf)", True, False),
     ("val_count", field(SplitSpec, "val_count", **SPLIT), "[0, inf)", True, False),
     ("test_count", field(SplitSpec, "test_count", **SPLIT), "[0, inf)", True, False),
@@ -365,6 +371,65 @@ def test_value_types_follow_the_number_rule(name, build, bounds, integer, option
             build(value)
     else:
         build(value)
+
+
+def parse_fused(path):
+    return parse_detections(path, "fused")
+
+
+DETECTIONS = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id_3": 0}] * 2
+CROPS = [
+    {"crop_id": i, "image_id": 1, "crop_bbox": [0, 0, 1, 1], "source_bbox": [0, 0, 1, 1],
+     "category_id_1": 0, "category_id_2": 1, "enum_score": 0.5}
+    for i in (0, 1)
+]
+VERDICTS = [{"crop_id": i, "label": "caries", "confidence": 0.5} for i in (0, 1)]
+
+#: (name, read the file, its two good records, error, bounds, integer, optional, build the
+#: value type with the value or None): the number fields of the record files.
+RECORD_FIELDS = [
+    (
+        "score", parse_fused, DETECTIONS, InvalidScore, "[0, 1]", False, False,
+        lambda v: Detection(1, BoundingBox(0, 0, 1, 1), v, CategoryTriple(disease="caries"), "fused"),
+    ),
+    (
+        "matched_enum_id", parse_fused, DETECTIONS, MalformedFile, _ID_RANGE, True, True,
+        lambda v: Detection(1, BoundingBox(0, 0, 1, 1), 0.5, CategoryTriple(1, 2), "fused", v),
+    ),
+    ("enum_score", read_crop_manifest, CROPS, MalformedFile, "[0, 1]", False, False, None),
+    ("crop_id", read_crop_manifest, CROPS, MalformedFile, _ID_RANGE, True, False, None),
+    (
+        "confidence", parse_crop_classifications, VERDICTS, MalformedFile, "[0, 1]", False, False,
+        lambda v: CropClassification(0, "caries", v),
+    ),
+    (
+        "crop_id", parse_crop_classifications, VERDICTS, MalformedFile, _ID_RANGE, True, False,
+        lambda v: CropClassification(v, "caries", 0.5),
+    ),
+]
+#: Each record field with the values it is checked on: 1.5 for a number in [0, 1], -1 and 1.5 for an id.
+RECORD_CASES = [
+    pytest.param(*row, value, id=f"{row[0]}-{row[1].__name__}-{value}")
+    for row in RECORD_FIELDS
+    for value in ((-1, 1.5) if row[5] else (1.5,))
+]
+
+
+@pytest.mark.parametrize("name,read,records,error,bounds,integer,optional,build,value", RECORD_CASES)
+def test_a_file_names_a_bad_number_as_memory_does(
+    tmp_path, name, read, records, error, bounds, integer, optional, build, value
+):
+    """A record file names a bad number in the words of the settings rule, as the value type does."""
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([records[0], {**records[1], name: value}]))
+    with pytest.raises(error) as exc_info:
+        read(path)
+    named = str(exc_info.value).partition("[1]: ")[2]
+    assert named == setting_problems(name, value, bounds, integer=integer, optional=optional)[0]
+    if build is not None:
+        with pytest.raises(ConfigError) as exc_info:
+            build(value)
+        assert str(exc_info.value) == named
 
 
 def one_image(v) -> tuple[AnnotatedImage]:

@@ -189,28 +189,6 @@ class TestSimulateDetector:
         assert len(dets) == 0
         assert dets.image_universe == frozenset(self.ds.image_ids())
 
-    def test_det_cap_keeps_top_scores_in_input_order(self):
-        base = dict(
-            recall=0.9,
-            fp_per_image=12.0,
-            localization_noise=0.02,
-            tp_score_mean=0.7,
-            tp_score_std=0.2,
-            fp_score_mean=0.4,
-            fp_score_std=0.2,
-        )
-        free = simulate_detector(self.ds, DetectorProfile("cap", **base), "diagnosis-A", 8)
-        capped = simulate_detector(
-            self.ds, DetectorProfile("cap", **base, det_cap=5), "diagnosis-A", 8
-        )
-        for img in self.ds.images:
-            all_dets = [d for d in free if d.image_id == img.image_id]
-            kept = [d for d in capped if d.image_id == img.image_id]
-            assert len(kept) <= 5
-            order = sorted(range(len(all_dets)), key=lambda k: (-all_dets[k].score, k))
-            expected = [all_dets[k] for k in sorted(order[:5])]
-            assert kept == expected
-
     def test_unknown_source_rejected(self):
         with pytest.raises(ConfigError):
             simulate_detector(self.ds, load_profile("perfect"), "fused")
@@ -236,11 +214,13 @@ class TestProfiles:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps({"name": "custom", "recall": 0.5, "det_cap": 10}))
+        path.write_text(json.dumps({"name": "custom", "recall": 0.5}))
         p = load_profile(path)
         assert p.name == "custom"
         assert p.recall == 0.5
-        assert p.det_cap == 10
+        path.write_text(json.dumps({"name": "custom", "recall": 0.5, "det_cap": 10}))
+        with pytest.raises(ConfigError, match=r"unknown profile fields: \['det_cap'\]"):
+            load_profile(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -284,13 +264,13 @@ class TestProfiles:
             {"localization_noise": 0.6},
             {"tp_score_mean": 1.5},
             {"fp_score_std": -0.5},
-            {"det_cap": 0},
+            {"fp_score_mean": -0.5},
             {"recall": "high"},
             {"recall": True},
-            {"det_cap": 1.5},
+            {"localization_noise": "0.1"},
             {"fp_per_image": float("nan")},
             {"tp_score_std": float("inf")},
-            {"recall": 2, "det_cap": 0},
+            {"recall": 2, "fp_per_image": -1},
         ],
     )
     def test_profile_validation(self, kwargs):
