@@ -50,6 +50,7 @@ from .io import (
     AnnotatedDataset,
     AnnotatedImage,
     PathLike,
+    _bounded_numbers,
     _boxes,
     _clip,
     _code_column,
@@ -60,7 +61,6 @@ from .io import (
     _image_ids,
     _load_json,
     _records,
-    _unit_numbers,
     _write_lines,
 )
 from .integrate import as_detection_set
@@ -384,7 +384,7 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     required = np.ones(n, bool)
     quadrant = _code_column(records, "category_id_1", 4, required, rules)
     tooth = _code_column(records, "category_id_2", 8, required, rules)
-    score = _unit_numbers(records, "enum_score", MalformedFile, rules)
+    score = _bounded_numbers(records, "enum_score", "[0, 1]", MalformedFile, rules)
     rules.raise_first()
     universe, image = _resolve_universe(ids, None)
     key = _category_key(quadrant, tooth, np.full(n, -1, np.int8))
@@ -408,7 +408,7 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
     labels = _field(records, "label", None)
     label = np.array([_LABEL_CODE.get(v, -1) if type(v) is str else -1 for v in labels], np.int8)
     rules.note(label < 0, MalformedFile, lambda i: f"unknown label {shorten(labels[i])}")
-    confidence = _unit_numbers(records, "confidence", MalformedFile, rules)
+    confidence = _bounded_numbers(records, "confidence", "[0, 1]", MalformedFile, rules)
     rules.raise_first()
     return CropVerdicts(crop_id, label, confidence)
 

@@ -60,6 +60,12 @@ def shorten(value) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
+def _within(x, bounds: str):
+    """Whether the number ``x``, or each number of an array ``x``, lies in ``bounds``; NaN does not."""
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    return (low < x if bounds[0] == "(" else low <= x) & (x < high if bounds[-1] == ")" else x <= high)
+
+
 def setting_problems(name: str, value, bounds: str, *, integer=False, optional=False) -> list[str]:
     """The problem with the setting ``name``, if any, as a list of at most one message.
 
@@ -70,17 +76,11 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
     """
     if optional and value is None:
         return []
-    low, high = (float(end) for end in bounds[1:-1].split(","))
     kinds = numbers.Integral if integer else numbers.Real
     number = isinstance(value, kinds) and not isinstance(value, bool)
     # A float of another width, such as numpy's float32, is compared as a Python float.
     x = float(value) if number and not isinstance(value, numbers.Rational) else value
-    if (
-        number
-        and (integer or -sys.float_info.max <= x <= sys.float_info.max)
-        and (low < x if bounds[0] == "(" else low <= x)
-        and (x < high if bounds[-1] == ")" else x <= high)
-    ):
+    if number and (integer or -sys.float_info.max <= x <= sys.float_info.max) and _within(x, bounds):
         return []
     kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"
     return [f"{name} must be {kind}, got {shorten(value)}"]

@@ -64,6 +64,7 @@ from .errors import (
     InvalidCategory,
     MalformedFile,
     MissingImage,
+    _within,
     raise_problems,
     setting_problems,
     shorten,
@@ -90,8 +91,10 @@ class AnnotatedImage:
         fast = type(w) in _FAST and type(h) in _FAST and 0 < w <= _FLOAT_MAX and 0 < h <= _FLOAT_MAX
         if type(self.image_id) not in _ID_TYPES:
             raise_problems(_image_id_problems((self.image_id,)))
-        if not fast and (setting_problems("w", w, "(0, inf)") or setting_problems("h", h, "(0, inf)")):
-            raise ConfigError(f"image extent must be finite and > 0, got {shorten(w)}x{shorten(h)}")
+        if not fast:
+            raise_problems(
+                setting_problems("width", w, "(0, inf)") + setting_problems("height", h, "(0, inf)")
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,8 +241,7 @@ def _dump_json(obj, path: PathLike) -> None:
         _write_lines(list(map(_encode_compact, obj)), path)
         return
     with _atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +417,22 @@ def _code_column(
     return np.fromiter((v if ok else -1 for v, ok in zip(values, in_range)), np.int8, len(values))
 
 
-def _unit_numbers(records: list, key: str, error: type, rules: _FirstBreak) -> np.ndarray:
-    """The number in [0, 1] of the field ``key`` of each record, as ``float64``.
+def _bounded_numbers(
+    records: list, key: str, bounds: str, error: type, rules: _FirstBreak
+) -> np.ndarray:
+    """The number in ``bounds``, such as ``"[0, 1]"``, of the field ``key`` of each record.
 
     A value that is no number is :class:`MalformedFile`; a number outside
-    [0, 1] is ``error``, named as :func:`setting_problems` names it.
+    ``bounds`` is ``error``, named as :func:`setting_problems` names it.
     """
     values, mistyped = _numbers(_field(records, key))
     rules.note(
         mistyped, MalformedFile, lambda i: f"{key} must be a number, got {shorten(records[i].get(key))}"
     )
     rules.note(
-        ~((values >= 0.0) & (values <= 1.0)),  # NaN fails both
+        ~(np.isfinite(values) & _within(values, bounds)),
         error,
-        lambda i: setting_problems(key, records[i][key], "[0, 1]")[0],
+        lambda i: setting_problems(key, records[i][key], bounds)[0],
     )
     return values
 
@@ -589,15 +593,10 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
     rules = _FirstBreak(f"{path} images")
     records = _records(data, "image", rules)
     ids = _image_ids(records, "id", rules)
-    extents = []
-    for key in ("width", "height"):
-        extent = _numbers(_field(records, key))[0]
-        rules.note(
-            ~(np.isfinite(extent) & (extent > 0)),
-            MalformedFile,
-            lambda i, key=key: f"{key} must be a positive number, got {shorten(records[i].get(key))}",
-        )
-        extents.append(extent.tolist())
+    extents = [
+        _bounded_numbers(records, key, "(0, inf)", MalformedFile, rules).tolist()
+        for key in ("width", "height")
+    ]
     rules.raise_first()
     if len(set(ids)) != len(ids):
         raise MalformedFile(f"{path}: duplicate image ids")

@@ -12,7 +12,7 @@ re-implementation); only ``max_dets`` and the enumeration classes are set:
   exact integer test, and the envelope there is the greatest precision at
   it or a later true positive, since precision rises nowhere else. Every
   class and threshold is sampled in one pass over the true positives.
-* Detections are stable-sorted by descending score (ties keep input
+* Detections are sorted by descending score (ties keep input
   order) and capped at ``max_dets`` per image and class before matching.
 * Matching is greedy in score order, per image and class: each detection
   takes the unmatched ground-truth box with the highest IoU at or above
@@ -88,12 +88,13 @@ class EvaluationReport:
     pr_curve: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("mean_ap", "ap50", "ap75", "ar"):
-            v = getattr(self, name)
-            if not -1e-9 <= v <= 1 + 1e-9:
-                raise ValueError(f"{name} out of [0, 1]: {v!r}")
+        raise_problems([
+            problem
+            for name in ("mean_ap", "ap50", "ap75", "ar")
+            for problem in setting_problems(name, getattr(self, name), "[0, 1]")
+        ])
         if self.mean_ap > self.ap50 + 1e-9:
-            raise ValueError(f"mean_ap {self.mean_ap!r} exceeds ap50 {self.ap50!r}")
+            raise ConfigError(f"mean_ap {self.mean_ap!r} exceeds ap50 {self.ap50!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -143,6 +144,39 @@ def _ranks(sorted_keys: np.ndarray) -> np.ndarray:
     start = np.ones(len(sorted_keys), dtype=bool)
     start[1:] = sorted_keys[1:] != sorted_keys[:-1]
     return np.arange(len(sorted_keys)) - np.flatnonzero(start)[np.cumsum(start) - 1]
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys, by one sort of unique keys.
+
+    Key ``i`` becomes ``keys[i] * n + i``: ties break by index, so the
+    default sort, which is not stable, gives the stable order.
+    """
+    n = len(keys)
+    unique = keys.astype(np.intp)
+    unique *= n
+    unique += np.arange(n)
+    unique.sort()
+    unique %= n
+    return unique
+
+
+def _descending_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(-x, kind="stable")`` of floats without NaN: descending, ties in index order.
+
+    A default sort puts equal values in runs. Value ``i`` in run ``r`` (``-0.0``
+    runs with ``0.0``) becomes the unique key ``r * n + i``, sorted again.
+    """
+    n = len(x)
+    order = np.argsort(-x)
+    ordered = x[order]
+    key = np.zeros(n, np.intp)
+    np.cumsum(ordered[1:] != ordered[:-1], out=key[1:])
+    key *= n
+    key += order
+    key.sort()
+    key %= n
+    return key
 
 
 def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
@@ -251,9 +285,10 @@ def _true_positives(
     whose group has no ground truth matches nothing.
     """
     flags = np.zeros((len(IOU_THRESHOLDS), len(det_group)), dtype=bool)
-    groups, gt_count = np.unique(gt_group, return_counts=True)
+    start = np.flatnonzero(np.diff(gt_group, prepend=-1))
+    groups, gt_count = gt_group[start], np.diff(start, append=len(gt_group))
     gt_row = np.repeat(np.arange(len(groups)), gt_count)
-    gt_rank = _ranks(gt_group)
+    gt_rank = np.arange(len(gt_group)) - start[gt_row]
     slot = np.minimum(np.searchsorted(groups, det_group), len(groups) - 1)
     matched = np.flatnonzero(groups[slot] == det_group)
     det_row = slot[matched]
@@ -312,7 +347,7 @@ def evaluate(
     gt_class = table[ds.key]
     gt_rows = np.flatnonzero(gt_class >= 0)
     gt_group = ds.image[gt_rows] * np.intp(n_cls) + gt_class[gt_rows]
-    gt_order = np.argsort(gt_group, kind="stable")  # annotation order within a group
+    gt_order = _stable_order(gt_group)  # annotation order within a group
     gt_group = gt_group[gt_order]
     gt_xywh = ds.xywh[gt_rows[gt_order]]
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
@@ -322,8 +357,8 @@ def evaluate(
     # group. A class absent from the ground truth is skipped, not
     # zero-counted. ``score_rank`` is each row's index in score order.
     pos = np.flatnonzero(det_class >= 0)
-    pos = pos[np.argsort(-cols.score[pos], kind="stable")]
-    score_rank = np.argsort(det_group[pos], kind="stable")
+    pos = pos[_descending_order(cols.score[pos])]
+    score_rank = _stable_order(det_group[pos])
     group = det_group[pos[score_rank]]
     rank = _ranks(group)
     keep = rank < cfg.max_dets
@@ -334,9 +369,11 @@ def evaluate(
     flags = _true_positives(group, rank, xywh, gt_group, gt_xywh)
 
     # Pool each class's detections in score order, ties in input order, and
-    # number each one's place in its class's pool. The keys are unique; the
-    # default sort's scratch memory raised the peak by 0.2 MiB, a stable one's not.
-    pool = np.argsort(group % n_cls * len(cols.score) + score_rank, kind="stable")
+    # number each one's place in its class's pool. The keys are unique.
+    key = group % n_cls
+    key *= len(cols.score)
+    key += score_rank
+    pool = np.argsort(key)
     pool_class = group[pool] % n_cls
     place = _ranks(pool_class)
     # Each (threshold, class) pair has a curve, numbered t * n_cls + class.

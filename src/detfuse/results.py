@@ -18,6 +18,7 @@ from .errors import InvalidScore
 from .geometry import ImageId, source_code
 from .io import (
     PathLike,
+    _bounded_numbers,
     _boxes,
     _categories,
     _FirstBreak,
@@ -26,7 +27,6 @@ from .io import (
     _KEY_TEXT,
     _load_json,
     _records,
-    _unit_numbers,
     _write_lines,
 )
 
@@ -62,7 +62,7 @@ def parse_detections(
     records = _records(data, "detection", rules)
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
-    score = _unit_numbers(records, "score", InvalidScore, rules)
+    score = _bounded_numbers(records, "score", "[0, 1]", InvalidScore, rules)
     key = _categories(records, _BARE_MODES.get(source), rules)
     link = _id_column(records, "matched_enum_id", rules, optional=True)
     rules.raise_first()

@@ -212,7 +212,7 @@ class TestGroundTruthParsing:
     def test_image_extent_must_be_a_finite_number(self, tmp_path, key, value):
         payload = gt_payload()
         payload["images"][1][key] = value
-        with pytest.raises(MalformedFile, match=rf"images\[1\]: {key} must be a positive number"):
+        with pytest.raises(MalformedFile, match=rf"images\[1\]: {key} must be a number in \(0, inf\)"):
             parse_ground_truth(write_payload(tmp_path, payload))
 
     def test_fully_outside_box_rejected(self, tmp_path):
@@ -1020,10 +1020,10 @@ class TestBareErrorDefects:
             (lambda: BoundingBox("1", 0, 1, 1), "got '1'"),
             (lambda: Detection(1, UNIT, "0.5", CARIES, "fused"), "got '0.5'"),
             (lambda: Detection(1, UNIT, HUGE, CARIES, "fused"), "(401 characters)"),
-            (lambda: AnnotatedImage(1, "5", 5), "got '5'x5"),
+            (lambda: AnnotatedImage(1, "5", 5), "width must be a number in (0, inf), got '5'"),
             (lambda: CropClassification(0, "caries", "0.9"), "got '0.9'"),
             (lambda: BoundingBox(0, 0, -(10**300), 1), "(302 characters)"),
-            (lambda: AnnotatedImage(1, HUGE, 5), "(401 characters)x5"),
+            (lambda: AnnotatedImage(1, HUGE, 5), "(401 characters)"),
             (lambda: CropClassification(0, "x" * 500, 0.5), "(502 characters)"),
             (lambda: CropClassification(0, ["x"], 0.5), "unknown crop label ['x']"),
             (lambda: CategoryTriple(quadrant="x" * 300), "(302 characters)"),

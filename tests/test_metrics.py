@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from detfuse import (
     AnnotatedDataset,
@@ -31,13 +32,14 @@ from detfuse.metrics import (
     AXES,
     IOU_THRESHOLDS,
     RECALL_POINTS,
+    _descending_order,
     _iou_block,
     _match_block,
     axis_projection,
 )
 from detfuse.reference import _match_flags
 
-from conftest import perfect_detections, random_eval_instance
+from conftest import grid_box, perfect_detections, random_eval_instance
 
 B = BoundingBox
 CARIES = CategoryTriple(disease="caries")
@@ -367,6 +369,53 @@ class TestErrors:
             EvaluationReport("disease", mean_ap=0.9, ap50=0.5, ap75=0.5, ar=0.5)
         with pytest.raises(ValueError):
             EvaluationReport("disease", mean_ap=1.2, ap50=1.3, ap75=0.5, ar=0.5)
+
+    @pytest.mark.parametrize("name", ["mean_ap", "ap50", "ap75", "ar"])
+    @pytest.mark.parametrize("value", ["x", float("nan")], ids=["string", "nan"])
+    def test_report_refuses_a_bad_number(self, name, value):
+        """Before the settings rule, "x" raised a bare TypeError and NaN a bare ValueError."""
+        numbers = {"mean_ap": 0.5, "ap50": 0.5, "ap75": 0.5, "ar": 0.5, name: value}
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number in \[0, 1\], got"):
+            EvaluationReport("disease", **numbers)
+
+
+#: Scores that tie: both zeros, the least subnormal and the float below 1 among them; a 0.1 grid.
+TIED_SCORES = ([0.0, -0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0], [i / 10 for i in range(11)])
+
+
+class TestScoreOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.sampled_from(TIED_SCORES).flatmap(
+            lambda scores: arrays(np.float64, st.integers(0, 3000), elements=st.sampled_from(scores))
+        )
+    )
+    def test_descending_order_is_the_stable_one(self, x):
+        """Descending by score, equal scores in index order, ``-0.0`` equal to ``0.0``."""
+        np.testing.assert_array_equal(_descending_order(x), np.argsort(-x, kind="stable"))
+
+    @pytest.mark.parametrize("scores", [(0.5,), (0.0, -0.0, 0.5)], ids=["one", "three"])
+    def test_tied_scores_agree_with_the_oracle(self, scores):
+        """Every detection has one score, or one of three with ``-0.0`` equal to
+        ``0.0``, and each group holds more than the cap: the cap keeps the
+        first rows of each group's tie in input order. Half the detections
+        repeat a ground-truth box, so the rows kept decide the numbers."""
+        rng = np.random.default_rng(23)
+        images = [AnnotatedImage(i, 200, 200) for i in (1, 2)]
+        triples = [CategoryTriple(1, 1, "caries"), CategoryTriple(2, 3, "impacted")]
+        anns = [
+            GroundTruthAnnotation(im.image_id, grid_box(rng), triples[k % 2])
+            for im in images
+            for k in range(6)
+        ]
+        ds = AnnotatedDataset(images, anns)
+        dets = []
+        for k in range(48):
+            gt = anns[k % len(anns)]
+            box = gt.box if rng.random() < 0.5 else grid_box(rng)
+            dets.append(Detection(gt.image_id, box, scores[k % len(scores)], gt.category, "fused"))
+        for axis in AXES:
+            assert_agrees_with_oracle(ds, DetectionSet(dets, "fused"), axis, EvalConfig(max_dets=3))
 
 
 class TestOracleAgreement:

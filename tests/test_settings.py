@@ -46,6 +46,7 @@ from detfuse import (
     oversample_plan,
     parse_crop_classifications,
     parse_detections,
+    parse_ground_truth,
     read_crop_manifest,
     simulate_detector,
     subset_dataset,
@@ -327,8 +328,8 @@ VALUE_FIELDS = [
         lambda v: Detection(1, BoundingBox(0, 0, 1, 1), v, CategoryTriple(disease="caries"), "fused"),
         "[0, 1]", False, False,
     ),
-    ("image extent", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False, False),
-    ("image extent", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False, False),
+    ("width", lambda v: AnnotatedImage(1, v, 5), "(0, inf)", False, False),
+    ("height", lambda v: AnnotatedImage(1, 5, v), "(0, inf)", False, False),
     ("confidence", lambda v: CropClassification(0, "caries", v), "[0, 1]", False, False),
     ("crop_id", lambda v: CropClassification(v, "caries", 0.5), _ID_RANGE, True, False),
     ("quadrant", lambda v: CategoryTriple(quadrant=v, disease="caries"), "[1, 4]", True, True),
@@ -377,6 +378,12 @@ def parse_fused(path):
     return parse_detections(path, "fused")
 
 
+def parse_images(path):
+    """``parse_ground_truth`` of the image records in ``path``, with no annotations."""
+    path.write_text(json.dumps({"images": json.loads(path.read_text()), "annotations": []}))
+    return parse_ground_truth(path)
+
+
 DETECTIONS = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id_3": 0}] * 2
 CROPS = [
     {"crop_id": i, "image_id": 1, "crop_bbox": [0, 0, 1, 1], "source_bbox": [0, 0, 1, 1],
@@ -384,6 +391,7 @@ CROPS = [
     for i in (0, 1)
 ]
 VERDICTS = [{"crop_id": i, "label": "caries", "confidence": 0.5} for i in (0, 1)]
+IMAGES = [{"id": i, "width": 5, "height": 5} for i in (1, 2)]
 
 #: (name, read the file, its two good records, error, bounds, integer, optional, build the
 #: value type with the value or None): the number fields of the record files.
@@ -406,12 +414,17 @@ RECORD_FIELDS = [
         "crop_id", parse_crop_classifications, VERDICTS, MalformedFile, _ID_RANGE, True, False,
         lambda v: CropClassification(v, "caries", 0.5),
     ),
+    (
+        "width", parse_images, IMAGES, MalformedFile, "(0, inf)", False, False,
+        lambda v: AnnotatedImage(1, v, 5),
+    ),
 ]
-#: Each record field with the values it is checked on: 1.5 for a number in [0, 1], -1 and 1.5 for an id.
+#: Each record field with the values among -1 and 1.5 that its rule refuses.
 RECORD_CASES = [
     pytest.param(*row, value, id=f"{row[0]}-{row[1].__name__}-{value}")
     for row in RECORD_FIELDS
-    for value in ((-1, 1.5) if row[5] else (1.5,))
+    for value in (-1, 1.5)
+    if setting_problems(row[0], value, row[4], integer=row[5], optional=row[6])
 ]
 
 
