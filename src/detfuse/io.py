@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
+import orjson
 
 from .detections import (
     _TRIPLES,
@@ -192,13 +193,69 @@ class SplitSpec:
 # parsing helpers
 
 
+#: Each digit byte as ``0``, ``.`` as itself and every other byte as a space.
+_NUMBER_BYTES = bytes(48 if 48 <= b <= 57 else b if b == 46 else 32 for b in range(256))
+#: An integer part of 19 or more digits: the first 19, in ``_NUMBER_BYTES``.
+_LONG_INTEGER = b"0" * 19
+#: Each opening bracket or brace as ``[``, each closing one as ``]``; ``"`` is the one other
+#: byte that ``_NOT_NESTING`` leaves.
+_NESTING = bytes(91 if b in b"[{" else 93 if b in b"]}" else b for b in range(256))
+_NOT_NESTING = bytes(b for b in range(256) if b not in b'"[]{}')
+#: The deepest nesting left to ``orjson``; ``json`` reads it unless called within 64 frames of
+#: the recursion limit.
+_MAX_DEPTH = 64
+
+
+def _orjson_may_differ(raw: bytes) -> bool:
+    """Whether ``orjson`` could read the JSON text ``raw`` other than ``json`` does.
+
+    It could where an integer literal has 19 or more digits, since ``orjson``
+    reads one outside [-2**63, 2**64) as a float. It could where values nest
+    deeper than ``_MAX_DEPTH``: ``json`` raises ``RecursionError`` near 1,000
+    levels, and ``orjson`` 3.8 reads on until it crashes the interpreter near a
+    million. Neither test misses on valid JSON. The digits of an integer follow
+    a byte that is no digit and no ``.``; a fraction's follow ``.``. With escaped
+    backslashes and quotes dropped, each ``"`` opens or closes a string, and the
+    brackets outside strings nest as the values do.
+    """
+    digits = raw.translate(_NUMBER_BYTES)
+    if b" " + _LONG_INTEGER in digits or digits.startswith(_LONG_INTEGER):
+        return True
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = raw.translate(_NESTING, _NOT_NESTING).replace(b'""', b"")
+    if b'"' in marks:  # a string holds a bracket
+        marks = b"".join(marks.split(b'"')[::2])
+    for _ in range(_MAX_DEPTH):  # each pass takes off the innermost level
+        marks = marks.replace(b"[]", b"")
+    return marks != b""
+
+
+def _decode(raw: bytes):
+    """The value of the JSON text ``raw``, as ``json`` reads its UTF-8 text.
+
+    ``orjson`` decodes it, unless it refuses the text or could read it other
+    than ``json`` does (see :func:`_orjson_may_differ`). ``json`` then reads
+    what a text-mode read gives, newlines translated, so that its values and
+    the lines and columns of its messages hold whichever decoder ran.
+    """
+    if not _orjson_may_differ(raw):
+        with contextlib.suppress(orjson.JSONDecodeError):
+            return orjson.loads(raw)
+    return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+
+
 def _load_json(path: PathLike, what: str, kind: type = list):
     """The JSON in ``path``; :class:`MalformedFile` unless it is a ``kind``, calling it ``what``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise MalformedFile(f"cannot read {path}: {exc}") from exc
+    try:
+        data = _decode(raw)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, kind):

@@ -157,6 +157,8 @@ def load_pipeline_config(path: PathLike) -> PipelineConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"pipeline config is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
     return pipeline_config_from_dict(payload, os.path.dirname(os.path.abspath(path)))

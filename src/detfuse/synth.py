@@ -239,8 +239,11 @@ def load_profile(name_or_path: PathLike) -> DetectorProfile:
             resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json").read_text("utf-8")
         )
     elif isinstance(name_or_path, (str, os.PathLike)):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(name_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"profile is not UTF-8: {exc}") from exc
     else:
         raise ConfigError(f"profile must be a name or a path, got {shorten(name_or_path)}")
     try:

@@ -279,6 +279,19 @@ class TestBasics:
         assert "[0]: image_id must be an integer or a string" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_file_that_is_not_utf8_is_one_error_line(self, corpus, tmp_path, command):
+        """A record file or a config holding a byte that is no UTF-8 is refused, not a traceback."""
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'[{"image_id": "\xff"}]')
+        args = ["evaluate", corpus / "gt.json", bad] if command == "evaluate" else ["pipeline", bad]
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 15" in lines[0]
+
 
 class TestSynth:
     def test_writes_expected_files(self, corpus):

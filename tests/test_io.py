@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
@@ -45,6 +45,7 @@ from detfuse import (
     integrate,
     load_profile,
     merge_complementary,
+    parse_crop_classifications,
     parse_detections,
     parse_ground_truth,
     read_crop_manifest,
@@ -61,7 +62,7 @@ from detfuse import (
 )
 from detfuse.cli import main
 from detfuse.detections import Columns, category_of
-from detfuse.io import _dump_json
+from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ
 
 from conftest import HUGE, huge_id, perfect_detections
 
@@ -1396,3 +1397,204 @@ class TestAtomicWrites:
         path.write_text("old")
         _dump_json(payload, path)
         assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def load_as_before(path):
+    """``_load_json`` as it read a records file with ``json`` alone: text mode, then ``json.load``.
+
+    A file that is not UTF-8 raised a bare ``UnicodeDecodeError`` there; it is
+    named here as the reader names it now.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise MalformedFile(f"{path}: records must be a JSON array")
+    return data
+
+
+def outcome(load, path) -> str:
+    """What ``load`` makes of ``path``: the ``repr`` of its value, or its error."""
+    try:
+        value = load(path)
+    except MalformedFile as exc:
+        return f"MalformedFile: {exc}"
+    except RecursionError:
+        return "RecursionError"
+    return repr(value)
+
+
+def assert_decoders_agree(path, text: bytes) -> None:
+    path.write_bytes(text)
+    assert outcome(lambda p: _load_json(p, "records"), path) == outcome(load_as_before, path)
+
+
+#: The integers at the ends of the ranges that orjson reads as integers.
+BOUNDARY_INTEGERS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, -(2**64)]
+#: The whitespace JSON allows between tokens, in each newline convention.
+GAPS = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\r", " \r\n\t"])
+DIGITS = "0123456789"
+
+
+@st.composite
+def long_decimals(draw) -> str:
+    """A decimal literal with up to 70 significant digits, subnormal to overflowing."""
+    whole = str(draw(st.integers(0, 10**30) | st.integers(0, 999)))
+    fraction = draw(st.text(DIGITS, max_size=40))
+    exponent = draw(st.none() | st.integers(-420, 420))
+    return (
+        draw(st.sampled_from(["", "-"]))
+        + whole
+        + (f".{fraction}" if fraction else "")
+        + ("" if exponent is None else f"{draw(st.sampled_from('eE'))}{exponent}")
+    )
+
+
+NUMBERS = st.one_of(
+    st.floats().map(json.dumps),
+    long_decimals(),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(-999, 999).map(str),
+    st.sampled_from(BOUNDARY_INTEGERS).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+)
+STRINGS = st.one_of(
+    st.text().map(json.dumps),
+    st.text().map(lambda s: json.dumps(s, ensure_ascii=False)),
+    st.text(DIGITS, min_size=19, max_size=30).map(json.dumps),
+    # lone surrogates: escaped they are json's to read; unescaped they are no UTF-8
+    st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1, max_size=2).map(
+        lambda s: json.dumps(s, ensure_ascii=bool(len(s) % 2))
+    ),
+)
+SCALARS = NUMBERS | STRINGS | st.sampled_from(["true", "false", "null"])
+
+
+def json_arrays(items):
+    return st.lists(st.tuples(GAPS, items, GAPS), max_size=5).map(
+        lambda parts: "[" + ",".join(a + item + b for a, item, b in parts) + "]"
+    )
+
+
+def json_objects(items):
+    keys = st.sampled_from(["a", "b", "image_id"]).map(json.dumps) | STRINGS
+    return st.lists(st.tuples(GAPS, keys, GAPS, items), max_size=5).map(
+        lambda parts: "{" + ",".join(g + k + h + ":" + v for g, k, h, v in parts) + "}"
+    )
+
+
+VALUES = st.recursive(SCALARS, lambda items: json_arrays(items) | json_objects(items), max_leaves=10)
+
+
+@st.composite
+def json_files(draw) -> bytes:
+    """The bytes of a JSON text: mostly an array, now and then with a BOM or a stray byte."""
+    body = draw(GAPS) + draw(json_arrays(VALUES) | VALUES) + draw(GAPS)
+    raw = body.encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b",", b"]", b"}", b"x", b"\x01", b"'", b'"', b"\xff", b"\\"])) + raw[at:]
+    if draw(st.integers(0, 19)) == 0:
+        raw = b"\xef\xbb\xbf" + raw
+    return raw
+
+
+@pytest.fixture(scope="class")
+def records_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("decode") / "records.json"
+
+
+class TestDecoderAgreement:
+    """Records files decode with orjson, but every value and every error is json's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=json_files())
+    def test_load_json_reads_as_json_did(self, records_path, text):
+        assert_decoders_agree(records_path, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(numbers=st.lists(st.tuples(GAPS, NUMBERS), max_size=6))
+    def test_numbers_read_as_json_did(self, records_path, numbers):
+        text = "[" + ",".join(gap + number for gap, number in numbers) + "]"
+        assert_decoders_agree(records_path, text.encode())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"\xef\xbb\xbf[1]",
+            b"[\r\n1,\r\n2 3\r\n]\r\n",
+            b"[\r1,\r2 3\r]\r",
+            b'[\r\n{"a": 1},\r\n{"a": 2}\r\n]\r\n',
+            b'["a\x01b"]',
+            b'["a\tb"]',
+            b'["\\ud800", "\\udc00\\ud800"]',
+            b'["\xed\xa0\x80"]',
+            b'["\xff"]',
+            b"[NaN, Infinity, -Infinity]",
+            b"[1e400, -1e400, 1e-400]",
+            b"[18446744073709551616, -9223372036854775809, 9223372036854775807]",
+            b"[" + b"9" * 400 + b"]",
+            b"18446744073709551616",
+            b'[{"a": 1, "b": 2, "a": 3}]',
+            b"[" * 65 + b"]" * 65,
+            b"[" * 1025 + b"]" * 1025,
+            # ['"]"', ['"]"', ... 0, '"["'], '"["'], 1,025 deep: unless escaped quotes are
+            # dropped first, each string seems to close or open one level
+            b'["\\"]\\"", ' * 1025 + b"0" + b', "\\"[\\""]' * 1025,
+            b"",
+            b"[1,]",
+        ],
+        ids=[
+            "bom", "crlf-error-on-line-3", "cr-error-on-line-3", "crlf-values", "control-character",
+            "raw-tab", "lone-surrogate-escapes", "utf8-surrogate", "latin-1", "nan-and-infinity",
+            "overflow", "beyond-int64", "400-digits", "top-level-integer", "duplicate-keys",
+            "nested-65", "nested-1025", "nesting-behind-escaped-quotes", "empty", "trailing-comma",
+        ],
+    )
+    def test_named_cases(self, records_path, text):
+        assert_decoders_agree(records_path, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        depth=st.integers(0, _MAX_DEPTH + 10),
+        strings=st.lists(st.text('"[]{}\\ab'), max_size=4),
+    )
+    def test_nesting_guard_is_exact(self, depth, strings):
+        """Brackets, quotes and backslashes inside strings neither hide nor add a level."""
+        value = strings
+        for level in range(depth):
+            value = [value, "]"] if level % 2 else {"[": value}
+        assert _orjson_may_differ(json.dumps(value).encode()) is (depth + 1 > _MAX_DEPTH)
+
+    @pytest.mark.parametrize("text", [b"1" * 19, b"[" + b"1" * 19 + b"]", b'{"a":-' + b"1" * 19 + b"}"])
+    def test_an_integer_of_19_digits_goes_to_json(self, text):
+        assert _orjson_may_differ(text)
+
+    @given(st.lists(st.floats() | st.integers(-(10**18) + 1, 10**18 - 1)))
+    @example([0.00012345678901234567, -0.0012345678901234567, 1.2345678901234567e-05])
+    def test_written_numbers_stay_with_orjson(self, numbers):
+        """No float that Python writes and no integer of 18 digits or fewer is sent to json."""
+        assert not _orjson_may_differ(json.dumps(numbers).encode())
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            parse_ground_truth,
+            lambda path: parse_detections(path, "fused"),
+            read_crop_manifest,
+            parse_crop_classifications,
+        ],
+        ids=["ground-truth", "detections", "crop-manifest", "classifications"],
+    )
+    def test_a_file_that_is_not_utf8_is_malformed(self, tmp_path, read):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[{"file_name": "\xff"}]')
+        with pytest.raises(
+            MalformedFile,
+            match=r"latin1\.json is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 16",
+        ):
+            read(path)

@@ -491,3 +491,9 @@ class TestPipelineConfig:
         path.write_text("{oops")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_pipeline_config(path)
+
+    def test_load_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"out_dir": "\xff"}')
+        with pytest.raises(ConfigError, match=r"^pipeline config is not UTF-8: .* byte 0xff in position 13"):
+            load_pipeline_config(path)

@@ -240,6 +240,12 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             load_profile(path)
 
+    def test_profile_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        with pytest.raises(ConfigError, match=r"^profile is not UTF-8: .* byte 0xff in position 10"):
+            load_profile(path)
+
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
