@@ -27,7 +27,7 @@ from .detections import (
     Columns,
     DetectionSet,
     _category_key,
-    _json_boxes,
+    _json_floats,
     _json_ids,
     _per_row,
     _refuse,
@@ -350,12 +350,12 @@ def write_crop_manifest(crops: CropSet, path: PathLike) -> None:
     """Write the crop manifest consumed by the external cropper/classifier, from its columns."""
     rows = crops.rows
     values = zip(
-        _json_ids(rows), _json_boxes(crops.boxes), _json_boxes(rows.xywh),
-        rows.quadrant.tolist(), rows.tooth.tolist(), rows.score.tolist(),
+        _json_ids(rows), _json_floats(crops.boxes), _json_floats(rows.xywh),
+        rows.quadrant.tolist(), rows.tooth.tolist(), _json_floats(rows.score),
     )
     lines = [
         f'{{"crop_id":{i},"image_id":{image_id},"crop_bbox":{crop},"source_bbox":{box},'
-        f'"category_id_1":{q},"category_id_2":{t},"enum_score":{score!r}}}'
+        f'"category_id_1":{q},"category_id_2":{t},"enum_score":{score}}}'
         for i, (image_id, crop, box, q, t, score) in enumerate(values)
     ]
     _write_lines(lines, path)

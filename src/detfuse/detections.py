@@ -17,6 +17,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DanglingReference, raise_problems, shorten
 from .geometry import (
@@ -203,17 +204,36 @@ def _json_ids(cols: Columns) -> list[str]:
     return [ids[k] for k in cols.image.tolist()]
 
 
-def _json_boxes(xywh: np.ndarray) -> list[str]:
-    """Each box of ``xywh`` as a JSON array; a float's text is its ``repr``, as in ``json``."""
-    return [f"[{x!r},{y!r},{w!r},{h!r}]" for x, y, w, h in xywh.tolist()]
+def _json_floats(a: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a float column, or of each row of an ``[N, 4]`` array.
+
+    A float's text is its ``repr``, as in ``json``. ``orjson`` writes the
+    same shortest digits, but writes ``1e-05`` as ``0.00001``, ``1e+16`` as
+    ``1e16`` and NaN and infinities as ``null``; so a row holding anything
+    but zero or a finite magnitude in [1e-4, 1e16) is rebuilt with ``repr``.
+    """
+    a = np.ascontiguousarray(a, float)
+    if not len(a):
+        return []
+    raw = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if a.ndim > 1:
+        raw = raw.replace(b"],[", b"]\n[")
+    text = raw.decode().split("\n" if a.ndim > 1 else ",")
+    size = np.abs(a)
+    with np.errstate(invalid="ignore"):  # NaN compares false, and some numpy builds warn
+        other = ~((size >= 1e-4) & (size < 1e16) | (a == 0))
+    for row in np.flatnonzero(other.reshape(len(a), -1).any(axis=1)).tolist():
+        value = a[row].tolist()
+        text[row] = f"[{','.join(map(repr, value))}]" if a.ndim > 1 else repr(value)
+    return text
 
 
 #: How each piece of the rows' text is built from their columns.
 _ROW_TEXT = {
     "box": lambda cols: [
-        f'{{"image_id":{i},"bbox":{b}' for i, b in zip(_json_ids(cols), _json_boxes(cols.xywh))
+        f'{{"image_id":{i},"bbox":{b}' for i, b in zip(_json_ids(cols), _json_floats(cols.xywh))
     ],
-    "score": lambda cols: [f',"score":{s!r}' for s in cols.score.tolist()],
+    "score": lambda cols: [f',"score":{s}' for s in _json_floats(cols.score)],
 }
 
 

@@ -258,6 +258,8 @@ def _load_json(path: PathLike, what: str, kind: type = list):
         raise MalformedFile(f"{path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedFile(f"{path} is nested too deeply to read: {exc}") from exc
     if not isinstance(data, kind):
         raise MalformedFile(f"{path}: {what} must be a JSON {'array' if kind is list else 'object'}")
     return data

@@ -161,6 +161,8 @@ def load_pipeline_config(path: PathLike) -> PipelineConfig:
             raise ConfigError(f"pipeline config is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"pipeline config is nested too deeply to read: {exc}") from exc
     return pipeline_config_from_dict(payload, os.path.dirname(os.path.abspath(path)))
 
 

@@ -250,6 +250,8 @@ def load_profile(name_or_path: PathLike) -> DetectorProfile:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"profile is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"profile is nested too deeply to read: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("profile JSON must be an object")
     unknown = set(payload) - _PROFILE_KEYS

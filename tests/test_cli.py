@@ -292,6 +292,19 @@ class TestBasics:
         assert len(lines) == 1 and lines[0].startswith("Error: ")
         assert "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 15" in lines[0]
 
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_file_nested_too_deeply_is_one_error_line(self, corpus, tmp_path, command):
+        """A record file or a config nested deeper than json reads is refused, not a traceback."""
+        bad = tmp_path / "deep.json"
+        bad.write_bytes(b'[{"image_id": ' + b"[" * 1100 + b"]" * 1100 + b"}]")
+        args = ["evaluate", corpus / "gt.json", bad] if command == "evaluate" else ["pipeline", bad]
+        result = invoke(*args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ")
+        assert "is nested too deeply to read: maximum recursion depth exceeded" in lines[0]
+
 
 class TestSynth:
     def test_writes_expected_files(self, corpus):

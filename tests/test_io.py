@@ -61,7 +61,7 @@ from detfuse import (
     write_pr_csv,
 )
 from detfuse.cli import main
-from detfuse.detections import Columns, category_of
+from detfuse.detections import Columns, _json_floats, category_of
 from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ
 
 from conftest import HUGE, huge_id, perfect_detections
@@ -971,6 +971,81 @@ class TestRowText:
         assert [r["score"] for r in records] == [0.9 * 0.5] * 3 + [0.25]
 
 
+#: Each float at an edge of the range whose ``orjson`` text is its ``repr``, with that text.
+EDGE_TEXT = [
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (float(np.nextafter(1e-4, 0)), "9.999999999999999e-05"),
+    (1e-4, "0.0001"),
+    (float(np.nextafter(1e16, 0)), "9999999999999998.0"),
+    (1e16, "1e+16"),
+]
+#: Those edges and their negations, with NaN and the infinities, which orjson writes as null.
+EDGE_FLOATS = st.sampled_from(
+    [v for v, _ in EDGE_TEXT] + [-v for v, _ in EDGE_TEXT] + [math.nan, math.inf, -math.inf]
+)
+
+
+@st.composite
+def float_arrays(draw) -> np.ndarray:
+    """A float column or an ``[N, 4]`` box array, contiguous or a view of a larger array."""
+    n = draw(st.integers(0, 10))
+    base = np.array(draw(st.lists(EDGE_FLOATS | st.floats(), min_size=5 * n, max_size=5 * n)))
+    base = base.reshape(n, 5)
+    return draw(
+        st.sampled_from([
+            base[:, 0].copy(),  # a column
+            base[:, 2],  # a column of a larger array
+            base[:, :4].copy(),  # boxes
+            base[:, 1:],  # boxes within wider rows
+            np.ascontiguousarray(base.T)[:4].T,  # boxes stored by column
+        ])
+    )
+
+
+def repr_text(a: np.ndarray) -> list[str]:
+    """Each entry or box of ``a`` as the writers built its text with ``repr``."""
+    if a.ndim == 1:
+        return [f"{x!r}" for x in a.tolist()]
+    return [f"[{x!r},{y!r},{w!r},{h!r}]" for x, y, w, h in a.tolist()]
+
+
+class TestFloatText:
+    """The writers take floats' text from ``orjson`` and keep ``repr``'s text for every value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=float_arrays())
+    def test_text_is_repr(self, a):
+        assert _json_floats(a) == repr_text(a)
+
+    @pytest.mark.parametrize("value, text", EDGE_TEXT, ids=[t for _, t in EDGE_TEXT])
+    def test_files_at_the_edges_keep_their_bytes(self, tmp_path, value, text):
+        """A detections file and a crop manifest whose floats sit on an edge are written
+        with the bytes they were written with when every float was formatted by ``repr``."""
+        size = text if value > 0 else "1.0"  # a box's w and h are positive
+        score = text if value <= 1 else "1.0"  # a score is in [0, 1]
+        box = f"[{text},{text},{size},{size}]"
+        files = {
+            "detections.json": (
+                f'{{"image_id":1,"bbox":{box},"score":{score},"category_id_3":0}}',
+                lambda path: parse_detections(path, "diagnosis-A"),
+                write_detections,
+            ),
+            "crops.json": (
+                f'{{"crop_id":0,"image_id":1,"crop_bbox":{box},"source_bbox":{box},'
+                f'"category_id_1":0,"category_id_2":0,"enum_score":{score}}}',
+                read_crop_manifest,
+                write_crop_manifest,
+            ),
+        }
+        for name, (record, read, write) in files.items():
+            written = f"[\n{record}\n]\n".encode()
+            (tmp_path / name).write_bytes(written)
+            write(read(tmp_path / name), tmp_path / "out.json")
+            assert (tmp_path / "out.json").read_bytes() == written
+
+
 class TestBareErrorDefects:
     """Each raised a bare TypeError, KeyError or ValueError instead of a DetfuseError."""
 
@@ -1503,6 +1578,16 @@ def json_files(draw) -> bytes:
     return raw
 
 
+#: The four record file readers.
+READERS = [
+    parse_ground_truth,
+    lambda path: parse_detections(path, "fused"),
+    read_crop_manifest,
+    parse_crop_classifications,
+]
+READER_IDS = ["ground-truth", "detections", "crop-manifest", "classifications"]
+
+
 @pytest.fixture(scope="class")
 def records_path(tmp_path_factory):
     return tmp_path_factory.mktemp("decode") / "records.json"
@@ -1541,10 +1626,6 @@ class TestDecoderAgreement:
             b"18446744073709551616",
             b'[{"a": 1, "b": 2, "a": 3}]',
             b"[" * 65 + b"]" * 65,
-            b"[" * 1025 + b"]" * 1025,
-            # ['"]"', ['"]"', ... 0, '"["'], '"["'], 1,025 deep: unless escaped quotes are
-            # dropped first, each string seems to close or open one level
-            b'["\\"]\\"", ' * 1025 + b"0" + b', "\\"[\\""]' * 1025,
             b"",
             b"[1,]",
         ],
@@ -1552,11 +1633,30 @@ class TestDecoderAgreement:
             "bom", "crlf-error-on-line-3", "cr-error-on-line-3", "crlf-values", "control-character",
             "raw-tab", "lone-surrogate-escapes", "utf8-surrogate", "latin-1", "nan-and-infinity",
             "overflow", "beyond-int64", "400-digits", "top-level-integer", "duplicate-keys",
-            "nested-65", "nested-1025", "nesting-behind-escaped-quotes", "empty", "trailing-comma",
+            "nested-65", "empty", "trailing-comma",
         ],
     )
     def test_named_cases(self, records_path, text):
         assert_decoders_agree(records_path, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"[" * 1025 + b"]" * 1025,
+            # ['"]"', ['"]"', ... 0, '"["'], '"["'], 1,025 deep: unless escaped quotes are
+            # dropped first, each string seems to close or open one level, and orjson reads it
+            b'["\\"]\\"", ' * 1025 + b"0" + b', "\\"[\\""]' * 1025,
+        ],
+        ids=["nested-1025", "nesting-behind-escaped-quotes"],
+    )
+    def test_deep_nesting_is_malformed(self, records_path, text):
+        """Where json gives up with a bare RecursionError, the reader names the file."""
+        records_path.write_bytes(text)
+        assert outcome(load_as_before, records_path) == "RecursionError"
+        with pytest.raises(
+            MalformedFile, match=r"records\.json is nested too deeply to read: maximum recursion"
+        ):
+            _load_json(records_path, "records")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1580,16 +1680,7 @@ class TestDecoderAgreement:
         """No float that Python writes and no integer of 18 digits or fewer is sent to json."""
         assert not _orjson_may_differ(json.dumps(numbers).encode())
 
-    @pytest.mark.parametrize(
-        "read",
-        [
-            parse_ground_truth,
-            lambda path: parse_detections(path, "fused"),
-            read_crop_manifest,
-            parse_crop_classifications,
-        ],
-        ids=["ground-truth", "detections", "crop-manifest", "classifications"],
-    )
+    @pytest.mark.parametrize("read", READERS, ids=READER_IDS)
     def test_a_file_that_is_not_utf8_is_malformed(self, tmp_path, read):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'[{"file_name": "\xff"}]')
@@ -1597,4 +1688,11 @@ class TestDecoderAgreement:
             MalformedFile,
             match=r"latin1\.json is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 16",
         ):
+            read(path)
+
+    @pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+    def test_a_file_nested_too_deeply_is_malformed(self, tmp_path, read):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'[{"file_name": ' + b"[" * 1100 + b"]" * 1100 + b"}]")
+        with pytest.raises(MalformedFile, match=r"deep\.json is nested too deeply to read: "):
             read(path)

@@ -497,3 +497,9 @@ class TestPipelineConfig:
         path.write_bytes(b'{"out_dir": "\xff"}')
         with pytest.raises(ConfigError, match=r"^pipeline config is not UTF-8: .* byte 0xff in position 13"):
             load_pipeline_config(path)
+
+    def test_load_config_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"out_dir": ' + b"[" * 1100 + b"]" * 1100 + b"}")
+        with pytest.raises(ConfigError, match=r"^pipeline config is nested too deeply to read: "):
+            load_pipeline_config(path)

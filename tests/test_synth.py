@@ -246,6 +246,12 @@ class TestProfiles:
         with pytest.raises(ConfigError, match=r"^profile is not UTF-8: .* byte 0xff in position 10"):
             load_profile(path)
 
+    def test_profile_nested_too_deeply_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"name": ' + b"[" * 1100 + b"]" * 1100 + b"}")
+        with pytest.raises(ConfigError, match=r"^profile is nested too deeply to read: "):
+            load_profile(path)
+
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
