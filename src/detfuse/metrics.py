@@ -16,9 +16,13 @@ re-implementation); only ``max_dets`` and the enumeration classes are set:
   order) and capped at ``max_dets`` per image and class before matching.
 * Matching is greedy in score order, per image and class: each detection
   takes the unmatched ground-truth box with the highest IoU at or above
-  the threshold; IoU ties go to the earlier ground-truth entry. Every
-  threshold is matched in the same settling round, and the detections
-  that round leaves contested in the same rank-ordered steps.
+  the threshold; IoU ties go to the earlier ground-truth entry. Only the
+  (detection, box) pairs at or above the lowest threshold are read. A
+  pair's level is the number of thresholds it reaches; a detection's
+  prior is the highest level of an earlier detection on its best box. One
+  settling round gives each detection its best box on the thresholds
+  ``[prior, top)``, below its best pair's level, for every threshold at
+  once; the few detections it leaves contested are stepped in rank order.
 * Classes absent from the ground truth are skipped, not zero-counted.
 * AR is the matched fraction at ``max_dets``, averaged over the IoU
   thresholds and then over classes.
@@ -133,9 +137,11 @@ _KEY_CLASSES = {
 #: Cells of one padded ``(groups, detections, ground truth)`` IoU block. Groups
 #: are matched in blocks of at most this many cells (a single group may
 #: exceed it), so padded memory does not grow with the image count. A cell
-#: costs about 48 bytes of IoU temporaries; in the matcher it costs about
-#: 34: the IoU, its packed copy, the highest earlier IoU and a reach flag
-#: per threshold. That keeps a block under 1 MiB.
+#: costs about 35 bytes while its IoU is computed: two overlap extents, the
+#: IoU, a flag and a temporary. The matcher reads only the (detection, box)
+#: pairs that reach the lowest threshold; where every cell of a block
+#: reaches it, its worst case, it costs about 155 bytes a cell, 2.5 MiB a
+#: block.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -188,12 +194,18 @@ def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
     it was computed in. A zero box at the origin has IoU 0 with every box,
     which makes it the padding of a block.
     """
-    a = det_xywh[..., :, None, :]
-    g = gt_xywh[..., None, :, :]
-    iw = np.minimum(a[..., 0] + a[..., 2], g[..., 0] + g[..., 2]) - np.maximum(a[..., 0], g[..., 0])
-    ih = np.minimum(a[..., 1] + a[..., 3], g[..., 1] + g[..., 3]) - np.maximum(a[..., 1], g[..., 1])
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
-    union = a[..., 2] * a[..., 3] + g[..., 2] * g[..., 3] - inter
+    # A contiguous row per coordinate, so that each box's far edges and area are formed once.
+    dx, dy, dw, dh = np.moveaxis(det_xywh, -1, 0).copy()[..., :, None]
+    gx, gy, gw, gh = np.moveaxis(gt_xywh, -1, 0).copy()[..., None, :]
+    iw = np.minimum(dx + dw, gx + gw)
+    iw -= np.maximum(dx, gx)
+    np.maximum(iw, 0.0, out=iw)
+    ih = np.minimum(dy + dh, gy + gh)
+    ih -= np.maximum(dy, gy)
+    np.maximum(ih, 0.0, out=ih)
+    inter = np.multiply(iw, ih, out=iw)
+    union = np.add(dw * dh, gw * gh, out=ih)
+    union -= inter
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
 
 
@@ -202,70 +214,97 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
 
     ``ious`` is ``(groups, detections, ground truth)``; row ``i`` of a group
     is its ``i``-th detection in score order. Padding rows and columns must
-    hold an IoU below every threshold, so that they never match. Returns a
-    ``(groups, thresholds, detections)`` array holding the matched
-    ground-truth column, or -1 where the detection matched nothing at that
-    threshold.
+    hold an IoU below every threshold, so that they never match. The
+    thresholds must be ascending. Returns a ``(groups, thresholds,
+    detections)`` array holding the matched ground-truth column, or -1 where
+    the detection matched nothing at that threshold.
 
-    One vectorized settling round matches every detection that is the
-    first, in rank order, to reach its own best box: no earlier detection
-    can take that box, so greedy matching gives it the same one. Only the
-    detections still reaching a box left free are then stepped over in
-    rank order, one (group, threshold) pair per row.
+    Only the (detection, box) pairs that reach the lowest threshold are
+    read. A pair's level is the number of thresholds it reaches. A
+    detection's best pair is its first box at its top IoU; its top is that
+    pair's level, and its prior is the highest level of an earlier
+    detection on that box. On the thresholds ``[prior, top)`` the detection
+    is the first to reach its own best box, so greedy matching gives it
+    that box: this settles most of the block in one vectorized round. A
+    pair is contested only below both its level and its detection's prior,
+    on a box that round left free there. The detections with a contested
+    pair are stepped over in rank order, one (group, threshold) pair per row.
     """
     t = np.asarray(thresholds)
     n_groups, n_dets, n_gts = ious.shape
-    out = np.full((n_groups, len(t), n_dets), -1, dtype=np.int32)
-    # A detection below the lowest threshold against every box matches and
-    # takes nothing, so only the others are matched, packed to the front
-    # of their group in rank order.
-    g, d = np.nonzero(ious.max(axis=2, initial=-1.0) >= t.min())
-    if len(g) == 0:
+    n_t = len(t)
+    out = np.full((n_groups, n_t, n_dets), -1, dtype=np.int32)
+    pair = np.flatnonzero(ious >= t[0])  # in (group, detection, box) order
+    if len(pair) == 0:
         return out
-    step = _ranks(g)
-    packed = np.full((n_groups, step.max() + 1, n_gts), -1.0)
-    packed[g, step] = ious[g, d]
+    iou = ious.ravel()[pair]
+    det, b = np.divmod(pair, n_gts)
+    g, i = np.divmod(det, n_dets)
+    level = (iou >= t[:, None]).sum(axis=0)  # the pair reaches t[:level]
 
-    # The settling round. A detection reaches its best box (the highest
-    # IoU, ties to the earlier box) at every threshold at which it reaches
-    # any box. It is that box's first claimer where every earlier IoU with
-    # the box lies below the threshold.
-    best = packed.argmax(axis=2)
-    top = packed.max(axis=2)
-    earlier = np.full_like(packed, -1.0)  # the highest earlier IoU with each box
-    np.maximum.accumulate(packed[:, :-1], axis=1, out=earlier[:, 1:])
-    prior = np.take_along_axis(earlier, best[..., None], axis=2)[..., 0]
-    # (groups, thresholds, dets)
-    settled = (prior[:, None] < t[:, None]) & (top[:, None] >= t[:, None])
-    cols = np.where(settled, best[:, None], -1).astype(np.int32)
-    sg, st, si = np.nonzero(settled)
-    taken = np.zeros((n_groups, len(t), n_gts), dtype=bool)
-    taken[sg, st, best[sg, si]] = True
+    # Each detection's pairs are a run. Its best pair is the first at the
+    # run's top IoU: the highest IoU, ties to the earlier box.
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = det[1:] != det[:-1]
+    run = np.cumsum(first) - 1
+    start = np.flatnonzero(first)
+    top = np.maximum.reduceat(iou, start)
+    best = np.minimum.reduceat(np.where(iou == top[run], np.arange(len(pair)), len(pair)), start)
+    # The prior level on each pair's box: the running maximum of the levels
+    # of the earlier detections' pairs with the box. Pairs are ordered by
+    # (group, box, detection) on unique keys, and each (group, box) run is
+    # raised above the one before it, so one accumulate restarts per box.
+    box = g * n_gts + b
+    order = np.argsort(box * n_dets + i)
+    lift = box[order] * (n_t + 1)
+    reached = np.maximum.accumulate(level[order] + lift)
+    on_box = np.zeros(len(pair), dtype=np.intp)
+    on_box[order[1:]] = np.maximum(reached[:-1] - lift[1:], 0)
+    prior = on_box[best]
 
-    # The contested remainder: the detections that still reach a free box,
-    # stepped over in rank order, one (group, threshold) pair per row, with
-    # the settled boxes taken. A detection that reaches only taken boxes
-    # found them taken by an earlier one, so it matches nothing.
-    reach = packed[:, None] >= t[:, None, None]  # (groups, thresholds, dets, gts)
-    reach &= ~taken[:, :, None]
-    rg, rt, ri = np.nonzero(~settled & reach.any(axis=3))
-    if len(rg):
-        rank = _ranks(rg * len(t) + rt)
-        head = rank == 0
-        row = np.cumsum(head) - 1
-        which = np.full((row[-1] + 1, rank.max() + 1), -1)  # each row's detections
-        which[row, rank] = ri
-        grp, bar, free = rg[head], t[rt[head]], ~taken[rg[head], rt[head]]
-        rows = np.arange(len(grp))
-        picked = np.full(which.shape, -1, dtype=np.int32)
-        for i in range(which.shape[1]):
-            masked = np.where(free, packed[grp, which[:, i]], -1.0)
-            j = masked.argmax(axis=1)  # ties go to the earlier ground-truth box
-            hit = (masked[rows, j] >= bar) & (which[:, i] >= 0)
-            picked[hit, i] = j[hit]
-            free[rows[hit], j[hit]] = False
-        cols[rg, rt, ri] = picked[row, rank]
-    out[g, :, d] = cols[g, :, step]
+    # The settling round: each detection takes its best box on [prior, top).
+    span = level[best] - prior
+    d = np.flatnonzero(span > 0)
+    d = np.repeat(d, span[d])
+    k = prior[d] + _ranks(d)
+    s = best[d]
+    out[g[s], k, i[s]] = b[s]
+    # The settled boxes by (group, box, threshold); the last column stays free.
+    taken = np.zeros((n_groups, n_gts, n_t + 1), dtype=bool)
+    taken[g[s], b[s], k] = True
+
+    # The contested remainder. A pair is contested below its cap, the lower
+    # of its level and its detection's prior, where its box is free; only
+    # the pairs whose box is free somewhere below the cap are expanded.
+    cap = np.minimum(level, prior[run])
+    lowest_free = taken.argmin(axis=2)  # n_t where a box is taken at every threshold
+    p = np.flatnonzero(lowest_free[g, b] < cap)
+    if len(p) == 0:
+        return out
+    live = (np.arange(n_t) < cap[p, None]) & ~taken[g[p], b[p], :n_t]
+    lead = np.flatnonzero(np.diff(det[p], prepend=-1))
+    c, k = np.nonzero(np.logical_or.reduceat(live, lead, axis=0))
+    c = p[lead[c]]
+    # Each contested (group, threshold, detection) in rank order, and a row
+    # per (group, threshold) pair, with the settled boxes taken.
+    key = np.sort((g[c] * n_t + k) * n_dets + i[c])
+    rgt, ri = np.divmod(key, n_dets)
+    rg, rt = np.divmod(rgt, n_t)
+    rank = _ranks(rgt)
+    head = rank == 0
+    row = np.cumsum(head) - 1
+    which = np.full((row[-1] + 1, rank.max() + 1), -1)  # each row's detections
+    which[row, rank] = ri
+    grp, bar, free = rg[head], t[rt[head]], ~taken[rg[head], :, rt[head]]
+    rows = np.arange(len(grp))
+    picked = np.full(which.shape, -1, dtype=np.int32)
+    for col in range(which.shape[1]):
+        masked = np.where(free, ious[grp, which[:, col]], -1.0)
+        j = masked.argmax(axis=1)  # ties go to the earlier ground-truth box
+        hit = (masked[rows, j] >= bar) & (which[:, col] >= 0)
+        picked[hit, col] = j[hit]
+        free[rows[hit], j[hit]] = False
+    out[rg, rt, ri] = picked[row, rank]
     return out
 
 

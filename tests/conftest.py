@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from detfuse import (
     DISEASES,
@@ -16,6 +17,9 @@ from detfuse import (
     GroundTruthAnnotation,
 )
 
+
+#: A longer search for the property tests, chosen with ``--hypothesis-profile=thorough``.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 #: An integer too large for a float.
 HUGE = 10**400

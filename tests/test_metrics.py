@@ -312,6 +312,115 @@ def assert_block_agrees_with_oracle(groups) -> np.ndarray:
     return cols
 
 
+#: A group whose detections lie far from its ground truth: no pair reaches any threshold.
+far_groups = st.tuples(
+    grid_boxes.map(lambda boxes: [B(b.x + 500, b.y, b.w, b.h) for b in boxes]), grid_boxes
+)
+
+
+class TestGreedyMatchBlocks:
+    def test_iou_exactly_at_a_threshold_reaches_it(self):
+        """IoU 0.5 and 0.75, both exact: matched at every threshold up to the IoU, none above."""
+        gt = xywh([B(0, 0, 10, 10)])
+        for det, iou in ((B(0, 0, 5, 10), 0.5), (B(0, 0, 10, 7.5), 0.75)):
+            ious = _iou_block(xywh([det]), gt)[None]
+            assert ious[0, 0, 0] == iou
+            cols = _match_block(ious, IOU_THRESHOLDS)[0, :, 0]
+            assert cols.tolist() == [0 if t <= iou else -1 for t in IOU_THRESHOLDS]
+            assert _match_block(ious, [iou]).tolist() == [[[0]]]
+            assert _match_block(ious, [np.nextafter(iou, 1.0)]).tolist() == [[[-1]]]
+
+    def test_ious_at_thresholds_agree_with_the_oracle(self):
+        """A scene whose every overlapping pair has IoU exactly 0.5 or 0.75."""
+        images = [AnnotatedImage(1, 1000, 1000)]
+        triples = [CategoryTriple(q, q + 2, d) for q, d in zip((1, 2, 3, 4), ("caries", "impacted") * 2)]
+        gts = [GroundTruthAnnotation(1, B(100 * k, 0, 10, 10), triples[k]) for k in range(4)]
+        ds = AnnotatedDataset(images, gts)
+        halves = lambda x: (B(x, 0, 5, 10), B(x + 5, 0, 5, 10), B(x, 0, 10, 7.5), B(x, 2.5, 10, 7.5))
+        dets = DetectionSet(
+            [
+                Detection(1, box, (k + 2 * j) % 7 / 6, triples[(k + (j == 3)) % 4], "fused")
+                for k in range(4)
+                for j, box in enumerate(halves(100 * k))
+            ],
+            "fused",
+        )
+        for axis in AXES:
+            for m in (1, 2, 100):
+                assert_agrees_with_oracle(ds, dets, axis, EvalConfig(max_dets=m))
+
+    @given(
+        groups=st.lists(
+            st.one_of(
+                st.tuples(grid_boxes, grid_boxes),
+                st.tuples(crowded_dets, crowded_gts),
+                far_groups,
+                st.just(([], [])),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        thresholds=st.sampled_from([IOU_THRESHOLDS, (0.5,), (0.1, 0.3, 0.7)]),
+    )
+    def test_a_block_matches_each_group_as_alone(self, groups, thresholds):
+        """Groups matched together in one padded block get the columns they get alone;
+        the groups include ones that no pair reaches and ones that are all padding."""
+        dets, gts = ([group[side] for group in groups] for side in (0, 1))
+        cols = _match_block(_iou_block(padded(dets), padded(gts)), thresholds)
+        for k, (d, g) in enumerate(groups):
+            alone = _match_block(_iou_block(xywh(d), xywh(g))[None], thresholds)[0]
+            assert (cols[k, :, : len(d)] == alone).all()
+            assert (cols[k, :, len(d) :] == -1).all()
+
+    def test_a_block_that_no_pair_reaches_matches_nothing(self):
+        groups = [([B(500, 0, 10, 10)] * 3, [B(0, 0, 10, 10)]), ([], []), ([B(0, 0, 10, 10)], [])]
+        dets, gts = ([group[side] for group in groups] for side in (0, 1))
+        cols = _match_block(_iou_block(padded(dets), padded(gts)), IOU_THRESHOLDS)
+        assert cols.shape == (3, len(IOU_THRESHOLDS), 3)
+        assert (cols == -1).all()
+
+
+def iou_block_before(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
+    """``_iou_block`` as it was before it worked in place, kept to compare its bits with."""
+    a = det_xywh[..., :, None, :]
+    g = gt_xywh[..., None, :, :]
+    iw = np.minimum(a[..., 0] + a[..., 2], g[..., 0] + g[..., 2]) - np.maximum(a[..., 0], g[..., 0])
+    ih = np.minimum(a[..., 1] + a[..., 3], g[..., 1] + g[..., 3]) - np.maximum(a[..., 1], g[..., 1])
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    union = a[..., 2] * a[..., 3] + g[..., 2] * g[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+
+
+#: Box coordinates and extents: a few exact values that make edges meet, boxes coincide
+#: and extents vanish (signed zeros among them), mixed with arbitrary finite ones.
+_exact = st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0])
+_xywh_row = st.tuples(
+    _exact | st.floats(-1e3, 1e3), _exact | st.floats(-1e3, 1e3),
+    _exact | st.floats(0.0, 1e3), _exact | st.floats(0.0, 1e3),
+)
+
+
+@st.composite
+def box_block(draw, groups: int, boxes: int) -> np.ndarray:
+    """A ``(groups, boxes, 4)`` array of drawn rows."""
+    rows = draw(st.lists(_xywh_row, min_size=groups * boxes, max_size=groups * boxes))
+    return np.array(rows, float).reshape(groups, boxes, 4)
+
+
+class TestIouBlock:
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 3), st.integers(0, 6), st.integers(0, 6)))
+    def test_bits_equal_the_formula_before(self, data, shape):
+        """Equal bits, signed zeros included, on blocks and on single groups."""
+        g, d, m = shape
+        dets, gts = data.draw(box_block(g, d)), data.draw(box_block(g, m))
+        for pair in ((dets, gts), (dets[0], gts[0])):
+            with np.errstate(all="ignore"):  # degenerate rows may divide by a zero union
+                got, want = _iou_block(*pair), iou_block_before(*pair)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestErrors:
     def test_unknown_axis(self, tiny_scene):
         with pytest.raises(ValueError):
