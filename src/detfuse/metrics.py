@@ -10,8 +10,10 @@ re-implementation); only ``max_dets`` and the enumeration classes are set:
   envelope sampled at the first rank whose recall reaches each point.
   That rank is a class's ``ceil(i * npig / 100)``-th true positive, an
   exact integer test, and the envelope there is the greatest precision at
-  it or a later true positive, since precision rises nowhere else. Every
-  class and threshold is sampled in one pass over the true positives.
+  it or a later true positive, since precision rises nowhere else. Only
+  the true positives, as (threshold, detection) pairs, are pooled: one
+  sort of the unique pool keys places each in its class's score order,
+  and every class and threshold is sampled with one gather.
 * Detections are sorted by descending score (ties keep input
   order) and capped at ``max_dets`` per image and class before matching.
 * Matching is greedy in score order, per image and class: each detection
@@ -140,8 +142,9 @@ _KEY_CLASSES = {
 #: costs about 35 bytes while its IoU is computed: two overlap extents, the
 #: IoU, a flag and a temporary. The matcher reads only the (detection, box)
 #: pairs that reach the lowest threshold; where every cell of a block
-#: reaches it, its worst case, it costs about 155 bytes a cell, 2.5 MiB a
-#: block.
+#: reaches it, its worst case, it costs about 85 bytes a cell, 1.4 MiB a
+#: block, and up to about 120 where each group has one ground-truth box,
+#: since its output holds a column per threshold and detection.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -170,14 +173,18 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
 def _descending_order(x: np.ndarray) -> np.ndarray:
     """``np.argsort(-x, kind="stable")`` of floats without NaN: descending, ties in index order.
 
-    A default sort puts equal values in runs. Value ``i`` in run ``r`` (``-0.0``
-    runs with ``0.0``) becomes the unique key ``r * n + i``, sorted again.
+    A default sort puts equal values in runs (``-0.0`` runs with ``0.0``). With
+    no two values equal that order is the stable one. Otherwise value ``i`` in
+    run ``r`` becomes the unique key ``r * n + i``, sorted again.
     """
     n = len(x)
     order = np.argsort(-x)
     ordered = x[order]
+    new_run = ordered[1:] != ordered[:-1]
+    if new_run.all():
+        return order
     key = np.zeros(n, np.intp)
-    np.cumsum(ordered[1:] != ordered[:-1], out=key[1:])
+    np.cumsum(new_run, out=key[1:])
     key *= n
     key += order
     key.sort()
@@ -234,33 +241,50 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     n_groups, n_dets, n_gts = ious.shape
     n_t = len(t)
     out = np.full((n_groups, n_t, n_dets), -1, dtype=np.int32)
+    # Pair-length arrays set the memory peak, so each is freed once it is read.
     pair = np.flatnonzero(ious >= t[0])  # in (group, detection, box) order
     if len(pair) == 0:
         return out
     iou = ious.ravel()[pair]
     det, b = np.divmod(pair, n_gts)
+    del pair
     g, i = np.divmod(det, n_dets)
     level = (iou >= t[:, None]).sum(axis=0)  # the pair reaches t[:level]
 
     # Each detection's pairs are a run. Its best pair is the first at the
     # run's top IoU: the highest IoU, ties to the earlier box.
-    first = np.ones(len(pair), dtype=bool)
+    first = np.ones(len(iou), dtype=bool)
     first[1:] = det[1:] != det[:-1]
+    del det
     run = np.cumsum(first) - 1
     start = np.flatnonzero(first)
+    del first
     top = np.maximum.reduceat(iou, start)
-    best = np.minimum.reduceat(np.where(iou == top[run], np.arange(len(pair)), len(pair)), start)
+    at_top = np.arange(len(iou))
+    at_top[iou != top[run]] = len(iou)
+    del iou, top
+    best = np.minimum.reduceat(at_top, start)
+    del at_top, start
     # The prior level on each pair's box: the running maximum of the levels
     # of the earlier detections' pairs with the box. Pairs are ordered by
     # (group, box, detection) on unique keys, and each (group, box) run is
     # raised above the one before it, so one accumulate restarts per box.
     box = g * n_gts + b
     order = np.argsort(box * n_dets + i)
-    lift = box[order] * (n_t + 1)
-    reached = np.maximum.accumulate(level[order] + lift)
-    on_box = np.zeros(len(pair), dtype=np.intp)
-    on_box[order[1:]] = np.maximum(reached[:-1] - lift[1:], 0)
+    lift = box[order]
+    del box
+    lift *= n_t + 1
+    reached = level[order]
+    reached += lift
+    np.maximum.accumulate(reached, out=reached)
+    on_box = np.zeros(len(order), dtype=np.intp)
+    reached = reached[:-1]
+    reached -= lift[1:]
+    del lift
+    on_box[order[1:]] = np.maximum(reached, 0, out=reached)
+    del order, reached
     prior = on_box[best]
+    del on_box
 
     # The settling round: each detection takes its best box on [prior, top).
     span = level[best] - prior
@@ -272,23 +296,31 @@ def _match_block(ious: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
     # The settled boxes by (group, box, threshold); the last column stays free.
     taken = np.zeros((n_groups, n_gts, n_t + 1), dtype=bool)
     taken[g[s], b[s], k] = True
+    del span, d, k, s
 
     # The contested remainder. A pair is contested below its cap, the lower
     # of its level and its detection's prior, where its box is free; only
     # the pairs whose box is free somewhere below the cap are expanded.
     cap = np.minimum(level, prior[run])
+    del level
     lowest_free = taken.argmin(axis=2)  # n_t where a box is taken at every threshold
     p = np.flatnonzero(lowest_free[g, b] < cap)
     if len(p) == 0:
         return out
-    live = (np.arange(n_t) < cap[p, None]) & ~taken[g[p], b[p], :n_t]
-    lead = np.flatnonzero(np.diff(det[p], prepend=-1))
+    live = ~taken[g[p], b[p], :n_t]
+    live &= np.arange(n_t) < cap[p, None]
+    del b, cap
+    lead = np.flatnonzero(np.diff(run[p], prepend=-1))
+    del run
     c, k = np.nonzero(np.logical_or.reduceat(live, lead, axis=0))
+    del live
     c = p[lead[c]]
     # Each contested (group, threshold, detection) in rank order, and a row
     # per (group, threshold) pair, with the settled boxes taken.
     key = np.sort((g[c] * n_t + k) * n_dets + i[c])
+    del g, i, p, c, k
     rgt, ri = np.divmod(key, n_dets)
+    del key
     rg, rt = np.divmod(rgt, n_t)
     rank = _ranks(rgt)
     head = rank == 0
@@ -314,16 +346,21 @@ def _true_positives(
     det_xywh: np.ndarray,
     gt_group: np.ndarray,
     gt_xywh: np.ndarray,
-) -> np.ndarray:
-    """True-positive flags, ``(thresholds, detections)``, of capped detections.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The true positives of capped detections, as (threshold, detection) index pairs.
 
     Detections are sorted by group, then by score rank; ground truth is
     sorted by group, in annotation order within a group. The groups that
     have ground truth are the rows of zero-padded blocks of at most
     :data:`_BLOCK_CELLS` cells, matched a block at a time. A detection
-    whose group has no ground truth matches nothing.
+    whose group has no ground truth matches nothing. One index per cell,
+    ``row * width + rank``, names the box that fills it, and so the
+    detection of each match read back from it.
     """
-    flags = np.zeros((len(IOU_THRESHOLDS), len(det_group)), dtype=bool)
+    pairs = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
+    # The last row of each box array is a zero box, the padding of every block.
+    det_xywh = np.concatenate([det_xywh, np.zeros((1, 4))])
+    gt_xywh = np.concatenate([gt_xywh, np.zeros((1, 4))])
     start = np.flatnonzero(np.diff(gt_group, prepend=-1))
     groups, gt_count = gt_group[start], np.diff(start, append=len(gt_group))
     gt_row = np.repeat(np.arange(len(groups)), gt_count)
@@ -338,15 +375,24 @@ def _true_positives(
         lo, hi = np.searchsorted(det_row, (r0, r1))
         if lo == hi:
             continue
-        d, d_row, d_rank = matched[lo:hi], det_row[lo:hi] - r0, det_rank[matched[lo:hi]]
+        d = matched[lo:hi]
+        d_rank = det_rank[d]
+        width = d_rank.max() + 1
+        at = np.full((r1 - r0) * width, len(det_xywh) - 1)
+        at[(det_row[lo:hi] - r0) * width + d_rank] = d
         g = slice(*np.searchsorted(gt_row, (r0, r1)))
-        dets = np.zeros((r1 - r0, d_rank.max() + 1, 4))
-        dets[d_row, d_rank] = det_xywh[d]
-        gts = np.zeros((r1 - r0, gt_count[r0:r1].max(), 4))
-        gts[gt_row[g] - r0, gt_rank[g]] = gt_xywh[g]
-        cols = _match_block(_iou_block(dets, gts), IOU_THRESHOLDS)
-        flags[:, d] = (cols >= 0)[d_row, :, d_rank].T
-    return flags
+        gt_width = gt_count[r0:r1].max()
+        gt_at = np.full((r1 - r0) * gt_width, len(gt_xywh) - 1)
+        gt_at[(gt_row[g] - r0) * gt_width + gt_rank[g]] = np.arange(g.start, g.stop)
+        ious = _iou_block(
+            det_xywh.take(at, axis=0).reshape(r1 - r0, width, 4),
+            gt_xywh.take(gt_at, axis=0).reshape(r1 - r0, gt_width, 4),
+        )
+        row_t, rank = np.divmod(np.flatnonzero(_match_block(ious, IOU_THRESHOLDS) >= 0), width)
+        row, t = np.divmod(row_t, len(IOU_THRESHOLDS))
+        pairs.append((t, at[row * width + rank]))
+    t, d = zip(*pairs)
+    return np.concatenate(t), np.concatenate(d)
 
 
 def evaluate(
@@ -388,7 +434,7 @@ def evaluate(
     gt_group = ds.image[gt_rows] * np.intp(n_cls) + gt_class[gt_rows]
     gt_order = _stable_order(gt_group)  # annotation order within a group
     gt_group = gt_group[gt_order]
-    gt_xywh = ds.xywh[gt_rows[gt_order]]
+    gt_xywh = ds.xywh.take(gt_rows[gt_order], axis=0)
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
 
     det_group = det_image * n_cls + det_class
@@ -401,36 +447,44 @@ def evaluate(
     group = det_group[pos[score_rank]]
     rank = _ranks(group)
     keep = rank < cfg.max_dets
-    xywh = cols.xywh[pos[score_rank[keep]]]
+    xywh = cols.xywh.take(pos[score_rank[keep]], axis=0)  # faster than indexing rows with [ ]
     group, rank, score_rank = group[keep], rank[keep], score_rank[keep]
     # Matching sets the memory peak, so free the detection arrays it does not read.
     del det_image, det_class, det_group, pos, keep
-    flags = _true_positives(group, rank, xywh, gt_group, gt_xywh)
+    t, d = _true_positives(group, rank, xywh, gt_group, gt_xywh)
 
-    # Pool each class's detections in score order, ties in input order, and
-    # number each one's place in its class's pool. The keys are unique.
+    # Pool each class's detections in score order, ties in input order. The
+    # pool keys are unique, so a sort orders them, and a true positive's
+    # place in its class's pool is its key's position less the class's start.
+    n = len(cols.score)
     key = group % n_cls
-    key *= len(cols.score)
+    key *= n
     key += score_rank
-    pool = np.argsort(key)
-    pool_class = group[pool] % n_cls
-    place = _ranks(pool_class)
-    # Each (threshold, class) pair has a curve, numbered t * n_cls + class.
-    # At its k-th true positive, at place p (both from 0), precision is
-    # (k + 1) / (p + 1), and the envelope is its suffix maximum.
+    pooled = np.sort(key)
+    key = key[d]
+    tp_class = key // n
+    place = np.searchsorted(pooled, key)
+    place -= np.searchsorted(pooled, np.arange(n_cls) * n)[tp_class]
+    # Each (threshold, class) pair has a curve, numbered t * n_cls + class,
+    # and its true positives are sorted by place. At its k-th true positive,
+    # at place p (both from 0), precision is (k + 1) / (p + 1), and the
+    # envelope is its suffix maximum: a running maximum from the last column,
+    # since the k-th true positive is stored in column width - 1 - k.
     n_t = len(IOU_THRESHOLDS)
-    t, j = np.nonzero(flags[:, pool])
-    curve = t * n_cls + pool_class[j]
+    curve, place = np.divmod(np.sort((t * n_cls + tp_class) * len(pooled) + place), len(pooled))
     k = _ranks(curve)
     found = np.bincount(curve, minlength=n_t * n_cls)
-    env = np.zeros((n_t * n_cls, found.max(initial=0) + 1))
-    env[curve, k] = (k + 1) / (place[j] + 1)
-    env = np.maximum.accumulate(env[:, ::-1], axis=1)[:, ::-1]
+    width = found.max(initial=0) + 1
+    env = np.zeros((n_t * n_cls, width))
+    env[curve, width - 1 - k] = (k + 1) / (place + 1)
+    np.maximum.accumulate(env, axis=1, out=env)
     # Point r is first reached at the m-th true positive, m = ceil(r * npig
     # / 100); past a curve's last true positive the envelope reads 0.
     need = -(-np.arange(RECALL_POINTS) * np.array(npig)[:, None] // (RECALL_POINTS - 1))
-    col = np.clip(need - 1, 0, env.shape[1] - 1)[None]
-    q = np.take_along_axis(env.reshape(n_t, n_cls, -1), col, axis=2)  # (thresholds, classes, points)
+    # The flat index in env of each (threshold, class, point) sample.
+    at = (np.arange(1, n_cls + 1) * width - 1)[:, None] - np.clip(need - 1, 0, width - 1)
+    at = at + (np.arange(n_t) * (n_cls * width))[:, None, None]
+    q = env.take(at)  # (thresholds, classes, points)
 
     # The means below stay Python sums in threshold, then class order: a
     # numpy reduction would change the last bit of mAP and AR.

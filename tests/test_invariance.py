@@ -21,6 +21,7 @@ from detfuse import (
     AXES,
     CROP_LABELS,
     AnnotatedDataset,
+    AnnotatedImage,
     CropClassification,
     DetectionSet,
     IntegrationConfig,
@@ -113,6 +114,11 @@ def reports(result) -> dict:
     return {axis: report.as_dict() for axis, report in result.reports.items()}
 
 
+def curves(result) -> dict:
+    """Each report's ``pr_curve`` as bytes, so that equal means bit for bit."""
+    return {axis: report.pr_curve.tobytes() for axis, report in result.reports.items()}
+
+
 @settings(max_examples=25, deadline=None)
 @given(scene=scenes)
 @example(scene=(1, 12))
@@ -154,3 +160,22 @@ def test_string_image_ids_change_no_report(scene):
         got, want = getattr(renamed, stage).columns, getattr(base, stage).columns
         for column in ("xywh", "score", "key", "link"):
             assert np.array_equal(getattr(got, column), getattr(want, column)), (stage, column)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes, position=st.integers(0, 12))
+@example(scene=(1, 12), position=12)
+@example(scene=(7, 12), position=0)
+def test_an_empty_image_changes_no_report(scene, position):
+    """A ground-truth image with no annotations and no detections, inserted before
+    image ``position`` (or last): the same reports and the same ``pr_curve`` bits."""
+    ds, streams, verdicts = make_scene(*scene)
+    images = list(ds.images)
+    images.insert(min(position, len(images)), AnnotatedImage(max(ds.image_ids()) + 1, 640, 480))
+    ds2 = AnnotatedDataset(images, ds.annotations)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run(Path(tmp, "base"), ds, streams, verdicts)
+        padded = run(Path(tmp, "padded"), ds2, streams, verdicts)
+    assert set(base.reports) == set(AXES)
+    assert reports(padded) == reports(base)
+    assert curves(padded) == curves(base)

@@ -28,6 +28,7 @@ from detfuse import (
 import detfuse.metrics
 from detfuse.detections import CATEGORY_KEYS, category_of
 from detfuse.metrics import (
+    _BLOCK_CELLS,
     _KEY_CLASSES,
     AXES,
     IOU_THRESHOLDS,
@@ -35,6 +36,8 @@ from detfuse.metrics import (
     _descending_order,
     _iou_block,
     _match_block,
+    _ranks,
+    _stable_order,
     axis_projection,
 )
 from detfuse.reference import _match_flags
@@ -491,16 +494,33 @@ class TestErrors:
 #: Scores that tie: both zeros, the least subnormal and the float below 1 among them; a 0.1 grid.
 TIED_SCORES = ([0.0, -0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0], [i / 10 for i in range(11)])
 
+tied_scores = st.sampled_from(TIED_SCORES).flatmap(
+    lambda scores: arrays(np.float64, st.integers(0, 3000), elements=st.sampled_from(scores))
+)
+#: Scores no two of which are equal, infinities and subnormals among them; no zero.
+distinct_scores = arrays(
+    np.float64,
+    st.integers(0, 3000),
+    elements=st.floats(min_value=5e-324) | st.floats(max_value=-5e-324),
+    unique=True,
+)
+
+
+@st.composite
+def distinct_scores_and_both_zeros(draw):
+    """Distinct scores with ``0.0`` and ``-0.0``, in drawn order at drawn places: the one tie."""
+    x = draw(distinct_scores).tolist()
+    for zero in draw(st.permutations([0.0, -0.0])):
+        x.insert(draw(st.integers(0, len(x))), zero)
+    return np.array(x)
+
 
 class TestScoreOrder:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        x=st.sampled_from(TIED_SCORES).flatmap(
-            lambda scores: arrays(np.float64, st.integers(0, 3000), elements=st.sampled_from(scores))
-        )
-    )
+    @settings(deadline=None)  # the profile sets the example count
+    @given(x=st.one_of(tied_scores, distinct_scores, distinct_scores_and_both_zeros()))
     def test_descending_order_is_the_stable_one(self, x):
-        """Descending by score, equal scores in index order, ``-0.0`` equal to ``0.0``."""
+        """Descending by score, equal scores in index order, ``-0.0`` equal to ``0.0``; also
+        where no two scores are equal, or the only equal pair is ``0.0`` and ``-0.0``."""
         np.testing.assert_array_equal(_descending_order(x), np.argsort(-x, kind="stable"))
 
     @pytest.mark.parametrize("scores", [(0.5,), (0.0, -0.0, 0.5)], ids=["one", "three"])
@@ -616,6 +636,114 @@ def assert_agrees_with_oracle(ds, dets, axis, cfg):
     for cls, (ap, ar) in fast.per_class.items():
         assert abs(ap - slow.per_class[cls][0]) < 1e-12, (where, cls)
         assert abs(ar - slow.per_class[cls][1]) < 1e-12, (where, cls)
+
+
+def true_positive_flags_before(det_group, det_rank, det_xywh, gt_group, gt_xywh):
+    """``metrics._true_positives`` as it was before it returned index pairs: a dense
+    ``(thresholds, detections)`` flag matrix, kept to compare the pooling with."""
+    flags = np.zeros((len(IOU_THRESHOLDS), len(det_group)), dtype=bool)
+    start = np.flatnonzero(np.diff(gt_group, prepend=-1))
+    groups, gt_count = gt_group[start], np.diff(start, append=len(gt_group))
+    gt_row = np.repeat(np.arange(len(groups)), gt_count)
+    gt_rank = np.arange(len(gt_group)) - start[gt_row]
+    slot = np.minimum(np.searchsorted(groups, det_group), len(groups) - 1)
+    matched = np.flatnonzero(groups[slot] == det_group)
+    det_row = slot[matched]
+    cells = (det_rank.max(initial=0) + 1) * gt_count.max()
+    per_block = max(1, _BLOCK_CELLS // int(cells))
+    for r0 in range(0, len(groups), per_block):
+        r1 = min(r0 + per_block, len(groups))
+        lo, hi = np.searchsorted(det_row, (r0, r1))
+        if lo == hi:
+            continue
+        d, d_row, d_rank = matched[lo:hi], det_row[lo:hi] - r0, det_rank[matched[lo:hi]]
+        g = slice(*np.searchsorted(gt_row, (r0, r1)))
+        dets = np.zeros((r1 - r0, d_rank.max() + 1, 4))
+        dets[d_row, d_rank] = det_xywh[d]
+        gts = np.zeros((r1 - r0, gt_count[r0:r1].max(), 4))
+        gts[gt_row[g] - r0, gt_rank[g]] = gt_xywh[g]
+        cols = _match_block(_iou_block(dets, gts), IOU_THRESHOLDS)
+        flags[:, d] = (cols >= 0)[d_row, :, d_rank].T
+    return flags
+
+
+def evaluate_before(ds, dets, axis, cfg):
+    """``evaluate`` as it was before it pooled true positives from index pairs: the flag
+    matrix gathered through an argsort of the pool keys. It skips the input checks."""
+    key_class = _KEY_CLASSES[axis, cfg.enumeration_product]
+    cols = dets.columns
+    det_image = cols.image_index(tuple(ds.image_ids()))
+    present = np.flatnonzero(np.bincount(ds.key, minlength=CATEGORY_KEYS)).tolist()
+    classes = sorted({key_class[k] for k in present} - {None})
+    n_cls = len(classes)
+    class_index = {key: c for c, key in enumerate(classes)}
+    table = np.array([-2 if v is None else class_index.get(v, -1) for v in key_class], np.intp)
+    det_class = table[cols.key]
+    gt_class = table[ds.key]
+    gt_rows = np.flatnonzero(gt_class >= 0)
+    gt_group = ds.image[gt_rows] * np.intp(n_cls) + gt_class[gt_rows]
+    gt_order = _stable_order(gt_group)
+    gt_group = gt_group[gt_order]
+    gt_xywh = ds.xywh[gt_rows[gt_order]]
+    npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
+    det_group = det_image * n_cls + det_class
+    pos = np.flatnonzero(det_class >= 0)
+    pos = pos[_descending_order(cols.score[pos])]
+    score_rank = _stable_order(det_group[pos])
+    group = det_group[pos[score_rank]]
+    rank = _ranks(group)
+    keep = rank < cfg.max_dets
+    xywh = cols.xywh[pos[score_rank[keep]]]
+    group, rank, score_rank = group[keep], rank[keep], score_rank[keep]
+    flags = true_positive_flags_before(group, rank, xywh, gt_group, gt_xywh)
+
+    key = group % n_cls
+    key *= len(cols.score)
+    key += score_rank
+    pool = np.argsort(key)
+    pool_class = group[pool] % n_cls
+    place = _ranks(pool_class)
+    n_t = len(IOU_THRESHOLDS)
+    t, j = np.nonzero(flags[:, pool])
+    curve = t * n_cls + pool_class[j]
+    k = _ranks(curve)
+    found = np.bincount(curve, minlength=n_t * n_cls)
+    env = np.zeros((n_t * n_cls, found.max(initial=0) + 1))
+    env[curve, k] = (k + 1) / (place[j] + 1)
+    env = np.maximum.accumulate(env[:, ::-1], axis=1)[:, ::-1]
+    need = -(-np.arange(RECALL_POINTS) * np.array(npig)[:, None] // (RECALL_POINTS - 1))
+    col = np.clip(need - 1, 0, env.shape[1] - 1)[None]
+    q = np.take_along_axis(env.reshape(n_t, n_cls, -1), col, axis=2)
+
+    ap = (q.sum(axis=2) / RECALL_POINTS).T.tolist()
+    ar = [sum(m / npig[c] for m in found[c::n_cls].tolist()) / n_t for c in range(n_cls)]
+    ap_mean = [sum(row) / n_t for row in ap]
+    per_class = {str(cls): (m, r) for cls, m, r in zip(classes, ap_mean, ar)}
+    ap50 = sum(row[IOU_THRESHOLDS.index(0.5)] for row in ap) / n_cls
+    ap75 = sum(row[IOU_THRESHOLDS.index(0.75)] for row in ap) / n_cls
+    pr_curve = sum(q.swapaxes(0, 1)) / n_cls
+    return EvaluationReport(
+        axis, sum(ap_mean) / n_cls, ap50, ap75, sum(ar) / n_cls, per_class, pr_curve
+    )
+
+
+class TestPooling:
+    @settings(deadline=None)  # the profile sets the example count
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from(AXES),
+        cfg=st.builds(EvalConfig, max_dets=st.integers(1, 4), enumeration_product=st.booleans()),
+    )
+    def test_reports_equal_the_dense_flag_pooling(self, seed, axis, cfg):
+        """The same report and the same ``pr_curve`` bits as the dense flag matrix gave,
+        on scenes whose scores tie, whose groups exceed ``max_dets`` and whose
+        detections include classes absent from the ground truth."""
+        ds, dets = random_eval_instance(np.random.default_rng(seed), max_images=5, max_boxes=30)
+        got, want = evaluate(ds, dets, axis, cfg), evaluate_before(ds, dets, axis, cfg)
+        assert got.as_dict() == want.as_dict()
+        assert got.pr_curve.dtype == want.pr_curve.dtype
+        assert got.pr_curve.shape == want.pr_curve.shape
+        assert got.pr_curve.tobytes() == want.pr_curve.tobytes()
 
 
 class TestInvariants:
