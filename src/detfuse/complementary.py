@@ -27,6 +27,7 @@ from .detections import (
     Columns,
     DetectionSet,
     _category_key,
+    _encode_compact,
     _json_floats,
     _json_ids,
     _per_row,
@@ -54,7 +55,6 @@ from .io import (
     _boxes,
     _clip,
     _code_column,
-    _dump_json,
     _field,
     _FirstBreak,
     _id_column,
@@ -69,6 +69,7 @@ from .metrics import _iou_block
 #: Rare-class duplication factors applied when no explicit boost is given.
 DEFAULT_BOOST = {"periapical-lesion": 2, "deep-caries": 2}
 _LABEL_CODE = {label: code for code, label in enumerate(CROP_LABELS)}
+_LABEL_TEXT = [_encode_compact(label) for label in CROP_LABELS]
 #: The crop padding of the pipeline and ``crops --pad``; ``assign_crops`` takes it explicitly.
 _PAD_FRACTION = 0.1
 
@@ -350,7 +351,7 @@ def write_crop_manifest(crops: CropSet, path: PathLike) -> None:
     """Write the crop manifest consumed by the external cropper/classifier, from its columns."""
     rows = crops.rows
     values = zip(
-        _json_ids(rows), _json_floats(crops.boxes), _json_floats(rows.xywh),
+        _json_ids(rows.ids, rows.image), _json_floats(crops.boxes), _json_floats(rows.xywh),
         rows.quadrant.tolist(), rows.tooth.tolist(), _json_floats(rows.score),
     )
     lines = [
@@ -416,7 +417,6 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
 def write_crop_classifications(items: Iterable[CropClassification], path: PathLike) -> None:
     """Write verdicts as ``{crop_id, label, confidence}`` records, from their columns."""
     v = _verdicts(items)
-    values = zip(v.crop_id.tolist(), v.label.tolist(), v.confidence.tolist())
-    _dump_json(
-        [{"crop_id": i, "label": CROP_LABELS[k], "confidence": c} for i, k, c in values], path
-    )
+    values = zip(v.crop_id.tolist(), v.label.tolist(), _json_floats(v.confidence))
+    lines = [f'{{"crop_id":{i},"label":{_LABEL_TEXT[k]},"confidence":{c}}}' for i, k, c in values]
+    _write_lines(lines, path)

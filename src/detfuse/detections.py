@@ -65,8 +65,17 @@ class Columns:
     disease = property(lambda self: category_codes(self.key)[2])
 
     def take(self, rows) -> "Columns":
-        """The rows ``rows`` (a mask, indices or a slice), over the same ids."""
-        return Columns(self.ids, *(getattr(self, name)[rows] for name in _ROW_FIELDS))
+        """The rows ``rows`` (a mask, indices or a slice), over the same ids.
+
+        ``compress`` and ``take`` gather the ``[N, 4]`` box column several times
+        faster than indexing it with ``[rows]``.
+        """
+        columns = [getattr(self, name) for name in _ROW_FIELDS]
+        if isinstance(rows, slice):
+            return Columns(self.ids, *(c[rows] for c in columns))
+        if np.asarray(rows).dtype == bool:
+            return Columns(self.ids, *(c.compress(rows, axis=0) for c in columns))
+        return Columns(self.ids, *(c.take(rows, axis=0) for c in columns))
 
     def image_index(self, ids: tuple) -> np.ndarray:
         """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""
@@ -198,10 +207,11 @@ def _views(cols: Columns) -> tuple[Detection, ...]:
     )
 
 
-def _json_ids(cols: Columns) -> list[str]:
-    """Each row's image id as JSON text, encoded once per id of ``cols.ids``."""
-    ids = [_encode_compact(image_id) for image_id in cols.ids]
-    return [ids[k] for k in cols.image.tolist()]
+def _json_ids(ids: Sequence[ImageId], image: np.ndarray) -> list[str]:
+    """The image id of each row as JSON text, where ``image`` indexes ``ids``; each id is
+    encoded once."""
+    text = [_encode_compact(image_id) for image_id in ids]
+    return [text[k] for k in image.tolist()]
 
 
 def _json_floats(a: np.ndarray) -> list[str]:
@@ -231,7 +241,8 @@ def _json_floats(a: np.ndarray) -> list[str]:
 #: How each piece of the rows' text is built from their columns.
 _ROW_TEXT = {
     "box": lambda cols: [
-        f'{{"image_id":{i},"bbox":{b}' for i, b in zip(_json_ids(cols), _json_floats(cols.xywh))
+        f'{{"image_id":{i},"bbox":{b}'
+        for i, b in zip(_json_ids(cols.ids, cols.image), _json_floats(cols.xywh))
     ],
     "score": lambda cols: [f',"score":{s}' for s in _json_floats(cols.score)],
 }

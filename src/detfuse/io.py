@@ -53,6 +53,8 @@ from .detections import (
     _category_key,
     _encode_compact,
     _image_index,
+    _json_floats,
+    _json_ids,
     _per_row,
     _record_columns,
     _refuse,
@@ -289,16 +291,18 @@ def _write_lines(lines: list[str], path: PathLike) -> None:
         fh.write("[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n")
 
 
-def _dump_json(obj, path: PathLike) -> None:
-    """Write ``obj`` as JSON ending in a newline; ``path`` changes only once the write is complete.
+def _indented(value, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``depth`` levels deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
-    A list is written one compact record per line by :func:`_write_lines`, the
-    writer of every record file. Any other value (metrics reports, ground
-    truth, balance plans) is indented by 2.
+
+def _dump_json(obj, path: PathLike) -> None:
+    """Write ``obj`` indented by 2, ending in a newline; ``path`` changes only once the write is complete.
+
+    This is the writer of the indented objects that ``json`` encodes whole:
+    metrics reports and balance plans. Record files and id lists are written by
+    :func:`_write_lines`; :func:`write_ground_truth` builds this layout itself.
     """
-    if isinstance(obj, list):
-        _write_lines(list(map(_encode_compact, obj)), path)
-        return
     with _atomic_open(path) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
@@ -319,12 +323,16 @@ _TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4)
 
 
 #: The ``category_id_1/2/3`` fields of each category key; an absent axis is left out.
-_KEY_FIELDS = np.array([
+_KEY_FIELDS = [
     {name: c for (name, _), c in zip(_TRIPLE_KEYS, category_codes(k)) if c >= 0}
     for k in range(len(_TRIPLES))
-], object)
+]
 #: The fields of :data:`_KEY_FIELDS` as record text, ``,"category_id_1":0`` and on.
 _KEY_TEXT = np.array(["".join(f',"{n}":{c}' for n, c in f.items()) for f in _KEY_FIELDS], object)
+#: The same fields as ground-truth text, each on its own line of an annotation.
+_KEY_INDENTED = np.array(
+    ["".join(f',\n      "{n}": {c}' for n, c in f.items()) for f in _KEY_FIELDS], object
+)
 
 
 #: Stands in for a rejected box, so that the later checks can run on every row.
@@ -666,19 +674,34 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
 
 
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:
-    """Serialize a dataset back to the canonical COCO-style layout, from its columns."""
+    """Serialize a dataset to the canonical COCO-style layout, from its columns.
+
+    The text is what ``json.dumps(indent=2)`` writes for the dict records:
+    ``json`` encodes the images list, each image id once and each
+    segmentation payload, and the box floats take the number rule of
+    :func:`~detfuse.detections._json_floats`.
+    """
     images = [
         {"id": im.image_id, "width": im.width, "height": im.height, "file_name": im.file_name}
         for im in ds.images
     ]
-    rows = _per_row(ds.image_ids(), ds.image, ds.xywh, _KEY_FIELDS[ds.key], ds.segmentation)
-    annotations = []
-    for i, (image_id, box, fields, mask) in enumerate(rows):
-        rec: dict = {"id": i, "image_id": image_id, "bbox": box, **fields}
-        if mask is not None:
-            rec["segmentation"] = mask
-        annotations.append(rec)
-    _dump_json({"images": images, "annotations": annotations}, path)
+    floats = iter(_json_floats(ds.xywh.reshape(-1)))
+    masks = (
+        "" if mask is None else f',\n      "segmentation": {_indented(mask, 3)}'
+        for mask in ds.segmentation
+    )
+    rows = zip(
+        _json_ids(ds.image_ids(), ds.image), floats, floats, floats, floats,
+        _KEY_INDENTED[ds.key].tolist(), masks,
+    )
+    annotations = [
+        f'    {{\n      "id": {i},\n      "image_id": {image_id},\n      "bbox": [\n        {x},'
+        f"\n        {y},\n        {w},\n        {h}\n      ]{fields}{mask}\n    }}"
+        for i, (image_id, x, y, w, h, fields, mask) in enumerate(rows)
+    ]
+    listed = "[\n" + ",\n".join(annotations) + "\n  ]" if annotations else "[]"
+    with _atomic_open(path) as fh:
+        fh.write(f'{{\n  "images": {_indented(images, 1)},\n  "annotations": {listed}\n}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -718,4 +741,4 @@ def write_id_list(ids: Sequence[ImageId], path: PathLike) -> None:
     """Write ``ids`` as a JSON list; an id that is not an int or a str is :class:`ConfigError`."""
     ids = list(ids)
     raise_problems(_image_id_problems(ids))
-    _dump_json(ids, path)
+    _write_lines(list(map(_encode_compact, ids)), path)

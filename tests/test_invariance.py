@@ -3,6 +3,8 @@
 Each property draws a small synthetic scene, writes its inputs, runs
 ``run_pipeline`` with the crop stage on and every axis evaluated, applies one
 transformation to the same inputs, runs it again and compares the two runs.
+The last property compares a run whose verdict file keeps no verdict with a
+run without the crop stage.
 This is metamorphic testing: no expected report is written down, only the
 relation between the two runs.
 """
@@ -25,6 +27,7 @@ from detfuse import (
     CropClassification,
     DetectionSet,
     IntegrationConfig,
+    MergeConfig,
     PipelineConfig,
     ScenePlan,
     assign_crops,
@@ -81,11 +84,14 @@ def make_scene(seed: int, images: int):
 
 
 def run(root: Path, ds, streams, verdicts):
-    """``run_pipeline`` over the scene, its inputs and artifacts written under ``root``."""
+    """``run_pipeline`` over the scene, its inputs and artifacts written under ``root``;
+    without the crop stage when ``verdicts`` is None."""
     root.mkdir()
-    paths = {"ground_truth": str(root / "gt.json"), "crop_classifications": str(root / "crops.json")}
+    paths = {"ground_truth": str(root / "gt.json")}
     write_ground_truth(ds, paths["ground_truth"])
-    write_crop_classifications(verdicts, paths["crop_classifications"])
+    if verdicts is not None:
+        paths["crop_classifications"] = str(root / "crops.json")
+        write_crop_classifications(verdicts, paths["crop_classifications"])
     for source, _, key in STREAMS:
         paths[key] = str(root / f"{key}.json")
         write_detections(streams[source], paths[key])
@@ -179,3 +185,30 @@ def test_an_empty_image_changes_no_report(scene, position):
     assert set(base.reports) == set(AXES)
     assert reports(padded) == reports(base)
     assert curves(padded) == curves(base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scene=scenes, normal=st.booleans())
+@example(scene=(1, 12), normal=True)
+@example(scene=(7, 12), normal=False)
+def test_a_verdict_file_that_keeps_no_verdict_changes_nothing(scene, normal):
+    """Every verdict ``normal``, or every confidence under ``min_confidence`` (those at or
+    above it set just under it): 03 has the bytes of 02, and 04 and every report are
+    those of the run without the crop stage."""
+    ds, streams, verdicts = make_scene(*scene)
+    under = float(np.nextafter(MergeConfig().min_confidence, 0))
+    verdicts = [
+        replace(v, label="normal") if normal else replace(v, confidence=min(v.confidence, under))
+        for v in verdicts
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        on = run(Path(tmp, "on"), ds, streams, verdicts)
+        off = run(Path(tmp, "off"), ds, streams, None)
+        out_on, out_off = Path(tmp, "on", "out"), Path(tmp, "off", "out")
+        assert (out_on / "03_complementary.json").read_bytes() == (
+            out_on / "02_integrated.json"
+        ).read_bytes()
+        assert (out_on / "04_final.json").read_bytes() == (out_off / "04_final.json").read_bytes()
+    assert set(on.reports) == set(AXES)
+    assert reports(on) == reports(off)
+    assert curves(on) == curves(off)

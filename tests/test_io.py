@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from detfuse import (
+    CROP_LABELS,
     DISEASES,
     AnnotatedDataset,
     AnnotatedImage,
@@ -61,8 +62,10 @@ from detfuse import (
     write_pr_csv,
 )
 from detfuse.cli import main
-from detfuse.detections import Columns, _json_floats, category_of
-from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ
+from detfuse.detections import (
+    CATEGORY_KEYS, Columns, _encode_compact, _json_floats, category_codes, category_of
+)
+from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ, _write_lines
 
 from conftest import HUGE, huge_id, perfect_detections
 
@@ -1437,7 +1440,7 @@ class TestAtomicWrites:
     def test_array_is_one_compact_record_per_line(self, tmp_path):
         records = [{"image_id": 1, "bbox": [1.5, 2, 3, 4], "score": 0.25}, {"a": None}, {}]
         path = tmp_path / "out.json"
-        _dump_json(records, path)
+        _write_lines(list(map(_encode_compact, records)), path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(records) + 2
         assert lines == [
@@ -1451,7 +1454,7 @@ class TestAtomicWrites:
 
     def test_empty_array(self, tmp_path):
         path = tmp_path / "out.json"
-        _dump_json([], path)
+        write_id_list([], path)
         assert path.read_text() == "[]\n"
 
     def test_string_image_ids_round_trip(self, tmp_path):
@@ -1696,3 +1699,135 @@ class TestDecoderAgreement:
         path.write_bytes(b'[{"file_name": ' + b"[" * 1100 + b"]" * 1100 + b"}]")
         with pytest.raises(MalformedFile, match=r"deep\.json is nested too deeply to read: "):
             read(path)
+
+
+def ground_truth_before(ds: AnnotatedDataset) -> bytes:
+    """The bytes ``write_ground_truth`` wrote when it built one dict per annotation and
+    encoded the document with ``json.dumps(indent=2)``."""
+    images = [
+        {"id": im.image_id, "width": im.width, "height": im.height, "file_name": im.file_name}
+        for im in ds.images
+    ]
+    names = ("category_id_1", "category_id_2", "category_id_3")
+    ids = ds.image_ids()
+    annotations = []
+    rows = zip(ds.image.tolist(), ds.xywh.tolist(), ds.key.tolist(), ds.segmentation)
+    for i, (image, box, key, mask) in enumerate(rows):
+        rec = {"id": i, "image_id": ids[image], "bbox": box}
+        rec.update((name, code) for name, code in zip(names, category_codes(key)) if code >= 0)
+        if mask is not None:
+            rec["segmentation"] = mask
+        annotations.append(rec)
+    return (json.dumps({"images": images, "annotations": annotations}, indent=2) + "\n").encode()
+
+
+def crop_classifications_before(verdicts) -> bytes:
+    """The bytes ``write_crop_classifications`` wrote when it encoded one dict per verdict."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [
+        encode({"crop_id": v.crop_id, "label": v.label, "confidence": float(v.confidence)})
+        for v in verdicts
+    ]
+    return ("[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n").encode()
+
+
+#: Text with characters that ``json`` escapes: quotes, backslashes, control characters, DEL,
+#: a lone surrogate and non-ASCII characters.
+ESCAPED_TEXT = st.text(
+    st.sampled_from('a"\\\x00\x01\n\t\x1f\x7fü🦷\u2028\ud800') | st.characters(), max_size=6
+)
+ODD_IDS = st.integers(-(2**70), 2**70) | ESCAPED_TEXT
+EXTENTS_OF_IMAGES = st.integers(1, 10**6) | st.floats(0, exclude_min=True, allow_infinity=False)
+#: Every finite ``EDGE_TEXT`` float, positive ones for a box's width and height.
+BOX_COORDINATES = EDGE_FLOATS.filter(math.isfinite) | st.floats(allow_nan=False, allow_infinity=False)
+BOX_EXTENTS = st.sampled_from([v for v, _ in EDGE_TEXT if v > 0]) | st.floats(
+    0, exclude_min=True, allow_infinity=False
+)
+#: Opaque payloads: nested lists and dicts of strings with newlines, None, NaN and numbers.
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(math.nan) | st.floats() | ESCAPED_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ESCAPED_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def odd_datasets(draw) -> AnnotatedDataset:
+    """Datasets with escaped ids and names, edge boxes, every category key and any payload."""
+    ids = draw(st.lists(ODD_IDS, unique=True, max_size=4))
+    images = [
+        AnnotatedImage(image_id, draw(EXTENTS_OF_IMAGES), draw(EXTENTS_OF_IMAGES), draw(ESCAPED_TEXT))
+        for image_id in ids
+    ]
+    one = st.builds(
+        GroundTruthAnnotation,
+        st.sampled_from(ids),
+        st.builds(BoundingBox, BOX_COORDINATES, BOX_COORDINATES, BOX_EXTENTS, BOX_EXTENTS),
+        st.integers(1, CATEGORY_KEYS - 1).map(category_of),
+        st.none() | PAYLOADS,
+    )
+    return AnnotatedDataset(images, draw(st.lists(one, max_size=8)) if ids else [])
+
+
+VERDICTS = st.lists(
+    st.builds(
+        CropClassification,
+        st.sampled_from([0, 1, 2**63 - 1]) | st.integers(0, 2**63 - 1),
+        st.sampled_from(CROP_LABELS),
+        st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 0.30000000000000004]) | st.floats(0, 1),
+    ),
+    max_size=8,
+)
+
+
+#: Each kind of value that the drawn datasets hold, in one dataset; image 2**63 has no annotation.
+ODD_DATASET = AnnotatedDataset(
+    [
+        AnnotatedImage(1, 640, 480.5, 'a"\\\x01\x7fü\n'),
+        AnnotatedImage('q"\\ü\x00\x7f\ud800\n', 5e-324, 1e16),
+        AnnotatedImage(2**63, 1, 1),
+    ],
+    [
+        GroundTruthAnnotation(1, BoundingBox(-0.0, 5e-324, 1e16, 1e-4), category_of(1)),
+        GroundTruthAnnotation(
+            'q"\\ü\x00\x7f\ud800\n', BoundingBox(-1e16, 9.999999999999999e-05, 0.1, 3.0),
+            CategoryTriple(2, 7, "caries"), {"counts": "a\nb", "size": [2, 2], "": None},
+        ),
+        GroundTruthAnnotation(
+            1, BoundingBox(9999999999999998.0, 0.0, 5e-324, 7.25),
+            CategoryTriple(quadrant=4, disease="impacted"), [[1, 2.5], [None, math.nan], []],
+        ),
+    ],
+)
+
+
+class TestWriterAgreement:
+    """Ground truth and crop verdicts are written from their columns, with the bytes that
+    ``json`` wrote for their dict records."""
+
+    @settings(deadline=None)
+    @given(ds=odd_datasets())
+    @example(ds=ODD_DATASET)
+    @example(ds=AnnotatedDataset([], []))
+    def test_ground_truth_is_written_as_json_wrote_it(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "gt.json"
+        write_ground_truth(ds, path)
+        assert path.read_bytes() == ground_truth_before(ds)
+
+    @settings(deadline=None)
+    @given(verdicts=VERDICTS)
+    @example(
+        verdicts=[
+            CropClassification(0, "normal", 0),
+            CropClassification(2**63 - 1, "caries", 1),
+            CropClassification(5, "deep-caries", 5e-324),
+            CropClassification(7, "periapical-lesion", 0.30000000000000004),
+        ]
+    )
+    @example(verdicts=[])
+    def test_crop_verdicts_are_written_as_json_wrote_them(self, tmp_path_factory, verdicts):
+        path = tmp_path_factory.getbasetemp() / "verdicts.json"
+        write_crop_classifications(verdicts, path)
+        assert path.read_bytes() == crop_classifications_before(verdicts)
+        write_crop_classifications(parse_crop_classifications(path), path)
+        assert path.read_bytes() == crop_classifications_before(verdicts)
