@@ -37,9 +37,12 @@ from .detections import (
 )
 from .errors import (
     AxisUnavailable,
+    ConfigError,
     DanglingCrop,
+    InvalidCategory,
     MalformedFile,
     MissingImage,
+    _within,
     raise_problems,
     setting_problems,
     shorten,
@@ -51,15 +54,13 @@ from .io import (
     AnnotatedDataset,
     AnnotatedImage,
     PathLike,
-    _bounded_numbers,
     _boxes,
     _clip,
-    _code_column,
     _field,
     _FirstBreak,
-    _id_column,
     _image_ids,
     _load_json,
+    _number_field,
     _records,
     _write_lines,
 )
@@ -149,12 +150,29 @@ class CropVerdicts:
 
     ``crop_id`` (``int64``) indexes a :class:`CropSet`, ``label`` (``int8``)
     indexes :data:`CROP_LABELS` and ``confidence`` is ``float64``. Indexing
-    or iterating gives :class:`CropClassification` views, built once.
+    or iterating gives :class:`CropClassification` views, built once. Unequal
+    lengths, or a row with a ``crop_id`` < 0, an unknown label or a confidence
+    outside [0, 1], is a :class:`ConfigError` in :func:`setting_problems`' words.
     """
 
     crop_id: np.ndarray
     label: np.ndarray
     confidence: np.ndarray
+
+    def __post_init__(self) -> None:
+        crop_id, label, confidence = self.crop_id, self.label, self.confidence
+        lengths = [len(crop_id), len(label), len(confidence)]
+        if len(set(lengths)) > 1:
+            raise ConfigError(f"crop_id, label and confidence must be of one length, got {lengths}")
+        labels = f"[0, {len(CROP_LABELS) - 1}]"
+        bad = (crop_id < 0) | ~_within(label, labels) | ~_within(confidence, "[0, 1]")
+        if bad.any():
+            i = int(bad.argmax())
+            raise_problems(
+                setting_problems(f"crop_id[{i}]", crop_id[i].item(), _ID_RANGE, integer=True)
+                + setting_problems(f"label[{i}]", label[i].item(), labels, integer=True)
+                + setting_problems(f"confidence[{i}]", confidence[i].item(), "[0, 1]")
+            )
 
     @cached_property
     def _classifications(self) -> tuple[CropClassification, ...]:
@@ -368,24 +386,24 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     The error raised is that of the first bad record, for the first rule it
     breaks in this order: a record object, an ``int64`` ``crop_id`` that
     equals its index, ``image_id``, ``crop_bbox``, ``source_bbox``, the
-    tooth codes ``category_id_1`` and ``category_id_2``
-    (``InvalidCategory``), and ``enum_score`` in [0, 1]. A bad number is
-    named as :func:`setting_problems` names it. The rows cover the images
-    of the crops.
+    tooth codes ``category_id_1`` and ``category_id_2``, and ``enum_score``
+    in [0, 1]. A bad number is named as :func:`setting_problems` names it:
+    a value that is no number, or a code that is no integer, is
+    :class:`MalformedFile`, and a code out of range ``InvalidCategory``.
+    The rows cover the images of the crops.
     """
     data = _load_json(path, "crop manifest")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "crop", rules)
     n = len(records)
-    crop_ids = _id_column(records, "crop_id", rules)
+    crop_ids = _number_field(records, "crop_id", _ID_RANGE, MalformedFile, rules, integer=True)
     rules.note(crop_ids != np.arange(n), MalformedFile, lambda i: "crop ids must be dense and ordered")
     ids = _image_ids(records, "image_id", rules)
     crop = _boxes(records, "crop_bbox", rules)
     source = _boxes(records, "source_bbox", rules)
-    required = np.ones(n, bool)
-    quadrant = _code_column(records, "category_id_1", 4, required, rules)
-    tooth = _code_column(records, "category_id_2", 8, required, rules)
-    score = _bounded_numbers(records, "enum_score", "[0, 1]", MalformedFile, rules)
+    quadrant = _number_field(records, "category_id_1", "[0, 3]", InvalidCategory, rules, integer=True)
+    tooth = _number_field(records, "category_id_2", "[0, 7]", InvalidCategory, rules, integer=True)
+    score = _number_field(records, "enum_score", "[0, 1]", MalformedFile, rules)
     rules.raise_first()
     universe, image = _resolve_universe(ids, None)
     key = _category_key(quadrant, tooth, np.full(n, -1, np.int8))
@@ -405,11 +423,11 @@ def parse_crop_classifications(path: PathLike) -> CropVerdicts:
     data = _load_json(path, "classifications")
     rules = _FirstBreak(f"{path} ")
     records = _records(data, "classification", rules)
-    crop_id = _id_column(records, "crop_id", rules)
+    crop_id = _number_field(records, "crop_id", _ID_RANGE, MalformedFile, rules, integer=True)
     labels = _field(records, "label", None)
     label = np.array([_LABEL_CODE.get(v, -1) if type(v) is str else -1 for v in labels], np.int8)
     rules.note(label < 0, MalformedFile, lambda i: f"unknown label {shorten(labels[i])}")
-    confidence = _bounded_numbers(records, "confidence", "[0, 1]", MalformedFile, rules)
+    confidence = _number_field(records, "confidence", "[0, 1]", MalformedFile, rules)
     rules.raise_first()
     return CropVerdicts(crop_id, label, confidence)
 

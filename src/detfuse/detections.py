@@ -64,18 +64,13 @@ class Columns:
     tooth = property(lambda self: category_codes(self.key)[1])
     disease = property(lambda self: category_codes(self.key)[2])
 
-    def take(self, rows) -> "Columns":
-        """The rows ``rows`` (a mask, indices or a slice), over the same ids.
+    def take(self, rows: np.ndarray) -> "Columns":
+        """The rows at the indices ``rows``, over the same ids.
 
-        ``compress`` and ``take`` gather the ``[N, 4]`` box column several times
-        faster than indexing it with ``[rows]``.
+        ``take`` gathers the ``[N, 4]`` box column several times faster than
+        indexing it with ``[rows]``.
         """
-        columns = [getattr(self, name) for name in _ROW_FIELDS]
-        if isinstance(rows, slice):
-            return Columns(self.ids, *(c[rows] for c in columns))
-        if np.asarray(rows).dtype == bool:
-            return Columns(self.ids, *(c.compress(rows, axis=0) for c in columns))
-        return Columns(self.ids, *(c.take(rows, axis=0) for c in columns))
+        return Columns(self.ids, *(getattr(self, name).take(rows, axis=0) for name in _ROW_FIELDS))
 
     def image_index(self, ids: tuple) -> np.ndarray:
         """Each row's image as an index into ``ids``; -1 for an image not in ``ids``."""

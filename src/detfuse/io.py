@@ -38,6 +38,7 @@ import contextlib
 import json
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,8 +74,7 @@ from .errors import (
     shorten,
 )
 from .geometry import (
-    _FAST, _FLOAT_MAX, _ID_END, _ID_RANGE, _ID_TYPES, BoundingBox, CategoryTriple, ImageId,
-    _image_id_problems,
+    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _image_id_problems
 )
 
 logger = logging.getLogger(__name__)
@@ -318,8 +318,8 @@ def _dump_json(obj, path: PathLike) -> None:
 #: Stands for a field that a record does not have.
 _ABSENT = object()
 
-#: The 0-based id fields of a category triple and their number of values.
-_TRIPLE_KEYS = (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4))
+#: The 0-based code fields of a category triple and the bounds of each.
+_TRIPLE_KEYS = (("category_id_1", "[0, 3]"), ("category_id_2", "[0, 7]"), ("category_id_3", "[0, 3]"))
 
 
 #: The ``category_id_1/2/3`` fields of each category key; an absent axis is left out.
@@ -397,6 +397,22 @@ def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
         return np.fromiter(map(_float, values), float, len(values)), mistyped
 
 
+def _integers(values: list, bounds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``values`` as ``int64``, and the masks of those that are no ``int`` and of those that are no
+    ``int`` in ``bounds``, compared exactly as :func:`setting_problems` does; these read as -1.
+    The ``float`` compare that passes a whole column is exact for ends within 2**53 and for [0,
+    2**63); a column it refuses (2**63 - 1 reads as 2**63) is compared one ``int`` at a time."""
+    if set(map(type, values)) <= {int}:
+        with contextlib.suppress(OverflowError):  # an int outside int64
+            column = np.fromiter(values, np.int64, len(values))
+            if _within(column, bounds).all():
+                valid = np.zeros(len(values), bool)
+                return column, valid, valid
+    inside = [type(v) is int and _within(v, bounds) for v in values]
+    column = np.fromiter((v if ok else -1 for v, ok in zip(values, inside)), np.int64, len(values))
+    return column, np.array([type(v) is not int for v in values], bool), ~np.array(inside, bool)
+
+
 def _field(records: list, key: str, default=_ABSENT) -> list:
     return list(map(dict.get, records, repeat(key), repeat(default)))
 
@@ -455,128 +471,83 @@ def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
     return xywh
 
 
-def _code_column(
-    records: list, key: str, upper: int, present: np.ndarray, rules: _FirstBreak
+def _number_field(
+    records: list, key: str, bounds: str, error: type, rules: _FirstBreak, *,
+    integer: bool = False, optional: bool = False, rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The ``int8`` codes of the 0-based id field ``key``, -1 where it is absent.
+    """The number field ``key`` of the records ``rows`` (all by default), -1 in every other row.
 
-    Rows ``present`` must hold an integer in ``0..upper - 1``; a record
-    without the field is one of them when ``present`` says so.
-    """
-    values = _field(records, key, -1)
-    if set(map(type, values)) <= {int} and set(values) <= set(range(-1, upper)):
-        codes = np.fromiter(values, np.int8, len(values))
-        if not (present & (codes < 0)).any():
-            return codes
-    values = _field(records, key, None)
-    mistyped = present & np.array([type(v) is not int for v in values], bool)
-    rules.note(
-        mistyped,
-        InvalidCategory,
-        lambda i: f"{key!r} must be an integer, got {shorten(records[i].get(key))}",
-    )
-    in_range = [type(v) is int and 0 <= v < upper for v in values]
-    rules.note(
-        present & ~mistyped & ~np.array(in_range, bool),
-        InvalidCategory,
-        lambda i: f"{key!r} out of range 0..{upper - 1}, got {shorten(records[i][key])}",
-    )
-    return np.fromiter((v if ok else -1 for v, ok in zip(values, in_range)), np.int8, len(values))
-
-
-def _bounded_numbers(
-    records: list, key: str, bounds: str, error: type, rules: _FirstBreak
-) -> np.ndarray:
-    """The number in ``bounds``, such as ``"[0, 1]"``, of the field ``key`` of each record.
-
-    A value that is no number is :class:`MalformedFile`; a number outside
-    ``bounds`` is ``error``, named as :func:`setting_problems` names it.
-    """
-    values, mistyped = _numbers(_field(records, key))
-    rules.note(
-        mistyped, MalformedFile, lambda i: f"{key} must be a number, got {shorten(records[i].get(key))}"
-    )
-    rules.note(
-        ~(np.isfinite(values) & _within(values, bounds)),
-        error,
-        lambda i: setting_problems(key, records[i][key], bounds)[0],
-    )
-    return values
-
-
-def _id_column(records: list, key: str, rules: _FirstBreak, optional: bool = False) -> np.ndarray:
-    """The ``int64`` id field ``key`` of each record, -1 where it is absent or null.
-
-    An id is an integer in [0, 2**63), else :class:`MalformedFile`, named as
-    :func:`setting_problems` names it; with ``optional`` it may be absent.
+    A value read must pass :func:`setting_problems` with ``bounds``, ``integer`` and
+    ``optional``, and a fault is named in its words: no number (with ``integer``, no
+    ``int``; a bool is neither) is :class:`MalformedFile`, and a number outside
+    ``bounds`` or not finite is ``error``. With ``optional`` a null or absent value is
+    not read. The column is ``int64`` with ``integer``, else ``float64``.
     """
     values = _field(records, key, None)
-    kinds = set(map(type, values))
-    if optional and kinds <= {type(None)}:
-        return np.full(len(values), -1, np.int64)
-    if kinds <= {int} and 0 <= min(values, default=0) and max(values, default=0) < _ID_END:
-        return np.array(values, np.int64)
-    ok = [type(v) is int and 0 <= v < _ID_END for v in values]
-    rules.note(
-        np.array([not (good or optional and v is None) for v, good in zip(values, ok)], bool),
-        MalformedFile,
-        lambda i: setting_problems(key, values[i], _ID_RANGE, integer=True, optional=optional)[0],
-    )
-    return np.fromiter((v if good else -1 for v, good in zip(values, ok)), np.int64, len(values))
-
-
-def _decode_bare(
-    records: list, bare: np.ndarray, mode: Optional[str], codes: list, rules: _FirstBreak
-) -> None:
-    """Decode the bare ``category_id`` of the ``bare`` rows into the quadrant, tooth and disease ``codes``."""
-    values = _field(records, "category_id", 0)
-    mistyped = bare & np.array([type(v) is not int for v in values], bool)
-    rules.note(
-        mistyped,
-        MalformedFile,
-        lambda i: f"field 'category_id' must be an integer, got {shorten(records[i]['category_id'])}",
-    )
-    rows = bare & ~mistyped
-    if mode is None:
-        rules.note(
-            rows,
-            MalformedFile,
-            lambda i: "bare category_id is ambiguous for this stream; use category_id_1/2/3",
-        )
-        return
-    upper = 32 if mode == "product" else 4
-    cid = np.fromiter((v if type(v) is int and 0 <= v < upper else -1 for v in values), int, len(values))
-    label = "category_id" if mode == "product" else "disease category_id"
-    rules.note(
-        rows & (cid < 0),
-        InvalidCategory,
-        lambda i: f"{label} out of range 0..{upper - 1}, got {shorten(records[i]['category_id'])}",
-    )
-    ok = rows & (cid >= 0)
-    if mode == "product":
-        codes[0][ok] = cid[ok] // 8
-        codes[1][ok] = cid[ok] % 8
+    if optional:
+        held = np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values))
+        rows = held if rows is None else rows & held
+    if rows is not None and not rows.all():
+        values = list(compress(values, rows.tolist()))
     else:
-        codes[2][ok] = cid[ok]
+        rows = None
+    if integer:
+        column, mistyped, bad = _integers(values, bounds)
+    else:
+        column, mistyped = _numbers(values)
+        bad = ~(np.isfinite(column) & _within(column, bounds))
+    if bad.any():
+        def named(i: int) -> str:
+            value = records[i].get(key)
+            return setting_problems(key, value, bounds, integer=integer, optional=optional)[0]
+
+        for faults, kind in ((mistyped, MalformedFile), (bad & ~mistyped, error)):
+            if rows is not None:
+                faults = _spread(faults, rows, False)
+            rules.note(faults, kind, named)
+    return column if rows is None else _spread(column, rows, -1)
+
+
+def _spread(column: np.ndarray, rows: np.ndarray, fill) -> np.ndarray:
+    """``column``, one value per row of the mask ``rows``, with ``fill`` in every other row."""
+    out = np.full(len(rows), fill, column.dtype)
+    out[rows] = column
+    return out
 
 
 def _categories(records: list, bare_mode: Optional[str], rules: _FirstBreak) -> np.ndarray:
     """The category key of each record's category fields.
 
-    A record holds a triple of 0-based ids or, without one, a bare
+    A record holds a triple of 0-based codes or, without one, a bare
     ``category_id``: ``bare_mode`` ``"product"`` reads it as quadrant * 8 +
-    tooth, ``"disease"`` as a disease, and ``None`` forbids it.
+    tooth in [0, 31], ``"disease"`` as a disease in [0, 3], and ``None``
+    forbids it. Each code is read by :func:`_number_field`, out of range
+    :class:`InvalidCategory`, and a record with a triple ignores its bare
+    ``category_id``.
     """
     triple = np.zeros(len(records), bool)
     codes = []
-    for key, upper in _TRIPLE_KEYS:
+    for key, bounds in _TRIPLE_KEYS:
         present = _present(records, key)
         triple |= present
-        codes.append(_code_column(records, key, upper, present, rules))
+        codes.append(
+            _number_field(records, key, bounds, InvalidCategory, rules, integer=True, rows=present)
+        )
     bare = ~triple & _present(records, "category_id")
     rules.note(~triple & ~bare, MalformedFile, lambda i: "record has no category fields")
-    if bare.any():
-        _decode_bare(records, bare, bare_mode, codes, rules)
+    if bare_mode is None:
+        ambiguous = "bare category_id is ambiguous for this stream; use category_id_1/2/3"
+        rules.note(bare, MalformedFile, lambda i: ambiguous)
+    elif bare.any():
+        bounds = "[0, 31]" if bare_mode == "product" else "[0, 3]"
+        cid = _number_field(
+            records, "category_id", bounds, InvalidCategory, rules, integer=True, rows=bare
+        )
+        ok = cid >= 0
+        if bare_mode == "product":
+            codes[0][ok], codes[1][ok] = np.divmod(cid[ok], 8)
+        else:
+            codes[2][ok] = cid[ok]
     return _category_key(*codes)
 
 
@@ -605,16 +576,18 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
     record, for the first rule it breaks: an image is an object with an
     ``id`` and a positive ``width`` and ``height``; an annotation is an
     object with an ``image_id``, a ``bbox`` and category fields, where a
-    bare ``category_id`` is quadrant * 8 + tooth. Only when every
-    annotation passes, one on an unknown image raises, and after that one
-    whose box lies entirely outside its image. Other boxes that exceed
-    their image are clamped to it; one warning per file gives their count
-    and the first of them.
+    bare ``category_id``, read only without a triple, is quadrant * 8 +
+    tooth. Only when every annotation passes, one on an unknown image
+    raises, and after that one whose box lies entirely outside its image.
+    Other boxes that exceed their image are clamped to it; one warning per
+    file gives their count and the first of them. A bad number is named as
+    :func:`setting_problems` names it.
 
     Raises:
-        MalformedFile: bad JSON, missing keys, or degenerate boxes.
+        MalformedFile: bad JSON, missing keys, degenerate boxes, or no
+            number where one belongs (no integer for a category code).
         DanglingReference: annotation pointing at a missing image.
-        InvalidCategory: category ids outside their documented ranges.
+        InvalidCategory: category codes outside their documented ranges.
     """
     data = _load_json(path, "ground truth", dict)
     for key in ("images", "annotations"):
@@ -661,7 +634,7 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
     records = _records(data, "image", rules)
     ids = _image_ids(records, "id", rules)
     extents = [
-        _bounded_numbers(records, key, "(0, inf)", MalformedFile, rules).tolist()
+        _number_field(records, key, "(0, inf)", MalformedFile, rules).tolist()
         for key in ("width", "height")
     ]
     rules.raise_first()

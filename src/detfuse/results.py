@@ -14,18 +14,17 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .detections import Columns, DetectionSet, _resolve_universe
-from .errors import InvalidScore
-from .geometry import ImageId, source_code
+from .errors import InvalidScore, MalformedFile
+from .geometry import _ID_RANGE, ImageId, source_code
 from .io import (
     PathLike,
-    _bounded_numbers,
     _boxes,
     _categories,
     _FirstBreak,
-    _id_column,
     _image_ids,
     _KEY_TEXT,
     _load_json,
+    _number_field,
     _records,
     _write_lines,
 )
@@ -54,6 +53,12 @@ def parse_detections(
     that is an integer or a string, the bbox, the score, the category
     fields, ``matched_enum_id``. Only when every record passes is each
     image checked against ``image_universe``.
+
+    Each number field is named as :func:`~detfuse.errors.setting_problems`
+    names it: no number (for a code or the link, no integer) is
+    :class:`MalformedFile`, a score outside [0, 1] :class:`InvalidScore` and
+    a code out of range :class:`InvalidCategory`. A bare ``category_id`` is
+    read only on a record without a triple.
     """
     code = source_code(source)
     data = _load_json(path, "detections")
@@ -62,9 +67,11 @@ def parse_detections(
     records = _records(data, "detection", rules)
     ids = _image_ids(records, "image_id", rules)
     xywh = _boxes(records, "bbox", rules)
-    score = _bounded_numbers(records, "score", "[0, 1]", InvalidScore, rules)
+    score = _number_field(records, "score", "[0, 1]", InvalidScore, rules)
     key = _categories(records, _BARE_MODES.get(source), rules)
-    link = _id_column(records, "matched_enum_id", rules, optional=True)
+    link = _number_field(
+        records, "matched_enum_id", _ID_RANGE, MalformedFile, rules, integer=True, optional=True
+    )
     rules.raise_first()
 
     universe, image = _resolve_universe(ids, image_universe)

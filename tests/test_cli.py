@@ -215,7 +215,7 @@ class TestBasics:
         out = tmp_path / "o.json"
         for field, value, message in (
             ("bbox", [1, 2, 10**400, 4], "[0]: bbox values must be finite numbers, got [1, 2, 1000"),
-            ("score", "9" * 5000, "[0]: score must be a number, got '9999"),
+            ("score", "9" * 5000, "[0]: score must be a number in [0, 1], got '9999"),
         ):
             record = {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}
             dets.write_text(json.dumps([{**record, field: value}]))

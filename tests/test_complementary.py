@@ -38,6 +38,7 @@ from detfuse import (
     write_crop_classifications,
     write_crop_manifest,
 )
+from detfuse.geometry import _ID_RANGE
 
 from conftest import HUGE, huge_id
 
@@ -248,6 +249,31 @@ class TestClassificationsToDetections:
         assert list(parsed.detections) == list(listed.detections)
         assert [d.category.disease for d in parsed.detections] == ["caries", "impacted"]
 
+    @pytest.mark.parametrize(
+        "crop_id,label,confidence,message",
+        [
+            ([0, 1], [1, 2], [0.5, float("nan")], "confidence[1] must be a number in [0, 1], got nan"),
+            ([0, 1], [1, 2], [0.5, float("inf")], "confidence[1] must be a number in [0, 1], got inf"),
+            ([0, 1], [1, 2], [1.5, 0.5], "confidence[0] must be a number in [0, 1], got 1.5"),
+            ([0, 1], [1, 5], [0.5, 0.5], "label[1] must be an integer in [0, 4], got 5"),
+            ([0, 1], [-1, 2], [0.5, 0.5], "label[0] must be an integer in [0, 4], got -1"),
+            ([0, -1], [1, 2], [0.5, 0.5], f"crop_id[1] must be an integer in {_ID_RANGE}, got -1"),
+            (
+                [0, -1], [1, 9], [0.5, -0.5],
+                f"crop_id[1] must be an integer in {_ID_RANGE}, got -1; "
+                "label[1] must be an integer in [0, 4], got 9; "
+                "confidence[1] must be a number in [0, 1], got -0.5",
+            ),
+            ([0, 1], [1], [0.5, 0.5], "crop_id, label and confidence must be of one length, got [2, 1, 2]"),
+        ],
+    )
+    def test_verdict_columns_are_checked(self, tmp_path, crop_id, label, confidence, message):
+        """A bad row of the columns is one ConfigError naming the first bad row, before
+        anything could write it: a NaN confidence was written as ``nan``, which no reader takes."""
+        columns = np.array(crop_id, np.int64), np.array(label, np.int8), np.array(confidence)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CropVerdicts(*columns)
+
 
 def diagnoses(source: str):
     """Lists of diagnoses on grid boxes over two images."""
@@ -371,10 +397,10 @@ class TestCropIO:
             ("crop_id", True, MalformedFile),
             ("crop_bbox", [0, 0, True, 4], MalformedFile),
             ("source_bbox", [0, 0, 3], MalformedFile),
-            ("category_id_1", True, InvalidCategory),
+            ("category_id_1", True, MalformedFile),
             ("category_id_1", 4, InvalidCategory),
-            ("category_id_2", 2.0, InvalidCategory),
-            ("category_id_2", MISSING, InvalidCategory),
+            ("category_id_2", 2.0, MalformedFile),
+            ("category_id_2", MISSING, MalformedFile),
         ],
     )
     def test_manifest_rejects_a_bad_field(self, tmp_path, key, value, error):

@@ -178,9 +178,10 @@ class TestGroundTruthParsing:
         ],
     )
     def test_bad_category_ids(self, tmp_path, field, value):
+        """A code out of range is InvalidCategory; one that is no integer is MalformedFile."""
         payload = gt_payload()
         payload["annotations"][0][field] = value
-        with pytest.raises(InvalidCategory):
+        with pytest.raises(InvalidCategory if type(value) is int else MalformedFile):
             parse_ground_truth(write_payload(tmp_path, payload))
 
     def test_no_category_fields(self, tmp_path):
@@ -335,6 +336,52 @@ class TestDetectionParsing:
             parse_detections(path, "diagnosis-A")
 
 
+#: Triples, each with the category it stands for, that a record may hold beside a bare id.
+TRIPLES_BESIDE_BARE = [
+    ({"category_id_1": 1, "category_id_2": 4}, CategoryTriple(2, 5)),
+    ({"category_id_3": 2}, CategoryTriple(disease="impacted")),
+    ({"category_id_1": 0, "category_id_2": 7, "category_id_3": 0}, CategoryTriple(1, 8, "caries")),
+]
+
+
+class TestTripleBesideBareId:
+    """A record that holds a triple ignores its bare ``category_id``, in range or not, also
+    when other records of the file are read by their bare id."""
+
+    @pytest.mark.parametrize("bare", [2, 31, 99, -1, "x", None])
+    @pytest.mark.parametrize(
+        "source,decoded",
+        [
+            ("enumeration-model", CategoryTriple(1, 2)),
+            ("diagnosis-A", CategoryTriple(disease="deep-caries")),
+            ("fused", None),
+        ],
+    )
+    def test_detection_file(self, tmp_path, source, decoded, bare):
+        record = {"image_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+        records = [{**record, **triple, "category_id": bare} for triple, _ in TRIPLES_BESIDE_BARE]
+        if decoded is not None:  # a stream that reads bare ids; "fused" forbids them
+            records.insert(1, {**record, "category_id": 1})
+        dets = parse_detections(write_payload(tmp_path, records, "d.json"), source)
+        expected = [category for _, category in TRIPLES_BESIDE_BARE]
+        if decoded is not None:
+            expected.insert(1, decoded)
+        assert [d.category for d in dets] == expected
+
+    @pytest.mark.parametrize("bare", [2, 31, 99, -1, "x", None])
+    def test_ground_truth(self, tmp_path, bare):
+        payload = gt_payload()
+        annotation = {"image_id": 1, "bbox": [0, 0, 5, 5]}
+        payload["annotations"] = [
+            {**annotation, **triple, "category_id": bare} for triple, _ in TRIPLES_BESIDE_BARE
+        ]
+        payload["annotations"].insert(1, {**annotation, "category_id": 17})
+        ds = parse_ground_truth(write_payload(tmp_path, payload))
+        expected = [category for _, category in TRIPLES_BESIDE_BARE]
+        expected.insert(1, CategoryTriple(3, 2))
+        assert [a.category for a in ds.annotations] == expected
+
+
 class TestImageIds:
     """An image id is an integer or a string; anything else names its record."""
 
@@ -405,7 +452,9 @@ def decode_record(rec, source: str):
     if any(key in rec for key in ("category_id_1", "category_id_2", "category_id_3")):
         for key, upper in (("category_id_1", 4), ("category_id_2", 8), ("category_id_3", 4)):
             v = rec.get(key)
-            if key in rec and (type(v) is not int or not 0 <= v < upper):
+            if key in rec and type(v) is not int:
+                return MalformedFile
+            if key in rec and not 0 <= v < upper:
                 return InvalidCategory
             axes.append(v if key in rec else None)
     elif "category_id" in rec:

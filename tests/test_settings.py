@@ -31,6 +31,7 @@ from detfuse import (
     EvalConfig,
     GroundTruthAnnotation,
     IntegrationConfig,
+    InvalidCategory,
     InvalidScore,
     MalformedFile,
     MergeConfig,
@@ -378,13 +379,32 @@ def parse_fused(path):
     return parse_detections(path, "fused")
 
 
+def parse_product(path):
+    return parse_detections(path, "enumeration-model")
+
+
+def parse_disease(path):
+    return parse_detections(path, "diagnosis-A")
+
+
 def parse_images(path):
     """``parse_ground_truth`` of the image records in ``path``, with no annotations."""
     path.write_text(json.dumps({"images": json.loads(path.read_text()), "annotations": []}))
     return parse_ground_truth(path)
 
 
+def parse_annotations(path):
+    """``parse_ground_truth`` of the annotation records in ``path``, all on image 1."""
+    images = [{"id": 1, "width": 5, "height": 5}]
+    path.write_text(json.dumps({"images": images, "annotations": json.loads(path.read_text())}))
+    return parse_ground_truth(path)
+
+
 DETECTIONS = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id_3": 0}] * 2
+#: The category code fields of a triple and the bounds of each.
+TRIPLE_CODES = (("category_id_1", "[0, 3]"), ("category_id_2", "[0, 7]"), ("category_id_3", "[0, 3]"))
+#: Detections and annotations whose category is a bare ``category_id``.
+BARE = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 1}] * 2
 CROPS = [
     {"crop_id": i, "image_id": 1, "crop_bbox": [0, 0, 1, 1], "source_bbox": [0, 0, 1, 1],
      "category_id_1": 0, "category_id_2": 1, "enum_score": 0.5}
@@ -418,12 +438,25 @@ RECORD_FIELDS = [
         "width", parse_images, IMAGES, MalformedFile, "(0, inf)", False, False,
         lambda v: AnnotatedImage(1, v, 5),
     ),
+    # The 0-based category codes; CategoryTriple holds them 1-based, so no value type builds them.
+    *(
+        (name, read, DETECTIONS, InvalidCategory, bounds, True, False, None)
+        for read in (parse_fused, parse_annotations)
+        for name, bounds in TRIPLE_CODES
+    ),
+    ("category_id", parse_product, BARE, InvalidCategory, "[0, 31]", True, False, None),
+    ("category_id", parse_disease, BARE, InvalidCategory, "[0, 3]", True, False, None),
+    ("category_id", parse_annotations, BARE, InvalidCategory, "[0, 31]", True, False, None),
+    *(
+        (name, read_crop_manifest, CROPS, InvalidCategory, bounds, True, False, None)
+        for name, bounds in TRIPLE_CODES[:2]
+    ),
 ]
-#: Each record field with the values among -1 and 1.5 that its rule refuses.
+#: Each record field with the values among -1, 1.5 and three non-numbers that its rule refuses.
 RECORD_CASES = [
     pytest.param(*row, value, id=f"{row[0]}-{row[1].__name__}-{value}")
     for row in RECORD_FIELDS
-    for value in (-1, 1.5)
+    for value in (-1, 1.5, "x", True, None)
     if setting_problems(row[0], value, row[4], integer=row[5], optional=row[6])
 ]
 
@@ -432,10 +465,15 @@ RECORD_CASES = [
 def test_a_file_names_a_bad_number_as_memory_does(
     tmp_path, name, read, records, error, bounds, integer, optional, build, value
 ):
-    """A record file names a bad number in the words of the settings rule, as the value type does."""
+    """A record file names a bad number in the words of the settings rule, as the value type does.
+
+    A value that is no number (for an integer field, no ``int``) is
+    :class:`MalformedFile`; a number the field refuses is the field's error.
+    """
     path = tmp_path / "records.json"
     path.write_text(json.dumps([records[0], {**records[1], name: value}]))
-    with pytest.raises(error) as exc_info:
+    number = type(value) is int or type(value) is float and not integer
+    with pytest.raises(error if number else MalformedFile) as exc_info:
         read(path)
     named = str(exc_info.value).partition("[1]: ")[2]
     assert named == setting_problems(name, value, bounds, integer=integer, optional=optional)[0]
