@@ -280,7 +280,7 @@ def synth(out_dir, images, seed, missing_rate, disease_prior, simulations):
     os.makedirs(out_dir, exist_ok=True)
     gt_path = os.path.join(out_dir, "gt.json")
     write_ground_truth(ds, gt_path)
-    click.echo(f"wrote {len(ds.annotations)} annotations on {len(ds)} images -> {gt_path}")
+    click.echo(f"wrote {len(ds.key)} annotations on {len(ds)} images -> {gt_path}")
     for source, profile in streams:
         dets = simulate_detector(ds, profile, source, seed)
         path = os.path.join(out_dir, f"{source}.json")

@@ -3,9 +3,21 @@
 The generator lays out up to 32 teeth per image on two arches using FDI
 numbering, marks a random subset as diseased, and the simulator then
 produces detections with configurable recall, localisation noise, score
-distributions and false-positive rate. Determinism contract: every image
-is simulated from its own ``numpy.random.default_rng([seed, salt, index])``
-stream, so results are independent of image processing order.
+distributions and false-positive rate. Both build their sets as columns:
+each drawn value is appended to a list of Python floats and ints, and each
+column becomes one array, checked as the value types check one value, when
+the last image is drawn. No object is built per row.
+
+Determinism contract: every value is one scalar ``Generator`` call, and the
+calls of an image come in a fixed order. The generator draws image after
+image from ``numpy.random.default_rng(plan.seed)``; the simulator draws each
+image from its own ``numpy.random.default_rng([seed, salt, index])`` stream,
+so an image's detections do not depend on the other images of the set. The
+calls are neither batched nor rewritten. A batched call would change the
+order of the values in the stream. Rewriting ``rng.uniform(a, b)`` as
+``a + (b - a) * rng.random()`` gives the same bits only where numpy's C code
+was compiled without fused multiply-add contraction. Every benchmark input's
+bytes hang on both.
 """
 
 from __future__ import annotations
@@ -20,10 +32,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .detections import DetectionSet
-from .errors import ConfigError, choice_problems, raise_problems, setting_problems, shorten
-from .geometry import DISEASES, BoundingBox, CategoryTriple, Detection
-from .io import AnnotatedDataset, AnnotatedImage, GroundTruthAnnotation, PathLike
+from .detections import Columns, DetectionSet, _category_key, category_codes
+from .errors import (
+    ConfigError, _within, choice_problems, raise_problems, setting_problems, shorten
+)
+from .geometry import DISEASES, source_code
+from .io import AnnotatedDataset, AnnotatedImage, PathLike
 
 SIMULATOR_SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B")
 
@@ -95,12 +109,41 @@ class DetectorProfile:
 _UPPER = [(1, t) for t in range(8, 0, -1)] + [(2, t) for t in range(1, 9)]
 _LOWER = [(4, t) for t in range(8, 0, -1)] + [(3, t) for t in range(1, 9)]
 
+#: The bounds of a box's x, y, w and h, as :class:`BoundingBox` checks them.
+_BOX_BOUNDS = (
+    ("box x", "(-inf, inf)"), ("box y", "(-inf, inf)"), ("box w", "(0, inf)"), ("box h", "(0, inf)")
+)
+
+
+def _columns(xywh: list, codes: list, *checked: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The box column of the flat x, y, w, h floats ``xywh`` and the category key of each row's
+    (quadrant, tooth, disease) codes in ``codes``.
+
+    The boxes are checked with the further ``(name, column, bounds)`` columns ``checked``: the
+    first row holding a value out of bounds is a :class:`ConfigError` that names each of its
+    bad values as :func:`setting_problems` does.
+    """
+    boxes = np.array(xywh, float).reshape(-1, 4)
+    columns = [(name, boxes[:, k], bounds) for k, (name, bounds) in enumerate(_BOX_BOUNDS)]
+    columns += checked
+    bad = ~np.logical_and.reduce([_within(column, bounds) for _, column, bounds in columns])
+    if bad.any():
+        i = int(bad.argmax())
+        raise_problems(
+            [
+                problem
+                for name, column, bounds in columns
+                for problem in setting_problems(f"{name}[{i}]", column[i].item(), bounds)
+            ]
+        )
+    return boxes, _category_key(*np.array(codes, np.intp).reshape(-1, 3).T)
+
 
 def generate_scene(plan: ScenePlan) -> AnnotatedDataset:
     """Build a deterministic synthetic dataset from ``plan``.
 
     Healthy teeth get quadrant+tooth annotations; diseased teeth carry the
-    full quadrant+tooth+disease triple.
+    full quadrant+tooth+disease triple. The dataset is built from columns.
     """
     rng = np.random.default_rng(plan.seed)
     margin = 0.05 * _WIDTH
@@ -109,9 +152,8 @@ def generate_scene(plan: ScenePlan) -> AnnotatedDataset:
     tooth_h = 0.22 * _HEIGHT
     rows = ((_UPPER, 0.20 * _HEIGHT), (_LOWER, 0.55 * _HEIGHT))
 
-    prior = tuple(plan.disease_prior.items())
-    images = []
-    annotations = []
+    prior = [(DISEASES.index(name), p) for name, p in plan.disease_prior.items()]
+    images, image, xywh, codes = [], [], [], []
     for i in range(plan.num_images):
         image_id = i + 1
         images.append(AnnotatedImage(image_id, _WIDTH, _HEIGHT, f"synthetic_{image_id:04d}.png"))
@@ -129,22 +171,21 @@ def generate_scene(plan: ScenePlan) -> AnnotatedDataset:
                 y = base_y + jy
                 x = min(max(x, 0.0), _WIDTH - w)
                 y = min(max(y, 0.0), _HEIGHT - h)
-                disease = None
+                disease = -1
                 u = rng.random()
                 acc = 0.0
-                for name, p in prior:
+                for code, p in prior:
                     acc += p
                     if u < acc:
-                        disease = name
+                        disease = code
                         break
-                annotations.append(
-                    GroundTruthAnnotation(
-                        image_id,
-                        BoundingBox(x, y, w, h),
-                        CategoryTriple(quadrant=quadrant, enumeration=tooth, disease=disease),
-                    )
-                )
-    return AnnotatedDataset(images, annotations)
+                image.append(i)
+                xywh += (x, y, w, h)
+                codes.append((quadrant - 1, tooth - 1, disease))
+    boxes, key = _columns(xywh, codes)
+    return AnnotatedDataset._from_columns(
+        images, np.array(image, np.int32), boxes, key, [None] * len(key)
+    )
 
 
 def _clamped_normal(rng: np.random.Generator, mean: float, std: float) -> float:
@@ -152,19 +193,20 @@ def _clamped_normal(rng: np.random.Generator, mean: float, std: float) -> float:
 
 
 def _jitter_box(
-    rng: np.random.Generator, box: BoundingBox, noise: float, width: int, height: int
-) -> BoundingBox:
-    dx = float(rng.normal(0.0, 1.0)) * noise * box.w
-    dy = float(rng.normal(0.0, 1.0)) * noise * box.h
+    rng: np.random.Generator, box: list, noise: float, width: float, height: float
+) -> tuple[float, float, float, float]:
+    bx, by, bw, bh = box
+    dx = float(rng.normal(0.0, 1.0)) * noise * bw
+    dy = float(rng.normal(0.0, 1.0)) * noise * bh
     sw = 1.0 + float(rng.normal(0.0, 1.0)) * noise
     sh = 1.0 + float(rng.normal(0.0, 1.0)) * noise
-    w = max(box.w * sw, 1.0)
-    h = max(box.h * sh, 1.0)
+    w = max(bw * sw, 1.0)
+    h = max(bh * sh, 1.0)
     w = min(w, float(width))
     h = min(h, float(height))
-    x = min(max(box.x + dx, 0.0), width - w)
-    y = min(max(box.y + dy, 0.0), height - h)
-    return BoundingBox(x, y, w, h)
+    x = min(max(bx + dx, 0.0), width - w)
+    y = min(max(by + dy, 0.0), height - h)
+    return x, y, w, h
 
 
 def simulate_detector(
@@ -179,6 +221,9 @@ def simulate_detector(
     detections for every tooth, the diagnosis sources emit disease-only
     detections for diseased teeth. Each image draws from an independent
     seeded stream, so per-image results never depend on batch composition.
+    The annotations are read from the dataset's columns, and the set is
+    built from columns; a box or score out of range is a :class:`ConfigError`
+    that names its row.
     """
     problems = setting_problems("seed", seed, "[0, inf)", integer=True)
     problems += choice_problems("source", source, SIMULATOR_SOURCES)
@@ -186,43 +231,51 @@ def simulate_detector(
     enumeration_task = source == "enumeration-model"
     salt = zlib.crc32(f"{profile.name}|{source}".encode("utf-8"))
 
-    by_image: dict = {img.image_id: [] for img in ds.images}
-    for ann in ds.annotations:
-        by_image[ann.image_id].append(ann)
+    # Each annotation's codes as the task sees them, and the rows it detects, image by image.
+    quadrant, tooth, disease = category_codes(ds.key)
+    absent = np.full_like(disease, -1)
+    if enumeration_task:
+        eligible, disease = (quadrant >= 0) & (tooth >= 0), absent
+    else:
+        eligible, quadrant, tooth = disease >= 0, absent, absent
+    targets = np.flatnonzero(eligible)
+    targets = targets[np.argsort(ds.image[targets], kind="stable")]
+    ends = np.cumsum(np.bincount(ds.image[targets], minlength=len(ds.images))).tolist()
+    truth, found = ds.xywh.tolist(), list(zip(quadrant.tolist(), tooth.tolist(), disease.tolist()))
 
-    detections = []
-    for index, img in enumerate(ds.images):
+    image, xywh, score, codes = [], [], [], []
+    targets, start = targets.tolist(), 0
+    for index, (img, end) in enumerate(zip(ds.images, ends)):
         rng = np.random.default_rng([seed, salt, index])
-        for ann in by_image[img.image_id]:
-            cat = ann.category
-            if enumeration_task:
-                if cat.quadrant is None or cat.enumeration is None:
-                    continue
-                out_cat = CategoryTriple(quadrant=cat.quadrant, enumeration=cat.enumeration)
-            else:
-                if cat.disease is None:
-                    continue
-                out_cat = CategoryTriple(disease=cat.disease)
+        for row in targets[start:end]:
             if rng.random() >= profile.recall:
                 continue
-            box = _jitter_box(rng, ann.box, profile.localization_noise, img.width, img.height)
-            score = _clamped_normal(rng, profile.tp_score_mean, profile.tp_score_std)
-            detections.append(Detection(img.image_id, box, score, out_cat, source))
+            xywh += _jitter_box(rng, truth[row], profile.localization_noise, img.width, img.height)
+            score.append(_clamped_normal(rng, profile.tp_score_mean, profile.tp_score_std))
+            image.append(index)
+            codes.append(found[row])
+        start = end
         n_fp = int(rng.poisson(profile.fp_per_image))
         for _ in range(n_fp):
             w = float(rng.uniform(0.04, 0.09)) * img.width
             h = float(rng.uniform(0.15, 0.30)) * img.height
             x = float(rng.uniform(0.0, img.width - w))
             y = float(rng.uniform(0.0, img.height - h))
+            xywh += (x, y, w, h)
             if enumeration_task:
-                cat = CategoryTriple(
-                    quadrant=int(rng.integers(1, 5)), enumeration=int(rng.integers(1, 9))
-                )
+                codes.append((int(rng.integers(1, 5)) - 1, int(rng.integers(1, 9)) - 1, -1))
             else:
-                cat = CategoryTriple(disease=DISEASES[int(rng.integers(0, len(DISEASES)))])
-            score = _clamped_normal(rng, profile.fp_score_mean, profile.fp_score_std)
-            detections.append(Detection(img.image_id, BoundingBox(x, y, w, h), score, cat, source))
-    return DetectionSet(detections, source, ds.image_ids())
+                codes.append((-1, -1, int(rng.integers(0, len(DISEASES)))))
+            score.append(_clamped_normal(rng, profile.fp_score_mean, profile.fp_score_std))
+            image.append(index)
+    scores = np.array(score, float)
+    boxes, key = _columns(xywh, codes, ("score", scores, "[0, 1]"))
+    n = len(scores)
+    columns = Columns(
+        tuple(ds.image_ids()), np.array(image, np.int32), boxes, scores, key,
+        np.full(n, source_code(source), np.int8), np.full(n, -1, np.int64),
+    )
+    return DetectionSet.from_columns(columns, source)
 
 
 # ---------------------------------------------------------------------------

@@ -528,9 +528,20 @@ def broken(record: dict, key: str, value) -> dict:
     return out
 
 
-#: Valid records, records with one broken field, and values that are no record.
+#: Records with no triple, whose bare ``category_id`` is valid or not.
+bare_records = st.builds(
+    lambda rec, category_id: {
+        **{k: v for k, v in rec.items() if k not in ("category_id_1", "category_id_2", "category_id_3")},
+        "category_id": category_id,
+    },
+    valid_records,
+    VALID_FIELDS["category_id"] | st.sampled_from(INVALID_FIELDS["category_id"]),
+)
+
+#: Valid records, records with one broken field, bare records and values that are no record.
 detection_records = st.one_of(
     valid_records,
+    bare_records,
     st.builds(lambda rec, brk: broken(rec, *brk), valid_records, st.sampled_from(BREAKS)),
     st.sampled_from([[], 7, "record", None]),
 )
