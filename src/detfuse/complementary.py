@@ -33,22 +33,22 @@ from .detections import (
     _per_row,
     _refuse,
     _resolve_universe,
+    category_codes,
     same_image_blocks,
 )
 from .errors import (
     AxisUnavailable,
-    ConfigError,
     DanglingCrop,
     InvalidCategory,
     MalformedFile,
     MissingImage,
-    _within,
+    column_problems,
     raise_problems,
     setting_problems,
     shorten,
 )
 from .geometry import (
-    _ID_END, _ID_RANGE, CROP_LABELS, DISEASES, BoundingBox, ImageId, source_code
+    _ID_END, _ID_RANGE, CROP_LABELS, DISEASES, BoundingBox, ImageId, _box_columns, source_code
 )
 from .io import (
     AnnotatedDataset,
@@ -100,10 +100,26 @@ class CropSet:
     source box and its ``score`` the enumeration score. ``boxes`` is the
     ``float64 [N, 4]`` array of padded, clamped crop regions. Indexing or
     iterating the set gives :class:`CropAssignment` views, built once.
+    ``rows`` are checked as every :class:`Columns` is, and the set is checked
+    when built by :func:`~detfuse.errors.column_problems`: unequal lengths,
+    or a crop box that :class:`BoundingBox` refuses or a row without a
+    quadrant or a tooth, is one :class:`ConfigError`.
     """
 
     rows: Columns
     boxes: np.ndarray
+
+    def __post_init__(self) -> None:
+        quadrant, tooth, _ = category_codes(self.rows.key)
+        raise_problems(
+            column_problems(
+                [
+                    *_box_columns("crop", self.boxes),
+                    ("quadrant", quadrant, "[0, 3]", True),
+                    ("tooth", tooth, "[0, 7]", True),
+                ]
+            )
+        )
 
     @cached_property
     def _assignments(self) -> tuple[CropAssignment, ...]:
@@ -150,9 +166,10 @@ class CropVerdicts:
 
     ``crop_id`` (``int64``) indexes a :class:`CropSet`, ``label`` (``int8``)
     indexes :data:`CROP_LABELS` and ``confidence`` is ``float64``. Indexing
-    or iterating gives :class:`CropClassification` views, built once. Unequal
+    or iterating gives :class:`CropClassification` views, built once. A set
+    is checked when built by :func:`~detfuse.errors.column_problems`: unequal
     lengths, or a row with a ``crop_id`` < 0, an unknown label or a confidence
-    outside [0, 1], is a :class:`ConfigError` in :func:`setting_problems`' words.
+    outside [0, 1], is one :class:`ConfigError`.
     """
 
     crop_id: np.ndarray
@@ -160,19 +177,15 @@ class CropVerdicts:
     confidence: np.ndarray
 
     def __post_init__(self) -> None:
-        crop_id, label, confidence = self.crop_id, self.label, self.confidence
-        lengths = [len(crop_id), len(label), len(confidence)]
-        if len(set(lengths)) > 1:
-            raise ConfigError(f"crop_id, label and confidence must be of one length, got {lengths}")
-        labels = f"[0, {len(CROP_LABELS) - 1}]"
-        bad = (crop_id < 0) | ~_within(label, labels) | ~_within(confidence, "[0, 1]")
-        if bad.any():
-            i = int(bad.argmax())
-            raise_problems(
-                setting_problems(f"crop_id[{i}]", crop_id[i].item(), _ID_RANGE, integer=True)
-                + setting_problems(f"label[{i}]", label[i].item(), labels, integer=True)
-                + setting_problems(f"confidence[{i}]", confidence[i].item(), "[0, 1]")
+        raise_problems(
+            column_problems(
+                [
+                    ("crop_id", self.crop_id, _ID_RANGE, True),
+                    ("label", self.label, f"[0, {len(CROP_LABELS) - 1}]", True),
+                    ("confidence", self.confidence, "[0, 1]", False),
+                ]
             )
+        )
 
     @cached_property
     def _classifications(self) -> tuple[CropClassification, ...]:
@@ -254,6 +267,8 @@ def assign_crops(
         AxisUnavailable: an enumeration detection lacks its quadrant or tooth.
         MissingImage: an enumeration detection references an image id not
             present in ``images``.
+        MalformedFile: the padded box of an enumeration detection lies
+            entirely outside its image, so its crop would have no extent.
     """
     raise_problems(_pad_problems(pad_fraction))
     cols = enums.columns
@@ -268,7 +283,12 @@ def assign_crops(
     pad = pad_fraction * cols.xywh[:, 2:]
     crop = np.concatenate([cols.xywh[:, :2] - pad, cols.xywh[:, 2:] + 2 * pad], axis=1)
     size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
-    return CropSet(cols, _clip(crop, size))
+    crop = _clip(crop, size)
+    _refuse(
+        (crop[:, 2] <= 0) | (crop[:, 3] <= 0), cols.image_id, MalformedFile,
+        "enumeration detection on image {} lies entirely outside the image",
+    )
+    return CropSet(cols, crop)
 
 
 def audit_balance(ds: AnnotatedDataset) -> BalancePlan:

@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 import orjson
 
-from .errors import ConfigError, DanglingReference, raise_problems, shorten
+from .errors import ConfigError, DanglingReference, column_problems, raise_problems, shorten
 from .geometry import (
-    _SOURCE_CODE, DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId,
-    _image_id_problems, source_code,
+    _ID_END, _SOURCE_CODE, DISEASES, SOURCES, BoundingBox, CategoryTriple, Detection, ImageId,
+    _box_columns, _image_id_problems, source_code,
 )
 
 _IMAGE_ID = attrgetter("image_id")
@@ -32,6 +32,9 @@ _SCORE = attrgetter("score")
 _CATEGORY = attrgetter("category")
 _SOURCE = attrgetter("source")
 _LINK = attrgetter("matched_enum_id")
+
+#: The bounds of :attr:`Columns.link`: an ``int64`` id, or -1 where unset.
+_LINK_RANGE = f"[-1, {float(_ID_END)!r})"
 
 #: The per-row arrays of :class:`Columns`, in order.
 _ROW_FIELDS = ("image", "xywh", "score", "key", "origin", "link")
@@ -50,6 +53,14 @@ class Columns:
     decode it into the 0-based ids of the file format, -1 where the axis is
     absent. ``origin`` (``int8``) indexes :data:`SOURCES`, and ``link``
     (``int64``) is ``matched_enum_id``, -1 where unset.
+
+    Every construction checks its columns, ``take``, ``concat`` and
+    ``dataclasses.replace`` too, by :func:`~detfuse.errors.column_problems`:
+    an id that is no image id, columns of unequal lengths, or a row holding
+    an image outside ``ids``, a box that :class:`BoundingBox` refuses, a
+    score outside [0, 1], a key that is no category, an unknown origin or a
+    link below -1 is one :class:`ConfigError`. So every set can be written
+    and read back.
     """
 
     ids: tuple
@@ -63,6 +74,21 @@ class Columns:
     quadrant = property(lambda self: category_codes(self.key)[0])
     tooth = property(lambda self: category_codes(self.key)[1])
     disease = property(lambda self: category_codes(self.key)[2])
+
+    def __post_init__(self) -> None:
+        raise_problems(
+            _image_id_problems(self.ids)
+            + column_problems(
+                [
+                    ("image", self.image, f"[0, {len(self.ids)})", True),
+                    *_box_columns("box", self.xywh),
+                    ("score", self.score, "[0, 1]", False),
+                    ("key", self.key, _KEY_RANGE, True),
+                    ("origin", self.origin, f"[0, {len(SOURCES) - 1}]", True),
+                    ("link", self.link, _LINK_RANGE, True),
+                ]
+            )
+        )
 
     def take(self, rows: np.ndarray) -> "Columns":
         """The rows at the indices ``rows``, over the same ids.
@@ -132,6 +158,8 @@ def _category_key(quadrant: np.ndarray, tooth: np.ndarray, disease: np.ndarray) 
 
 #: The number of category key values; key 0 carries no axis and is no category.
 CATEGORY_KEYS = 5 * 9 * 5
+#: The bounds of a category key.
+_KEY_RANGE = f"[1, {CATEGORY_KEYS - 1}]"
 
 
 def category_codes(key: int) -> tuple[int, int, int]:

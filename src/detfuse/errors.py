@@ -1,4 +1,4 @@
-"""Exception hierarchy, the settings rules that raise :class:`ConfigError`, and message echoes.
+"""Exception hierarchy, the settings and column rules that raise :class:`ConfigError`, and message echoes.
 
 Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 (and the CLI) can distinguish data problems from programming errors.
@@ -6,8 +6,13 @@ Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 import sys
+from typing import Sequence
+
+import numpy as np
 
 
 class DetfuseError(Exception):
@@ -66,6 +71,23 @@ def _within(x, bounds: str):
     return (low < x if bounds[0] == "(" else low <= x) & (x < high if bounds[-1] == ")" else x <= high)
 
 
+@functools.lru_cache(maxsize=256)
+def _closed_ends(bounds: str, integer: bool) -> tuple:
+    """The least and the greatest value in ``bounds``: with ``integer`` Python integers (or an
+    infinite end), so that ``int64`` is never compared as a float, and else ``np.float64``
+    values, so that a narrower float is compared as a ``float64``. A number lies in ``bounds``
+    exactly when it lies between them, inclusive; NaN does not."""
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    if integer:
+        low = low if math.isinf(low) else int(low) + (bounds[0] == "(")
+        high = high if math.isinf(high) else int(high) - (bounds[-1] == ")")
+    else:
+        low = math.nextafter(low, math.inf) if bounds[0] == "(" else low
+        high = math.nextafter(high, -math.inf) if bounds[-1] == ")" else high
+        low, high = np.float64(low), np.float64(high)
+    return low, high
+
+
 def setting_problems(name: str, value, bounds: str, *, integer=False, optional=False) -> list[str]:
     """The problem with the setting ``name``, if any, as a list of at most one message.
 
@@ -84,6 +106,48 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
         return []
     kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"
     return [f"{name} must be {kind}, got {shorten(value)}"]
+
+
+def column_problems(columns: Sequence[tuple]) -> list[str]:
+    """The problems of the columns ``columns``, each a ``(name, array, bounds, integer)``.
+
+    Each entry of an array is a setting that :func:`setting_problems` checks with
+    ``bounds`` and ``integer``; the problems are those of the first row holding a
+    bad entry, one per bad entry, at ``name[i]``. Columns of unequal lengths are
+    one problem instead. A column whose ``bounds`` is ``None`` is only counted.
+    """
+    lengths = [len(array) for _, array, _, _ in columns]
+    if len(set(lengths)) > 1:
+        names = [name for name, _, _, _ in columns]
+        return [f"{', '.join(names[:-1])} and {names[-1]} must be of one length, got {lengths}"]
+    checked = [column for column in columns if column[2] is not None]
+    if all(map(_holds, checked)):
+        return []
+    for i, row in enumerate(zip(*(array.tolist() for _, array, _, _ in checked))):
+        problems = [
+            problem
+            for (name, _, bounds, integer), value in zip(checked, row)
+            for problem in setting_problems(f"{name}[{i}]", value, bounds, integer=integer)
+        ]
+        if problems:
+            return problems
+    return []
+
+
+def _holds(column: tuple) -> bool:
+    """Whether the least and the greatest entry of a numeric ``(name, array, bounds, integer)``
+    column lie in its bounds, so that every entry does and none is NaN. Each entry of another
+    column, of bools or objects, is left to :func:`setting_problems`."""
+    _, array, bounds, integer = column
+    if not len(array):
+        return True
+    if array.dtype.kind not in ("iu" if integer else "iuf"):
+        return False
+    low, high = _closed_ends(bounds, integer)
+    least, greatest = np.minimum.reduce(array), np.maximum.reduce(array)
+    if integer:
+        least, greatest = least.item(), greatest.item()
+    return low <= least and greatest <= high
 
 
 def choice_problems(name: str, value, choices) -> list[str]:

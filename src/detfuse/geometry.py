@@ -35,6 +35,9 @@ SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B", "complementary", "
 
 _SOURCE_CODE = {name: code for code, name in enumerate(SOURCES)}
 
+#: Each field of a box and its bounds, as a box and every box column are checked.
+_BOX_BOUNDS = (("x", "(-inf, inf)"), ("y", "(-inf, inf)"), ("w", "(0, inf)"), ("h", "(0, inf)"))
+
 #: A number field passes at once if its exact type is in ``_FAST`` and it is finite and in range.
 _FAST = frozenset((int, float))
 _LOWEST, _FLOAT_MAX = -sys.float_info.max, sys.float_info.max
@@ -47,6 +50,19 @@ def _image_id_problems(ids: Sequence) -> list[str]:
         return []
     bad = next(image_id for image_id in ids if type(image_id) not in _ID_TYPES)
     return [f"image id must be an int or a str, got {type(bad).__name__} {shorten(bad)}"]
+
+
+def _box_columns(name: str, xywh) -> list[tuple]:
+    """The x, y, w and h columns of the ``[N, 4]`` box array ``xywh``, named ``{name} x`` and on,
+    as :func:`~detfuse.errors.column_problems` takes them; :class:`ConfigError` for another shape.
+
+    The columns are copied once into one contiguous block: on a few thousand rows, their
+    reductions cost less there, copy included, than in place.
+    """
+    if xywh.ndim != 2 or xywh.shape[1] != 4:
+        raise ConfigError(f"{name} must be an [N, 4] array, got shape {xywh.shape}")
+    columns = xywh.T.copy()
+    return [(f"{name} {field}", columns[k], bounds, False) for k, (field, bounds) in enumerate(_BOX_BOUNDS)]
 
 
 def source_code(source: str) -> int:
@@ -74,8 +90,11 @@ class BoundingBox:
             and 0 < w <= _FLOAT_MAX and 0 < h <= _FLOAT_MAX
         ):
             raise_problems(
-                setting_problems("box x", x, "(-inf, inf)") + setting_problems("box y", y, "(-inf, inf)")
-                + setting_problems("box w", w, "(0, inf)") + setting_problems("box h", h, "(0, inf)")
+                [
+                    problem
+                    for (field, bounds), value in zip(_BOX_BOUNDS, (x, y, w, h))
+                    for problem in setting_problems(f"box {field}", value, bounds)
+                ]
             )
 
     def as_xywh(self) -> list[float]:

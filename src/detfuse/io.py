@@ -50,6 +50,7 @@ import numpy as np
 import orjson
 
 from .detections import (
+    _KEY_RANGE,
     _TRIPLES,
     _category_key,
     _encode_compact,
@@ -69,12 +70,14 @@ from .errors import (
     MalformedFile,
     MissingImage,
     _within,
+    column_problems,
     raise_problems,
     setting_problems,
     shorten,
 )
 from .geometry import (
-    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _image_id_problems
+    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _box_columns,
+    _image_id_problems,
 )
 
 logger = logging.getLogger(__name__)
@@ -120,6 +123,12 @@ class AnnotatedDataset:
     :class:`GroundTruthAnnotation` is a view, built when ``annotations`` is
     first read. A dataset constructed from annotation objects converts them
     to columns once and keeps them as its views.
+
+    Every construction checks its columns by
+    :func:`~detfuse.errors.column_problems`, as :class:`~detfuse.detections.Columns`
+    does: columns of unequal lengths, or a row holding an image outside
+    ``images``, a box that :class:`BoundingBox` refuses or a key that is no
+    category, is one :class:`ConfigError`.
     """
 
     __hash__ = None
@@ -131,13 +140,13 @@ class AnnotatedDataset:
         ids = [a.image_id for a in objects]
         raise_problems(_image_id_problems(ids))
         image, xywh, key = _record_columns(objects, [im.image_id for im in images])
-        self._fill(images, image, xywh, key, [a.mask_payload for a in objects])
         _refuse(image < 0, ids.__getitem__, DanglingReference, "annotation references unknown image {}")
+        self._fill(images, image, xywh, key, [a.mask_payload for a in objects])
         self.annotations = objects
 
     @classmethod
     def _from_columns(cls, images, image, xywh, key, segmentation) -> "AnnotatedDataset":
-        """The dataset of ``images`` and checked columns whose ``image`` indexes them."""
+        """The dataset of ``images`` and the columns whose ``image`` indexes them, checked here."""
         return cls.__new__(cls)._fill(images, image, xywh, key, segmentation)
 
     def _fill(self, images, image, xywh, key, segmentation) -> "AnnotatedDataset":
@@ -145,7 +154,18 @@ class AnnotatedDataset:
         ids = self.image_ids()
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate image ids in dataset")
-        self.image, self.xywh, self.key, self.segmentation = image, xywh, key, tuple(segmentation)
+        segmentation = tuple(segmentation)
+        raise_problems(
+            column_problems(
+                [
+                    ("image", image, f"[0, {len(ids)})", True),
+                    *_box_columns("box", xywh),
+                    ("key", key, _KEY_RANGE, True),
+                    ("segmentation", segmentation, None, False),
+                ]
+            )
+        )
+        self.image, self.xywh, self.key, self.segmentation = image, xywh, key, segmentation
         return self
 
     @cached_property

@@ -1,9 +1,11 @@
 """End-to-end orchestration: fuse, integrate, complement, evaluate.
 
 A pipeline run is driven by a JSON config. The config is validated in
-full before any stage executes, every stage writes its artifact to the
-output directory as soon as it completes (partial outputs survive a
-later failure), and failures are re-raised tagged with the stage name.
+full before any stage executes, and every input file is read and checked
+in the ``load`` stage, before the first artifact is written. Every stage
+writes its artifact to the output directory as soon as it completes
+(partial outputs survive a later failure), and failures are re-raised
+tagged with the stage name.
 
 Stage artifacts, in order:
 
@@ -212,6 +214,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             None if path is None else _drop_diseaseless(parse_detections(path, source, universe))
             for path, source in ((cfg.diagnosis_a, "diagnosis-A"), (cfg.diagnosis_b, "diagnosis-B"))
         )
+        verdicts = cfg.crop_classifications
+        classifications = None if verdicts is None else parse_crop_classifications(verdicts)
 
     with _stage("ensemble"):
         if diag_b is None:
@@ -231,7 +235,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             gated = filter_enumeration(enums, cfg.enum_score_gate)
             crops = assign_crops(gated, dataset.images, cfg.pad_fraction)
             write_crop_manifest(crops, _out("crops_manifest.json"))
-            classifications = parse_crop_classifications(cfg.crop_classifications)
             comp = classifications_to_detections(crops, classifications, cfg.merge.min_confidence)
             merged = merge_complementary(integrated, comp, cfg.merge)
             write_integrated(merged, _out("03_complementary.json"))

@@ -5,8 +5,8 @@ numbering, marks a random subset as diseased, and the simulator then
 produces detections with configurable recall, localisation noise, score
 distributions and false-positive rate. Both build their sets as columns:
 each drawn value is appended to a list of Python floats and ints, and each
-column becomes one array, checked as the value types check one value, when
-the last image is drawn. No object is built per row.
+column becomes one array when the last image is drawn. No object is built
+per row; the set's constructor checks its columns, as every column set's does.
 
 Determinism contract: every value is one scalar ``Generator`` call, and the
 calls of an image come in a fixed order. The generator draws image after
@@ -33,9 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .detections import Columns, DetectionSet, _category_key, category_codes
-from .errors import (
-    ConfigError, _within, choice_problems, raise_problems, setting_problems, shorten
-)
+from .errors import ConfigError, choice_problems, raise_problems, setting_problems, shorten
 from .geometry import DISEASES, source_code
 from .io import AnnotatedDataset, AnnotatedImage, PathLike
 
@@ -109,33 +107,11 @@ class DetectorProfile:
 _UPPER = [(1, t) for t in range(8, 0, -1)] + [(2, t) for t in range(1, 9)]
 _LOWER = [(4, t) for t in range(8, 0, -1)] + [(3, t) for t in range(1, 9)]
 
-#: The bounds of a box's x, y, w and h, as :class:`BoundingBox` checks them.
-_BOX_BOUNDS = (
-    ("box x", "(-inf, inf)"), ("box y", "(-inf, inf)"), ("box w", "(0, inf)"), ("box h", "(0, inf)")
-)
 
-
-def _columns(xywh: list, codes: list, *checked: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _columns(xywh: list, codes: list) -> tuple[np.ndarray, np.ndarray]:
     """The box column of the flat x, y, w, h floats ``xywh`` and the category key of each row's
-    (quadrant, tooth, disease) codes in ``codes``.
-
-    The boxes are checked with the further ``(name, column, bounds)`` columns ``checked``: the
-    first row holding a value out of bounds is a :class:`ConfigError` that names each of its
-    bad values as :func:`setting_problems` does.
-    """
+    (quadrant, tooth, disease) codes in ``codes``."""
     boxes = np.array(xywh, float).reshape(-1, 4)
-    columns = [(name, boxes[:, k], bounds) for k, (name, bounds) in enumerate(_BOX_BOUNDS)]
-    columns += checked
-    bad = ~np.logical_and.reduce([_within(column, bounds) for _, column, bounds in columns])
-    if bad.any():
-        i = int(bad.argmax())
-        raise_problems(
-            [
-                problem
-                for name, column, bounds in columns
-                for problem in setting_problems(f"{name}[{i}]", column[i].item(), bounds)
-            ]
-        )
     return boxes, _category_key(*np.array(codes, np.intp).reshape(-1, 3).T)
 
 
@@ -222,8 +198,8 @@ def simulate_detector(
     detections for diseased teeth. Each image draws from an independent
     seeded stream, so per-image results never depend on batch composition.
     The annotations are read from the dataset's columns, and the set is
-    built from columns; a box or score out of range is a :class:`ConfigError`
-    that names its row.
+    built from columns, which :class:`~detfuse.detections.Columns` checks: a
+    box or score out of range is a :class:`ConfigError` that names its row.
     """
     problems = setting_problems("seed", seed, "[0, inf)", integer=True)
     problems += choice_problems("source", source, SIMULATOR_SOURCES)
@@ -268,11 +244,10 @@ def simulate_detector(
                 codes.append((-1, -1, int(rng.integers(0, len(DISEASES)))))
             score.append(_clamped_normal(rng, profile.fp_score_mean, profile.fp_score_std))
             image.append(index)
-    scores = np.array(score, float)
-    boxes, key = _columns(xywh, codes, ("score", scores, "[0, 1]"))
-    n = len(scores)
+    boxes, key = _columns(xywh, codes)
+    n = len(score)
     columns = Columns(
-        tuple(ds.image_ids()), np.array(image, np.int32), boxes, scores, key,
+        tuple(ds.image_ids()), np.array(image, np.int32), boxes, np.array(score, float), key,
         np.full(n, source_code(source), np.int8), np.full(n, -1, np.int64),
     )
     return DetectionSet.from_columns(columns, source)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -20,6 +21,7 @@ from detfuse import (
     ConfigError,
     CropAssignment,
     CropClassification,
+    CropSet,
     CropVerdicts,
     DanglingCrop,
     Detection,
@@ -100,6 +102,38 @@ class TestAssignCrops:
         enums = DetectionSet([enum_det(0, 0, 10, 10)], "enumeration-model")
         with pytest.raises(ValueError):
             assign_crops(enums, IMAGES, pad_fraction=-0.1)
+
+    @pytest.mark.parametrize("x", [150, 102])
+    def test_a_tooth_outside_its_image_is_refused(self, x):
+        """Its crop had no extent: the manifest was written, then refused by its reader."""
+        enums = DetectionSet(
+            [enum_det(10, 10, 20, 20), enum_det(x, 10, 20, 20, image_id="far")], "enumeration-model"
+        )
+        with pytest.raises(
+            MalformedFile,
+            match=r"^enumeration detection on image 'far' lies entirely outside the image$",
+        ):
+            assign_crops(enums, IMAGES + [AnnotatedImage("far", 100, 100)], pad_fraction=0.1)
+
+    @pytest.mark.parametrize(
+        "boxes,key,message",
+        [
+            ([[0.0, 0.0, 0.0, 5.0]], 2 * 45 + 3 * 5, "crop w[0] must be a number in (0, inf), got 0.0"),
+            ([[0.0, 0.0, 5.0, 5.0]], 3 * 5 + 1, "quadrant[0] must be an integer in [0, 3], got -1"),
+            ([[0.0, 0.0, 5.0, 5.0]], 2 * 45 + 1, "tooth[0] must be an integer in [0, 7], got -1"),
+            (
+                [[0.0, 0.0, 5.0, 5.0]] * 2, 2 * 45 + 3 * 5,
+                "crop x, crop y, crop w, crop h, quadrant and tooth must be of one length, "
+                "got [2, 2, 2, 2, 1, 1]",
+            ),
+        ],
+    )
+    def test_crop_columns_are_checked(self, boxes, key, message):
+        """A crop of no extent, or a row without a quadrant or a tooth, is refused when built."""
+        rows = DetectionSet([enum_det(0, 0, 5, 5)], "enumeration-model").columns
+        rows = dataclasses.replace(rows, key=np.array([key]))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CropSet(rows, np.array(boxes))
 
 
 class TestBalance:

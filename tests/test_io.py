@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from detfuse import (
     CountMismatch,
     CropClassification,
     CropSet,
+    CropVerdicts,
     DanglingReference,
     DetfuseError,
     Detection,
@@ -61,10 +62,12 @@ from detfuse import (
     write_integrated,
     write_pr_csv,
 )
+import detfuse.detections as detections_module
 from detfuse.cli import main
 from detfuse.detections import (
-    CATEGORY_KEYS, Columns, _encode_compact, _json_floats, category_codes, category_of
+    CATEGORY_KEYS, Columns, _category_key, _encode_compact, _json_floats, category_codes, category_of
 )
+from detfuse.geometry import source_code
 from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ, _write_lines
 
 from conftest import HUGE, huge_id, perfect_detections
@@ -788,6 +791,144 @@ class TestRoundTrips:
         assert len(path.read_text().splitlines()) == (len(crops) + 2 if crops else 1)
 
 
+#: Floats that a file must carry bit for bit: subnormals, 1e-5 and 1e16, which ``orjson``
+#: would write in other digits, and both zeros.
+odd_floats = st.sampled_from([5e-324, 2.5e-310, 1e-5, 1e16, -0.0, 0.0])
+finite_floats = odd_floats | st.floats(allow_nan=False, allow_infinity=False)
+extents = st.sampled_from([5e-324, 1e-5, 1e16]) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+unit_floats = odd_floats.filter(lambda v: v <= 1) | st.floats(0.0, 1.0)
+#: Image ids: any integer, and strings with quotes, backslashes and characters outside ASCII.
+any_image_ids = st.integers() | st.text() | st.sampled_from(['"', "\\", 'q"\\ü\n', "\u2028", "😀"])
+links = st.just(-1) | st.integers(0, 2**63 - 1) | st.just(2**63 - 1)
+
+
+def column_of(draw, values, n: int, dtype) -> np.ndarray:
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype)
+
+
+def box_column(draw, n: int) -> np.ndarray:
+    """``n`` boxes that ``BoundingBox`` takes, as ``float64 [n, 4]``."""
+    fields = (finite_floats, finite_floats, extents, extents)
+    return np.stack([column_of(draw, values, n, float) for values in fields], axis=1).reshape(n, 4)
+
+
+@st.composite
+def drawn_columns(draw, keys=st.integers(1, CATEGORY_KEYS - 1)) -> Columns:
+    """Valid columns of up to 6 rows over up to 4 image ids."""
+    ids = tuple(draw(st.lists(any_image_ids, min_size=1, max_size=4, unique=True)))
+    n = draw(st.integers(0, 6))
+    return Columns(
+        ids, column_of(draw, st.integers(0, len(ids) - 1), n, np.int32), box_column(draw, n),
+        column_of(draw, unit_floats, n, float), column_of(draw, keys, n, np.intp),
+        column_of(draw, st.integers(0, 4), n, np.int8), column_of(draw, links, n, np.int64),
+    )
+
+
+#: Category keys that carry a quadrant and a tooth, as every crop's row does.
+tooth_keys = st.integers(1, CATEGORY_KEYS - 1).filter(lambda k: min(category_codes(k)[:2]) >= 0)
+
+
+@st.composite
+def inside_boxes(draw, width: float, height: float) -> list[float]:
+    """A box inside a ``width`` x ``height`` image, which the reader keeps as it is; the reader
+    reads each extent as a float."""
+    box = []
+    for extent in (float(width), float(height)):
+        start = draw(odd_floats | st.floats(0.0, extent))
+        size = min(draw(extents), extent - start)
+        assume(0 < size and start + size <= extent)
+        box += [start, size]
+    return [box[0], box[2], box[1], box[3]]
+
+
+@st.composite
+def drawn_datasets(draw) -> AnnotatedDataset:
+    ids = draw(st.lists(any_image_ids, min_size=1, max_size=4, unique=True))
+    # An integer extent is read back as a float (see CHANGES.md), so extents are compared as floats.
+    sizes = extents | st.integers(1, 2**64)
+    images = [AnnotatedImage(i, draw(sizes), draw(sizes), draw(st.text(max_size=4))) for i in ids]
+    image = draw(st.lists(st.integers(0, len(ids) - 1), max_size=6))
+    boxes = [draw(inside_boxes(images[k].width, images[k].height)) for k in image]
+    payloads = st.none() | st.lists(st.lists(st.integers() | finite_floats, max_size=4), max_size=2)
+    return AnnotatedDataset._from_columns(
+        images, np.array(image, np.int32), np.array(boxes, float).reshape(-1, 4),
+        column_of(draw, st.integers(1, CATEGORY_KEYS - 1), len(image), np.intp),
+        draw(st.lists(payloads, min_size=len(image), max_size=len(image))),
+    )
+
+
+def assert_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def row_ids(cols: Columns) -> list:
+    """Each row's image id, with its type."""
+    return [(type(cols.ids[k]), cols.ids[k]) for k in cols.image.tolist()]
+
+
+class TestColumnRoundTrips:
+    """Every writer's file reads back as the valid columns it was written from, bit for bit."""
+
+    @pytest.mark.parametrize("links_kept", [False, True], ids=["detections", "integrated"])
+    @given(cols=drawn_columns())
+    def test_detection_files(self, tmp_path_factory, links_kept, cols):
+        path = tmp_path_factory.getbasetemp() / "detections.json"
+        (write_integrated if links_kept else write_detections)(DetectionSet.from_columns(cols, "fused"), path)
+        got = parse_detections(path, "fused", cols.ids).columns
+        assert [(type(i), i) for i in got.ids] == [(type(i), i) for i in cols.ids]
+        for name in ("image", "xywh", "score", "key"):
+            assert_bits(getattr(got, name), getattr(cols, name))
+        assert_bits(got.origin, np.full_like(cols.origin, source_code("fused")))
+        assert_bits(got.link, cols.link if links_kept else np.full_like(cols.link, -1))
+
+    @given(ds=drawn_datasets())
+    def test_ground_truth_files(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "gt.json"
+        write_ground_truth(ds, path)
+        got = parse_ground_truth(path)
+        image = lambda im: (type(im.image_id), im.image_id, float(im.width), float(im.height), im.file_name)
+        assert repr(list(map(image, got.images))) == repr(list(map(image, ds.images)))
+        for name in ("image", "xywh", "key"):
+            assert_bits(getattr(got, name), getattr(ds, name))
+        assert repr(got.segmentation) == repr(ds.segmentation)
+
+    @given(cols=drawn_columns(tooth_keys), data=st.data())
+    def test_crop_manifests(self, tmp_path_factory, cols, data):
+        path = tmp_path_factory.getbasetemp() / "crops.json"
+        n = len(cols.score)
+        boxes = box_column(data.draw, n)
+        write_crop_manifest(CropSet(cols, boxes), path)
+        got = read_crop_manifest(path)
+        assert row_ids(got.rows) == row_ids(cols)
+        assert_bits(got.boxes, boxes)
+        assert_bits(got.rows.xywh, cols.xywh)
+        assert_bits(got.rows.score, cols.score)
+        assert_bits(got.rows.key, _category_key(cols.quadrant, cols.tooth, np.full(n, -1)))
+        assert_bits(got.rows.origin, np.full_like(cols.origin, source_code("enumeration-model")))
+        assert_bits(got.rows.link, np.full_like(cols.link, -1))
+
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_verdict_files(self, tmp_path_factory, data, n):
+        path = tmp_path_factory.getbasetemp() / "verdicts.json"
+        verdicts = CropVerdicts(
+            column_of(data.draw, st.integers(0, 2**63 - 1) | st.just(2**63 - 1), n, np.int64),
+            column_of(data.draw, st.integers(0, len(CROP_LABELS) - 1), n, np.int8),
+            column_of(data.draw, unit_floats, n, float),
+        )
+        write_crop_classifications(verdicts, path)
+        got = parse_crop_classifications(path)
+        for name in ("crop_id", "label", "confidence"):
+            assert_bits(getattr(got, name), getattr(verdicts, name))
+
+    @given(ids=st.lists(any_image_ids, max_size=6))
+    def test_id_lists(self, tmp_path_factory, ids):
+        path = tmp_path_factory.getbasetemp() / "ids.json"
+        write_id_list(ids, path)
+        assert [(type(i), i) for i in _load_json(path, "ids")] == [(type(i), i) for i in ids]
+
+
 #: A ground-truth file with integer and float boxes, a bare ``category_id``,
 #: a string image id, segmentations and two boxes that are clamped.
 PINNED_GT = {
@@ -1278,6 +1419,101 @@ class TestDatasetContainers:
             5, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused"
         )
         assert DetectionSet([det], "fused").image_universe == frozenset({5})
+
+
+def one_row(**changes) -> dict:
+    """The fields of a valid one-row :class:`Columns`, with ``changes``."""
+    fields = dict(
+        ids=(1,), image=np.array([0], np.int32), xywh=np.array([[0.0, 0.0, 1.0, 1.0]]),
+        score=np.array([0.5]), key=np.array([1]), origin=np.array([0], np.int8),
+        link=np.array([-1], np.int64),
+    )
+    return {**fields, **changes}
+
+
+class TestColumnChecks:
+    """Every column set checks its columns when built, so that nothing detfuse holds is written
+    into a file that its readers refuse: each probe below was written, then refused on read."""
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"score": np.array([math.nan])}, "score[0] must be a number in [0, 1], got nan"),
+            ({"xywh": np.array([[0.0, 0.0, math.inf, 1.0]])}, "box w[0] must be a number in (0, inf), got inf"),
+            ({"score": np.array([1.5])}, "score[0] must be a number in [0, 1], got 1.5"),
+            ({"xywh": np.array([[0.0, 0.0, 0.0, 1.0]])}, "box w[0] must be a number in (0, inf), got 0.0"),
+            ({"ids": (1.5,)}, "image id must be an int or a str, got float 1.5"),
+            ({"ids": (True,)}, "image id must be an int or a str, got bool True"),
+            ({"image": np.array([1], np.int32)}, "image[0] must be an integer in [0, 1), got 1"),
+            ({"key": np.array([0])}, f"key[0] must be an integer in [1, {CATEGORY_KEYS - 1}], got 0"),
+            ({"origin": np.array([5], np.int8)}, "origin[0] must be an integer in [0, 4], got 5"),
+            ({"link": np.array([-2])}, f"link[0] must be an integer in [-1, {2.0**63!r}), got -2"),
+            ({"link": np.array([1.0])}, f"link[0] must be an integer in [-1, {2.0**63!r}), got 1.0"),
+            ({"score": np.array([True])}, "score[0] must be a number in [0, 1], got True"),
+            (
+                {"score": np.array([0.5, 0.5])},
+                "image, box x, box y, box w, box h, score, key, origin and link must be of one "
+                "length, got [1, 1, 1, 1, 1, 2, 1, 1, 1]",
+            ),
+            ({"xywh": np.array([0.0, 0.0, 1.0, 1.0])}, "box must be an [N, 4] array, got shape (4,)"),
+        ],
+    )
+    def test_a_bad_column_is_refused_when_built(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Columns(**one_row(**changes))
+
+    def test_the_first_bad_row_names_each_of_its_bad_values(self):
+        columns = one_row(
+            image=np.array([0, 0, 0], np.int32), xywh=np.array([[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, -1, 1.0]]),
+            score=np.array([0.5, 2.0, math.nan]), key=np.array([1, 1, 1]),
+            origin=np.array([0, 0, 0], np.int8), link=np.array([-1, -5, -1], np.int64),
+        )
+        message = (
+            "score[1] must be a number in [0, 1], got 2.0; "
+            f"link[1] must be an integer in [-1, {2.0**63!r}), got -5"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Columns(**columns)
+
+    def test_the_largest_link_is_kept(self):
+        cols = Columns(**one_row(link=np.array([2**63 - 1], np.int64)))
+        assert cols.link.tolist() == [2**63 - 1]
+
+    def test_every_construction_runs_the_rule(self, monkeypatch):
+        """``take``, ``concat`` and ``dataclasses.replace`` build through the constructor."""
+        calls = []
+        rule = detections_module.column_problems
+        monkeypatch.setattr(
+            detections_module, "column_problems", lambda columns: calls.append(1) or rule(columns)
+        )
+        cols = Columns(**one_row())
+        dets = DetectionSet.from_columns(cols, "fused")
+        dets.take([0])
+        DetectionSet.concat([dets, dets], "fused")
+        with pytest.raises(ConfigError, match=r"^score\[0\] must be a number in \[0, 1\], got nan$"):
+            dataclasses.replace(cols, score=np.array([math.nan]))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"image": np.array([1], np.int32)}, "image[0] must be an integer in [0, 1), got 1"),
+            ({"xywh": np.array([[0.0, 0.0, 0.0, 1.0]])}, "box w[0] must be a number in (0, inf), got 0.0"),
+            ({"key": np.array([0])}, f"key[0] must be an integer in [1, {CATEGORY_KEYS - 1}], got 0"),
+            (
+                {"segmentation": []},
+                "image, box x, box y, box w, box h, key and segmentation must be of one length, "
+                "got [1, 1, 1, 1, 1, 1, 0]",
+            ),
+        ],
+    )
+    def test_a_bad_ground_truth_column_is_refused_when_built(self, changes, message):
+        fields = dict(
+            images=[AnnotatedImage(1, 10, 10)], image=np.array([0], np.int32),
+            xywh=np.array([[0.0, 0.0, 1.0, 1.0]]), key=np.array([1]), segmentation=[None],
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            AnnotatedDataset._from_columns(**{**fields, **changes})
 
 
 def universe_rows() -> list:

@@ -186,6 +186,21 @@ class TestRunPipeline:
             run_pipeline(PipelineConfig(**paths))
         assert exc_info.value.stage == "load"
 
+    def test_bad_verdict_file_fails_in_load_stage_before_any_artifact(self, tmp_path):
+        """The verdict file was read in the complementary stage, after 01, 02 and the crop
+        manifest were written; it is read in ``load`` now, so nothing is written."""
+        _, paths = make_inputs(tmp_path)
+        verdicts = tmp_path / "verdicts.json"
+        verdicts.write_text('[{"crop_id": 0, "label": "caries", "confidence": 2.0}]')
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("an earlier file")
+        with pytest.raises(PipelineStageError) as exc_info:
+            run_pipeline(PipelineConfig(**paths, crop_classifications=str(verdicts)))
+        assert exc_info.value.stage == "load"
+        assert "confidence must be a number in [0, 1], got 2.0" in str(exc_info.value)
+        assert os.listdir(out) == ["kept.txt"]
+
     def test_axis_without_labels_fails_in_evaluate_stage(self, tmp_path):
         # a fully healthy scene has no disease labels for the disease axis
         _, paths = make_inputs(tmp_path, prior={})

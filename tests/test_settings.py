@@ -54,7 +54,7 @@ from detfuse import (
     threshold_ensemble,
 )
 from detfuse.geometry import _ID_RANGE
-from detfuse.errors import setting_problems
+from detfuse.errors import column_problems, setting_problems
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
 
@@ -286,6 +286,49 @@ def test_disease_prior_shape_follows_the_rule(prior, bad):
     assert list(ScenePlan(disease_prior=Pairs(*prior.items())).disease_prior.items()) == held
     with pytest.raises(ConfigError, match=re.escape(f"disease_prior must be a mapping, got {bad!r}")):
         ScenePlan(disease_prior=bad)
+
+
+#: The bounds the column sets check, each with whether its entries are integers.
+COLUMN_BOUNDS = [
+    ("(-inf, inf)", False), ("(0, inf)", False), ("[0, 1]", False),
+    ("[0, 3)", True), ("[0, 0)", True), ("[1, 224]", True), ("[0, 4]", True), (_ID_RANGE, True),
+    (f"[-1, {2.0**63!r})", True),
+]
+#: Entries of every kind a column array may hold: NaN, infinities, subnormals, both zeros, ends
+#: of ``int64``, and bools.
+COLUMN_ENTRIES = {
+    np.float64: st.floats() | st.sampled_from([5e-324, -0.0, 1.0, 1e308, math.inf, -math.inf]),
+    np.float32: st.floats(width=32),
+    np.int64: st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-2, -1, 0, 1, 4, 224, 2**63 - 1]),
+    np.int8: st.integers(-128, 127),
+    np.uint64: st.integers(0, 2**64 - 1),
+    np.bool_: st.booleans(),
+}
+
+
+@st.composite
+def drawn_column_sets(draw):
+    n = draw(st.integers(0, 5))
+    columns = []
+    for k in range(draw(st.integers(1, 4))):
+        bounds, integer = draw(st.sampled_from(COLUMN_BOUNDS))
+        dtype = draw(st.sampled_from(list(COLUMN_ENTRIES)))
+        values = draw(st.lists(COLUMN_ENTRIES[dtype], min_size=n, max_size=n))
+        columns.append((f"c{k}", np.array(values, dtype), bounds, integer))
+    return columns
+
+
+@settings(deadline=None)
+@given(columns=drawn_column_sets())
+def test_a_column_is_checked_as_each_of_its_entries(columns):
+    """The column rule names the first row in which ``setting_problems`` refuses an entry, with
+    that row's problems, whatever the arrays hold and however many rows are bad."""
+    rows = [
+        [p for name, array, bounds, integer in columns
+         for p in setting_problems(f"{name}[{i}]", array.tolist()[i], bounds, integer=integer)]
+        for i in range(len(columns[0][1]))
+    ]
+    assert column_problems(columns) == next(filter(None, rows), [])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
