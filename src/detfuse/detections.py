@@ -271,6 +271,28 @@ _ROW_TEXT = {
 }
 
 
+def _descending_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(-x, kind="stable")`` of floats without NaN: descending, ties in index order.
+
+    A default sort puts equal values in runs (``-0.0`` runs with ``0.0``). With
+    no two values equal that order is the stable one. Otherwise value ``i`` in
+    run ``r`` becomes the unique key ``r * n + i``, sorted again.
+    """
+    n = len(x)
+    order = np.argsort(-x)
+    ordered = x[order]
+    new_run = ordered[1:] != ordered[:-1]
+    if new_run.all():
+        return order
+    key = np.zeros(n, np.intp)
+    np.cumsum(new_run, out=key[1:])
+    key *= n
+    key += order
+    key.sort()
+    key %= n
+    return key
+
+
 def same_image_blocks(
     a_image: np.ndarray, b_image: np.ndarray, a_key: Optional[np.ndarray] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -306,12 +328,13 @@ class DetectionSet:
 
     A set is its :class:`Columns`. Everything else it holds is a cache of
     them, built once, when first read: the :class:`Detection` views
-    (``detections``, iterating, indexing a row) and the rows' JSON text.
-    A set constructed from ``Detection`` objects holds them as its views
-    and builds its columns when a stage or writer first reads them.
+    (``detections``, iterating, indexing a row), the rows' JSON text and
+    the rows' descending score order, which every ``evaluate`` of the set
+    reads. A set constructed from ``Detection`` objects holds them as its
+    views and builds its columns when a stage or writer first reads them.
     ``take``, ``concat`` and slicing build a set from columns and carry
-    every cache their parts hold; ``concat`` builds one that only some
-    parts hold for the rest.
+    the views and text their parts hold; ``concat`` builds those that only
+    some parts hold for the rest. The score order of a new set starts unread.
 
     With no ``image_universe`` (``None``) the set is the images the
     detections are on; a given one, even an empty one, must hold them all.
@@ -355,6 +378,13 @@ class DetectionSet:
     @cached_property
     def detections(self) -> tuple[Detection, ...]:
         return _views(self.columns)
+
+    @cached_property
+    def _score_order(self) -> np.ndarray:
+        """The rows by descending score, ties in row order; read-only, as every reader shares it."""
+        order = _descending_order(self.columns.score)
+        order.flags.writeable = False
+        return order
 
     def _row_text(self, piece: str) -> list[str]:
         """Each row's ``"box"`` or ``"score"`` text, built from the columns at the first call."""

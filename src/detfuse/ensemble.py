@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detections import DetectionSet
 from .errors import UniverseMismatch, choice_problems, raise_problems, setting_problems
 
@@ -59,6 +61,6 @@ def threshold_ensemble(
             len(primary.image_universe),
             len(secondary.image_universe),
         )
-    kept = primary.take(primary.columns.score >= cfg.tau)
-    contributed = secondary.take(secondary.columns.score < cfg.tau)
-    return DetectionSet.concat([kept, contributed], "fused")
+    # Every column set pays the column rule, so the streams are joined once and taken from once.
+    rows = np.concatenate([primary.columns.score >= cfg.tau, secondary.columns.score < cfg.tau])
+    return DetectionSet.concat([primary, secondary], "fused").take(rows)

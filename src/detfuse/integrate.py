@@ -52,26 +52,30 @@ def filter_enumeration(enums: DetectionSet, gate: float) -> DetectionSet:
     return enums.take(_gate(enums, gate))
 
 
-def _closest(enums: Columns, diags: Columns, max_distance: Optional[float]) -> np.ndarray:
-    """Per diagnosis row, the enumeration row with the nearest center on its image, or -1.
+def _closest(
+    enums: Columns, rows: np.ndarray, diags: Columns, max_distance: Optional[float]
+) -> np.ndarray:
+    """Per diagnosis row, the enumeration row among ``rows`` with the nearest center on its
+    image, or -1.
 
     Each image's enumeration rows are ordered by descending score, then by
-    row, so that the first minimum of the squared center distance is the
-    tie rule's pick. Squared distances are exact for integer-valued
-    coordinates.
+    their place in ``rows``, so that the first minimum of the squared center
+    distance is the tie rule's pick. Squared distances are exact for
+    integer-valued coordinates.
     """
     match = np.full(len(diags.score), -1, np.intp)
-    ex = enums.xywh[:, 0] + enums.xywh[:, 2] / 2.0
-    ey = enums.xywh[:, 1] + enums.xywh[:, 3] / 2.0
+    xywh = enums.xywh.take(rows, axis=0)
+    ex = xywh[:, 0] + xywh[:, 2] / 2.0
+    ey = xywh[:, 1] + xywh[:, 3] / 2.0
     dx = diags.xywh[:, 0] + diags.xywh[:, 2] / 2.0
     dy = diags.xywh[:, 1] + diags.xywh[:, 3] / 2.0
-    blocks = same_image_blocks(enums.image_index(diags.ids), diags.image, -enums.score)
-    for e, d in blocks:
+    image = enums.image_index(diags.ids).take(rows)
+    for e, d in same_image_blocks(image, diags.image, -enums.score.take(rows)):
         ddx = dx[d, None] - ex[e]
         ddy = dy[d, None] - ey[e]
         d2 = ddx * ddx + ddy * ddy
         best = d2.argmin(axis=1)
-        pick = e[best]
+        pick = rows[e[best]]
         if max_distance is not None:
             pick[np.sqrt(d2[np.arange(len(d)), best]) > max_distance] = -1
         match[d] = pick
@@ -104,9 +108,9 @@ def integrate(
         "diagnosis detection on image {} has no disease label",
     )
 
-    match = _closest(teeth.take(gated), found, cfg.max_match_distance)
+    match = _closest(teeth, gated, found, cfg.max_match_distance)
     matched = match >= 0
-    tooth_row = gated[match[matched]]
+    tooth_row = match[matched]
     score = found.score.copy()
     score[matched] = teeth.score[tooth_row] * found.score[matched]
     quadrant, tooth = np.full((2, len(found.score)), -1)

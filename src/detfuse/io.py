@@ -128,7 +128,8 @@ class AnnotatedDataset:
     :func:`~detfuse.errors.column_problems`, as :class:`~detfuse.detections.Columns`
     does: columns of unequal lengths, or a row holding an image outside
     ``images``, a box that :class:`BoundingBox` refuses or a key that is no
-    category, is one :class:`ConfigError`.
+    category, is one :class:`ConfigError`; so is a box that lies entirely
+    outside its image, which :func:`parse_ground_truth` would refuse.
     """
 
     __hash__ = None
@@ -165,6 +166,10 @@ class AnnotatedDataset:
                 ]
             )
         )
+        outside = _exceeding(xywh, self.images, image)[2]
+        if len(outside):
+            i = outside[0]
+            raise ConfigError(f"box[{i}] {xywh[i].tolist()} lies entirely outside its image")
         self.image, self.xywh, self.key, self.segmentation = image, xywh, key, segmentation
         return self
 
@@ -584,6 +589,17 @@ def _clip(xywh: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.concatenate([lo, hi - lo], axis=1)
 
 
+def _exceeding(xywh: np.ndarray, images: Sequence[AnnotatedImage], image: np.ndarray) -> tuple:
+    """The rows whose box exceeds its image, where ``image`` indexes ``images``; their boxes
+    clamped to the image; and the rows, among them, whose box lies entirely outside it."""
+    size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
+    with np.errstate(over="ignore"):
+        inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
+        exceeds = np.flatnonzero(~inside)
+        clipped = _clip(xywh[exceeds], size[exceeds])
+    return exceeds, clipped, exceeds[(clipped[:, 2] <= 0) | (clipped[:, 3] <= 0)]
+
+
 # ---------------------------------------------------------------------------
 # ground truth
 
@@ -624,12 +640,7 @@ def parse_ground_truth(path: PathLike) -> AnnotatedDataset:
 
     image = _image_index(ids, [im.image_id for im in images])
     _refuse(image < 0, ids.__getitem__, DanglingReference, "unknown image_id {}", f"{path} annotations")
-    size = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2)[image]
-    with np.errstate(over="ignore"):
-        inside = (xywh[:, :2] >= 0).all(axis=1) & (xywh[:, :2] + xywh[:, 2:] <= size).all(axis=1)
-        exceeds = np.flatnonzero(~inside)
-        clipped = _clip(xywh[exceeds], size[exceeds])
-    outside = exceeds[(clipped[:, 2] <= 0) | (clipped[:, 3] <= 0)]
+    exceeds, clipped, outside = _exceeding(xywh, images, image)
     if len(outside):
         i = outside[0]
         raise MalformedFile(
@@ -653,17 +664,14 @@ def _parse_images(data: list, path: PathLike) -> tuple[AnnotatedImage, ...]:
     rules = _FirstBreak(f"{path} images")
     records = _records(data, "image", rules)
     ids = _image_ids(records, "id", rules)
-    extents = [
-        _number_field(records, key, "(0, inf)", MalformedFile, rules).tolist()
-        for key in ("width", "height")
-    ]
+    for key in ("width", "height"):
+        _number_field(records, key, "(0, inf)", MalformedFile, rules)
     rules.raise_first()
     if len(set(ids)) != len(ids):
         raise MalformedFile(f"{path}: duplicate image ids")
-    return tuple(
-        AnnotatedImage(image_id, width, height, name)
-        for image_id, width, height, name in zip(ids, *extents, _field(records, "file_name", ""))
-    )
+    # Each extent keeps its JSON value, an int or a float, so that it is written back as read.
+    width, height = _field(records, "width"), _field(records, "height")
+    return tuple(map(AnnotatedImage, ids, width, height, _field(records, "file_name", "")))
 
 
 def write_ground_truth(ds: AnnotatedDataset, path: PathLike) -> None:

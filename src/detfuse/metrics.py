@@ -43,7 +43,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet, _refuse
+from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet, _descending_order, _refuse
 from .errors import (
     AxisUnavailable,
     ConfigError,
@@ -168,28 +168,6 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     unique.sort()
     unique %= n
     return unique
-
-
-def _descending_order(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(-x, kind="stable")`` of floats without NaN: descending, ties in index order.
-
-    A default sort puts equal values in runs (``-0.0`` runs with ``0.0``). With
-    no two values equal that order is the stable one. Otherwise value ``i`` in
-    run ``r`` becomes the unique key ``r * n + i``, sorted again.
-    """
-    n = len(x)
-    order = np.argsort(-x)
-    ordered = x[order]
-    new_run = ordered[1:] != ordered[:-1]
-    if new_run.all():
-        return order
-    key = np.zeros(n, np.intp)
-    np.cumsum(new_run, out=key[1:])
-    key *= n
-    key += order
-    key.sort()
-    key %= n
-    return key
 
 
 def _iou_block(det_xywh: np.ndarray, gt_xywh: np.ndarray) -> np.ndarray:
@@ -395,6 +373,20 @@ def _true_positives(
     return np.concatenate(t), np.concatenate(d)
 
 
+def _axis_classes(ds: AnnotatedDataset, axis: str, enumeration_product: bool) -> list:
+    """The classes of ``axis`` that the ground truth labels, sorted.
+
+    Raises:
+        AxisUnavailable: the ground truth carries no label along ``axis``.
+    """
+    key_class = _KEY_CLASSES[axis, enumeration_product]
+    present = np.flatnonzero(np.bincount(ds.key, minlength=CATEGORY_KEYS)).tolist()
+    classes = sorted({key_class[k] for k in present} - {None})
+    if not classes:
+        raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
+    return classes
+
+
 def evaluate(
     ds: AnnotatedDataset,
     dets: DetectionSet,
@@ -415,10 +407,7 @@ def evaluate(
     cols = dets.columns
     det_image = cols.image_index(tuple(ds.image_ids()))
     _refuse(det_image < 0, cols.image_id, DanglingReference, "detection references unknown image {}")
-    present = np.flatnonzero(np.bincount(ds.key, minlength=CATEGORY_KEYS)).tolist()
-    classes = sorted({key_class[k] for k in present} - {None})
-    if not classes:
-        raise AxisUnavailable(f"ground truth carries no {axis!r} labels")
+    classes = _axis_classes(ds, axis, cfg.enumeration_product)
     # The class index of each box: -1 for a class absent from the ground
     # truth, -2 for no label on this axis.
     n_cls = len(classes)
@@ -438,11 +427,12 @@ def evaluate(
     npig = np.bincount(gt_group % n_cls, minlength=n_cls).tolist()
 
     det_group = det_image * n_cls + det_class
-    # Sort by score (ties keep input order), then by group, and cap each
-    # group. A class absent from the ground truth is skipped, not
-    # zero-counted. ``score_rank`` is each row's index in score order.
-    pos = np.flatnonzero(det_class >= 0)
-    pos = pos[_descending_order(cols.score[pos])]
+    # Take the set's score order (ties keep input order) of the rows with a
+    # class, sort by group, and cap each group. A class absent from the ground
+    # truth is skipped, not zero-counted. ``score_rank`` is each row's index in
+    # score order.
+    order = dets._score_order
+    pos = order[det_class[order] >= 0]
     score_rank = _stable_order(det_group[pos])
     group = det_group[pos[score_rank]]
     rank = _ranks(group)

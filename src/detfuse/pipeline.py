@@ -2,7 +2,8 @@
 
 A pipeline run is driven by a JSON config. The config is validated in
 full before any stage executes, and every input file is read and checked
-in the ``load`` stage, before the first artifact is written. Every stage
+in the ``load`` stage, before the first artifact is written; so is the
+ground truth's labelling of every configured evaluation axis. Every stage
 writes its artifact to the output directory as soon as it completes
 (partial outputs survive a later failure), and failures are re-raised
 tagged with the stage name.
@@ -40,7 +41,7 @@ from .ensemble import EnsembleConfig, threshold_ensemble
 from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, shorten
 from .integrate import IntegrationConfig, as_detection_set, filter_enumeration, integrate, write_integrated
 from .io import PathLike, _dump_json, parse_ground_truth
-from .metrics import AXES, EvalConfig, EvaluationReport, evaluate
+from .metrics import AXES, EvalConfig, EvaluationReport, _axis_classes, evaluate
 from .results import parse_detections, write_detections
 
 logger = logging.getLogger(__name__)
@@ -198,7 +199,6 @@ def _stage(name: str) -> Iterator[None]:
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Execute every configured stage and return the collected outputs."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts: list[str] = []
 
     def _out(name: str) -> str:
@@ -208,6 +208,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("load"):
         dataset = parse_ground_truth(cfg.ground_truth)
+        for axis in cfg.axes:
+            _axis_classes(dataset, axis, cfg.evaluation.enumeration_product)
         universe = dataset.image_ids()
         enums = parse_detections(cfg.enumeration, "enumeration-model", universe)
         diag_a, diag_b = (
@@ -217,6 +219,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         verdicts = cfg.crop_classifications
         classifications = None if verdicts is None else parse_crop_classifications(verdicts)
 
+    os.makedirs(cfg.out_dir, exist_ok=True)  # only once every input has passed
     with _stage("ensemble"):
         if diag_b is None:
             logger.warning("no diagnosis-B stream configured; passing diagnosis-A through")

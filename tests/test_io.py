@@ -68,7 +68,9 @@ from detfuse.detections import (
     CATEGORY_KEYS, Columns, _category_key, _encode_compact, _json_floats, category_codes, category_of
 )
 from detfuse.geometry import source_code
-from detfuse.io import _MAX_DEPTH, _dump_json, _load_json, _orjson_may_differ, _write_lines
+from detfuse.io import (
+    _MAX_DEPTH, _dump_json, _exceeding, _load_json, _orjson_may_differ, _write_lines,
+)
 
 from conftest import HUGE, huge_id, perfect_detections
 
@@ -214,6 +216,24 @@ class TestGroundTruthParsing:
         assert len(warnings) == 1
         assert "3 boxes" in warnings[0].message
         assert "annotations[0]" in warnings[0].message
+        assert "exceeds the 1000x500 image" in warnings[0].message  # each extent as the file holds it
+
+    @pytest.mark.parametrize("width,height", [(3, 4), (3.0, 4.5), (2**64, 1e-05)])
+    def test_extents_keep_their_json_values(self, tmp_path, width, height):
+        """An extent is read as the file holds it, an int or a float, so writing what was read
+        gives the file's bytes again: ``"width": 3`` stayed ``3`` only on the first write."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        ds = AnnotatedDataset._from_columns(
+            [AnnotatedImage(1, width, height)], np.array([0], np.int32),
+            np.array([[0.0, 0.0, 1.0, 1e-05]]), np.array([1]), [None],
+        )
+        write_ground_truth(ds, first)
+        back = parse_ground_truth(first)
+        assert [(type(im.width), im.width, type(im.height), im.height) for im in back.images] == [
+            (type(width), width, type(height), height)
+        ]
+        write_ground_truth(back, second)
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("key", ["width", "height"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), HUGE], ids=huge_id)
@@ -833,7 +853,7 @@ tooth_keys = st.integers(1, CATEGORY_KEYS - 1).filter(lambda k: min(category_cod
 @st.composite
 def inside_boxes(draw, width: float, height: float) -> list[float]:
     """A box inside a ``width`` x ``height`` image, which the reader keeps as it is; the reader
-    reads each extent as a float."""
+    compares each box with its image's extents as floats."""
     box = []
     for extent in (float(width), float(height)):
         start = draw(odd_floats | st.floats(0.0, extent))
@@ -846,7 +866,6 @@ def inside_boxes(draw, width: float, height: float) -> list[float]:
 @st.composite
 def drawn_datasets(draw) -> AnnotatedDataset:
     ids = draw(st.lists(any_image_ids, min_size=1, max_size=4, unique=True))
-    # An integer extent is read back as a float (see CHANGES.md), so extents are compared as floats.
     sizes = extents | st.integers(1, 2**64)
     images = [AnnotatedImage(i, draw(sizes), draw(sizes), draw(st.text(max_size=4))) for i in ids]
     image = draw(st.lists(st.integers(0, len(ids) - 1), max_size=6))
@@ -888,7 +907,10 @@ class TestColumnRoundTrips:
         path = tmp_path_factory.getbasetemp() / "gt.json"
         write_ground_truth(ds, path)
         got = parse_ground_truth(path)
-        image = lambda im: (type(im.image_id), im.image_id, float(im.width), float(im.height), im.file_name)
+        image = lambda im: (
+            type(im.image_id), im.image_id, type(im.width), im.width, type(im.height), im.height,
+            im.file_name,
+        )
         assert repr(list(map(image, got.images))) == repr(list(map(image, ds.images)))
         for name in ("image", "xywh", "key"):
             assert_bits(getattr(got, name), getattr(ds, name))
@@ -997,9 +1019,11 @@ class TestPinnedWriters:
         )
 
     def test_parsed_ground_truth(self, tmp_path):
+        """The image extents are written as the file holds them: ``1000``, not ``1000.0``. That
+        is the one difference from the bytes pinned before extents kept their JSON values."""
         out = tmp_path / "out.json"
         write_ground_truth(parse_ground_truth(write_payload(tmp_path, PINNED_GT)), out)
-        assert sha256(out) == "fd8f7c757928cf06f8cdd526f5621f5497bd65079c3529d24c0b9f6b1465fb41"
+        assert sha256(out) == "986a611dcfeff3e8c58a9785df9d42381b2108209893b448145e4af19acbc1a6"
 
     def test_read_crop_manifest(self, tmp_path):
         out = tmp_path / "out.json"
@@ -1434,6 +1458,41 @@ def one_row(**changes) -> dict:
 class TestColumnChecks:
     """Every column set checks its columns when built, so that nothing detfuse holds is written
     into a file that its readers refuse: each probe below was written, then refused on read."""
+
+    @pytest.mark.parametrize(
+        "box,outside",
+        [
+            ([150.0, 10.0, 20.0, 20.0], True),
+            ([100.0, 10.0, 20.0, 20.0], True),
+            ([-20.0, 10.0, 20.0, 20.0], True),
+            ([10.0, -30.0, 20.0, 20.0], True),
+            ([1e16, 10.0, 1.0, 20.0], True),
+            ([90.0, 10.0, 20.0, 20.0], False),
+            ([-10.0, 99.0, 20.0, 20.0], False),
+        ],
+    )
+    def test_a_ground_truth_box_outside_its_image_is_refused_when_built(self, tmp_path, box, outside):
+        """A box entirely outside its 100x100 image was held and written, then refused by
+        ``parse_ground_truth``; the dataset refuses it now, by the reader's test, and a box
+        that only exceeds its image is still held, written and read back clamped."""
+        build = lambda: AnnotatedDataset._from_columns(
+            [AnnotatedImage(1, 100, 100)], np.array([0], np.int32), np.array([box]),
+            np.array([1]), [None],
+        )
+        payload = {
+            "images": [{"id": 1, "width": 100, "height": 100}],
+            "annotations": [{"image_id": 1, "bbox": box, "category_id_3": 0}],
+        }
+        path = write_payload(tmp_path, payload)
+        if outside:
+            message = f"box[0] {box} lies entirely outside its image"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                build()
+            with pytest.raises(MalformedFile, match="lies entirely outside the image"):
+                parse_ground_truth(path)
+        else:
+            write_ground_truth(build(), tmp_path / "out.json")
+            assert len(parse_ground_truth(tmp_path / "out.json").key) == 1
 
     @pytest.mark.parametrize(
         "changes,message",
@@ -2062,7 +2121,12 @@ def odd_datasets(draw) -> AnnotatedDataset:
         st.integers(1, CATEGORY_KEYS - 1).map(category_of),
         st.none() | PAYLOADS,
     )
-    return AnnotatedDataset(images, draw(st.lists(one, max_size=8)) if ids else [])
+    annotations = draw(st.lists(one, max_size=8)) if ids else []
+    # A dataset holds no box that lies entirely outside its image, so such a box is dropped.
+    image = np.array([ids.index(a.image_id) for a in annotations], np.intp)
+    xywh = np.array([a.box.as_xywh() for a in annotations], float).reshape(-1, 4)
+    outside = set(_exceeding(xywh, images, image)[2].tolist())
+    return AnnotatedDataset(images, [a for k, a in enumerate(annotations) if k not in outside])
 
 
 VERDICTS = st.lists(
@@ -2086,11 +2150,11 @@ ODD_DATASET = AnnotatedDataset(
     [
         GroundTruthAnnotation(1, BoundingBox(-0.0, 5e-324, 1e16, 1e-4), category_of(1)),
         GroundTruthAnnotation(
-            'q"\\ü\x00\x7f\ud800\n', BoundingBox(-1e16, 9.999999999999999e-05, 0.1, 3.0),
+            'q"\\ü\x00\x7f\ud800\n', BoundingBox(-1e16, 9.999999999999999e-05, 2e16, 3.0),
             CategoryTriple(2, 7, "caries"), {"counts": "a\nb", "size": [2, 2], "": None},
         ),
         GroundTruthAnnotation(
-            1, BoundingBox(9999999999999998.0, 0.0, 5e-324, 7.25),
+            1, BoundingBox(0.1, 0.0, 9999999999999998.0, 7.25),
             CategoryTriple(quadrant=4, disease="impacted"), [[1, 2.5], [None, math.nan], []],
         ),
     ],

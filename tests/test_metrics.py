@@ -26,7 +26,8 @@ from detfuse import (
     write_pr_csv,
 )
 import detfuse.metrics
-from detfuse.detections import CATEGORY_KEYS, category_of
+import detfuse.detections as detections_module
+from detfuse.detections import CATEGORY_KEYS, Columns, category_of
 from detfuse.metrics import (
     _BLOCK_CELLS,
     _KEY_CLASSES,
@@ -506,6 +507,10 @@ distinct_scores = arrays(
 )
 
 
+#: Scores in [0, 1] no two of which are equal, subnormals among them.
+unit_scores = arrays(np.float64, st.integers(0, 3000), elements=st.floats(0.0, 1.0), unique=True)
+
+
 @st.composite
 def distinct_scores_and_both_zeros(draw):
     """Distinct scores with ``0.0`` and ``-0.0``, in drawn order at drawn places: the one tie."""
@@ -522,6 +527,46 @@ class TestScoreOrder:
         """Descending by score, equal scores in index order, ``-0.0`` equal to ``0.0``; also
         where no two scores are equal, or the only equal pair is ``0.0`` and ``-0.0``."""
         np.testing.assert_array_equal(_descending_order(x), np.argsort(-x, kind="stable"))
+
+    @settings(deadline=None)  # the profile sets the example count
+    @given(data=st.data())
+    def test_the_set_order_of_labelled_rows_is_their_own(self, data):
+        """A set sorts its scores once, and ``evaluate`` keeps the rows with a label on its axis:
+        restricted to any rows, the set's order is the descending order of their scores, ties
+        in row order, with ``-0.0`` equal to ``0.0``."""
+        x = data.draw(st.one_of(tied_scores, unit_scores))
+        mask = data.draw(arrays(bool, len(x)))
+        n = len(x)
+        dets = DetectionSet.from_columns(
+            Columns(
+                (1,), np.zeros(n, np.int32), np.tile([0.0, 0.0, 1.0, 1.0], (n, 1)), x,
+                np.ones(n, np.intp), np.zeros(n, np.int8), np.full(n, -1, np.int64),
+            ),
+            "fused",
+        )
+        order = dets._score_order
+        want = np.flatnonzero(mask)[_descending_order(x[mask])]
+        np.testing.assert_array_equal(order[mask[order]], want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evaluate_gives_the_same_bits_on_a_set_whose_order_was_read(self, seed, monkeypatch):
+        """Every axis reads one score order per set: a fresh set, a set whose order was read
+        first and a set evaluated on every axis in turn give the same reports, bit for bit."""
+        ds, dets = random_eval_instance(np.random.default_rng(seed), max_images=4, max_boxes=30)
+        sorts = []
+        order = detections_module._descending_order
+        monkeypatch.setattr(
+            detections_module, "_descending_order", lambda x: sorts.append(len(x)) or order(x)
+        )
+        read_first = DetectionSet.from_columns(dets.columns, "fused")
+        read_first._score_order
+        shared = DetectionSet.from_columns(dets.columns, "fused")
+        for axis in AXES:
+            fresh = evaluate(ds, DetectionSet.from_columns(dets.columns, "fused"), axis)
+            for report in (evaluate(ds, read_first, axis), evaluate(ds, shared, axis)):
+                assert report.as_dict() == fresh.as_dict()
+                assert report.pr_curve.tobytes() == fresh.pr_curve.tobytes()
+        assert len(sorts) == len(AXES) + 2  # one per fresh set, one each for the other two
 
     @pytest.mark.parametrize("scores", [(0.5,), (0.0, -0.0, 0.5)], ids=["one", "three"])
     def test_tied_scores_agree_with_the_oracle(self, scores):

@@ -201,12 +201,28 @@ class TestRunPipeline:
         assert "confidence must be a number in [0, 1], got 2.0" in str(exc_info.value)
         assert os.listdir(out) == ["kept.txt"]
 
-    def test_axis_without_labels_fails_in_evaluate_stage(self, tmp_path):
-        # a fully healthy scene has no disease labels for the disease axis
+    @pytest.mark.parametrize("axes", [("disease",), ("quadrant", "disease")], ids=["one", "second"])
+    def test_axis_without_labels_fails_in_load_stage_before_any_artifact(self, tmp_path, axes):
+        """A fully healthy scene has no disease labels for the disease axis. The run failed in
+        ``evaluate``, after 01, 02, 04 and the reports of the axes before it were written; the
+        ground truth is checked against every axis in ``load`` now, so nothing is written."""
         _, paths = make_inputs(tmp_path, prior={})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("an earlier file")
         with pytest.raises(PipelineStageError) as exc_info:
+            run_pipeline(PipelineConfig(**paths, axes=axes))
+        assert exc_info.value.stage == "load"
+        assert "ground truth carries no 'disease' labels" in str(exc_info.value)
+        assert os.listdir(out) == ["kept.txt"]
+
+    def test_a_load_failure_creates_no_out_dir(self, tmp_path):
+        """``out_dir`` was created before ``load`` ran, so a run that failed there left an
+        empty directory behind; it is created once every input has passed."""
+        _, paths = make_inputs(tmp_path, prior={})
+        with pytest.raises(PipelineStageError, match="stage 'load' failed"):
             run_pipeline(PipelineConfig(**paths, axes=("disease",)))
-        assert exc_info.value.stage == "evaluate"
+        assert not os.path.exists(paths["out_dir"])
 
 
 def artifact_hashes(tmp_path, *, crops: bool) -> dict[str, str]:
@@ -303,6 +319,24 @@ class TestPinnedArtifacts:
             "box": len(result.fused) + kept,
             "score": len(result.fused) + integrated + kept,
         }
+
+    def test_pipeline_builds_each_column_set_it_keeps(self, tmp_path, monkeypatch):
+        """Every column set pays the column rule when it is built, so a four-axis run builds
+        only those it keeps: the three parsed streams, the ensemble's concatenation and the
+        rows it keeps, the integrated rows and the final set. Neither the ensemble's nor the
+        gate's rows are built as sets of their own."""
+        _, paths = make_inputs(tmp_path)
+        built = []
+        check = detections_module.Columns.__post_init__
+
+        def counting(self):
+            built.append(len(self.score))
+            check(self)
+
+        monkeypatch.setattr(detections_module.Columns, "__post_init__", counting)
+        result = run_pipeline(PipelineConfig(**paths, axes=AXES))
+        assert len(built) == 7
+        assert built[-1] == len(result.final)
 
 
 #: Runs the pipeline config given as JSON and prints each result set's image ids.
