@@ -228,13 +228,14 @@ def evaluate_cmd(
     """Report AP/AR for a detection file along one or more axes."""
     if pr_csv and len(axes) != 1:
         raise click.UsageError("--pr-csv requires exactly one --axis")
+    if len(set(axes)) != len(axes):
+        raise click.UsageError(f"--axis must not repeat an axis, got {' '.join(axes)}")
     cfg = EvalConfig(max_dets=max_dets, enumeration_product=not tooth_only)
     ds = parse_ground_truth(ground_truth)
     dets = parse_detections(detections, source, ds.image_ids())
-    reports = {}
-    for axis in axes:
-        report = evaluate(ds, dets, axis, cfg)
-        reports[axis] = report
+    # Every axis is evaluated before anything is printed or written, so a failing one leaves neither.
+    reports = {axis: evaluate(ds, dets, axis, cfg) for axis in axes}
+    for axis, report in reports.items():
         _echo_report(axis, report)
         for label, (ap, ar) in report.per_class.items():
             click.echo(f"  {label:20s} AP={ap:.4f} AR={ar:.4f}")

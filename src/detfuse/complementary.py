@@ -14,7 +14,6 @@ crop id, label and confidence per verdict; :class:`CropAssignment` and
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -64,7 +63,6 @@ from .io import (
     _records,
     _write_lines,
 )
-from .integrate import as_detection_set
 from .metrics import _iou_block
 
 #: Rare-class duplication factors applied when no explicit boost is given.
@@ -339,14 +337,19 @@ def classifications_to_detections(
         raise DanglingCrop(f"crop {crop_id[first]} classified more than once")
     kept = np.flatnonzero((verdicts.label > 0) & (verdicts.confidence >= min_confidence))
 
-    rows = crops.rows
-    found = rows.take(crop_id[kept])
-    score = found.score * verdicts.confidence[kept]
-    key = _category_key(found.quadrant, found.tooth, verdicts.label[kept] - 1)
-    found = dataclasses.replace(found, score=score, key=key)
-    images = [rows.ids[k] for k in np.unique(rows.image).tolist()]
-    comp = DetectionSet.from_columns(found, "complementary")
-    return as_detection_set(comp, "complementary", images)
+    rows, taken, n = crops.rows, crop_id[kept], len(kept)
+    images, image = np.unique(rows.image, return_inverse=True)  # the images of every crop
+    quadrant, tooth, _ = category_codes(rows.key.take(taken))
+    found = Columns(
+        tuple(rows.ids[k] for k in images.tolist()),
+        image.astype(np.int32).take(taken),
+        rows.xywh.take(taken, axis=0),
+        rows.score.take(taken) * verdicts.confidence[kept],
+        _category_key(quadrant, tooth, verdicts.label[kept] - 1),
+        np.full(n, source_code("complementary"), np.int8),
+        np.full(n, -1, np.int64),
+    )
+    return DetectionSet.from_columns(found, "complementary")
 
 
 def merge_complementary(

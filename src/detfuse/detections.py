@@ -272,41 +272,18 @@ _ROW_TEXT = {
 
 
 def _descending_order(x: np.ndarray) -> np.ndarray:
-    """``np.argsort(-x, kind="stable")`` of floats without NaN: descending, ties in index order.
-
-    A default sort puts equal values in runs (``-0.0`` runs with ``0.0``). With
-    no two values equal that order is the stable one. Otherwise value ``i`` in
-    run ``r`` becomes the unique key ``r * n + i``, sorted again.
-    """
-    n = len(x)
-    order = np.argsort(-x)
-    ordered = x[order]
-    new_run = ordered[1:] != ordered[:-1]
-    if new_run.all():
-        return order
-    key = np.zeros(n, np.intp)
-    np.cumsum(new_run, out=key[1:])
-    key *= n
-    key += order
-    key.sort()
-    key %= n
-    return key
+    """The indices of floats without NaN by descending value, ties in index order (``-0.0``
+    equals ``0.0``), as pycocotools orders scores."""
+    return np.argsort(-x, kind="stable")
 
 
-def same_image_blocks(
-    a_image: np.ndarray, b_image: np.ndarray, a_key: Optional[np.ndarray] = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def same_image_blocks(a_image: np.ndarray, b_image: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows of each image that has rows in both ``a_image`` and ``b_image``.
 
     Both arrays index the same image ids; a negative entry is on no image.
-    Each block is a pair of row-index arrays. ``b`` rows keep their order;
-    ``a`` rows are ordered by ``a_key`` when it is given, ties keeping their
-    order.
+    Each block is a pair of row-index arrays, each in its rows' order.
     """
-    if a_key is None:
-        a_order = np.argsort(a_image, kind="stable")
-    else:
-        a_order = np.lexsort((a_key, a_image))
+    a_order = np.argsort(a_image, kind="stable")
     b_order = np.argsort(b_image, kind="stable")
     size = max(a_image.max(initial=-1), b_image.max(initial=-1)) + 1
     # Each image's rows end at the cumulative count, after the negative entries.
@@ -329,9 +306,10 @@ class DetectionSet:
     A set is its :class:`Columns`. Everything else it holds is a cache of
     them, built once, when first read: the :class:`Detection` views
     (``detections``, iterating, indexing a row), the rows' JSON text and
-    the rows' descending score order, which every ``evaluate`` of the set
-    reads. A set constructed from ``Detection`` objects holds them as its
-    views and builds its columns when a stage or writer first reads them.
+    the rows' descending score order, which ``integrate`` and every
+    ``evaluate`` of the set read. A set constructed from ``Detection``
+    objects holds them as its views and builds its columns when a stage or
+    writer first reads them.
     ``take``, ``concat`` and slicing build a set from columns and carry
     the views and text their parts hold; ``concat`` builds those that only
     some parts hold for the rest. The score order of a new set starts unread.

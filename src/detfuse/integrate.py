@@ -58,9 +58,9 @@ def _closest(
     """Per diagnosis row, the enumeration row among ``rows`` with the nearest center on its
     image, or -1.
 
-    Each image's enumeration rows are ordered by descending score, then by
-    their place in ``rows``, so that the first minimum of the squared center
-    distance is the tie rule's pick. Squared distances are exact for
+    ``rows`` arrive in the set's score order (descending, ties by row), and
+    each image keeps them in it, so that the first minimum of the squared
+    center distance is the tie rule's pick. Squared distances are exact for
     integer-valued coordinates.
     """
     match = np.full(len(diags.score), -1, np.intp)
@@ -70,7 +70,7 @@ def _closest(
     dx = diags.xywh[:, 0] + diags.xywh[:, 2] / 2.0
     dy = diags.xywh[:, 1] + diags.xywh[:, 3] / 2.0
     image = enums.image_index(diags.ids).take(rows)
-    for e, d in same_image_blocks(image, diags.image, -enums.score.take(rows)):
+    for e, d in same_image_blocks(image, diags.image):
         ddx = dx[d, None] - ex[e]
         ddy = dy[d, None] - ey[e]
         d2 = ddx * ddx + ddy * ddy
@@ -101,7 +101,8 @@ def integrate(
     keep the diagnosis score and disease only, and follow
     ``cfg.unmatched_policy``.
     """
-    gated = np.flatnonzero(_gate(enums, cfg.enum_score_gate))
+    order = enums._score_order
+    gated = order[_gate(enums, cfg.enum_score_gate)[order]]
     teeth, found = enums.columns, diags.columns
     _refuse(
         found.disease < 0, found.image_id, AxisUnavailable,

@@ -43,7 +43,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet, _descending_order, _refuse
+from .detections import _TRIPLES, CATEGORY_KEYS, DetectionSet, _refuse
 from .errors import (
     AxisUnavailable,
     ConfigError,

@@ -110,6 +110,8 @@ class PipelineConfig:
             object.__setattr__(self, "axes", tuple(self.axes))
             for axis in self.axes:
                 problems += choice_problems("axis", axis, AXES)
+            if any(self.axes.count(axis) > 1 for axis in AXES):
+                problems.append(f"axes must not repeat an axis, got {shorten(self.axes)}")
         for key in _PATH_KEYS:
             path = getattr(self, key)
             if path is None:

@@ -469,6 +469,43 @@ class TestEvaluateOptions:
         )
         assert result.exit_code == 2
 
+    def test_repeated_axis_is_a_usage_error(self, perfect_corpus, tmp_path):
+        report = tmp_path / "report.json"
+        result = invoke(
+            "evaluate",
+            perfect_corpus / "gt.json",
+            perfect_corpus / "diagnosis-A.json",
+            "--axis", "disease",
+            "--axis", "agnostic",
+            "--axis", "disease",
+            "--report-json", report,
+        )
+        assert result.exit_code == 2
+        assert "--axis must not repeat an axis" in result.output
+        assert not report.exists()
+
+    def test_an_axis_that_fails_prints_no_report(self, tmp_path):
+        """Every axis is evaluated before any is printed: a ground truth without disease
+        labels fails the second axis, and neither the first axis's line nor a file is left."""
+        ok(
+            "synth", "--out-dir", tmp_path, "--images", 3, "--seed", 1,
+            "--disease-prior", "caries=0.0", "--simulate", "enumeration-model=perfect",
+        )
+        report = tmp_path / "report.json"
+        result = invoke(
+            "evaluate",
+            tmp_path / "gt.json",
+            tmp_path / "enumeration-model.json",
+            "--source", "enumeration-model",
+            "--axis", "quadrant",
+            "--axis", "disease",
+            "--report-json", report,
+        )
+        assert result.exit_code == 1
+        assert "axis=" not in result.output
+        assert "carries no 'disease' labels" in result.output
+        assert not report.exists()
+
     def test_axis_choice_enforced(self, perfect_corpus):
         result = invoke(
             "evaluate",

@@ -153,11 +153,11 @@ class TestMatching:
                     )
             universe = set(range(1, n_img + 1))
             max_dist = None if rng.random() < 0.5 else float(rng.integers(5, 80))
-            rows = np.flatnonzero(rng.random(len(enums)) < 0.7)  # the teeth a gate keeps
-            got = _closest(
-                enum_set(enums, universe).columns, rows, diag_set(diags, universe).columns,
-                max_dist,
-            )
+            teeth = enum_set(enums, universe)
+            kept = rng.random(len(enums)) < 0.7  # the teeth a gate keeps
+            order = teeth._score_order
+            rows = order[kept[order]]  # in score order, as ``integrate`` passes them
+            got = _closest(teeth.columns, rows, diag_set(diags, universe).columns, max_dist)
             want = brute_force_match([enums[r] for r in rows], diags, max_dist)
             assert got.tolist() == [-1 if j is None else rows[j] for _, j in want]
 

@@ -27,14 +27,13 @@ from detfuse import (
 )
 import detfuse.metrics
 import detfuse.detections as detections_module
-from detfuse.detections import CATEGORY_KEYS, Columns, category_of
+from detfuse.detections import CATEGORY_KEYS, Columns, _descending_order, category_of
 from detfuse.metrics import (
     _BLOCK_CELLS,
     _KEY_CLASSES,
     AXES,
     IOU_THRESHOLDS,
     RECALL_POINTS,
-    _descending_order,
     _iou_block,
     _match_block,
     _ranks,

@@ -325,7 +325,8 @@ class TestPinnedArtifacts:
         only those it keeps: the three parsed streams, the ensemble's concatenation and the
         rows it keeps, the integrated rows and the final set. Neither the ensemble's nor the
         gate's rows are built as sets of their own."""
-        _, paths = make_inputs(tmp_path)
+        ds, paths = make_inputs(tmp_path)
+        verdicts = oracle_verdicts(ds, paths, tmp_path / "verdicts.json")
         built = []
         check = detections_module.Columns.__post_init__
 
@@ -337,6 +338,25 @@ class TestPinnedArtifacts:
         result = run_pipeline(PipelineConfig(**paths, axes=AXES))
         assert len(built) == 7
         assert built[-1] == len(result.final)
+        # The crop stage adds the gated teeth, the verdicts' rows, the merge's kept verdict
+        # rows and its concatenation.
+        built.clear()
+        result = run_pipeline(PipelineConfig(**paths, crop_classifications=verdicts, axes=AXES))
+        assert len(built) == 11
+        assert built[-1] == len(result.final)
+
+    def test_pipeline_orders_each_scored_set_once(self, tmp_path, monkeypatch):
+        """A four-axis run sorts scores twice: the enumeration set's, whose order gates the
+        teeth, and the final set's, which every axis reads."""
+        _, paths = make_inputs(tmp_path)
+        teeth = len(parse_detections(paths["enumeration"], "enumeration-model"))
+        sorts = []
+        order = detections_module._descending_order
+        monkeypatch.setattr(
+            detections_module, "_descending_order", lambda x: sorts.append(len(x)) or order(x)
+        )
+        result = run_pipeline(PipelineConfig(**paths, axes=AXES))
+        assert sorts == [teeth, len(result.final)]
 
 
 #: Runs the pipeline config given as JSON and prints each result set's image ids.
@@ -466,6 +486,17 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="axes must be a list") as exc_info:
             pipeline_config_from_dict(payload)
         assert "unknown axis" not in str(exc_info.value)
+
+    def test_repeated_axis_is_refused_before_any_stage(self, tmp_path):
+        """An axis named twice would be evaluated and written twice, so the config refuses it."""
+        _, paths = make_inputs(tmp_path)
+        for build in (
+            lambda axes: PipelineConfig(**paths, axes=axes),
+            lambda axes: pipeline_config_from_dict({"schema_version": 1, **paths, "axes": axes}),
+        ):
+            with pytest.raises(ConfigError, match="axes must not repeat an axis"):
+                build(["disease", "quadrant", "disease"])
+        assert not os.path.exists(paths["out_dir"])
 
     def test_direct_construction_rejects_string_axes_once(self, tmp_path):
         _, paths = make_inputs(tmp_path)

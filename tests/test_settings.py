@@ -222,7 +222,8 @@ CHOICES = [
     ("name", field(DetectorProfile, "name"), str),
     ("unmatched_policy", field(IntegrationConfig, "unmatched_policy"), UNMATCHED_POLICIES),
     ("unmatched_policy", lambda v: pipeline(unmatched_policy=v), UNMATCHED_POLICIES),
-    ("axis", lambda v: pipeline(axes=["disease", v]), AXES),
+    # The other axes come first, so that an accepted axis is not a repeat, which is refused.
+    ("axis", lambda v: pipeline(axes=[*(a for a in AXES if a != v), v]), AXES),
     ("axis", axis_projection, AXES),
     ("disease_prior disease", lambda v: ScenePlan(disease_prior=Pairs((v, 0.1))), DISEASES),
     ("source", lambda v: simulate_detector(TINY_SCENE, PERFECT, v), SIMULATOR_SOURCES),
