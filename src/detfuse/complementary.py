@@ -47,9 +47,10 @@ from .errors import (
     shorten,
 )
 from .geometry import (
-    _ID_END, _ID_RANGE, CROP_LABELS, DISEASES, BoundingBox, ImageId, _box_columns, source_code
+    _FAST, _ID_END, _ID_RANGE, CROP_LABELS, DISEASES, BoundingBox, ImageId, _box_columns, source_code
 )
 from .io import (
+    _TRIPLE_KEYS,
     AnnotatedDataset,
     AnnotatedImage,
     PathLike,
@@ -113,8 +114,8 @@ class CropSet:
             column_problems(
                 [
                     *_box_columns("crop", self.boxes),
-                    ("quadrant", quadrant, "[0, 3]", True),
-                    ("tooth", tooth, "[0, 7]", True),
+                    ("quadrant", quadrant, _TRIPLE_KEYS[0][1], True),
+                    ("tooth", tooth, _TRIPLE_KEYS[1][1], True),
                 ]
             )
         )
@@ -148,8 +149,7 @@ class CropClassification:
         crop_id, label, confidence = self.crop_id, self.label, self.confidence
         if not (
             type(crop_id) is int and 0 <= crop_id < _ID_END and label in CROP_LABELS
-            and (type(confidence) is float and 0.0 <= confidence <= 1.0
-                 or type(confidence) is int and 0 <= confidence <= 1)
+            and type(confidence) in _FAST and 0.0 <= confidence <= 1.0
         ):
             raise_problems(
                 setting_problems("crop_id", crop_id, _ID_RANGE, integer=True)
@@ -424,8 +424,10 @@ def read_crop_manifest(path: PathLike) -> CropSet:
     ids = _image_ids(records, "image_id", rules)
     crop = _boxes(records, "crop_bbox", rules)
     source = _boxes(records, "source_bbox", rules)
-    quadrant = _number_field(records, "category_id_1", "[0, 3]", InvalidCategory, rules, integer=True)
-    tooth = _number_field(records, "category_id_2", "[0, 7]", InvalidCategory, rules, integer=True)
+    quadrant, tooth = (
+        _number_field(records, key, bounds, InvalidCategory, rules, integer=True)
+        for key, bounds in _TRIPLE_KEYS[:2]
+    )
     score = _number_field(records, "enum_score", "[0, 1]", MalformedFile, rules)
     rules.raise_first()
     universe, image = _resolve_universe(ids, None)

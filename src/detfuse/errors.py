@@ -65,27 +65,39 @@ def shorten(value) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-def _within(x, bounds: str):
-    """Whether the number ``x``, or each number of an array ``x``, lies in ``bounds``; NaN does not."""
-    low, high = (float(end) for end in bounds[1:-1].split(","))
-    return (low < x if bounds[0] == "(" else low <= x) & (x < high if bounds[-1] == ")" else x <= high)
-
-
 @functools.lru_cache(maxsize=256)
-def _closed_ends(bounds: str, integer: bool) -> tuple:
-    """The least and the greatest value in ``bounds``: with ``integer`` Python integers (or an
-    infinite end), so that ``int64`` is never compared as a float, and else ``np.float64``
-    values, so that a narrower float is compared as a ``float64``. A number lies in ``bounds``
-    exactly when it lies between them, inclusive; NaN does not."""
+def _closed_ends(bounds: str, integer: bool, finite: bool) -> tuple:
+    """The least and the greatest integer (with ``integer``) or float in ``bounds``, interval
+    notation such as ``"[0, 1)"``; with ``finite`` neither passes the largest float. A number lies
+    in ``bounds`` exactly when it lies between them, inclusive; NaN never does."""
     low, high = (float(end) for end in bounds[1:-1].split(","))
+    low_open, high_open = bounds[0] == "(" and low > -math.inf, bounds[-1] == ")" and high < math.inf
+    if finite:
+        low, high = max(low, -sys.float_info.max), min(high, sys.float_info.max)
     if integer:
-        low = low if math.isinf(low) else int(low) + (bounds[0] == "(")
-        high = high if math.isinf(high) else int(high) - (bounds[-1] == ")")
+        low = low if math.isinf(low) else math.floor(low) + 1 if low_open else math.ceil(low)
+        high = high if math.isinf(high) else math.ceil(high) - 1 if high_open else math.floor(high)
     else:
-        low = math.nextafter(low, math.inf) if bounds[0] == "(" else low
-        high = math.nextafter(high, -math.inf) if bounds[-1] == ")" else high
-        low, high = np.float64(low), np.float64(high)
+        low = math.nextafter(low, math.inf) if low_open else low
+        high = math.nextafter(high, -math.inf) if high_open else high
     return low, high
+
+
+def _within(x, bounds: str, integer: bool):
+    """Whether the number ``x``, or each entry of the integer or ``float64`` array ``x``, lies in
+    the range ``bounds`` of a field of integers (``integer``) or of finite numbers: an integer
+    between the integer ends of :func:`_closed_ends`, any other number between its float ends."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    whole = x.dtype.kind in "iu" if isinstance(x, np.ndarray) else isinstance(x, int)
+    low, high = _closed_ends(bounds, whole, not integer)
+    if whole and isinstance(x, np.ndarray):
+        # numpy 1.x compares an integer array with an integer outside its dtype as floats.
+        info = np.iinfo(x.dtype)
+        low, high = max(low, info.min), min(high, info.max)
+        if low > high:
+            return np.zeros(x.shape, bool)
+    return (low <= x) & (x <= high)
 
 
 def setting_problems(name: str, value, bounds: str, *, integer=False, optional=False) -> list[str]:
@@ -99,10 +111,7 @@ def setting_problems(name: str, value, bounds: str, *, integer=False, optional=F
     if optional and value is None:
         return []
     kinds = numbers.Integral if integer else numbers.Real
-    number = isinstance(value, kinds) and not isinstance(value, bool)
-    # A float of another width, such as numpy's float32, is compared as a Python float.
-    x = float(value) if number and not isinstance(value, numbers.Rational) else value
-    if number and (integer or -sys.float_info.max <= x <= sys.float_info.max) and _within(x, bounds):
+    if isinstance(value, kinds) and not isinstance(value, bool) and _within(value, bounds, integer):
         return []
     kind = f"{'an integer' if integer else 'a number'} in {bounds}{' when set' if optional else ''}"
     return [f"{name} must be {kind}, got {shorten(value)}"]
@@ -143,11 +152,8 @@ def _holds(column: tuple) -> bool:
         return True
     if array.dtype.kind not in ("iu" if integer else "iuf"):
         return False
-    low, high = _closed_ends(bounds, integer)
-    least, greatest = np.minimum.reduce(array), np.maximum.reduce(array)
-    if integer:
-        least, greatest = least.item(), greatest.item()
-    return low <= least and greatest <= high
+    least, greatest = np.minimum.reduce(array).item(), np.maximum.reduce(array).item()
+    return _within(least, bounds, integer) and _within(greatest, bounds, integer)
 
 
 def choice_problems(name: str, value, choices) -> list[str]:

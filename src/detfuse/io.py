@@ -76,7 +76,7 @@ from .errors import (
     shorten,
 )
 from .geometry import (
-    _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _box_columns,
+    _BOX_BOUNDS, _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _box_columns,
     _image_id_problems,
 )
 
@@ -292,6 +292,19 @@ def _load_json(path: PathLike, what: str, kind: type = list):
     return data
 
 
+def _load_config(path: Path, what: str):
+    """The JSON in the UTF-8 file ``path``, a ``Path`` or a package resource, read by ``json``;
+    :class:`ConfigError`, calling it ``what``, if it is not UTF-8, not JSON or nested too deeply."""
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what} is nested too deeply to read: {exc}") from exc
+
+
 @contextlib.contextmanager
 def _atomic_open(path: PathLike, newline: Optional[str] = None) -> Iterator[TextIO]:
     """A UTF-8 text file that replaces ``path`` only once the ``with`` block completes.
@@ -408,8 +421,8 @@ def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as ``float64``, and the mask of those that are no number.
 
     A number is an ``int`` or a ``float``; a bool is neither. A value that
-    is no number, or an integer too large for a float, reads as NaN, so
-    ``~np.isfinite`` of the result marks every value that is no finite number.
+    is no number, or an integer too large for a float, reads as NaN, which
+    lies in no range.
     """
     mistyped = _mistyped(values, {int, float})
     if mistyped is None:
@@ -424,16 +437,14 @@ def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
 
 def _integers(values: list, bounds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``values`` as ``int64``, and the masks of those that are no ``int`` and of those that are no
-    ``int`` in ``bounds``, compared exactly as :func:`setting_problems` does; these read as -1.
-    The ``float`` compare that passes a whole column is exact for ends within 2**53 and for [0,
-    2**63); a column it refuses (2**63 - 1 reads as 2**63) is compared one ``int`` at a time."""
+    ``int`` in ``bounds``, compared exactly as :func:`setting_problems` does; these read as -1."""
     if set(map(type, values)) <= {int}:
         with contextlib.suppress(OverflowError):  # an int outside int64
             column = np.fromiter(values, np.int64, len(values))
-            if _within(column, bounds).all():
-                valid = np.zeros(len(values), bool)
-                return column, valid, valid
-    inside = [type(v) is int and _within(v, bounds) for v in values]
+            bad = ~_within(column, bounds, True)
+            column[bad] = -1
+            return column, np.zeros(len(values), bool), bad
+    inside = [type(v) is int and _within(v, bounds, True) for v in values]
     column = np.fromiter((v if ok else -1 for v, ok in zip(values, inside)), np.int64, len(values))
     return column, np.array([type(v) is not int for v in values], bool), ~np.array(inside, bool)
 
@@ -471,7 +482,7 @@ def _image_ids(records: list, key: str, rules: _FirstBreak) -> list:
 
 
 def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
-    """The ``key`` box of each record as ``float64 [N, 4]``: 4 finite numbers, positive width and height."""
+    """The ``key`` box of each record as ``float64 [N, 4]``, each number named as in :class:`BoundingBox`."""
     n = len(records)
     boxes = _field(records, key)
     if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
@@ -483,16 +494,11 @@ def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
         )
         boxes = [_UNIT_BOX if b else box for box, b in zip(boxes, bad)]
     xywh = _numbers(list(chain.from_iterable(boxes)))[0].reshape(n, 4)
-    rules.note(
-        ~np.isfinite(xywh).all(axis=1),
-        MalformedFile,
-        lambda i: f"{key} values must be finite numbers, got {shorten(records[i][key])}",
-    )
-    rules.note(
-        (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0),
-        MalformedFile,
-        lambda i: f"{key} must have positive width and height, got {shorten(records[i][key])}",
-    )
+    for k, (field, bounds) in enumerate(_BOX_BOUNDS):
+        def named(i: int, k=k, name=f"{key} {field}", bounds=bounds) -> str:
+            return setting_problems(name, records[i][key][k], bounds)[0]
+
+        rules.note(~_within(xywh[:, k], bounds, False), MalformedFile, named)
     return xywh
 
 
@@ -520,7 +526,7 @@ def _number_field(
         column, mistyped, bad = _integers(values, bounds)
     else:
         column, mistyped = _numbers(values)
-        bad = ~(np.isfinite(column) & _within(column, bounds))
+        bad = ~_within(column, bounds, False)
     if bad.any():
         def named(i: int) -> str:
             value = records[i].get(key)

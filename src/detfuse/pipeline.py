@@ -20,10 +20,10 @@ Stage artifacts, in order:
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
 from typing import Iterator, Optional
 
 from .complementary import (
@@ -40,7 +40,7 @@ from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
 from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, shorten
 from .integrate import IntegrationConfig, as_detection_set, filter_enumeration, integrate, write_integrated
-from .io import PathLike, _dump_json, parse_ground_truth
+from .io import PathLike, _dump_json, _load_config, parse_ground_truth
 from .metrics import AXES, EvalConfig, EvaluationReport, _axis_classes, evaluate
 from .results import parse_detections, write_detections
 
@@ -159,15 +159,7 @@ def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineCon
 
 def load_pipeline_config(path: PathLike) -> PipelineConfig:
     """Read and validate a pipeline config; paths resolve relative to it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"pipeline config is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError(f"pipeline config is nested too deeply to read: {exc}") from exc
+    payload = _load_config(Path(path), "pipeline config")
     return pipeline_config_from_dict(payload, os.path.dirname(os.path.abspath(path)))
 
 

@@ -22,11 +22,11 @@ bytes hang on both.
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
@@ -35,7 +35,7 @@ import numpy as np
 from .detections import Columns, DetectionSet, _category_key, category_codes
 from .errors import ConfigError, choice_problems, raise_problems, setting_problems, shorten
 from .geometry import DISEASES, source_code
-from .io import AnnotatedDataset, AnnotatedImage, PathLike
+from .io import AnnotatedDataset, AnnotatedImage, PathLike, _load_config
 
 SIMULATOR_SOURCES = ("enumeration-model", "diagnosis-A", "diagnosis-B")
 
@@ -263,23 +263,12 @@ _PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 def load_profile(name_or_path: PathLike) -> DetectorProfile:
     """Load a built-in profile by name, or any profile from the JSON file at a path."""
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_PROFILES:
-        text = (
-            resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json").read_text("utf-8")
-        )
+        path = resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json")
     elif isinstance(name_or_path, (str, os.PathLike)):
-        try:
-            with open(name_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"profile is not UTF-8: {exc}") from exc
+        path = Path(name_or_path)
     else:
         raise ConfigError(f"profile must be a name or a path, got {shorten(name_or_path)}")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"profile is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"profile is nested too deeply to read: {exc}") from exc
+    payload = _load_config(path, "profile")
     if not isinstance(payload, dict):
         raise ConfigError("profile JSON must be an object")
     unknown = set(payload) - _PROFILE_KEYS

@@ -21,6 +21,13 @@ from detfuse import (
 #: A longer search for the property tests, chosen with ``--hypothesis-profile=thorough``.
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 
+
+def examples(count: int) -> int:
+    """``count`` examples, scaled by the profile: ten times as many under ``thorough``. A test
+    that sets its own ``max_examples`` outright keeps it under every profile."""
+    return count * settings.default.max_examples // 100
+
+
 #: An integer too large for a float.
 HUGE = 10**400
 

@@ -214,7 +214,7 @@ class TestBasics:
         dets = tmp_path / "d.json"
         out = tmp_path / "o.json"
         for field, value, message in (
-            ("bbox", [1, 2, 10**400, 4], "[0]: bbox values must be finite numbers, got [1, 2, 1000"),
+            ("bbox", [1, 2, 10**400, 4], "[0]: bbox w must be a number in (0, inf), got 1000"),
             ("score", "9" * 5000, "[0]: score must be a number in [0, 1], got '9999"),
         ):
             record = {"image_id": 1, "bbox": [1, 2, 3, 4], "score": 0.5, "category_id_3": 0}

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,9 +55,11 @@ from detfuse import (
     threshold_ensemble,
 )
 from detfuse.geometry import _ID_RANGE
-from detfuse.errors import column_problems, setting_problems
+from detfuse.errors import _within, column_problems, setting_problems
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
+
+from conftest import examples
 
 TINY_SCENE = generate_scene(ScenePlan(num_images=1))
 PERFECT = load_profile("perfect")
@@ -205,7 +208,7 @@ def outside(bounds: str, integer: bool, optional: bool):
     SETTINGS,
     ids=[f"{row[0]}-{i}" for i, row in enumerate(SETTINGS)],
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(data=st.data())
 def test_every_setting_follows_the_number_rule(data, name, build, bounds, integer, optional):
     """Inside its range a value is accepted; anything else is one ConfigError naming the setting."""
@@ -332,6 +335,92 @@ def test_a_column_is_checked_as_each_of_its_entries(columns):
     assert column_problems(columns) == next(filter(None, rows), [])
 
 
+#: The ends a drawn range may have: both infinities, and 0, 1/2, 1, 2**53, 2**63 and the
+#: largest float with either sign.
+ENDS = [
+    -math.inf, math.inf,
+    *(sign * end for end in (0, 0.5, 1, 2**53, 2**63, sys.float_info.max) for sign in (1, -1)),
+]
+#: Integers past the largest float.
+HUGE_INTEGERS = [2**1024, -(2**1024), 2**1024 + 1, 10**400]
+#: The numpy integer types and the least and greatest integer each holds.
+INTEGER_KINDS = ((np.int64, -(2**63), 2**63 - 1), (np.uint64, 0, 2**64 - 1))
+
+
+@st.composite
+def drawn_ranges(draw):
+    """A range in interval notation, open or closed at each end, and whether its field holds
+    integers. Each end is drawn from ``ENDS`` and written as a float or, if whole, an integer."""
+    texts = []
+    for end in (draw(st.sampled_from(ENDS)), draw(st.sampled_from(ENDS))):
+        whole = math.isfinite(end) and end == int(end) and draw(st.booleans())
+        texts.append(str(int(end)) if whole else repr(float(end)))
+    brackets = draw(st.sampled_from(["[]", "[)", "(]", "()"]))
+    return f"{brackets[0]}{texts[0]}, {texts[1]}{brackets[1]}", draw(st.booleans())
+
+
+def read_exactly(x, bounds: str, integer: bool) -> bool:
+    """Whether the number ``x`` lies in ``bounds``, compared as fractions: NaN never does, and in
+    a field of numbers (not ``integer``) no infinity and no integer past the largest float does."""
+    x = x.item() if isinstance(x, np.generic) else x
+    if x != x:
+        return False
+    value = x if isinstance(x, float) and math.isinf(x) else Fraction(x)
+    low, high, low_open, high_open = bounds_of(bounds)
+    low, high = (end if math.isinf(end) else Fraction(end) for end in (low, high))
+    largest = Fraction(sys.float_info.max)
+    return (
+        (low < value if low_open else low <= value)
+        and (value < high if high_open else value <= high)
+        and (integer or -largest <= value <= largest)
+    )
+
+
+def numpy_forms(x) -> list:
+    """``x`` and the numpy scalars of it: ``int64`` and ``uint64`` of an integer they hold, and
+    ``float32`` and ``float16`` of a float, rounded."""
+    if type(x) is float:
+        with np.errstate(over="ignore"):
+            return [x, np.float32(x), np.float16(x)]
+    return [x, *(kind(x) for kind, low, high in INTEGER_KINDS if low <= x <= high)]
+
+
+@settings(deadline=None)
+@given(drawn=drawn_ranges(), data=st.data())
+def test_the_range_reader_reads_a_range_exactly(drawn, data):
+    """``_within`` accepts a number, or each entry of an array, exactly when fractions do.
+
+    The numbers lie on, next to and far from each end, NaN, both infinities and
+    integers past the largest float among them, each as a Python number, as every
+    numpy scalar that holds it and in ``int64``, ``uint64`` and ``float64``
+    arrays. A field of integers holds only integers.
+    """
+    bounds, integer = drawn
+    values = [
+        value
+        for end in bounds_of(bounds)[:2]
+        for value in (
+            [end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)]
+            + ([int(end) + d for d in range(-2, 3)] if math.isfinite(end) else [])
+        )
+    ]
+    values += HUGE_INTEGERS + [math.nan, math.inf, -math.inf]
+    values += data.draw(st.lists(st.integers() | st.floats(), max_size=5), label="values")
+    if integer:
+        values = [v for v in values if type(v) is int]
+    for x in (form for v in values for form in numpy_forms(v)):
+        assert _within(x, bounds, integer) == read_exactly(x, bounds, integer), x
+    arrays = [
+        np.array([v for v in values if type(v) is int and low <= v <= high], kind)
+        for kind, low, high in INTEGER_KINDS
+    ]
+    if not integer:
+        arrays.append(np.array([v for v in values if type(v) is float], np.float64))
+    for array in arrays:
+        expected = [read_exactly(v, bounds, integer) for v in array.tolist()]
+        assert _within(array, bounds, integer).tolist() == expected, array
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("narrow", [np.float32, np.float16])
 def test_narrow_numpy_floats_are_checked_without_a_warning(narrow):
@@ -406,7 +495,7 @@ ANY_VALUE = (
     ids=[f"{row[0]}-{i}" for i, row in enumerate(VALUE_FIELDS)],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(value=ANY_VALUE)
 def test_value_types_follow_the_number_rule(name, build, bounds, integer, optional, value):
     """A value type accepts a number field's value exactly when ``setting_problems`` does,
@@ -447,6 +536,8 @@ def parse_annotations(path):
 DETECTIONS = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id_3": 0}] * 2
 #: The category code fields of a triple and the bounds of each.
 TRIPLE_CODES = (("category_id_1", "[0, 3]"), ("category_id_2", "[0, 7]"), ("category_id_3", "[0, 3]"))
+#: The coordinates of a box and the bounds of each.
+BOX_CODES = (("x", "(-inf, inf)"), ("y", "(-inf, inf)"), ("w", "(0, inf)"), ("h", "(0, inf)"))
 #: Detections and annotations whose category is a bare ``category_id``.
 BARE = [{"image_id": 1, "bbox": [0, 0, 1, 1], "score": 0.5, "category_id": 1}] * 2
 CROPS = [
@@ -495,6 +586,20 @@ RECORD_FIELDS = [
         (name, read_crop_manifest, CROPS, InvalidCategory, bounds, True, False, None)
         for name, bounds in TRIPLE_CODES[:2]
     ),
+    # A box coordinate, named ``bbox w`` and on; BoundingBox names it ``box w``.
+    *(
+        (
+            f"{key} {coordinate}", read, records, MalformedFile, bounds, False, False,
+            lambda v, k=k: BoundingBox(*(v if j == k else end for j, end in enumerate((0, 0, 1, 1)))),
+        )
+        for read, records, key in (
+            (parse_fused, DETECTIONS, "bbox"),
+            (parse_annotations, DETECTIONS, "bbox"),
+            (read_crop_manifest, CROPS, "crop_bbox"),
+            (read_crop_manifest, CROPS, "source_bbox"),
+        )
+        for k, (coordinate, bounds) in enumerate(BOX_CODES)
+    ),
 ]
 #: Each record field with the values among -1, 1.5 and three non-numbers that its rule refuses.
 RECORD_CASES = [
@@ -513,9 +618,16 @@ def test_a_file_names_a_bad_number_as_memory_does(
 
     A value that is no number (for an integer field, no ``int``) is
     :class:`MalformedFile`; a number the field refuses is the field's error.
+    A box coordinate, such as ``bbox w``, is set in its box and named as
+    :class:`BoundingBox` names ``box w``.
     """
+    key, _, coordinate = name.partition(" ")
+    written = value
+    if coordinate:
+        written = list(records[1][key])
+        written["xywh".index(coordinate)] = value
     path = tmp_path / "records.json"
-    path.write_text(json.dumps([records[0], {**records[1], name: value}]))
+    path.write_text(json.dumps([records[0], {**records[1], key: written}]))
     number = type(value) is int or type(value) is float and not integer
     with pytest.raises(error if number else MalformedFile) as exc_info:
         read(path)
@@ -524,7 +636,7 @@ def test_a_file_names_a_bad_number_as_memory_does(
     if build is not None:
         with pytest.raises(ConfigError) as exc_info:
             build(value)
-        assert str(exc_info.value) == named
+        assert str(exc_info.value) == named.replace(name, f"box {coordinate}" if coordinate else name, 1)
 
 
 def one_image(v) -> tuple[AnnotatedImage]:
