@@ -37,12 +37,11 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
-import math
 import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
@@ -76,8 +75,8 @@ from .errors import (
     shorten,
 )
 from .geometry import (
-    _BOX_BOUNDS, _FAST, _FLOAT_MAX, _ID_TYPES, BoundingBox, CategoryTriple, ImageId, _box_columns,
-    _image_id_problems,
+    _BOX_BOUNDS, _FAST, _FLOAT_MAX, _ID_TYPES, _LOWEST, BoundingBox, CategoryTriple, ImageId,
+    _box_columns, _image_id_problems,
 )
 
 logger = logging.getLogger(__name__)
@@ -409,44 +408,28 @@ def _mistyped(values: list, kinds: set) -> Optional[np.ndarray]:
     return np.array([type(v) not in kinds for v in values], bool)
 
 
-def _float(value) -> float:
-    """``float(value)``, or NaN for an integer too large for a float."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.nan
+def _column(values: Sequence, bounds: str, integer: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``values`` as ``int64`` with ``integer``, else ``float64``; the mask of those of the wrong
+    type, which is ``int`` with ``integer`` and else ``int`` or ``float`` (a bool is neither); and
+    the mask of those that :func:`setting_problems` refuses with ``bounds``, which read as -1.
 
-
-def _numbers(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as ``float64``, and the mask of those that are no number.
-
-    A number is an ``int`` or a ``float``; a bool is neither. A value that
-    is no number, or an integer too large for a float, reads as NaN, which
-    lies in no range.
+    Each value is compared as it is, an ``int`` exactly, so an integer past the largest float is
+    refused even where a float would round it to the largest float. A column whose least and
+    greatest entries lie in ``bounds`` and strictly between the largest floats of either sign is
+    read in one pass; any other is read value by value. An integer field's bounds lie in int64.
     """
-    mistyped = _mistyped(values, {int, float})
-    if mistyped is None:
-        mistyped = np.zeros(len(values), bool)
-    else:
-        values = [v if ok else math.nan for v, ok in zip(values, ~mistyped)]
-    try:
-        return np.fromiter(values, float, len(values)), mistyped
-    except OverflowError:
-        return np.fromiter(map(_float, values), float, len(values)), mistyped
-
-
-def _integers(values: list, bounds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``values`` as ``int64``, and the masks of those that are no ``int`` and of those that are no
-    ``int`` in ``bounds``, compared exactly as :func:`setting_problems` does; these read as -1."""
-    if set(map(type, values)) <= {int}:
-        with contextlib.suppress(OverflowError):  # an int outside int64
-            column = np.fromiter(values, np.int64, len(values))
-            bad = ~_within(column, bounds, True)
-            column[bad] = -1
-            return column, np.zeros(len(values), bool), bad
-    inside = [type(v) is int and _within(v, bounds, True) for v in values]
-    column = np.fromiter((v if ok else -1 for v, ok in zip(values, inside)), np.int64, len(values))
-    return column, np.array([type(v) is not int for v in values], bool), ~np.array(inside, bool)
+    n = len(values)
+    kinds, dtype = ({int}, np.int64) if integer else (_FAST, np.float64)
+    if n and set(map(type, values)) <= kinds:
+        with contextlib.suppress(OverflowError):  # an int outside int64, or past every float
+            column = np.fromiter(values, dtype, n)
+            low, high = np.minimum.reduce(column).item(), np.maximum.reduce(column).item()
+            held = _within(low, bounds, integer) and _within(high, bounds, integer)
+            if held and _LOWEST < low and high < _FLOAT_MAX:
+                return column, np.zeros(n, bool), np.zeros(n, bool)
+    inside = [type(v) in kinds and _within(v, bounds, integer) for v in values]
+    column = np.fromiter((v if ok else -1 for v, ok in zip(values, inside)), dtype, n)
+    return column, np.array([type(v) not in kinds for v in values], bool), ~np.array(inside, bool)
 
 
 def _field(records: list, key: str, default=_ABSENT) -> list:
@@ -483,7 +466,6 @@ def _image_ids(records: list, key: str, rules: _FirstBreak) -> list:
 
 def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
     """The ``key`` box of each record as ``float64 [N, 4]``, each number named as in :class:`BoundingBox`."""
-    n = len(records)
     boxes = _field(records, key)
     if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
         bad = np.array([type(box) is not list or len(box) != 4 for box in boxes], bool)
@@ -493,13 +475,16 @@ def _boxes(records: list, key: str, rules: _FirstBreak) -> np.ndarray:
             lambda i: f"{key} must be a 4-element [x, y, w, h] list, got {shorten(records[i].get(key))}",
         )
         boxes = [_UNIT_BOX if b else box for box, b in zip(boxes, bad)]
-    xywh = _numbers(list(chain.from_iterable(boxes)))[0].reshape(n, 4)
-    for k, (field, bounds) in enumerate(_BOX_BOUNDS):
+    coordinates = zip(*boxes) if boxes else [()] * 4  # the x, y, w and h of every box
+    columns = []
+    for k, (values, (field, bounds)) in enumerate(zip(coordinates, _BOX_BOUNDS)):
         def named(i: int, k=k, name=f"{key} {field}", bounds=bounds) -> str:
             return setting_problems(name, records[i][key][k], bounds)[0]
 
-        rules.note(~_within(xywh[:, k], bounds, False), MalformedFile, named)
-    return xywh
+        column, _, bad = _column(values, bounds, False)
+        rules.note(bad, MalformedFile, named)
+        columns.append(column)
+    return np.stack(columns, axis=1)
 
 
 def _number_field(
@@ -522,11 +507,7 @@ def _number_field(
         values = list(compress(values, rows.tolist()))
     else:
         rows = None
-    if integer:
-        column, mistyped, bad = _integers(values, bounds)
-    else:
-        column, mistyped = _numbers(values)
-        bad = ~_within(column, bounds, False)
+    column, mistyped, bad = _column(values, bounds, integer)
     if bad.any():
         def named(i: int) -> str:
             value = records[i].get(key)

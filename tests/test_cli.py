@@ -553,6 +553,11 @@ class TestBalanceAndSplit:
     def test_balance_bad_boost_spec(self, corpus):
         assert invoke("balance", corpus / "gt.json", "--boost", "caries").exit_code == 2
 
+    def test_balance_boost_that_is_no_integer(self, corpus):
+        result = invoke("balance", corpus / "gt.json", "--boost", "caries=x")
+        assert result.exit_code == 2
+        assert "'caries=x': cannot read 'x' as int" in result.output
+
     def test_split_writes_id_lists(self, corpus, tmp_path):
         out = tmp_path / "splits"
         result = ok(

@@ -283,6 +283,10 @@ class TestDetectionParsing:
         assert dets.detections[0].category == CategoryTriple(disease="impacted")
         assert dets.detections[1].category == CategoryTriple(disease="caries")
 
+    def test_a_directory_cannot_be_read(self, tmp_path):
+        with pytest.raises(MalformedFile, match=f"cannot read {re.escape(str(tmp_path))}: "):
+            parse_detections(tmp_path, "fused")
+
     def test_product_mode_for_enumeration_source(self, tmp_path):
         path = write_payload(tmp_path, self.detections_payload(), "dets.json")
         dets = parse_detections(path, "enumeration-model")
@@ -1443,6 +1447,11 @@ class TestDatasetContainers:
             5, BoundingBox(0, 0, 5, 5), 0.5, CategoryTriple(disease="caries"), "fused"
         )
         assert DetectionSet([det], "fused").image_universe == frozenset({5})
+
+    def test_sets_equal_no_other_type(self, tiny_scene):
+        dets = perfect_detections(tiny_scene)
+        assert dets != list(dets) and tiny_scene != tiny_scene.annotations
+        assert repr(dets) == "DetectionSet(3 detections, source='fused', 2 images)"
 
 
 def one_row(**changes) -> dict:

@@ -670,6 +670,50 @@ class TestOracleAgreement:
         assert len(messages[0]) <= 300
 
 
+#: The axes a row may keep: the full triple, disease only, position only and quadrant only.
+ROW_SHAPES = (
+    ("quadrant", "enumeration", "disease"), ("disease",), ("quadrant", "enumeration"), ("quadrant",),
+)
+
+
+def rows_lacking_axes(rng: np.random.Generator) -> tuple[AnnotatedDataset, DetectionSet]:
+    """An instance of ``random_eval_instance`` whose ground truth and detections each keep, row
+    by row, the axes of one of one to three drawn ``ROW_SHAPES``; either side may lack an axis."""
+    ds, dets = random_eval_instance(rng, max_images=3, max_boxes=12)
+
+    def shapes():
+        picked = rng.choice(len(ROW_SHAPES), size=int(rng.integers(1, 4)), replace=False)
+        return lambda category: CategoryTriple(
+            **{axis: getattr(category, axis) for axis in ROW_SHAPES[rng.choice(picked)]}
+        )
+
+    gt_shape, det_shape = shapes(), shapes()
+    anns = [GroundTruthAnnotation(a.image_id, a.box, gt_shape(a.category)) for a in ds.annotations]
+    rows = [Detection(d.image_id, d.box, d.score, det_shape(d.category), d.source) for d in dets]
+    return AnnotatedDataset(ds.images, anns), DetectionSet(rows, "fused", dets.image_universe)
+
+
+def test_oracle_matches_on_rows_that_lack_an_axis():
+    """Where rows lack the axis, ``evaluate`` agrees with the oracle class by class, or both
+    refuse the axis in the same words."""
+    configs = [EvalConfig(max_dets=m, enumeration_product=p) for m in (100, 2) for p in (True, False)]
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        ds, dets = rows_lacking_axes(rng)
+        for axis in AXES:
+            for cfg in configs:
+                refusals = []
+                for evaluator in (evaluate, naive_oracle_evaluate):
+                    try:
+                        evaluator(ds, dets, axis, cfg)
+                        refusals.append(None)
+                    except AxisUnavailable as exc:
+                        refusals.append(str(exc))
+                assert refusals[0] == refusals[1], (axis, cfg)
+                if refusals[0] is None:
+                    assert_agrees_with_oracle(ds, dets, axis, cfg)
+
+
 def assert_agrees_with_oracle(ds, dets, axis, cfg):
     fast = evaluate(ds, dets, axis, cfg)
     slow = naive_oracle_evaluate(ds, dets, axis, cfg)

@@ -418,6 +418,10 @@ class TestPipelineConfig:
         for fragment in ("tau", "overlap_iou", "max_dets", "color", "missing.json"):
             assert fragment in message
 
+    def test_a_config_is_an_object(self):
+        with pytest.raises(ConfigError, match="pipeline config must be a JSON object"):
+            pipeline_config_from_dict([])
+
     @pytest.mark.parametrize(
         "key,value",
         [

@@ -56,6 +56,7 @@ from detfuse import (
 )
 from detfuse.geometry import _ID_RANGE
 from detfuse.errors import _within, column_problems, setting_problems
+from detfuse.io import _column
 from detfuse.metrics import axis_projection
 from detfuse.synth import SIMULATOR_SOURCES
 
@@ -335,12 +336,19 @@ def test_a_column_is_checked_as_each_of_its_entries(columns):
     assert column_problems(columns) == next(filter(None, rows), [])
 
 
+def test_an_object_column_of_good_entries_has_no_problem():
+    """An object column is checked entry by entry; when every entry passes, there is no problem."""
+    assert column_problems([("c", np.array([0, 0.5, 1.0], object), "[0, 1]", False)]) == []
+
+
 #: The ends a drawn range may have: both infinities, and 0, 1/2, 1, 2**53, 2**63 and the
 #: largest float with either sign.
 ENDS = [
     -math.inf, math.inf,
     *(sign * end for end in (0, 0.5, 1, 2**53, 2**63, sys.float_info.max) for sign in (1, -1)),
 ]
+#: An integer past the largest float, which a float rounds to the largest float.
+BIG = int(sys.float_info.max) + 2**969
 #: Integers past the largest float.
 HUGE_INTEGERS = [2**1024, -(2**1024), 2**1024 + 1, 10**400]
 #: The numpy integer types and the least and greatest integer each holds.
@@ -419,6 +427,49 @@ def test_the_range_reader_reads_a_range_exactly(drawn, data):
     for array in arrays:
         expected = [read_exactly(v, bounds, integer) for v in array.tolist()]
         assert _within(array, bounds, integer).tolist() == expected, array
+
+
+#: Values of a JSON field for the column reader: integers on either side of 2**53, of int64 and
+#: of the largest float, floats on the edges of their range, and values of no number type.
+COLUMN_VALUES = [
+    0, 1, -1, *(sign * (end + d) for end in (2**53, 2**63) for d in (-1, 0, 1) for sign in (1, -1)),
+    2**64, -(2**64), BIG, -BIG, 10**400, -(10**400),
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max,
+    math.nan, math.inf, -math.inf, 0.5, 1.0,
+    True, False, None, "1",
+]
+#: Every range a record field is read with, and whether an ``int64`` column holds it, so that it
+#: may bound an integer field too.
+COLUMN_BOUNDS = [
+    ("[0, 1]", True), ("(0, inf)", False), ("(-inf, inf)", False), ("[0, 3]", True),
+    ("[0, 7]", True), ("[0, 31]", True), (_ID_RANGE, True),
+]
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    values=st.lists(st.sampled_from(COLUMN_VALUES) | st.integers() | st.floats(), max_size=12),
+    drawn=st.sampled_from(COLUMN_BOUNDS),
+    integer=st.booleans(),
+)
+@example(values=[BIG], drawn=("(0, inf)", False), integer=False)
+@example(values=[0.5, -BIG, 2], drawn=("(-inf, inf)", False), integer=False)
+def test_the_column_reader_follows_the_number_rule(values, drawn, integer):
+    """``_column`` refuses an entry exactly when ``setting_problems`` does, marks the entries of
+    the wrong type, and reads every accepted entry as ``int`` or ``float`` reads it.
+
+    An integer field's range lies in ``int64``, which holds its column.
+    """
+    bounds, fits_int64 = drawn
+    integer = integer and fits_int64
+    column, mistyped, bad = _column(values, bounds, integer)
+    kinds = (int,) if integer else (int, float)
+    assert column.dtype == (np.int64 if integer else np.float64)
+    assert bad.tolist() == [bool(setting_problems("v", v, bounds, integer=integer)) for v in values]
+    assert mistyped.tolist() == [type(v) not in kinds for v in values]
+    read = int if integer else float
+    accepted = [(got, v) for got, v, refused in zip(column.tolist(), values, bad) if not refused]
+    assert [repr(got) for got, _ in accepted] == [repr(read(v)) for _, v in accepted]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -601,11 +652,13 @@ RECORD_FIELDS = [
         for k, (coordinate, bounds) in enumerate(BOX_CODES)
     ),
 ]
-#: Each record field with the values among -1, 1.5 and three non-numbers that its rule refuses.
+#: The short test ids of ``BIG`` and ``-BIG``.
+BIG_IDS = {BIG: "past-float-max", -BIG: "past-lowest-float"}
+#: Each record field with the values among -1, 1.5, three non-numbers and ±BIG that its rule refuses.
 RECORD_CASES = [
-    pytest.param(*row, value, id=f"{row[0]}-{row[1].__name__}-{value}")
+    pytest.param(*row, value, id=f"{row[0]}-{row[1].__name__}-{BIG_IDS.get(value, value)}")
     for row in RECORD_FIELDS
-    for value in (-1, 1.5, "x", True, None)
+    for value in (-1, 1.5, "x", True, None, BIG, -BIG)
     if setting_problems(row[0], value, row[4], integer=row[5], optional=row[6])
 ]
 
