@@ -219,7 +219,11 @@ class BalancePlan:
     def __post_init__(self) -> None:
         problems = []
         for kind, bounds in (("counts", "[0, inf)"), ("multipliers", "[1, inf)")):
-            for name, value in getattr(self, kind).items():
+            plan = getattr(self, kind)
+            if not isinstance(plan, Mapping):
+                problems.append(f"{kind} must be a mapping, got {shorten(plan)}")
+                continue
+            for name, value in plan.items():
                 if name not in DISEASES:
                     problems.append(f"unknown disease {shorten(name)} in {kind}")
                 problems += setting_problems(f"{kind}[{shorten(name)}]", value, bounds, integer=True)
@@ -303,7 +307,7 @@ def oversample_plan(
     The default boost doubles the two rarest classes (periapical lesions
     and deep caries) and leaves everything else untouched.
     """
-    return BalancePlan(dict(counts), dict(DEFAULT_BOOST if boost is None else boost))
+    return BalancePlan(counts, DEFAULT_BOOST if boost is None else boost)
 
 
 def classifications_to_detections(

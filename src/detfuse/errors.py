@@ -6,6 +6,7 @@ Every toolkit-specific failure derives from :class:`DetfuseError` so callers
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
@@ -174,3 +175,21 @@ def raise_problems(problems: list[str]) -> None:
     """Raise one :class:`ConfigError` that lists every problem found."""
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def settings_from(make: type, payload, what: str, problems: Sequence[str] = ()):
+    """The settings dataclass ``make`` built from the JSON object ``payload`` of its fields, read
+    from a ``what``. One :class:`ConfigError` lists ``problems``, a ``payload`` that is no object,
+    each key ``make`` has no init field for, in ``repr`` order, and each problem of its rule."""
+    problems = list(problems)
+    if not isinstance(payload, dict):
+        raise_problems([*problems, f"{what} must be a JSON object"])
+    names = {f.name for f in dataclasses.fields(make) if f.init}
+    if unknown := sorted(payload.keys() - names, key=repr):
+        problems.append(f"unknown {what} keys: {shorten(unknown)}")
+    try:
+        settings = make(**{key: payload[key] for key in payload.keys() & names})
+    except ConfigError as exc:
+        problems.append(str(exc))
+    raise_problems(problems)
+    return settings

@@ -271,21 +271,23 @@ def _decode(raw: bytes):
     return json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
+def _read(read: Callable, error: type, name):
+    """``read()``, each read or decode fault raised as an ``error`` naming ``name``."""
+    try:
+        return read()
+    except OSError as exc:
+        raise error(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{name} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{name} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{name} is nested too deeply to read: {exc}") from exc
+
+
 def _load_json(path: PathLike, what: str, kind: type = list):
     """The JSON in ``path``; :class:`MalformedFile` unless it is a ``kind``, calling it ``what``."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read {path}: {exc}") from exc
-    try:
-        data = _decode(raw)
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedFile(f"{path} is nested too deeply to read: {exc}") from exc
+    data = _read(lambda: _decode(Path(path).read_bytes()), MalformedFile, path)
     if not isinstance(data, kind):
         raise MalformedFile(f"{path}: {what} must be a JSON {'array' if kind is list else 'object'}")
     return data
@@ -293,15 +295,8 @@ def _load_json(path: PathLike, what: str, kind: type = list):
 
 def _load_config(path: Path, what: str):
     """The JSON in the UTF-8 file ``path``, a ``Path`` or a package resource, read by ``json``;
-    :class:`ConfigError`, calling it ``what``, if it is not UTF-8, not JSON or nested too deeply."""
-    try:
-        return json.loads(path.read_text("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{what} is nested too deeply to read: {exc}") from exc
+    :class:`ConfigError`, calling it ``what``, if it cannot be read or decoded."""
+    return _read(lambda: json.loads(path.read_text("utf-8")), ConfigError, what)
 
 
 @contextlib.contextmanager

@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -38,7 +38,7 @@ from .complementary import (
 )
 from .detections import DetectionSet
 from .ensemble import EnsembleConfig, threshold_ensemble
-from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, shorten
+from .errors import ConfigError, DetfuseError, choice_problems, raise_problems, settings_from, shorten
 from .integrate import IntegrationConfig, as_detection_set, filter_enumeration, integrate, write_integrated
 from .io import PathLike, _dump_json, _load_config, parse_ground_truth
 from .metrics import AXES, EvalConfig, EvaluationReport, _axis_classes, evaluate
@@ -66,13 +66,14 @@ class PipelineConfig:
     share its field names, and checks them itself; their defaults are its.
     Every problem, theirs and the checks below, is reported in one
     :class:`ConfigError` before any stage runs. Empty ``axes`` evaluate nothing.
-    A path that is set is a non-empty string; an input path names an existing file.
+    A path that is set is a non-empty string; an input path names an existing file. A
+    required path defaults to ``None``, refused as ``ground_truth path is required``.
     """
 
-    ground_truth: str
-    enumeration: str
-    diagnosis_a: str
-    out_dir: str
+    ground_truth: Optional[str] = None
+    enumeration: Optional[str] = None
+    diagnosis_a: Optional[str] = None
+    out_dir: Optional[str] = None
     diagnosis_b: Optional[str] = None
     crop_classifications: Optional[str] = None
     tau: float = EnsembleConfig().tau
@@ -123,38 +124,29 @@ class PipelineConfig:
         raise_problems(problems)
 
 
-_INIT_FIELDS = [f for f in fields(PipelineConfig) if f.init]
-_CONFIG_KEYS = {"schema_version"} | {f.name for f in _INIT_FIELDS}
-_REQUIRED_KEYS = [
-    f.name for f in _INIT_FIELDS if f.default is MISSING and f.default_factory is MISSING
-]
-
 #: The input files; with ``out_dir``, the paths that resolve relative to a config file.
 _INPUT_KEYS = ("ground_truth", "enumeration", "diagnosis_a", "diagnosis_b", "crop_classifications")
 _PATH_KEYS = (*_INPUT_KEYS, "out_dir")
+_REQUIRED_KEYS = ("ground_truth", "enumeration", "diagnosis_a", "out_dir")
 
 
 def pipeline_config_from_dict(payload: dict, base_dir: str = ".") -> PipelineConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS - {"threads"}
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {shorten(sorted(unknown))}")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {shorten(version)}; expected {SCHEMA_VERSION}")
-    if "threads" in payload:
-        # Older schema-v1 files still set it; evaluation runs in one thread.
-        logger.warning("pipeline config key 'threads' is deprecated and ignored")
-    kwargs = {k: v for k, v in payload.items() if k not in ("schema_version", "threads")}
-    missing = [k for k in _REQUIRED_KEYS if k not in kwargs]
-    if missing:
-        raise ConfigError(f"pipeline config is missing required keys: {missing}")
-    for key in _PATH_KEYS:
-        value = kwargs.get(key)
-        if value and isinstance(value, str):
-            kwargs[key] = os.path.normpath(os.path.join(base_dir, value))
-    return PipelineConfig(**kwargs)
+    """The pipeline config of the JSON object ``payload``: ``schema_version``, an ignored
+    ``threads`` and the config's fields, its paths joined to ``base_dir``. A wrong version is
+    one more problem in the :class:`ConfigError` of :func:`~detfuse.errors.settings_from`."""
+    problems, settings = [], payload
+    if isinstance(payload, dict):
+        if (version := payload.get("schema_version")) != SCHEMA_VERSION:
+            problems.append(f"unsupported schema_version {shorten(version)}, expected {SCHEMA_VERSION}")
+        if "threads" in payload:
+            # Older schema-v1 files still set it; evaluation runs in one thread.
+            logger.warning("pipeline config key 'threads' is deprecated and ignored")
+        settings = {k: v for k, v in payload.items() if k not in ("schema_version", "threads")}
+        for key in _PATH_KEYS:
+            value = settings.get(key)
+            if value and isinstance(value, str):
+                settings[key] = os.path.normpath(os.path.join(base_dir, value))
+    return settings_from(PipelineConfig, settings, "pipeline config", problems)
 
 
 def load_pipeline_config(path: PathLike) -> PipelineConfig:

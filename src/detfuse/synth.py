@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .detections import Columns, DetectionSet, _category_key, category_codes
-from .errors import ConfigError, choice_problems, raise_problems, setting_problems, shorten
+from .errors import ConfigError, choice_problems, raise_problems, setting_problems, settings_from, shorten
 from .geometry import DISEASES, source_code
 from .io import AnnotatedDataset, AnnotatedImage, PathLike, _load_config
 
@@ -78,9 +78,9 @@ class ScenePlan:
 
 @dataclass(frozen=True, slots=True)
 class DetectorProfile:
-    """Statistical behaviour of one simulated detector."""
+    """Statistical behaviour of one simulated detector; ``name``, a string, is required."""
 
-    name: str
+    name: Optional[str] = None
     recall: float = 1.0
     fp_per_image: float = 0.0
     localization_noise: float = 0.0
@@ -257,23 +257,15 @@ def simulate_detector(
 # profile loading
 
 BUILTIN_PROFILES = ("diffusiondet-like", "dino-like", "perfect")
-_PROFILE_KEYS = {f.name for f in fields(DetectorProfile)}
 
 
 def load_profile(name_or_path: PathLike) -> DetectorProfile:
-    """Load a built-in profile by name, or any profile from the JSON file at a path."""
+    """Load a built-in profile by name, or any profile from the JSON file at a path, one object
+    of :class:`DetectorProfile`'s fields that :func:`~detfuse.errors.settings_from` builds."""
     if isinstance(name_or_path, str) and name_or_path in BUILTIN_PROFILES:
         path = resources.files("detfuse").joinpath(f"profiles/{name_or_path}.json")
     elif isinstance(name_or_path, (str, os.PathLike)):
         path = Path(name_or_path)
     else:
         raise ConfigError(f"profile must be a name or a path, got {shorten(name_or_path)}")
-    payload = _load_config(path, "profile")
-    if not isinstance(payload, dict):
-        raise ConfigError("profile JSON must be an object")
-    unknown = set(payload) - _PROFILE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown profile fields: {shorten(sorted(unknown))}")
-    if "name" not in payload:
-        raise ConfigError("profile is missing a name")
-    return DetectorProfile(**payload)
+    return settings_from(DetectorProfile, _load_config(path, "profile"), "profile")

@@ -534,7 +534,7 @@ class TestPipelineConfig:
             pipeline_config_from_dict(payload)
 
     def test_from_dict_requires_core_keys(self):
-        with pytest.raises(ConfigError, match="missing required keys"):
+        with pytest.raises(ConfigError, match="ground_truth path is required"):
             pipeline_config_from_dict({"schema_version": 1, "out_dir": "x"})
 
     def test_from_dict_joins_paths_to_base_dir(self, tmp_path):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -44,11 +46,13 @@ from detfuse import (
     evaluate,
     filter_enumeration,
     generate_scene,
+    load_pipeline_config,
     load_profile,
     oversample_plan,
     parse_crop_classifications,
     parse_detections,
     parse_ground_truth,
+    pipeline_config_from_dict,
     read_crop_manifest,
     simulate_detector,
     subset_dataset,
@@ -754,3 +758,137 @@ class TestBalancePlanCounts:
         named = "unknown disease 'cavity' in counts; unknown disease 'gum' in multipliers"
         with pytest.raises(ConfigError, match=re.escape(named)):
             BalancePlan(counts={"cavity": 3}, multipliers={"gum": 2})
+
+    @pytest.mark.parametrize(
+        "build,named",
+        [
+            (lambda: BalancePlan(counts=[1]), "counts must be a mapping, got [1]"),
+            (lambda: BalancePlan(multipliers=None), "multipliers must be a mapping, got None"),
+            (lambda: oversample_plan(5), "counts must be a mapping, got 5"),
+            (lambda: oversample_plan({}, boost=5), "multipliers must be a mapping, got 5"),
+        ],
+        ids=["counts-list", "multipliers-none", "counts-number", "boost-number"],
+    )
+    def test_a_plan_is_a_mapping(self, build, named):
+        """Each raised a bare AttributeError or TypeError before the rule."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            build()
+
+
+#: Every path a pipeline config requires, each set to a file that exists or, for ``out_dir``,
+#: to a directory that is not made at construction; all absolute, so none is resolved.
+CONFIG_PATHS = {
+    "ground_truth": __file__,
+    "enumeration": __file__,
+    "diagnosis_a": __file__,
+    "out_dir": os.path.join(os.path.dirname(__file__), "unused"),
+}
+
+#: Per kind of settings file, by its name in messages: its required keys with good values and
+#: the problem of each left out, good settings, bad settings with the problem of each, and keys
+#: that it has no field for.
+SETTINGS_FILES = {
+    "pipeline config": (
+        {key: (path, f"{key} path is required") for key, path in CONFIG_PATHS.items()},
+        {"tau": 0.3, "axes": ["disease", "quadrant"], "diagnosis_b": __file__},
+        {
+            "tau": (7, "tau must be a number in [0, 1], got 7"),
+            "max_dets": (0, "max_dets must be an integer in [1, inf), got 0"),
+            "overlap_iou": (2, "overlap_iou must be a number in [0, 1], got 2"),
+        },
+        ("taus", 7),
+    ),
+    "profile": (
+        {"name": ("custom", "name must be a string, got None")},
+        {"recall": 0.5, "fp_per_image": 1.5},
+        {
+            "recall": (2, "recall must be a number in [0, 1], got 2"),
+            "fp_per_image": (-1, "fp_per_image must be a number in [0, inf), got -1"),
+            "localization_noise": (0.6, "localization_noise must be a number in [0, 0.5], got 0.6"),
+        },
+        ("percision", "det_cap"),
+    ),
+}
+
+
+def read_settings(what: str, payload: dict, as_file: bool):
+    """The settings object of ``payload``: a pipeline config from the dict itself, or either
+    kind from a JSON file holding it."""
+    if not as_file:
+        return pipeline_config_from_dict(payload)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "settings.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        return (load_profile if what == "profile" else load_pipeline_config)(path)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    source=st.sampled_from([("pipeline config", False), ("pipeline config", True), ("profile", True)]),
+    data=st.data(),
+)
+def test_a_settings_file_names_every_problem(source, data):
+    """A payload with no fault builds the object its settings construct; any other is one
+    ConfigError that names each left-out key, unknown key, bad value and wrong schema_version."""
+    what, as_file = source
+    required, good, bad, unknown_keys = SETTINGS_FILES[what]
+    left_out = data.draw(st.sets(st.sampled_from(sorted(required))), "left out")
+    unknown = data.draw(st.sets(st.sampled_from(unknown_keys)), "unknown keys")
+    if as_file:  # a JSON object's keys are strings
+        unknown = {str(key) for key in unknown}
+    faults = data.draw(st.sets(st.sampled_from(sorted(bad)), max_size=2), "bad values")
+    # A profile has no schema_version, so there it is one more unknown key.
+    version = data.draw(st.sampled_from([1, None] if what == "profile" else [1, None, 2, "1"]))
+    settings = {key: value for key, (value, _) in required.items() if key not in left_out}
+    settings |= good | {key: bad[key][0] for key in faults}
+    payload = {**settings, **{key: 0 for key in unknown}}
+    problems = [required[key][1] for key in left_out] + [bad[key][1] for key in faults]
+    if version is not None:
+        payload["schema_version"] = version
+    if what == "profile" and version is not None:
+        unknown.add("schema_version")
+    elif what == "pipeline config" and version != 1:
+        problems.append(f"unsupported schema_version {version!r}, expected 1")
+    if unknown:
+        problems.append(f"unknown {what} keys: {sorted(unknown, key=repr)!r}")
+
+    if not problems:
+        make = DetectorProfile if what == "profile" else PipelineConfig
+        assert read_settings(what, payload, as_file) == make(**settings)
+        return
+    with pytest.raises(ConfigError) as info:
+        read_settings(what, payload, as_file)
+    assert sorted(str(info.value).split("; ")) == sorted(problems)
+
+
+class TestSettingsFiles:
+    """Examples of the one rule that builds and refuses both kinds of settings file."""
+
+    def test_a_config_with_no_path_names_all_four(self):
+        named = "; ".join(f"{key} path is required" for key in CONFIG_PATHS)
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            PipelineConfig()
+
+    def test_a_profile_with_no_name_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^name must be a string, got None$"):
+            DetectorProfile()
+
+    def test_keys_of_mixed_types_are_named_in_one_error(self):
+        """This raised a bare TypeError from sorting the unknown keys."""
+        named = "unknown pipeline config keys: ['x', 1]; ground_truth path is required"
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
+            pipeline_config_from_dict({1: 2, "x": 3, "schema_version": 1})
+
+    def test_a_profile_file_holding_an_array_is_refused(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match=r"^profile must be a JSON object$"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("what,load", [("profile", load_profile), ("pipeline config", load_pipeline_config)])
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing-file", "directory"])
+    def test_a_file_that_cannot_be_read_is_a_config_error(self, tmp_path, what, load, name):
+        """A profile leaked FileNotFoundError or IsADirectoryError, and so did a config."""
+        with pytest.raises(ConfigError, match=f"^cannot read {what}: .*{re.escape(str(tmp_path))}"):
+            load(tmp_path / name)

@@ -238,13 +238,13 @@ class TestProfiles:
         assert p.name == "custom"
         assert p.recall == 0.5
         path.write_text(json.dumps({"name": "custom", "recall": 0.5, "det_cap": 10}))
-        with pytest.raises(ConfigError, match=r"unknown profile fields: \['det_cap'\]"):
+        with pytest.raises(ConfigError, match=r"unknown profile keys: \['det_cap'\]"):
             load_profile(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "percision": 0.5}))
-        with pytest.raises(ConfigError, match="unknown profile fields"):
+        with pytest.raises(ConfigError, match="unknown profile keys"):
             load_profile(path)
 
     def test_missing_name_rejected(self, tmp_path):
@@ -283,7 +283,7 @@ class TestProfiles:
             load_profile(name_or_path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(ConfigError, match="^cannot read profile: "):
             load_profile(tmp_path / "nope.json")
 
     @pytest.mark.parametrize(
